@@ -217,6 +217,8 @@ fn ldjson_connect(service: Arc<SacService>) -> Box<dyn Fn() -> Sender + Sync> {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            // Like the HTTP front end: replies leave without Nagle delay.
+            stream.set_nodelay(true).ok();
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 let reader = BufReader::new(stream.try_clone().expect("clone ldjson stream"));

@@ -12,8 +12,8 @@ use crate::{Circle, GeomError, Point, Rect};
 /// A uniform grid over a fixed set of points, supporting circular range queries and
 /// k-nearest-neighbour search.
 ///
-/// Point identities are the indices into the slice the grid was built from, which in
-/// `sac-graph` coincide with vertex ids.
+/// Point identities are the indices into the point vector the grid was built from
+/// (and owns), which in `sac-graph` coincide with vertex ids.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     bounds: Rect,
@@ -28,12 +28,12 @@ pub struct GridIndex {
 }
 
 impl GridIndex {
-    /// Builds a grid index over `points`.
+    /// Builds a grid index over `points`, taking ownership of them.
     ///
     /// `target_per_cell` controls the grid resolution: the number of cells is chosen
     /// so that an average cell holds roughly this many points.  Values around 4–16
     /// work well; the constructor clamps degenerate inputs.
-    pub fn build(points: &[Point], target_per_cell: usize) -> Result<Self, GeomError> {
+    pub fn build(points: Vec<Point>, target_per_cell: usize) -> Result<Self, GeomError> {
         if points.is_empty() {
             return Err(GeomError::EmptyPointSet);
         }
@@ -42,7 +42,7 @@ impl GridIndex {
                 "target_per_cell must be positive",
             ));
         }
-        let bounds = Rect::bounding(points)
+        let bounds = Rect::bounding(&points)
             .expect("non-empty point set always has a bounding box")
             // A tiny margin keeps points on the max edge strictly inside the grid.
             .expanded(1e-12);
@@ -69,7 +69,7 @@ impl GridIndex {
             let cy = (((p.y - bounds.min.y) / cell_size) as usize).min(rows - 1);
             cy * cols + cx
         };
-        for p in points {
+        for p in &points {
             counts[cell_of(*p) + 1] += 1;
         }
         for i in 0..n_cells {
@@ -89,7 +89,7 @@ impl GridIndex {
             rows,
             cell_offsets: counts,
             entries,
-            points: points.to_vec(),
+            points,
         })
     }
 
@@ -111,6 +111,11 @@ impl GridIndex {
     /// The position of an indexed point.
     pub fn point(&self, idx: u32) -> Point {
         self.points[idx as usize]
+    }
+
+    /// All indexed points, in index order.
+    pub fn points(&self) -> &[Point] {
+        &self.points
     }
 
     fn cell_range(&self, cx: usize, cy: usize) -> std::ops::Range<usize> {
@@ -282,14 +287,14 @@ mod tests {
 
     #[test]
     fn build_rejects_bad_input() {
-        assert!(GridIndex::build(&[], 8).is_err());
-        assert!(GridIndex::build(&[Point::ORIGIN], 0).is_err());
+        assert!(GridIndex::build(vec![], 8).is_err());
+        assert!(GridIndex::build(vec![Point::ORIGIN], 0).is_err());
     }
 
     #[test]
     fn circle_query_matches_linear_scan() {
         let pts = sample_points();
-        let grid = GridIndex::build(&pts, 8).unwrap();
+        let grid = GridIndex::build(pts.clone(), 8).unwrap();
         let circle = Circle::new(Point::new(0.5, 0.5), 0.21);
         let mut got = grid.query_circle(&circle);
         got.sort_unstable();
@@ -307,7 +312,7 @@ mod tests {
     #[test]
     fn rect_query_matches_linear_scan() {
         let pts = sample_points();
-        let grid = GridIndex::build(&pts, 4).unwrap();
+        let grid = GridIndex::build(pts.clone(), 4).unwrap();
         let rect = Rect::new(Point::new(0.12, 0.33), Point::new(0.61, 0.74));
         let mut got = grid.query_rect(&rect);
         got.sort_unstable();
@@ -324,7 +329,7 @@ mod tests {
     #[test]
     fn knn_matches_linear_scan() {
         let pts = sample_points();
-        let grid = GridIndex::build(&pts, 8).unwrap();
+        let grid = GridIndex::build(pts.clone(), 8).unwrap();
         let query = Point::new(0.52, 0.48);
         let k = 7;
         let got = grid.k_nearest(query, k);
@@ -348,7 +353,7 @@ mod tests {
     #[test]
     fn knn_with_k_larger_than_point_count() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        let grid = GridIndex::build(&pts, 4).unwrap();
+        let grid = GridIndex::build(pts, 4).unwrap();
         let got = grid.k_nearest(Point::new(0.1, 0.1), 10);
         assert_eq!(got.len(), 2);
         assert_eq!(grid.k_nearest(Point::new(0.1, 0.1), 0).len(), 0);
@@ -357,7 +362,7 @@ mod tests {
     #[test]
     fn query_outside_bounds_returns_empty() {
         let pts = sample_points();
-        let grid = GridIndex::build(&pts, 8).unwrap();
+        let grid = GridIndex::build(pts, 8).unwrap();
         let circle = Circle::new(Point::new(10.0, 10.0), 0.3);
         assert!(grid.query_circle(&circle).is_empty());
     }
@@ -365,7 +370,7 @@ mod tests {
     #[test]
     fn identical_points_all_reported() {
         let pts = vec![Point::new(0.5, 0.5); 9];
-        let grid = GridIndex::build(&pts, 2).unwrap();
+        let grid = GridIndex::build(pts, 2).unwrap();
         let got = grid.query_circle(&Circle::new(Point::new(0.5, 0.5), 0.01));
         assert_eq!(got.len(), 9);
     }

@@ -78,7 +78,7 @@ proptest! {
     /// Grid index circular range queries agree with a linear scan.
     #[test]
     fn grid_circle_query_is_exact(pts in arb_points(200), center in arb_point(), r in 0.0f64..0.7) {
-        let grid = GridIndex::build(&pts, 8).unwrap();
+        let grid = GridIndex::build(pts.clone(), 8).unwrap();
         let circle = Circle::new(center, r);
         let mut got = grid.query_circle(&circle);
         got.sort_unstable();
@@ -93,7 +93,7 @@ proptest! {
     /// Grid k-nearest-neighbour distances agree with a sorted linear scan.
     #[test]
     fn grid_knn_is_exact(pts in arb_points(150), q in arb_point(), k in 1usize..12) {
-        let grid = GridIndex::build(&pts, 6).unwrap();
+        let grid = GridIndex::build(pts.clone(), 6).unwrap();
         let got = grid.k_nearest(q, k);
         let mut expected: Vec<f64> = pts.iter().map(|p| p.distance(q)).collect();
         expected.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -14,7 +14,8 @@ pub struct SpatialGraph {
     // immutable `Arc<SpatialGraph>` snapshots across threads; the static
     // assertion at the bottom of this file enforces `Send + Sync`.
     graph: Graph,
-    positions: Vec<Point>,
+    /// The grid owns the vertex positions; [`SpatialGraph::positions`]
+    /// reads through it, so each snapshot stores them once.
     index: GridIndex,
 }
 
@@ -36,12 +37,8 @@ impl SpatialGraph {
         if let Some(i) = positions.iter().position(|p| !p.is_finite()) {
             return Err(GraphError::InvalidPosition(i as VertexId));
         }
-        let index = GridIndex::build(&positions, 8).expect("non-empty positions");
-        Ok(SpatialGraph {
-            graph,
-            positions,
-            index,
-        })
+        let index = GridIndex::build(positions, 8).expect("non-empty positions");
+        Ok(SpatialGraph { graph, index })
     }
 
     /// The underlying graph topology.
@@ -65,20 +62,20 @@ impl SpatialGraph {
     /// Location of vertex `v`.
     #[inline]
     pub fn position(&self, v: VertexId) -> Point {
-        self.positions[v as usize]
+        self.index.point(v)
     }
 
     /// All vertex positions, indexed by vertex id.
     #[inline]
     pub fn positions(&self) -> &[Point] {
-        &self.positions
+        self.index.points()
     }
 
     /// Euclidean distance between the locations of two vertices (the paper's
     /// `|u, v|`).
     #[inline]
     pub fn distance(&self, u: VertexId, v: VertexId) -> f64 {
-        self.positions[u as usize].distance(self.positions[v as usize])
+        self.position(u).distance(self.position(v))
     }
 
     /// Neighbours of `v` (delegates to the graph).
@@ -172,7 +169,7 @@ impl SpatialGraph {
         &self,
         updates: &[(VertexId, Point)],
     ) -> Result<SpatialGraph, GraphError> {
-        let mut positions = self.positions.clone();
+        let mut positions = self.positions().to_vec();
         for &(v, p) in updates {
             if (v as usize) >= positions.len() {
                 return Err(GraphError::VertexOutOfRange(v));
@@ -185,24 +182,26 @@ impl SpatialGraph {
         SpatialGraph::new(self.graph.clone(), positions)
     }
 
-    /// Mutates vertex positions in place and rebuilds the spatial index.
+    /// Replaces vertex positions and rebuilds the spatial index.
     ///
     /// Prefer this over [`SpatialGraph::with_updated_positions`] when the graph does
-    /// not need to be kept immutable; it avoids cloning the adjacency arrays.
+    /// not need to be kept immutable; it avoids cloning the adjacency arrays.  On an
+    /// invalid update nothing changes.
     pub fn apply_position_updates(
         &mut self,
         updates: &[(VertexId, Point)],
     ) -> Result<(), GraphError> {
+        let mut positions = self.positions().to_vec();
         for &(v, p) in updates {
-            if (v as usize) >= self.positions.len() {
+            if (v as usize) >= positions.len() {
                 return Err(GraphError::VertexOutOfRange(v));
             }
             if !p.is_finite() {
                 return Err(GraphError::InvalidPosition(v));
             }
-            self.positions[v as usize] = p;
+            positions[v as usize] = p;
         }
-        self.index = GridIndex::build(&self.positions, 8).expect("non-empty positions");
+        self.index = GridIndex::build(positions, 8).expect("non-empty positions");
         Ok(())
     }
 }

@@ -218,7 +218,7 @@ pub(crate) struct WalState {
     /// re-encode (`usize::MAX` = no cached frames yet).
     pub(crate) last_checkpoint_vertices: usize,
     /// Cached per-shard frames from the last checkpoint, reused for shards
-    /// that saw no mutations since.
+    /// that saw no mutations since (always empty on unsharded engines).
     pub(crate) frames: Vec<SnapshotFrame>,
     /// Per-shard dirty flags accumulated since the last checkpoint (empty on
     /// unsharded engines).

@@ -183,59 +183,71 @@ fn read_request(
     }))
 }
 
-/// Writes one fixed-length response with an explicit content type.
-fn write_response_typed(
-    writer: &mut TcpStream,
+/// Writes one fixed-length response with an explicit content type.  The
+/// head and the body parts are assembled in `buf` (cleared first, reused
+/// across a connection's requests) and leave in a single `write_all`: a
+/// response split over several small writes would let Nagle's algorithm
+/// hold its tail until the client's delayed ACK.
+fn write_response_typed<W: Write>(
+    writer: &mut W,
+    buf: &mut Vec<u8>,
     status: &str,
     content_type: &str,
-    body: &str,
+    body: &[&str],
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let len: usize = body.iter().map(|part| part.len()).sum();
+    buf.clear();
     write!(
-        writer,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-        body.len()
+        buf,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {len}\r\nConnection: {connection}\r\n\r\n"
     )?;
+    for part in body {
+        buf.extend_from_slice(part.as_bytes());
+    }
+    writer.write_all(buf)?;
     writer.flush()
 }
 
-/// Writes one JSON response, timing the socket write into
-/// `sac_transport_io_micros{transport="http",op="write"}` and counting the
-/// status into `sac_http_responses_total`.
-fn write_response(
-    service: &SacService,
-    writer: &mut TcpStream,
-    status: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_typed(
-        service,
-        writer,
-        status,
-        "application/json",
-        body,
-        keep_alive,
-    )
+/// The reply side of one connection: the socket plus the response buffer
+/// it reuses across keep-alive requests.
+struct Replier<'a, W> {
+    service: &'a SacService,
+    writer: W,
+    buf: Vec<u8>,
 }
 
-/// [`write_response`] with an explicit content type (the `/metrics` text
-/// exposition is not JSON).
-fn write_typed(
-    service: &SacService,
-    writer: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let obs = service.obs();
-    let span = obs.span(&obs.http_write);
-    let result = write_response_typed(writer, status, content_type, body, keep_alive);
-    span.finish();
-    obs.count_status(status);
-    result
+impl<W: Write> Replier<'_, W> {
+    /// Writes one response, timing the socket write into
+    /// `sac_transport_io_micros{transport="http",op="write"}` and counting
+    /// the status into `sac_http_responses_total`.
+    fn typed(
+        &mut self,
+        status: &str,
+        content_type: &str,
+        body: &[&str],
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
+        let obs = self.service.obs();
+        let span = obs.span(&obs.http_write);
+        let result = write_response_typed(
+            &mut self.writer,
+            &mut self.buf,
+            status,
+            content_type,
+            body,
+            keep_alive,
+        );
+        span.finish();
+        obs.count_status(status);
+        result
+    }
+
+    /// Writes one protocol reply line (JSON, newline appended here).
+    fn line(&mut self, status: &str, reply: &str, keep_alive: bool) -> std::io::Result<()> {
+        self.typed(status, "application/json", &[reply, "\n"], keep_alive)
+    }
 }
 
 /// Serves one connection with the default [`HttpConfig`].
@@ -253,8 +265,17 @@ pub fn handle_connection_with(
     config: &HttpConfig,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(config.read_timeout)?;
+    // Each response is one write; with Nagle on, a reply written while an
+    // earlier segment awaits its ACK would still wait for the client's
+    // delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut replier = Replier {
+        service,
+        writer: stream,
+        buf: Vec::new(),
+    };
+    let encode = service.encode_options();
     loop {
         let obs = service.obs();
         let read_span = obs.span(&obs.http_read);
@@ -269,30 +290,16 @@ pub fn handle_connection_with(
             Err(e) if is_timeout(&e) => {
                 let timeout = config.read_timeout.unwrap_or_default();
                 let error = TransportError::ReadTimeout { timeout };
-                let reply =
-                    ProtoResponse::error(error.to_string()).encode_line(service.encode_options());
-                let _ = write_response(
-                    service,
-                    &mut writer,
-                    error.status_line(),
-                    &format!("{reply}\n"),
-                    false,
-                );
+                let reply = ProtoResponse::error(error.to_string()).encode_line(encode);
+                let _ = replier.line(error.status_line(), &reply, false);
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
         let keep_alive = request.keep_alive;
         if let Some(error) = request.reject {
-            let reply =
-                ProtoResponse::error(error.to_string()).encode_line(service.encode_options());
-            write_response(
-                service,
-                &mut writer,
-                error.status_line(),
-                &format!("{reply}\n"),
-                false,
-            )?;
+            let reply = ProtoResponse::error(error.to_string()).encode_line(encode);
+            replier.line(error.status_line(), &reply, false)?;
             return Ok(());
         }
         // The query string only matters for `/events`; stripping it here
@@ -305,34 +312,15 @@ pub fn handle_connection_with(
             ("POST", "/api") | ("POST", "/") => {
                 let body = request.body.trim();
                 if body.is_empty() {
-                    let reply = ProtoResponse::error("empty request body")
-                        .encode_line(service.encode_options());
-                    write_response(
-                        service,
-                        &mut writer,
-                        "400 Bad Request",
-                        &format!("{reply}\n"),
-                        keep_alive,
-                    )?;
+                    let reply = ProtoResponse::error("empty request body").encode_line(encode);
+                    replier.line("400 Bad Request", &reply, keep_alive)?;
                 } else {
                     match service.handle_line(body) {
-                        Some(reply) => write_response(
-                            service,
-                            &mut writer,
-                            "200 OK",
-                            &format!("{reply}\n"),
-                            keep_alive,
-                        )?,
+                        Some(reply) => replier.line("200 OK", &reply, keep_alive)?,
                         // quit: acknowledge and close this connection (the
                         // listener keeps accepting others).
                         None => {
-                            write_response(
-                                service,
-                                &mut writer,
-                                "200 OK",
-                                "{\"ok\":true}\n",
-                                false,
-                            )?;
+                            replier.line("200 OK", "{\"ok\":true}", false)?;
                             return Ok(());
                         }
                     }
@@ -342,27 +330,14 @@ pub fn handle_connection_with(
                 let reply = service
                     .handle(&ProtoRequest::Stats)
                     .expect("stats never quits")
-                    .encode_line(service.encode_options());
-                write_response(
-                    service,
-                    &mut writer,
-                    "200 OK",
-                    &format!("{reply}\n"),
-                    keep_alive,
-                )?;
+                    .encode_line(encode);
+                replier.line("200 OK", &reply, keep_alive)?;
             }
             ("GET", "/metrics") => {
                 // Prometheus scrapers expect the text exposition format, not
                 // JSON — the one route with a different content type.
                 let text = service.metrics_text();
-                write_typed(
-                    service,
-                    &mut writer,
-                    "200 OK",
-                    "text/plain; version=0.0.4",
-                    &text,
-                    keep_alive,
-                )?;
+                replier.typed("200 OK", "text/plain; version=0.0.4", &[&text], keep_alive)?;
             }
             ("GET", "/events") => {
                 let since = query
@@ -375,14 +350,8 @@ pub fn handle_connection_with(
                     Err(_) => {
                         let reply =
                             ProtoResponse::error("query parameter 'since' must be an integer")
-                                .encode_line(service.encode_options());
-                        write_response(
-                            service,
-                            &mut writer,
-                            "400 Bad Request",
-                            &format!("{reply}\n"),
-                            keep_alive,
-                        )?;
+                                .encode_line(encode);
+                        replier.line("400 Bad Request", &reply, keep_alive)?;
                     }
                     Ok(since) => {
                         let reply = service
@@ -390,14 +359,8 @@ pub fn handle_connection_with(
                                 since: since.unwrap_or(0),
                             })
                             .expect("events never quits")
-                            .encode_line(service.encode_options());
-                        write_response(
-                            service,
-                            &mut writer,
-                            "200 OK",
-                            &format!("{reply}\n"),
-                            keep_alive,
-                        )?;
+                            .encode_line(encode);
+                        replier.line("200 OK", &reply, keep_alive)?;
                     }
                 }
             }
@@ -427,34 +390,22 @@ pub fn handle_connection_with(
                     )
                 });
                 let body = format!(
-                    "{{\"ok\":true,\"epoch\":{},\"shards\":{shards},\"uptime_secs\":{}{wal}{replication},\"role\":\"{}\"}}\n",
+                    "{{\"ok\":true,\"epoch\":{},\"shards\":{shards},\"uptime_secs\":{}{wal}{replication},\"role\":\"{}\"}}",
                     engine.epoch(),
                     service.uptime_secs(),
                     service.role().as_str(),
                 );
-                write_response(service, &mut writer, "200 OK", &body, keep_alive)?;
+                replier.line("200 OK", &body, keep_alive)?;
             }
             ("POST", _) | ("GET", _) => {
                 let reply = ProtoResponse::error(format!("unknown route {}", request.path))
-                    .encode_line(service.encode_options());
-                write_response(
-                    service,
-                    &mut writer,
-                    "404 Not Found",
-                    &format!("{reply}\n"),
-                    keep_alive,
-                )?;
+                    .encode_line(encode);
+                replier.line("404 Not Found", &reply, keep_alive)?;
             }
             (method, _) => {
                 let reply = ProtoResponse::error(format!("unsupported method {method}"))
-                    .encode_line(service.encode_options());
-                write_response(
-                    service,
-                    &mut writer,
-                    "405 Method Not Allowed",
-                    &format!("{reply}\n"),
-                    keep_alive,
-                )?;
+                    .encode_line(encode);
+                replier.line("405 Method Not Allowed", &reply, keep_alive)?;
             }
         }
         if !keep_alive {
@@ -767,6 +718,83 @@ mod tests {
             "GET /events?since=soon HTTP/1.1\r\nHost: test\r\n\r\n",
         );
         assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    }
+
+    /// A writer that records its bytes and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write() {
+        let service = SacService::new(
+            Arc::new(SacEngine::new(figure3_graph())),
+            ServiceConfig::default(),
+        );
+        let mut replier = Replier {
+            service: &service,
+            writer: CountingWriter::default(),
+            buf: Vec::new(),
+        };
+        let reply = service
+            .handle_line(&format!(r#"{{"q":{},"k":2}}"#, figure3::Q))
+            .unwrap();
+        replier.line("200 OK", &reply, true).unwrap();
+        assert_eq!(replier.writer.writes, 1);
+        let expected = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+             Connection: keep-alive\r\n\r\n{reply}\n",
+            reply.len() + 1
+        );
+        assert_eq!(
+            String::from_utf8(replier.writer.bytes.clone()).unwrap(),
+            expected
+        );
+
+        let text = service.metrics_text();
+        assert!(text.len() > 1024, "exposition is multi-kilobyte");
+        replier.writer.bytes.clear();
+        replier
+            .typed("200 OK", "text/plain; version=0.0.4", &[&text], false)
+            .unwrap();
+        assert_eq!(replier.writer.writes, 2);
+        let written = String::from_utf8(replier.writer.bytes.clone()).unwrap();
+        assert!(written.starts_with(&format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n",
+            text.len()
+        )));
+        assert!(written.ends_with(&text));
+    }
+
+    #[test]
+    fn keep_alive_requests_do_not_stall_on_delayed_acks() {
+        let addr = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            let (status, _) = post(&mut stream, r#"{"cmd":"stats"}"#);
+            assert_eq!(status, "HTTP/1.1 200 OK");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "50 keep-alive requests took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -30,9 +30,12 @@ pub fn serve<R: BufRead, W: Write>(
             continue;
         }
         match service.handle_line(line.trim_end_matches(['\r', '\n'])) {
-            Some(reply) => {
+            Some(mut reply) => {
                 let write_span = obs.span(&obs.ldjson_write);
-                writeln!(output, "{reply}")?;
+                // One write per reply line: on an unbuffered socket a
+                // separate newline write could wait on a delayed ACK.
+                reply.push('\n');
+                output.write_all(reply.as_bytes())?;
                 output.flush()?;
                 write_span.finish();
             }

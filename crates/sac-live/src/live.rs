@@ -427,19 +427,24 @@ impl LiveEngine {
         let full = wal.last_checkpoint_vertices != n || wal.frames.len() != expected;
         let mut frames_encoded = 0u32;
         let mut frames_reused = 0u32;
+        // The cache moves out for the duration: clean frames are reused by
+        // move, and a failed write leaves it empty, forcing a full encode.
+        let cached = std::mem::take(&mut wal.frames);
         let frames: Vec<SnapshotFrame> = if full {
             frames_encoded = expected as u32;
             sac_wal::encode_frames(graph, positions, map)
         } else {
-            (0..expected)
-                .map(|s| {
+            cached
+                .into_iter()
+                .enumerate()
+                .map(|(s, frame)| {
                     let dirty = wal.dirty_since_checkpoint.get(s).copied().unwrap_or(true);
                     if dirty {
                         frames_encoded += 1;
                         sac_wal::encode_frame(graph, positions, map, s as u32)
                     } else {
                         frames_reused += 1;
-                        wal.frames[s].clone()
+                        frame
                     }
                 })
                 .collect()
@@ -458,7 +463,12 @@ impl LiveEngine {
         wal.writer.rotate()?;
         let segments_removed = wal.writer.remove_segments_below(wal.writer.segment())?;
         sac_wal::remove_snapshots_below(&wal.config.dir, epoch)?;
-        wal.frames = frames;
+        // Only shards have clean frames to reuse.  An unsharded engine
+        // re-encodes its single frame every time, so caching it would pin
+        // a full adjacency copy between checkpoints for nothing.
+        if map.is_some() {
+            wal.frames = frames;
+        }
         wal.last_checkpoint_vertices = n;
         wal.first_live_segment = wal.writer.segment();
         let report = CheckpointReport {
@@ -1063,6 +1073,48 @@ mod tests {
         let text = engine.metrics_text();
         let expected = format!("sac_commit_dirty_shards_total {}", report.shards_rebuilt);
         assert!(text.contains(&expected), "missing {expected} in:\n{text}");
+    }
+
+    #[test]
+    fn checkpoints_cache_frames_only_for_shards() {
+        for shards in [0usize, 2] {
+            let dir = std::env::temp_dir().join(format!(
+                "sac-live-ckpt-frames-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let engine = Arc::new(match shards {
+                0 => SacEngine::new(figure3_graph()),
+                s => SacEngine::with_shards(figure3_graph(), s),
+            });
+            let durability = Durability {
+                dir: dir.clone(),
+                sync: sac_wal::SyncPolicy::Never,
+                checkpoint_every: 0,
+            };
+            // A fresh directory gets its base checkpoint on attach.
+            let live = LiveEngine::with_durability(engine, durability).unwrap();
+            let cached = |live: &LiveEngine| {
+                let guard = live.wal.lock().unwrap();
+                guard.as_ref().unwrap().frames.len()
+            };
+            assert_eq!(cached(&live), shards);
+            // Dirty only the right component's shard.
+            live.remove_edge(figure3::H, figure3::I).unwrap();
+            live.commit().unwrap();
+            let report = live.checkpoint().unwrap();
+            assert_eq!(cached(&live), shards);
+            if shards == 0 {
+                assert_eq!((report.frames_encoded, report.frames_reused), (1, 0));
+            } else {
+                assert_eq!(report.frames_encoded + report.frames_reused, 2);
+                assert!(
+                    report.frames_reused >= 1,
+                    "the clean shard's frame is reused"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

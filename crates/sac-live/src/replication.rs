@@ -200,6 +200,7 @@ fn ship_connection(
 ) -> std::io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
@@ -212,14 +213,14 @@ fn ship_connection(
             role: "primary".to_string(),
             leader: None,
         };
-        writeln!(writer, "{}", reply.encode_line())?;
+        send_line(&mut writer, reply.encode_line())?;
         return Ok(());
     }
     let Some(request) = ReplicateRequest::parse_line(line.trim_end()) else {
         let hello = ReplicateHello::Error {
             message: "malformed replicate request".to_string(),
         };
-        writeln!(writer, "{}", hello.encode_line())?;
+        send_line(&mut writer, hello.encode_line())?;
         return Ok(());
     };
     if request.term > engine.term() {
@@ -233,7 +234,7 @@ fn ship_connection(
                 engine.term()
             ),
         };
-        writeln!(writer, "{}", hello.encode_line())?;
+        send_line(&mut writer, hello.encode_line())?;
         return Ok(());
     }
     let _candidate = match (request.replica_id, request.advertise.clone()) {
@@ -251,7 +252,7 @@ fn ship_connection(
                     offset: 0,
                     term: engine.term(),
                 };
-                writeln!(writer, "{}", hello.encode_line())?;
+                send_line(&mut writer, hello.encode_line())?;
                 // Bootstrap bytes ship un-injected: faults target the
                 // streaming link, and a mangled bootstrap would only retry
                 // the (possibly large) transfer from scratch.
@@ -262,7 +263,7 @@ fn ship_connection(
                 let hello = ReplicateHello::Error {
                     message: "primary has no snapshot (is it running with a WAL?)".to_string(),
                 };
-                writeln!(writer, "{}", hello.encode_line())?;
+                send_line(&mut writer, hello.encode_line())?;
                 return Ok(());
             }
         }
@@ -272,7 +273,7 @@ fn ship_connection(
             offset: request.offset,
             term: engine.term(),
         };
-        writeln!(writer, "{}", hello.encode_line())?;
+        send_line(&mut writer, hello.encode_line())?;
         (request.segment, request.offset)
     };
 
@@ -835,7 +836,7 @@ impl Replica {
 /// demotion) before it accepts a single write.
 pub fn probe(addr: &str, timeout: Duration) -> Result<ProbeReply, ReplicaError> {
     let mut stream = connect(addr, timeout)?;
-    writeln!(stream, "{}", ProbeRequest.encode_line())?;
+    send_line(&mut stream, ProbeRequest.encode_line())?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -883,7 +884,16 @@ fn connect(primary: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
+    stream.set_nodelay(true)?;
     Ok(stream)
+}
+
+/// Sends one handshake or probe line, newline included, in a single write.
+/// The peer answers only once the whole line has arrived, so a line split
+/// over two writes could sit behind a delayed ACK.
+fn send_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// Opens a connection to `primary` and runs the handshake; returns the
@@ -895,7 +905,7 @@ fn handshake(
     request: &ReplicateRequest,
 ) -> Result<(BufReader<TcpStream>, ReplicateHello), ReplicaError> {
     let mut stream = connect(primary, config.retry.attempt_timeout)?;
-    writeln!(stream, "{}", request.encode_line())?;
+    send_line(&mut stream, request.encode_line())?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;

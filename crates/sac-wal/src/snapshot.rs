@@ -90,27 +90,32 @@ pub fn encode_frame(
     map: Option<&ShardMap>,
     shard: u32,
 ) -> SnapshotFrame {
+    let owned = |v: VertexId| match map {
+        Some(m) => m.shard_of(positions[v as usize]) == shard,
+        None => true,
+    };
+    let vertices = 0..graph.num_vertices() as VertexId;
+    // Size the payload exactly, so the rows are written once into their
+    // final buffer with no regrowth.
+    let size = 4 + vertices
+        .clone()
+        .filter(|&v| owned(v))
+        .map(|v| 8 + 4 * graph.degree(v))
+        .sum::<usize>();
+    let mut payload = Vec::with_capacity(size);
+    put_u32(&mut payload, 0); // row count, patched below
     let mut rows = 0u32;
-    let mut body = Vec::new();
-    for v in 0..graph.num_vertices() as VertexId {
-        let owned = match map {
-            Some(m) => m.shard_of(positions[v as usize]) == shard,
-            None => true,
-        };
-        if !owned {
-            continue;
-        }
+    for v in vertices.filter(|&v| owned(v)) {
         rows += 1;
         let neighbors = graph.neighbors(v);
-        put_u32(&mut body, v);
-        put_u32(&mut body, neighbors.len() as u32);
+        put_u32(&mut payload, v);
+        put_u32(&mut payload, neighbors.len() as u32);
         for &w in neighbors {
-            put_u32(&mut body, w);
+            put_u32(&mut payload, w);
         }
     }
-    let mut payload = Vec::with_capacity(4 + body.len());
-    put_u32(&mut payload, rows);
-    payload.extend_from_slice(&body);
+    debug_assert_eq!(payload.len(), size);
+    payload[..4].copy_from_slice(&rows.to_le_bytes());
     SnapshotFrame { shard, payload }
 }
 
@@ -445,6 +450,42 @@ mod tests {
             assert_eq!(image.graph.neighbors(v), graph.neighbors(v));
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The frame payloads and snapshot files of a fixed fixture, as
+    /// `(len, crc32)` fingerprints, stay byte-identical: the on-disk format
+    /// is pinned, not just round-trippable.
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        let (graph, positions, cores) = sample();
+        let map = ShardMap::build(&positions, 3, 0.1).unwrap();
+        // (map, per-frame (shard, len, crc), whole-file (len, crc))
+        type Case<'a> = (Option<&'a ShardMap>, &'a [(u32, usize, u32)], (usize, u32));
+        let cases: [Case; 2] = [
+            (None, &[(0, 100, 1762280136)], (261, 0xfccd8868)),
+            (
+                Some(&map),
+                &[
+                    (0, 56, 1750280868),
+                    (1, 20, 1644567180),
+                    (2, 32, 4038594758),
+                ],
+                (409, 0xa977c81e),
+            ),
+        ];
+        for (map, frame_prints, file_print) in cases {
+            let frames = encode_frames(&graph, &positions, map);
+            let got: Vec<(u32, usize, u32)> = frames
+                .iter()
+                .map(|f| (f.shard, f.payload.len(), crc32(&f.payload)))
+                .collect();
+            assert_eq!(got, frame_prints);
+            let dir = temp_dir("pinned");
+            write_snapshot(&dir, 11, &positions, &cores, map, &frames).unwrap();
+            let file = fs::read(latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
+            assert_eq!((file.len(), crc32(&file)), file_print);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
