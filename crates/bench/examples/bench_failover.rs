@@ -26,9 +26,9 @@
 //! * **bit-identity** — winner and loser must fingerprint identically
 //!   (epoch, cores, position bits, sample answers) on the new history.
 
-use sac_bench::bench_dataset_scaled;
+use sac_bench::{bench_dataset_scaled, fingerprint, temp_dir};
 use sac_data::DatasetKind;
-use sac_engine::{SacEngine, SacRequest};
+use sac_engine::SacEngine;
 use sac_live::failover::arm;
 use sac_live::{
     spawn_shipper, Durability, FailoverConfig, LiveEngine, Replica, ReplicaConfig, RetryPolicy,
@@ -57,44 +57,10 @@ const MAX_HOPS: usize = 3;
 /// Steady-state writes demonstrating redirect routing before the kill.
 const STEADY_WRITES: u32 = 8;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sac-bench-failover-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Reserves a free loopback address for a candidate to advertise.
 fn free_addr() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     listener.local_addr().unwrap().to_string()
-}
-
-/// The comparison fingerprint: epoch, core numbers, position bits, sample
-/// query answers.
-type Fingerprint = (u64, Vec<u32>, Vec<(u64, u64)>, Vec<Option<Vec<u32>>>);
-
-fn fingerprint(engine: &SacEngine) -> Fingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let answers = (0..n)
-        .step_by((n as usize / 24).max(1))
-        .map(|q| {
-            engine
-                .execute(&SacRequest::new(u64::from(q), q, 3))
-                .community()
-                .map(|c| c.members().to_vec())
-        })
-        .collect();
-    (
-        engine.epoch(),
-        engine.decomposition().core_numbers().to_vec(),
-        snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    )
 }
 
 /// Boots a promotion candidate: a replica announcing its id and advertise
@@ -175,7 +141,7 @@ fn main() {
 
     // Primary: durable live front + lease-stamping shipper, fronted by a
     // service so the redirect-chasing client can write through it.
-    let dir = temp_dir("primary");
+    let dir = temp_dir("failover", "primary");
     let engine = Arc::new(SacEngine::from_snapshot(Arc::clone(&graph)));
     let live = LiveEngine::with_durability(
         Arc::clone(&engine),
@@ -202,8 +168,8 @@ fn main() {
     // Two promotion candidates; id 1 wins any election.
     let advert1 = free_addr();
     let advert2 = free_addr();
-    let fdir1 = temp_dir("f1");
-    let fdir2 = temp_dir("f2");
+    let fdir1 = temp_dir("failover", "f1");
+    let fdir2 = temp_dir("failover", "f2");
     let (svc1, _watch1) = candidate(&old_addr, 1, &advert1, &fdir1);
     let (svc2, watch2) = candidate(&old_addr, 2, &advert2, &fdir2);
     let mut by_addr: HashMap<String, Arc<SacService>> = HashMap::from([

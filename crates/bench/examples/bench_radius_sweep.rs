@@ -1,6 +1,6 @@
 //! Machine-readable radius-sweep bench runner.
 //!
-//! Times the same probe loops as `benches/radius_sweep.rs` (from-scratch
+//! Times the probe loops of one query two ways (from-scratch
 //! `feasible_in_circle` vs incremental `begin_sweep`/`probe` over the shared
 //! dyadic schedule) with plain `Instant` timers, averages them over every
 //! bench query vertex, and writes the results to `BENCH_radius_sweep.json`

@@ -26,7 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sac_bench::bench_dataset_scaled;
+use sac_bench::{bench_dataset_scaled, fingerprint, temp_dir};
 use sac_data::DatasetKind;
 use sac_engine::{SacEngine, SacRequest};
 use sac_geom::Point;
@@ -52,12 +52,6 @@ const MUTATIONS_PER_COMMIT: usize = 4;
 
 /// Closed-loop measurement window per throughput phase.
 const MEASURE: Duration = Duration::from_millis(1200);
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sac-bench-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// One serving thread's closed loop: cycles the query set against its
 /// instance until `stop`, counting answered queries.
@@ -86,34 +80,6 @@ fn measure_qps(engines: &[&Arc<SacEngine>], queries: &[u32]) -> f64 {
         stop.store(true, Ordering::Relaxed);
     });
     served.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The comparison fingerprint: epoch, core numbers, position bits, sample
-/// query answers.
-type Fingerprint = (u64, Vec<u32>, Vec<(u64, u64)>, Vec<Option<Vec<u32>>>);
-
-fn fingerprint(engine: &SacEngine) -> Fingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let answers = (0..n)
-        .step_by((n as usize / 24).max(1))
-        .map(|q| {
-            engine
-                .execute(&SacRequest::new(u64::from(q), q, 3))
-                .community()
-                .map(|c| c.members().to_vec())
-        })
-        .collect();
-    (
-        engine.epoch(),
-        engine.decomposition().core_numbers().to_vec(),
-        snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    )
 }
 
 fn boot_replica(addr: &str, seed: u64) -> Replica {
@@ -164,7 +130,7 @@ fn main() {
     );
 
     // Primary with a WAL and a shipping endpoint.
-    let dir = temp_dir("primary");
+    let dir = temp_dir("repl", "primary");
     let engine = Arc::new(SacEngine::from_snapshot(Arc::clone(&graph)));
     let live = LiveEngine::with_durability(
         Arc::clone(&engine),

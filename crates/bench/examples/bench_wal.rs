@@ -25,12 +25,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sac_bench::bench_dataset_scaled;
+use sac_bench::{bench_dataset_scaled, fingerprint, temp_dir};
 use sac_data::DatasetKind;
-use sac_engine::{EngineConfig, SacEngine, SacRequest};
+use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
 use sac_live::{Durability, LiveEngine, SyncPolicy};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,12 +41,6 @@ const MUTATIONS_PER_COMMIT: usize = 4;
 /// Gate: mean commit latency with batched fsyncs (`every 8`) relative to
 /// the no-WAL baseline.
 const MAX_EVERY_N_OVERHEAD: f64 = 1.25;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sac-bench-wal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Replays the identical seeded stream of edge/vertex/move mutations,
 /// committing every [`MUTATIONS_PER_COMMIT`] ops; returns the mean commit
@@ -79,34 +73,6 @@ fn run_stream(live: &LiveEngine, n: u32) -> f64 {
         total_micros += start.elapsed().as_micros();
     }
     total_micros as f64 / COMMITS as f64
-}
-
-/// The comparison fingerprint: everything "bit-identical" must cover —
-/// epoch, core numbers, position bits, sample query answers.
-type Fingerprint = (u64, Vec<u32>, Vec<(u64, u64)>, Vec<Option<Vec<u32>>>);
-
-fn fingerprint(engine: &SacEngine) -> Fingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let answers = (0..n)
-        .step_by((n as usize / 24).max(1))
-        .map(|q| {
-            engine
-                .execute(&SacRequest::new(u64::from(q), q, 3))
-                .community()
-                .map(|c| c.members().to_vec())
-        })
-        .collect();
-    (
-        engine.epoch(),
-        engine.decomposition().core_numbers().to_vec(),
-        snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    )
 }
 
 fn durability(dir: &Path, sync: SyncPolicy) -> Durability {
@@ -148,7 +114,7 @@ fn main() {
         ("every_8", SyncPolicy::EveryN(8)),
         ("always", SyncPolicy::Always),
     ] {
-        let dir = temp_dir(label);
+        let dir = temp_dir("wal", label);
         let engine = engine_for();
         let live =
             LiveEngine::with_durability(Arc::clone(&engine), durability(&dir, sync)).unwrap();

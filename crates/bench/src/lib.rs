@@ -1,14 +1,16 @@
-//! Shared fixtures for the Criterion benchmark suite.
+//! Shared fixtures for the gated benchmark runners in `examples/bench_*.rs`.
 //!
-//! Every benchmark regenerating a paper figure uses the same small surrogate
-//! datasets so that runs are quick and comparable across benches.  The absolute
-//! numbers are not meant to match the paper's testbed; the *relative* ordering of
-//! algorithms and the trends across parameters are (see EXPERIMENTS.md).
+//! Every runner uses the same small surrogate datasets so that runs are quick
+//! and comparable.  The absolute numbers are not meant to match the paper's
+//! testbed; paper-figure timing lives in `sac-eval` (`fig9`–`fig14`,
+//! `table4`), and the end-to-end serving benchmark in `sacbench/`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sac_data::{select_query_vertices, DatasetKind, DatasetSpec};
+use sac_engine::{SacEngine, SacRequest};
 use sac_graph::{SpatialGraph, VertexId};
+use std::path::PathBuf;
 
 /// Scale factor applied to the paper's dataset sizes for the benchmark suite.
 pub const BENCH_SCALE: f64 = 0.01;
@@ -51,16 +53,15 @@ pub fn bench_dataset_scaled(kind: DatasetKind, scale: f64) -> BenchDataset {
     }
 }
 
-/// The datasets benchmarked by the per-figure benches (a representative subset of
-/// Table 4 keeps `cargo bench` runtimes reasonable; add more kinds here to sweep
-/// the full Table 4 list).
+/// The datasets the radius-sweep runner iterates over (a representative subset
+/// of Table 4 keeps runtimes reasonable; add more kinds here to sweep the full
+/// Table 4 list).
 pub fn bench_kinds() -> Vec<DatasetKind> {
     vec![DatasetKind::Brightkite]
 }
 
-/// Shared probe-loop fixtures for the radius-sweep benchmark and its
-/// machine-readable runner (`examples/bench_radius_sweep.rs` →
-/// `BENCH_radius_sweep.json`).
+/// Probe-loop fixtures for the radius-sweep runner
+/// (`examples/bench_radius_sweep.rs` → `BENCH_radius_sweep.json`).
 pub mod radius_probe {
     use sac_core::SearchContext;
     use sac_graph::{SpatialGraph, VertexId};
@@ -134,6 +135,45 @@ pub mod radius_probe {
             r_max,
         })
     }
+}
+
+/// A fresh scratch directory under the system temp dir for one runner
+/// (`runner`) and configuration (`tag`); any leftover from an earlier run
+/// with the same process id is removed.
+pub fn temp_dir(runner: &str, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sac-bench-{runner}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The comparison fingerprint: everything "bit-identical" must cover —
+/// epoch, core numbers, position bits, sample query answers.
+pub type Fingerprint = (u64, Vec<u32>, Vec<(u64, u64)>, Vec<Option<Vec<u32>>>);
+
+/// Fingerprints `engine`'s current epoch: its core numbers, the bits of every
+/// position and the `k = 3` answers of ~24 evenly spaced query vertices.
+pub fn fingerprint(engine: &SacEngine) -> Fingerprint {
+    let snapshot = engine.snapshot();
+    let n = snapshot.num_vertices() as u32;
+    let answers = (0..n)
+        .step_by((n as usize / 24).max(1))
+        .map(|q| {
+            engine
+                .execute(&SacRequest::new(u64::from(q), q, 3))
+                .community()
+                .map(|c| c.members().to_vec())
+        })
+        .collect();
+    (
+        engine.epoch(),
+        engine.decomposition().core_numbers().to_vec(),
+        snapshot
+            .positions()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect(),
+        answers,
+    )
 }
 
 #[cfg(test)]

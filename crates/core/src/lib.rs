@@ -72,7 +72,6 @@ mod app_acc;
 mod app_fast;
 mod app_inc;
 pub mod baselines;
-mod batch;
 mod common;
 mod exact;
 mod exact_plus;
@@ -80,7 +79,6 @@ pub mod fixtures;
 pub mod metrics;
 mod result;
 mod theta;
-mod truss;
 
 pub use algorithm::{
     AlgorithmProfile, AlgorithmRegistry, AppAccSearch, AppFastSearch, AppIncSearch,
@@ -90,13 +88,11 @@ pub use algorithm::{
 pub use app_acc::{app_acc, app_acc_detailed, AppAccDetail};
 pub use app_fast::{app_fast, AppFastOutcome};
 pub use app_inc::{app_inc, AppIncOutcome};
-pub use batch::BatchSacSearch;
 pub use common::SearchContext;
 pub use exact::exact;
 pub use exact_plus::{exact_plus, exact_plus_detailed, ExactPlusDetail};
 pub use result::{Community, SacError};
 pub use theta::{range_only, theta_sac};
-pub use truss::{app_fast_truss, global_truss};
 
 /// Default value of the `AppFast` accuracy parameter `εF` used by the paper's
 /// experiments (Table 5).

@@ -207,12 +207,21 @@ impl KCoreCache {
             self.decomp_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(d);
         }
-        // Two racing threads may both compute; OnceLock keeps the first.
-        self.decomp_misses.fetch_add(1, Ordering::Relaxed);
-        let computed = self
-            .decomposition
-            .get_or_init(|| Arc::new(core_decomposition(graph)));
-        Arc::clone(computed)
+        // `get_or_init` runs the closure on one thread only; threads that
+        // raced past the check above wait for it and count as hits, so
+        // `misses` is the number of decompositions actually computed.
+        let mut computed = false;
+        let decomposition = self.decomposition.get_or_init(|| {
+            computed = true;
+            Arc::new(core_decomposition(graph))
+        });
+        let counter = if computed {
+            &self.decomp_misses
+        } else {
+            &self.decomp_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(decomposition)
     }
 
     /// The memoised component labelling of the k-core for this `k`.

@@ -8,7 +8,7 @@ use std::path::Path;
 ///
 /// Every experiment runner produces one or more `Table`s whose rows correspond to
 /// the series plotted in the paper's figures, so the reproduction can be compared
-/// against the original side by side (see EXPERIMENTS.md).
+/// against the original side by side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title (e.g. `"Figure 9(a): AppFast approximation ratio — Brightkite"`).

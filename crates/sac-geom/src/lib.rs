@@ -14,8 +14,8 @@
 //!   (Welzl's algorithm, [`minimum_enclosing_circle`]),
 //! * axis-aligned rectangles and the region-quadtree cells used by the `AppAcc`
 //!   anchor-point search ([`Rect`], [`AnchorCell`]),
-//! * spatial indexes for circular range queries and nearest-neighbour queries over
-//!   large vertex sets ([`GridIndex`], [`PointQuadtree`]),
+//! * a spatial index for circular range queries and nearest-neighbour queries over
+//!   large vertex sets ([`GridIndex`]),
 //! * the circle–circle intersection area used by the *community area overlap* (CAO)
 //!   metric ([`Circle::intersection_area`]).
 //!
@@ -46,7 +46,6 @@ mod error;
 mod grid;
 mod mec;
 mod point;
-mod quadtree;
 mod rect;
 
 pub use cell::{cells_at_depth, AnchorCell};
@@ -55,7 +54,6 @@ pub use error::GeomError;
 pub use grid::GridIndex;
 pub use mec::{minimum_enclosing_circle, minimum_enclosing_circle_naive};
 pub use point::Point;
-pub use quadtree::PointQuadtree;
 pub use rect::Rect;
 
 /// Absolute tolerance used by geometric predicates throughout the crate.

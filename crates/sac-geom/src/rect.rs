@@ -105,17 +105,6 @@ impl Rect {
         self.distance_to_point(c.center) <= c.radius
     }
 
-    /// Splits the rectangle into its four quadrants (SW, SE, NW, NE).
-    pub fn quadrants(&self) -> [Rect; 4] {
-        let c = self.center();
-        [
-            Rect::new(self.min, c),
-            Rect::new(Point::new(c.x, self.min.y), Point::new(self.max.x, c.y)),
-            Rect::new(Point::new(self.min.x, c.y), Point::new(c.x, self.max.y)),
-            Rect::new(c, self.max),
-        ]
-    }
-
     /// Expands the rectangle by `margin` on every side.
     pub fn expanded(&self, margin: f64) -> Rect {
         Rect {
@@ -201,15 +190,6 @@ mod tests {
         let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
         assert!(r.intersects_circle(&Circle::new(Point::new(3.0, 1.0), 1.5)));
         assert!(!r.intersects_circle(&Circle::new(Point::new(5.0, 5.0), 1.0)));
-    }
-
-    #[test]
-    fn quadrants_tile_the_rect() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(4.0, 4.0));
-        let qs = r.quadrants();
-        let total: f64 = qs.iter().map(|q| q.area()).sum();
-        assert!((total - r.area()).abs() < 1e-12);
-        assert!(qs.iter().all(|q| (q.width() - 2.0).abs() < 1e-12));
     }
 
     #[test]

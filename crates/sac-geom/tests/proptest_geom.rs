@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use sac_geom::{
-    minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, GridIndex, Point,
-    PointQuadtree, Rect,
+    minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, GridIndex, Point, Rect,
 };
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -103,29 +102,5 @@ proptest! {
             prop_assert!((got[i].1 - expected[i]).abs() < 1e-9,
                 "rank {} mismatch: {} vs {}", i, got[i].1, expected[i]);
         }
-    }
-
-    /// Quadtree circular range queries agree with a linear scan.
-    #[test]
-    fn quadtree_circle_query_is_exact(pts in arb_points(200), center in arb_point(), r in 0.0f64..0.7) {
-        let tree = PointQuadtree::build(&pts).unwrap();
-        let circle = Circle::new(center, r);
-        let mut got = tree.query_circle(&circle);
-        got.sort_unstable();
-        let mut expected: Vec<u32> = pts.iter().enumerate()
-            .filter(|(_, p)| circle.contains(**p))
-            .map(|(i, _)| i as u32)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Quadtree nearest neighbour agrees with a linear scan.
-    #[test]
-    fn quadtree_nearest_is_exact(pts in arb_points(150), q in arb_point()) {
-        let tree = PointQuadtree::build(&pts).unwrap();
-        let (_, d) = tree.nearest(q);
-        let expected = pts.iter().map(|p| p.distance(q)).fold(f64::INFINITY, f64::min);
-        prop_assert!((d - expected).abs() < 1e-12);
     }
 }

@@ -61,7 +61,6 @@ mod spatial;
 mod stats;
 mod sweep;
 mod traversal;
-mod truss;
 
 pub use builder::GraphBuilder;
 pub use core_decomp::{core_decomposition, CoreDecomposition};
@@ -76,4 +75,3 @@ pub use sweep::{RadiusSweepSolver, SweepStats};
 pub use traversal::{
     bfs_component, connected_components, is_connected_subset, min_degree_in_subset, VertexSet,
 };
-pub use truss::{connected_ktruss, is_ktruss, ktruss_in_subset};

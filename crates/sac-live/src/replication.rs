@@ -919,24 +919,22 @@ fn handshake(
     Ok((reader, hello))
 }
 
-/// Receives `len` raw snapshot bytes and decodes them through the WAL's
-/// snapshot reader (spooled via a temp file; the codec is file-based).
+/// Receives `len` raw snapshot bytes and decodes them in memory.  `len`
+/// comes from the primary's hello and is not trusted: the buffer grows only
+/// with the bytes that actually arrive.
 fn receive_snapshot(
     reader: &mut BufReader<TcpStream>,
     len: u64,
 ) -> Result<sac_wal::SnapshotImage, ReplicaError> {
-    static SPOOL: AtomicU64 = AtomicU64::new(0);
-    let mut bytes = vec![0u8; len as usize];
-    reader.read_exact(&mut bytes)?;
-    let path = std::env::temp_dir().join(format!(
-        "sac-replica-{}-{}.snapshot",
-        std::process::id(),
-        SPOOL.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&path, &bytes)?;
-    let image = sac_wal::read_snapshot(&path);
-    let _ = std::fs::remove_file(&path);
-    Ok(image?)
+    let mut bytes = Vec::new();
+    reader.take(len).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != len {
+        return Err(ReplicaError::Protocol(format!(
+            "snapshot stream ended after {} of {len} bytes",
+            bytes.len()
+        )));
+    }
+    Ok(sac_wal::decode_snapshot(&bytes)?)
 }
 
 /// What [`state_from_image`] rebuilds from a shipped snapshot image: the

@@ -489,3 +489,38 @@ fn mutations_on_a_replica_redirect_to_the_primary() {
     ship.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A hostile primary whose `Snapshot` hello claims 2^62 bytes, sends a few
+/// and hangs up: bootstrap must fail cleanly instead of allocating the
+/// claimed length up front.
+#[test]
+fn oversized_snapshot_hello_fails_without_allocating() {
+    use sac_proto::replication::ReplicateHello;
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let fake = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut request = String::new();
+        reader.read_line(&mut request).unwrap();
+        let hello = ReplicateHello::Snapshot {
+            epoch: 1,
+            len: 1 << 62,
+            segment: 0,
+            offset: 0,
+            term: 0,
+        };
+        let mut stream = reader.into_inner();
+        let reply = format!("{}\nSACSNAP1", hello.encode_line());
+        stream.write_all(reply.as_bytes()).unwrap();
+    });
+
+    let mut config = ReplicaConfig::new(addr);
+    config.retry = fast_retry();
+    config.boot_attempts = 1;
+    let result = Replica::boot(config);
+    fake.join().unwrap();
+    assert!(result.is_err(), "bootstrap accepted a truncated snapshot");
+}

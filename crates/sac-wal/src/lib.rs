@@ -38,7 +38,7 @@ pub use log::{
 };
 pub use record::{DeltaRecord, WalOp, FRAME_HEADER_BYTES, MAX_RECORD_PAYLOAD};
 pub use snapshot::{
-    encode_frame, encode_frames, latest_snapshot, list_snapshots, read_snapshot,
+    decode_snapshot, encode_frame, encode_frames, latest_snapshot, list_snapshots, read_snapshot,
     remove_snapshots_below, write_snapshot, SnapshotFrame, SnapshotImage,
 };
 
@@ -61,7 +61,7 @@ pub enum WalError {
     },
     /// A snapshot file failed validation.
     SnapshotCorrupt {
-        /// The snapshot file.
+        /// The snapshot file (empty when the bytes were decoded in memory).
         path: PathBuf,
         /// What was wrong.
         detail: String,
@@ -117,6 +117,9 @@ impl std::fmt::Display for WalError {
                 f,
                 "WAL corruption in segment {segment} at offset {offset}: {detail}"
             ),
+            WalError::SnapshotCorrupt { path, detail } if path.as_os_str().is_empty() => {
+                write!(f, "corrupt snapshot: {detail}")
+            }
             WalError::SnapshotCorrupt { path, detail } => {
                 write!(f, "corrupt snapshot {}: {detail}", path.display())
             }

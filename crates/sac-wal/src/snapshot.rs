@@ -31,7 +31,7 @@ use crate::WalError;
 use sac_geom::{Point, Rect};
 use sac_graph::{Graph, ShardMap, VertexId};
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"SACSNAP1";
@@ -242,13 +242,25 @@ pub fn write_snapshot(
 
 /// Reads and fully validates a snapshot file.
 pub fn read_snapshot(path: &Path) -> Result<SnapshotImage, WalError> {
+    decode_snapshot(&fs::read(path)?).map_err(|e| match e {
+        WalError::SnapshotCorrupt { detail, .. } => WalError::SnapshotCorrupt {
+            path: path.to_path_buf(),
+            detail,
+        },
+        e => e,
+    })
+}
+
+/// Decodes and fully validates the bytes of a snapshot file.  Every count is
+/// checked against the bytes actually present before anything is allocated
+/// for it, so hostile input cannot trigger an oversized allocation.  Errors
+/// are [`WalError::SnapshotCorrupt`] with an empty path.
+pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotImage, WalError> {
     let corrupt = |detail: &str| WalError::SnapshotCorrupt {
-        path: path.to_path_buf(),
+        path: PathBuf::new(),
         detail: detail.to_string(),
     };
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let mut c = Cursor::new(&buf);
+    let mut c = Cursor::new(buf);
 
     // Header — reparse below the CRC check, so first find its extent by
     // walking the fixed-shape fields.
@@ -295,6 +307,9 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotImage, WalError> {
     if n > 1 << 30 {
         return Err(corrupt("implausible vertex count"));
     }
+    if n > c.remaining() / 20 {
+        return Err(corrupt("vertex count exceeds snapshot size"));
+    }
     let mut positions = Vec::with_capacity(n);
     for _ in 0..n {
         let x = take!(c.f64(), "position");
@@ -336,6 +351,9 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotImage, WalError> {
             }
             if adjacency[v].is_some() {
                 return Err(corrupt("vertex appears in two frames"));
+            }
+            if deg > fc.remaining() / 4 {
+                return Err(corrupt("row degree exceeds frame size"));
             }
             let mut neighbors = Vec::with_capacity(deg);
             for _ in 0..deg {
@@ -506,6 +524,59 @@ mod tests {
             );
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The detail of a `SnapshotCorrupt` error; panics on anything else.
+    fn corrupt_detail(result: Result<SnapshotImage, WalError>) -> String {
+        match result {
+            Err(WalError::SnapshotCorrupt { detail, .. }) => detail,
+            other => panic!("expected SnapshotCorrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn vertex_count_beyond_the_bytes_present_is_rejected() {
+        let mut bytes = MAGIC.to_vec();
+        put_u64(&mut bytes, 1);
+        put_u32(&mut bytes, 1 << 30);
+        bytes.push(0);
+        bytes.extend_from_slice(&[0u8; 24]);
+        let detail = corrupt_detail(decode_snapshot(&bytes));
+        assert_eq!(detail, "vertex count exceeds snapshot size");
+    }
+
+    #[test]
+    fn row_degree_beyond_the_frame_is_rejected() {
+        // A one-vertex snapshot whose single, CRC-valid frame holds one row
+        // of degree `deg` followed by 4 bytes.
+        let snapshot = |deg: u32| {
+            let mut bytes = MAGIC.to_vec();
+            put_u64(&mut bytes, 1);
+            put_u32(&mut bytes, 1);
+            bytes.push(0);
+            put_f64(&mut bytes, 0.5);
+            put_f64(&mut bytes, 0.5);
+            put_u32(&mut bytes, 0); // core number
+            put_u32(&mut bytes, 1); // frame count
+            let header_crc = crc32(&bytes);
+            put_u32(&mut bytes, header_crc);
+            let mut payload = Vec::new();
+            put_u32(&mut payload, 1); // row count
+            put_u32(&mut payload, 0); // vertex
+            put_u32(&mut payload, deg);
+            put_u32(&mut payload, 7);
+            put_u32(&mut bytes, 0); // shard
+            put_u32(&mut bytes, payload.len() as u32);
+            put_u32(&mut bytes, crc32(&payload));
+            bytes.extend_from_slice(&payload);
+            bytes
+        };
+        // Control: the same bytes with a degree that fits get past the row
+        // and fail only on the neighbor being out of range.
+        let detail = corrupt_detail(decode_snapshot(&snapshot(1)));
+        assert!(detail.starts_with("invalid adjacency"), "{detail}");
+        let detail = corrupt_detail(decode_snapshot(&snapshot(u32::MAX)));
+        assert_eq!(detail, "row degree exceeds frame size");
     }
 
     #[test]
