@@ -5,11 +5,10 @@ use crate::cache::{CacheLayerStats, CacheStats, KCoreCache, KCoreComponents};
 use crate::epoch::EpochCell;
 use crate::planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};
 use sac_core::{AlgorithmRegistry, Community, SacError, SearchContext, EXACT_PLUS_EPS_A};
-use sac_geom::EPS;
-use sac_graph::{CoreDecomposition, ShardMap, ShardedGraph, SpatialGraph, SweepStats, VertexId};
+use sac_graph::{CoreDecomposition, SpatialGraph, SweepStats, VertexId};
 use sac_obs::{
-    Counter, EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord,
-    Span, TraceNode, WindowedHistogram,
+    EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord, Span,
+    TraceNode, WindowedHistogram,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -24,21 +23,11 @@ pub struct EngineConfig {
     pub small_exact_threshold: usize,
     /// `εA` used inside `Exact+` plans (the paper's exact-experiment value).
     pub exact_eps_a: f64,
-    /// Number of spatial shards the engine serves (`0` or `1` = unsharded).
-    /// With `N >= 2`, each epoch additionally carries `N` per-shard induced
-    /// snapshots and queries whose cover circle fits inside one shard's
-    /// interior execute on that shard alone (see [`sac_graph::ShardMap`]).
-    pub shards: usize,
-    /// Halo-ring width of each shard, as a fraction of the data bounding-box
-    /// diagonal (see [`sac_graph::ShardMap::halo`]).  Larger halos route more
-    /// queries single-shard at the price of more duplicated boundary edges.
-    pub shard_halo_frac: f64,
-    /// Whether the engine records latency histograms, stage spans and
-    /// fallback-reason counters (see [`SacEngine::metrics`]).  On by default
-    /// — recording is a handful of relaxed atomic adds per query (the bench
-    /// gate pins the dispatch overhead at ≤1.05x) — but the overhead
-    /// benchmark itself, and any caller that wants the absolute minimum hot
-    /// path, can switch it off.
+    /// Whether the engine records latency histograms and stage spans (see
+    /// [`SacEngine::metrics`]).  On by default — recording is a handful of
+    /// relaxed atomic adds per query (the bench gate pins the dispatch
+    /// overhead at ≤1.05x) — but the overhead benchmark itself, and any
+    /// caller that wants the absolute minimum hot path, can switch it off.
     pub observe: bool,
     /// Queries slower than this many microseconds end-to-end are captured in
     /// the slow-query ring buffer ([`SacEngine::slow_log`]); `0` disables
@@ -64,8 +53,6 @@ impl Default for EngineConfig {
         EngineConfig {
             small_exact_threshold: 48,
             exact_eps_a: EXACT_PLUS_EPS_A,
-            shards: 0,
-            shard_halo_frac: 0.125,
             observe: true,
             slow_query_micros: 10_000,
             slowlog_capacity: 128,
@@ -258,15 +245,6 @@ pub struct QueryTrace {
     pub query_id: u64,
     /// Epoch (snapshot generation) the query was answered against.
     pub epoch: u64,
-    /// Number of spatial shards in the serving epoch (`0` for an unsharded
-    /// engine).
-    pub shard_count: u32,
-    /// Shards this query's execution involved: `1` when its cover circle fit
-    /// inside one shard's interior (the single-shard fast path), the number
-    /// of shard regions the cover circle intersects when it fell back to the
-    /// global snapshot, and `0` for queries that never dispatched an
-    /// algorithm (cache-answered or rejected) or ran on an unsharded engine.
-    pub shards_touched: u32,
     /// Microseconds spent planning (budget validation, cache feasibility
     /// lookup, profile selection).
     pub plan_micros: u64,
@@ -284,7 +262,7 @@ pub struct QueryTrace {
     /// amortisation denominator: from-scratch probing would pay a range query
     /// *per probe*, the sweep pays one candidate view per sweep.
     pub candidate_count: u64,
-    /// Full span tree (`query → {plan, route, exec → {shard:N | global}}`),
+    /// Full span tree (`query → {plan, exec}`),
     /// present when the request asked for one ([`SacRequest::trace`]) or the
     /// query was head-sampled ([`EngineConfig::trace_sample_every`]).  Built
     /// lazily from the stage timings above, after the query is already timed.
@@ -317,25 +295,6 @@ impl SacResponse {
     }
 }
 
-/// Serving counters of one spatial shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard id.
-    pub shard: u32,
-    /// Epoch in which this shard's induced snapshot was last rebuilt (clean
-    /// commits carry the snapshot, so this lags the engine epoch).
-    pub epoch: u64,
-    /// Single-shard fast-path queries executed on this shard.
-    pub queries: u64,
-    /// Epoch publishes that carried this shard's snapshot unchanged.
-    pub carries: u64,
-    /// Epoch publishes that rebuilt this shard's snapshot (including the
-    /// initial build).
-    pub rebuilds: u64,
-    /// Edges of the shard's induced subgraph in the current epoch.
-    pub edges: usize,
-}
-
 /// Aggregate serving counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
@@ -361,17 +320,6 @@ pub struct EngineStats {
     /// Per-`k` component indexes dropped at epoch swaps because the delta
     /// touched their `k`.
     pub components_invalidated: u64,
-    /// Number of spatial shards this engine serves (`0` = unsharded).
-    pub shard_count: u32,
-    /// Queries answered on a single shard's induced snapshot.
-    pub single_shard_queries: u64,
-    /// Dispatched queries that fell back to the global snapshot (cover circle
-    /// straddling shard interiors, explicit algorithm overrides, trivial
-    /// `k < 2`).  Always 0 on an unsharded engine: the counter only ticks
-    /// when shards exist.
-    pub fallback_queries: u64,
-    /// Per-shard counters, in shard order (empty for an unsharded engine).
-    pub shards: Vec<ShardStats>,
     /// End-to-end latency percentile summaries per [`LatencyTier`], in
     /// [`LatencyTier::ALL`] order.  Empty when observation is disabled
     /// ([`EngineConfig::observe`]).
@@ -409,52 +357,20 @@ pub struct PublishReport {
     pub components_carried: u64,
     /// Per-`k` component indexes invalidated by the delta.
     pub components_invalidated: u64,
-    /// Shard snapshots rebuilt for the new epoch (0 on unsharded engines).
-    pub shards_rebuilt: u32,
-    /// Shard snapshots carried unchanged (their region saw no mutation).
-    pub shards_carried: u32,
-    /// Microseconds spent rebuilding dirty shard snapshots.
+    /// Microseconds spent building the next epoch: carrying the surviving
+    /// component indexes over and seeding its k-core cache.
     pub rebuild_micros: u64,
     /// Microseconds spent swapping the epoch pointer (and folding the
     /// retired epoch's cache counters).
     pub swap_micros: u64,
 }
 
-/// One shard of a served epoch: the induced snapshot plus the epoch it was
-/// last rebuilt in (carried slots keep their build epoch).
-#[derive(Debug, Clone)]
-struct ShardSlot {
-    graph: Arc<SpatialGraph>,
-    since_epoch: u64,
-}
-
-/// One served epoch: the global snapshot, the k-core cache built against it,
-/// and — on sharded engines — the per-shard pointer array (the global
-/// snapshot doubles as "shard ∞", the fallback every multi-shard query
-/// executes on).
+/// One served epoch: the snapshot and the k-core cache built against it.
 #[derive(Debug)]
 struct EngineEpoch {
     number: u64,
     graph: Arc<SpatialGraph>,
     cache: KCoreCache,
-    map: Option<Arc<ShardMap>>,
-    shards: Vec<ShardSlot>,
-}
-
-/// One planned-and-routed request awaiting execution: the output of the
-/// planning half of the query path, consumed by the execution half (the
-/// shard-affine batch executor separates the two so planning happens exactly
-/// once per request).
-struct PreparedQuery {
-    plan_result: Result<Plan, SacError>,
-    /// `(shard, shard_count, shards_touched)`; `shard == None` is the global
-    /// snapshot.
-    route: (Option<u32>, u32, u32),
-    /// Cache warmth sampled *before* planning (planning itself warms it).
-    cache_hit: bool,
-    plan_micros: u64,
-    /// Shard-routing share of `plan_micros` (trace trees split it out).
-    route_micros: u64,
 }
 
 /// The engine's observability surface: the metric registry shared with the
@@ -476,20 +392,15 @@ struct EngineObs {
     /// Planning sub-span (budget validation + cache feasibility + profile
     /// selection).
     plan_stage: Arc<Histogram>,
-    /// Shard-routing sub-span (cover-radius bound + interior test).
-    route_stage: Arc<Histogram>,
     /// Execution sub-span (the dispatched algorithm itself).
     exec_stage: Arc<Histogram>,
-    /// Publish-pipeline sub-spans: per-shard snapshot rebuilds and the epoch
-    /// pointer swap (+ retired-counter fold).
+    /// Publish-pipeline sub-spans: building the next epoch (component
+    /// carry-over + cache seeding) and the epoch pointer swap (+
+    /// retired-counter fold).
     publish_rebuild: Arc<Histogram>,
     publish_swap: Arc<Histogram>,
-    /// Why dispatched queries fell off the single-shard fast path.
-    fallback_override: Arc<Counter>,
-    fallback_trivial_k: Arc<Counter>,
-    fallback_cover: Arc<Counter>,
     slow_log: SlowQueryLog,
-    /// Sequence-numbered control-plane events (epoch swaps, fallbacks).
+    /// Sequence-numbered control-plane events (epoch swaps).
     events: Arc<EventLog>,
     /// Head-sampling rate for trace trees (0 = sampling off).
     trace_sample_every: u64,
@@ -503,8 +414,6 @@ impl EngineObs {
         const ALGO_HELP: &str = "End-to-end query latency per dispatched algorithm";
         const STAGE_HELP: &str = "Query dispatch stage latency";
         const PUBLISH_HELP: &str = "Epoch publish stage latency";
-        const FALLBACK_HELP: &str =
-            "Dispatched queries that fell back to the global snapshot, by reason";
         let tier_latency = std::array::from_fn(|i| {
             registry.histogram(
                 "sac_query_latency_micros",
@@ -544,26 +453,15 @@ impl EngineObs {
                 &[("stage", stage)],
             )
         };
-        let fallback = |reason: &'static str| {
-            registry.counter(
-                "sac_fallback_queries_total",
-                FALLBACK_HELP,
-                &[("reason", reason)],
-            )
-        };
         EngineObs {
             enabled: config.observe,
             tier_latency,
             tier_window,
             algo_latency,
             plan_stage: stage("plan"),
-            route_stage: stage("route"),
             exec_stage: stage("exec"),
-            publish_rebuild: publish("shard_rebuild"),
+            publish_rebuild: publish("epoch_build"),
             publish_swap: publish("epoch_swap"),
-            fallback_override: fallback("override"),
-            fallback_trivial_k: fallback("trivial_k"),
-            fallback_cover: fallback("cover_spans_shards"),
             slow_log: SlowQueryLog::new(
                 config.slowlog_capacity,
                 if config.observe {
@@ -612,13 +510,6 @@ pub struct SacEngine {
     /// Cache counters of retired epochs, folded in at publish time so
     /// [`EngineStats::cache`] stays cumulative across swaps.
     retired_cache: Mutex<CacheStats>,
-    // Sharding counters, sized by the (fixed) shard count; empty when
-    // unsharded.  Engine-lifetime, so clean-shard carries don't reset them.
-    shard_queries: Vec<AtomicU64>,
-    shard_carries: Vec<AtomicU64>,
-    shard_rebuilds: Vec<AtomicU64>,
-    single_shard_queries: AtomicU64,
-    fallback_queries: AtomicU64,
     /// Leadership term (failover fencing): plain state the failover layer
     /// stamps, carried here so every WAL record and stats reply can read it
     /// off the engine handle.
@@ -651,40 +542,17 @@ impl SacEngine {
         config: EngineConfig,
         registry: Arc<AlgorithmRegistry>,
     ) -> Self {
-        // Partition once at construction; the map is stable across epochs
-        // (only shard contents are rebuilt as the graph mutates).
-        let map = if config.shards >= 2 {
-            let frac = if config.shard_halo_frac.is_finite() {
-                config.shard_halo_frac.max(0.0)
-            } else {
-                EngineConfig::default().shard_halo_frac
-            };
-            Some(Arc::new(
-                ShardMap::build(graph.positions(), config.shards.min(256), frac)
-                    .expect("non-empty snapshot always partitions"),
-            ))
-        } else {
-            None
-        };
-        SacEngine::assemble(graph, config, registry, map, 1)
+        SacEngine::assemble(graph, config, registry, 1)
     }
 
     /// An engine rebuilt from recovered state: serves `graph` as epoch
-    /// `epoch` under a caller-supplied (previously serialized) spatial
-    /// partition instead of repartitioning from current positions.  Crash
-    /// recovery uses this so the shard layout — and therefore every
-    /// query-routing decision — is bit-identical to the pre-crash engine.
-    pub fn restored(
-        graph: Arc<SpatialGraph>,
-        config: EngineConfig,
-        map: Option<Arc<ShardMap>>,
-        epoch: u64,
-    ) -> Self {
+    /// `epoch` (crash recovery and replica bootstrap resume the epoch
+    /// sequence where the recovered state left it).
+    pub fn restored(graph: Arc<SpatialGraph>, config: EngineConfig, epoch: u64) -> Self {
         SacEngine::assemble(
             graph,
             config,
             Arc::new(AlgorithmRegistry::builtin()),
-            map,
             epoch.max(1),
         )
     }
@@ -693,32 +561,14 @@ impl SacEngine {
         graph: Arc<SpatialGraph>,
         config: EngineConfig,
         registry: Arc<AlgorithmRegistry>,
-        map: Option<Arc<ShardMap>>,
         epoch: u64,
     ) -> Self {
-        let shards: Vec<ShardSlot> = match &map {
-            Some(map) => {
-                let sharded = ShardedGraph::build(&graph, Arc::clone(map))
-                    .expect("shard materialisation of a valid snapshot succeeds");
-                sharded
-                    .iter()
-                    .map(|g| ShardSlot {
-                        graph: Arc::clone(g),
-                        since_epoch: epoch,
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        let shard_count = shards.len();
         let obs = EngineObs::new(&config, &registry.names());
         SacEngine {
             epoch: EpochCell::new(Arc::new(EngineEpoch {
                 number: epoch,
                 graph,
                 cache: KCoreCache::new(),
-                map,
-                shards,
             })),
             planner: Planner::new(registry, config.small_exact_threshold, config.exact_eps_a),
             queries: AtomicU64::new(0),
@@ -728,36 +578,9 @@ impl SacEngine {
             components_carried: AtomicU64::new(0),
             components_invalidated: AtomicU64::new(0),
             retired_cache: Mutex::new(CacheStats::default()),
-            shard_queries: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            shard_carries: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-            shard_rebuilds: (0..shard_count).map(|_| AtomicU64::new(1)).collect(),
-            single_shard_queries: AtomicU64::new(0),
-            fallback_queries: AtomicU64::new(0),
             term: AtomicU64::new(0),
             obs,
         }
-    }
-
-    /// An engine over `graph` sharded into `shards` spatial regions (the
-    /// default config otherwise).
-    pub fn with_shards(graph: SpatialGraph, shards: usize) -> Self {
-        SacEngine::with_config(
-            Arc::new(graph),
-            EngineConfig {
-                shards,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// The spatial partitioner of a sharded engine (`None` when unsharded).
-    pub fn shard_map(&self) -> Option<Arc<ShardMap>> {
-        self.epoch.load().map.clone()
-    }
-
-    /// Number of spatial shards (`0` when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shard_queries.len()
     }
 
     /// The algorithm registry this engine dispatches into.
@@ -809,23 +632,7 @@ impl SacEngine {
         decomposition: CoreDecomposition,
         dirty_up_to: u32,
     ) -> PublishReport {
-        self.publish_update(graph, decomposition, dirty_up_to, None)
-    }
-
-    /// Like [`SacEngine::publish`], with per-shard change information: when
-    /// `dirty_shards` is given, only the flagged shards' induced snapshots
-    /// are rebuilt — clean shards carry their epoch pointer (and the
-    /// engine-lifetime per-shard counters) across unchanged.  `None` (or a
-    /// vertex-count change, which invalidates every shard's id space) rebuilds
-    /// all shards.  Unsharded engines ignore the parameter.
-    pub fn publish_update(
-        &self,
-        graph: Arc<SpatialGraph>,
-        decomposition: CoreDecomposition,
-        dirty_up_to: u32,
-        dirty_shards: Option<&[bool]>,
-    ) -> PublishReport {
-        self.publish_at(graph, decomposition, dirty_up_to, dirty_shards, None)
+        self.publish_at(graph, decomposition, dirty_up_to, None)
     }
 
     /// Publishes `graph` directly as epoch `epoch`, which must exceed the
@@ -833,15 +640,15 @@ impl SacEngine {
     /// replica re-bootstraps from a shipped snapshot whose epoch is ahead of
     /// the replica's applied epoch (the intervening delta records were
     /// truncated by a primary checkpoint, so the replica cannot step through
-    /// them).  Every cache entry is dropped and every shard snapshot is
-    /// rebuilt — nothing from the old epoch can be trusted across the jump.
+    /// them).  Every cache entry is dropped — nothing from the old epoch can
+    /// be trusted across the jump.
     pub fn publish_restored(
         &self,
         graph: Arc<SpatialGraph>,
         decomposition: CoreDecomposition,
         epoch: u64,
     ) -> PublishReport {
-        self.publish_at(graph, decomposition, u32::MAX, None, Some(epoch))
+        self.publish_at(graph, decomposition, u32::MAX, Some(epoch))
     }
 
     fn publish_at(
@@ -849,7 +656,6 @@ impl SacEngine {
         graph: Arc<SpatialGraph>,
         decomposition: CoreDecomposition,
         dirty_up_to: u32,
-        dirty_shards: Option<&[bool]>,
         number: Option<u64>,
     ) -> PublishReport {
         assert_eq!(
@@ -858,6 +664,11 @@ impl SacEngine {
             "decomposition does not match the published graph"
         );
         let previous = self.epoch.load();
+        let rebuild_span = if self.obs.enabled {
+            Span::start(&self.obs.publish_rebuild)
+        } else {
+            Span::disabled()
+        };
         let mut carried = 0u64;
         let mut invalidated = 0u64;
         let surviving: Vec<Arc<KCoreComponents>> = previous
@@ -880,50 +691,12 @@ impl SacEngine {
             "published epoch {next_number} must exceed the served epoch {}",
             previous.number
         );
-        let mut shards_rebuilt = 0u32;
-        let mut shards_carried = 0u32;
-        let rebuild_span = if self.obs.enabled {
-            Span::start(&self.obs.publish_rebuild)
-        } else {
-            Span::disabled()
-        };
-        let shards: Vec<ShardSlot> = match &previous.map {
-            None => Vec::new(),
-            Some(map) => {
-                // A vertex-count change invalidates every shard snapshot (the
-                // per-shard graphs live in the global id space).
-                let resized = graph.num_vertices() != previous.graph.num_vertices();
-                (0..previous.shards.len())
-                    .map(|s| {
-                        let dirty = resized
-                            || dirty_shards.is_none_or(|d| d.get(s).copied().unwrap_or(true));
-                        if dirty {
-                            shards_rebuilt += 1;
-                            self.shard_rebuilds[s].fetch_add(1, Ordering::Relaxed);
-                            ShardSlot {
-                                graph: Arc::new(
-                                    ShardedGraph::build_shard(&graph, map, s as u32)
-                                        .expect("shard rebuild of a valid snapshot succeeds"),
-                                ),
-                                since_epoch: next_number,
-                            }
-                        } else {
-                            shards_carried += 1;
-                            self.shard_carries[s].fetch_add(1, Ordering::Relaxed);
-                            previous.shards[s].clone()
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let rebuild_micros = rebuild_span.finish();
         let next = EngineEpoch {
             number: next_number,
             graph,
             cache: KCoreCache::seeded(Arc::new(decomposition), surviving),
-            map: previous.map.clone(),
-            shards,
         };
+        let rebuild_micros = rebuild_span.finish();
         let swap_span = if self.obs.enabled {
             Span::start(&self.obs.publish_swap)
         } else {
@@ -950,18 +723,13 @@ impl SacEngine {
         if self.obs.enabled {
             self.obs.events.publish(
                 "epoch_swap",
-                format!(
-                    "epoch={next_number} carried={carried} invalidated={invalidated} \
-                     shards_rebuilt={shards_rebuilt} shards_carried={shards_carried}"
-                ),
+                format!("epoch={next_number} carried={carried} invalidated={invalidated}"),
             );
         }
         PublishReport {
             epoch: next_number,
             components_carried: carried,
             components_invalidated: invalidated,
-            shards_rebuilt,
-            shards_carried,
             rebuild_micros,
             swap_micros,
         }
@@ -1000,195 +768,63 @@ impl SacEngine {
     /// The plan the engine would dispatch for `request` (exposed for tests,
     /// tooling and the equivalence suite).
     pub fn plan_for(&self, request: &SacRequest) -> Result<Plan, SacError> {
-        self.plan_on(&self.epoch.load(), request).0
+        self.plan_on(&self.epoch.load(), request)
     }
 
-    /// Plans a request, additionally handing back the per-`k` component
-    /// index the feasibility check consulted (the shard router reuses it to
-    /// bound the query's cover circle without a second cache lookup).
-    fn plan_on(
-        &self,
-        epoch: &EngineEpoch,
-        request: &SacRequest,
-    ) -> (Result<Plan, SacError>, Option<Arc<KCoreComponents>>) {
+    fn plan_on(&self, epoch: &EngineEpoch, request: &SacRequest) -> Result<Plan, SacError> {
         // Budget validation happens inside `Planner::plan` — the one choke
         // point every query path goes through.
         let n = epoch.graph.num_vertices();
         if request.q as usize >= n {
-            return (Err(SacError::QueryVertexOutOfRange(request.q)), None);
+            return Err(SacError::QueryVertexOutOfRange(request.q));
         }
         // An explicit override skips the cache feasibility lookup entirely:
         // A/B comparisons should measure the named algorithm end to end, not
         // the cache's short-circuit.
-        let (ctx, components) = if request.algorithm.is_some() {
-            (
-                PlanContext {
-                    core_size: None,
-                    infeasible: false,
-                },
-                None,
-            )
+        let ctx = if request.algorithm.is_some() {
+            PlanContext {
+                core_size: None,
+                infeasible: false,
+            }
         } else {
             Self::plan_context(epoch, request)
         };
-        let plan = self.planner.plan(
+        self.planner.plan(
             request.q,
             request.k,
             &request.budget,
             &ctx,
             request.algorithm.as_deref(),
-        );
-        (plan, components)
+        )
     }
 
     /// Structural facts for the planner.  The cache feasibility rule is only
     /// sound for `k >= 2`: for `k <= 1` the algorithms have trivial answers
     /// (single vertex / nearest neighbour) that exist even outside any k-core,
     /// so those queries always go to the algorithm.
-    fn plan_context(
-        epoch: &EngineEpoch,
-        request: &SacRequest,
-    ) -> (PlanContext, Option<Arc<KCoreComponents>>) {
+    fn plan_context(epoch: &EngineEpoch, request: &SacRequest) -> PlanContext {
         if request.k < 2 {
-            return (
-                PlanContext {
-                    core_size: None,
-                    infeasible: false,
-                },
-                None,
-            );
+            return PlanContext {
+                core_size: None,
+                infeasible: false,
+            };
         }
         // O(1) feasibility from the decomposition first: infeasible queries
         // (including arbitrary wire-supplied k) never build a per-k index.
         let graph = epoch.graph.graph();
         let decomposition = epoch.cache.decomposition(graph);
         if decomposition.core_number(request.q) < request.k {
-            return (
-                PlanContext {
-                    core_size: None,
-                    infeasible: true,
-                },
-                None,
-            );
+            return PlanContext {
+                core_size: None,
+                infeasible: true,
+            };
         }
-        let components = epoch.cache.components(graph, request.k);
-        (
-            PlanContext {
-                core_size: components.core_size_of(request.q),
-                infeasible: false,
-            },
-            Some(components),
-        )
-    }
-
-    /// The cover circle radius of a planned query: an upper bound on the
-    /// distance from `q` of **every** vertex the planned algorithm can touch
-    /// through the grid, a sweep or an absorption.  `None` when no safe bound
-    /// exists (unknown/override algorithms, trivial `k`, baselines) — such
-    /// queries execute on the global snapshot.
-    ///
-    /// For θ-plans the bound is `θ` itself.  For the five SAC algorithms it
-    /// derives from `u`, the distance from `q` to the farthest member of its
-    /// k-ĉore: every probe circle contains `q` and has radius at most the
-    /// k-ĉore's enclosing radius `≤ u`, so by the triangle inequality probed
-    /// vertices stay within `2u`; `AppAcc`'s anchor sweeps reach at most
-    /// `(1 + 2√2)·γ ≤ 3.83·u`; `4u` covers all of them, and the `EPS` slack
-    /// generously absorbs the sweep-cover and circle-inclusion tolerances.
-    fn cover_radius(
-        epoch: &EngineEpoch,
-        planned: &PlannedQuery,
-        components: Option<&Arc<KCoreComponents>>,
-        max_routable: f64,
-    ) -> Option<f64> {
-        match planned.algorithm {
-            "theta_sac" => planned.query.theta(),
-            "exact" | "exact_plus" | "app_acc" | "app_fast" | "app_inc" => {
-                let members = components?.core_of(planned.query.q)?;
-                let q_pos = epoch.graph.position(planned.query.q);
-                let mut u = 0.0f64;
-                for &v in members {
-                    u = u.max(epoch.graph.position(v).distance(q_pos));
-                    // Early out on spatially wide k-ĉores (on power-law
-                    // graphs most feasible queries share one giant core):
-                    // once the cover radius exceeds what any interior can
-                    // contain, the global fallback is already decided and
-                    // the rest of the O(|k-ĉore|) scan is pointless.
-                    if 4.0 * u + 64.0 * EPS * (1.0 + u) > max_routable {
-                        return None;
-                    }
-                }
-                Some(4.0 * u + 64.0 * EPS * (1.0 + u))
-            }
-            _ => None,
-        }
-    }
-
-    /// Routes a planned query: the single shard whose interior contains the
-    /// query's cover circle, or the global fallback.  Returns
-    /// `(shard, shard_count, shards_touched)` with `shard == None` for the
-    /// global snapshot.
-    fn route_on(
-        &self,
-        epoch: &EngineEpoch,
-        request: &SacRequest,
-        plan: &Plan,
-        components: Option<&Arc<KCoreComponents>>,
-    ) -> (Option<u32>, u32, u32) {
-        let Some(map) = &epoch.map else {
-            return (None, 0, 0);
-        };
-        let shard_count = map.num_shards() as u32;
-        let Plan::Execute(planned) = plan else {
-            // Cache-answered or rejected: nothing dispatches.
-            return (None, shard_count, 0);
-        };
-        // Overrides (A/B baselines, structure-only algorithms) and trivial
-        // `k < 2` plans (whose answers involve graph-global neighbours) have
-        // no spatial cover bound: global.
-        if request.algorithm.is_some() {
-            if self.obs.enabled {
-                self.obs.fallback_override.inc();
-                self.obs.events.publish(
-                    "fallback",
-                    format!("reason=override q={} k={}", request.q, request.k),
-                );
-            }
-            return (None, shard_count, shard_count);
-        }
-        if request.k < 2 {
-            if self.obs.enabled {
-                self.obs.fallback_trivial_k.inc();
-                self.obs.events.publish(
-                    "fallback",
-                    format!("reason=trivial_k q={} k={}", request.q, request.k),
-                );
-            }
-            return (None, shard_count, shard_count);
-        }
-        let Some(cover) = Self::cover_radius(epoch, planned, components, map.max_routable_radius())
-        else {
-            if self.obs.enabled {
-                self.obs.fallback_cover.inc();
-                self.obs.events.publish(
-                    "fallback",
-                    format!("reason=cover_spans_shards q={} k={}", request.q, request.k),
-                );
-            }
-            return (None, shard_count, shard_count);
-        };
-        let q_pos = epoch.graph.position(request.q);
-        match map.single_shard_for(q_pos, cover) {
-            Some(s) => (Some(s), shard_count, 1),
-            None => {
-                if self.obs.enabled {
-                    self.obs.fallback_cover.inc();
-                    self.obs.events.publish(
-                        "fallback",
-                        format!("reason=cover_spans_shards q={} k={}", request.q, request.k),
-                    );
-                }
-                (None, shard_count, map.shards_intersecting(q_pos, cover))
-            }
+        PlanContext {
+            core_size: epoch
+                .cache
+                .components(graph, request.k)
+                .core_size_of(request.q),
+            infeasible: false,
         }
     }
 
@@ -1202,78 +838,20 @@ impl SacEngine {
     }
 
     fn execute_on(&self, epoch: &EngineEpoch, request: &SacRequest) -> SacResponse {
-        let prepared = self.prepare(epoch, request);
-        self.execute_prepared(epoch, request, &prepared)
-    }
-
-    /// Plans and routes one request without executing it.  The shard-affine
-    /// batch executor runs this once per request up front (the routing keys
-    /// the shard grouping) and executes later on a worker — planning is never
-    /// paid twice.
-    fn prepare(&self, epoch: &EngineEpoch, request: &SacRequest) -> PreparedQuery {
         let start = Instant::now();
+        // Cache warmth is sampled *before* planning (planning itself warms it).
         let cache_hit = epoch.cache.is_warm();
-        let (plan_result, components) = self.plan_on(epoch, request);
-        let planned_micros = start.elapsed().as_micros() as u64;
-        let (route, route_micros) = match &plan_result {
-            Ok(plan) => {
-                let span = if self.obs.enabled {
-                    Span::start(&self.obs.route_stage)
-                } else {
-                    Span::disabled()
-                };
-                let route = self.route_on(epoch, request, plan, components.as_ref());
-                (route, span.finish())
-            }
-            Err(_) => (
-                (
-                    None,
-                    epoch.map.as_ref().map_or(0, |m| m.num_shards() as u32),
-                    0,
-                ),
-                0,
-            ),
-        };
+        let plan_result = self.plan_on(epoch, request);
+        let plan_micros = start.elapsed().as_micros() as u64;
         if self.obs.enabled {
-            self.obs.plan_stage.record(planned_micros);
+            self.obs.plan_stage.record(plan_micros);
         }
-        PreparedQuery {
-            plan_result,
-            route,
-            cache_hit,
-            // The trace's planning time keeps its meaning from before the
-            // stage split: everything up to execution, routing included.
-            plan_micros: start.elapsed().as_micros() as u64,
-            route_micros,
-        }
-    }
-
-    /// Executes an already-planned, already-routed request.
-    fn execute_prepared(
-        &self,
-        epoch: &EngineEpoch,
-        request: &SacRequest,
-        prepared: &PreparedQuery,
-    ) -> SacResponse {
-        let start = Instant::now();
-        let (shard, shard_count, shards_touched) = prepared.route;
+        let exec_start = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let (plan, outcome, sweep) = match prepared.plan_result.clone() {
+        let (plan, outcome, sweep) = match plan_result {
             Err(e) => (Plan::Rejected, Err(e), SweepStats::default()),
             Ok(plan) => {
-                if matches!(plan, Plan::Execute(_)) {
-                    match shard {
-                        Some(s) => {
-                            self.single_shard_queries.fetch_add(1, Ordering::Relaxed);
-                            self.shard_queries[s as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                        None if shard_count > 0 => {
-                            self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {}
-                    }
-                }
-                let (outcome, sweep) = self.dispatch(epoch, &plan, shard);
+                let (outcome, sweep) = self.dispatch(epoch, &plan);
                 (plan, outcome, sweep)
             }
         };
@@ -1286,28 +864,17 @@ impl SacEngine {
             }
             Ok(_) => {}
         }
-        let exec_micros = start.elapsed().as_micros() as u64;
+        let exec_micros = exec_start.elapsed().as_micros() as u64;
         let query_id = self.obs.query_ids.fetch_add(1, Ordering::Relaxed) + 1;
-        let total_micros = prepared.plan_micros + exec_micros;
+        let total_micros = plan_micros + exec_micros;
         // The span tree is assembled from stage timings measured above, so
         // building one is a pure off-path allocation: requested traces are
         // always honoured, head-sampling adds a tree to every Nth query, and
         // the slow log attaches one to every captured record.
         let build_tree = || {
-            let plan_only = prepared.plan_micros.saturating_sub(prepared.route_micros);
-            let mut exec_node = TraceNode::new("exec", prepared.plan_micros, exec_micros);
-            if matches!(plan, Plan::Execute(_)) {
-                let site = match shard {
-                    Some(s) => format!("shard:{s}"),
-                    None if shard_count > 0 => "global".to_string(),
-                    None => "snapshot".to_string(),
-                };
-                exec_node.push_child(TraceNode::new(site, prepared.plan_micros, exec_micros));
-            }
             TraceNode::new("query", 0, total_micros)
-                .with_child(TraceNode::new("plan", 0, plan_only))
-                .with_child(TraceNode::new("route", plan_only, prepared.route_micros))
-                .with_child(exec_node)
+                .with_child(TraceNode::new("plan", 0, plan_micros))
+                .with_child(TraceNode::new("exec", plan_micros, exec_micros))
         };
         let sample_every = self.obs.trace_sample_every;
         let sampled = self.obs.enabled && sample_every > 0 && query_id.is_multiple_of(sample_every);
@@ -1336,12 +903,9 @@ impl SacEngine {
                 plan: plan.label(),
                 tier: request.budget.tier.as_str().to_string(),
                 epoch: epoch.number,
-                shard,
-                shard_count,
-                shards_touched,
-                plan_micros: prepared.plan_micros,
+                plan_micros,
                 exec_micros,
-                cache_hit: prepared.cache_hit,
+                cache_hit,
                 probe_count: sweep.probes,
                 candidate_count: sweep.candidates,
                 trace: Some(tree.clone().unwrap_or_else(&build_tree)),
@@ -1356,11 +920,9 @@ impl SacEngine {
             trace: QueryTrace {
                 query_id,
                 epoch: epoch.number,
-                shard_count,
-                shards_touched,
-                plan_micros: prepared.plan_micros,
+                plan_micros,
                 exec_micros,
-                cache_hit: prepared.cache_hit,
+                cache_hit,
                 guaranteed_ratio: plan.guaranteed_ratio(),
                 probe_count: sweep.probes,
                 candidate_count: sweep.candidates,
@@ -1381,7 +943,6 @@ impl SacEngine {
         &self,
         epoch: &EngineEpoch,
         plan: &Plan,
-        shard: Option<u32>,
     ) -> (Result<Option<Community>, SacError>, SweepStats) {
         let planned: &PlannedQuery = match plan {
             Plan::Infeasible => return (Ok(None), SweepStats::default()),
@@ -1394,26 +955,16 @@ impl SacEngine {
                 SweepStats::default(),
             );
         };
-        // Single-shard queries execute on the shard's induced snapshot (same
-        // vertex-id space, adjacency restricted to shard members): every
-        // vertex inside the cover circle carries its full circle-local
-        // neighbourhood there, so the answer is bit-identical to the global
-        // snapshot's — the router guarantees it, the property suite pins it.
-        let graph: &SpatialGraph = match shard {
-            Some(s) => &epoch.shards[s as usize].graph,
-            None => &epoch.graph,
-        };
+        let graph: &SpatialGraph = &epoch.graph;
         // Only k-ĉore-extracting algorithms consume the shared decomposition;
         // the rest (theta_sac, app_inc, ...) must not force the `O(m)` peel
-        // on a cold cache for nothing.  Note the decomposition is always the
-        // *global* one (the shard router only sends a query to a shard when
-        // the global k-ĉore of `q` is fully materialised there).
+        // on a cold cache for nothing.
         let ctx = if algorithm.profile().shares_decomposition {
             SearchContext::with_decomposition(
                 graph,
                 planned.query.q,
                 planned.query.k,
-                epoch.cache.decomposition(epoch.graph.graph()),
+                epoch.cache.decomposition(graph.graph()),
             )
         } else {
             SearchContext::new(graph, planned.query.q, planned.query.k)
@@ -1435,13 +986,9 @@ impl SacEngine {
     ///
     /// The epoch is loaded once for the whole batch, so every request of a
     /// batch is answered against the same snapshot even when a publish lands
-    /// mid-batch.  On an unsharded engine, work is distributed by an atomic
-    /// cursor (cheap dynamic load balancing: slow exact queries don't stall a
-    /// whole stripe of the batch).  On a sharded engine the batch is
-    /// pre-routed and executed **shard-affine**: all queries of one shard run
-    /// on the same worker (cache-warm shard snapshot, no cross-shard
-    /// contention), with the global-fallback remainder drained by every
-    /// worker through a shared cursor once its shards are done.
+    /// mid-batch.  Work is distributed by an atomic cursor (cheap dynamic
+    /// load balancing: slow exact queries don't stall a whole stripe of the
+    /// batch).
     pub fn execute_batch(&self, requests: &[SacRequest], threads: usize) -> Vec<SacResponse> {
         let n = requests.len();
         if n == 0 {
@@ -1459,100 +1006,16 @@ impl SacEngine {
         // don't all compute it.
         epoch.cache.decomposition(epoch.graph.graph());
         let slots: Vec<OnceLock<SacResponse>> = (0..n).map(|_| OnceLock::new()).collect();
-        if epoch.map.is_none() {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let response = self.execute_on(&epoch, &requests[i]);
-                        slots[i].set(response).expect("each slot is written once");
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("all slots filled"))
-                .collect();
-        }
-
-        // Plan + route every request exactly once, in parallel (the same
-        // cursor pattern as the unsharded execution path — cover-radius
-        // bounding can be costly on wide k-ĉores, so planning must scale
-        // with threads too); only the cheap shard grouping stays serial.
-        let shard_count = epoch.shards.len();
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        let mut global: Vec<usize> = Vec::new();
-        let prepared: Vec<PreparedQuery> = {
-            let prepared_slots: Vec<OnceLock<PreparedQuery>> =
-                (0..n).map(|_| OnceLock::new()).collect();
-            let cursor = AtomicUsize::new(0);
-            let epoch_ref = &epoch;
-            let slots = &prepared_slots;
-            let cursor_ref = &cursor;
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(move || loop {
-                        let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let prep = self.prepare(epoch_ref, &requests[i]);
-                        if slots[i].set(prep).is_err() {
-                            unreachable!("each prepare slot is written once");
-                        }
-                    });
-                }
-            });
-            prepared_slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("all prepare slots filled"))
-                .collect()
-        };
-        for (i, prep) in prepared.iter().enumerate() {
-            match prep.route.0 {
-                Some(s) => per_shard[s as usize].push(i),
-                None => global.push(i),
-            }
-        }
-        // Assign whole shard groups to workers, largest first onto the least
-        // loaded worker, so shard affinity holds while load stays balanced.
-        let mut bins: Vec<(usize, Vec<usize>)> = (0..threads).map(|_| (0, Vec::new())).collect();
-        let mut groups: Vec<Vec<usize>> = per_shard.into_iter().filter(|g| !g.is_empty()).collect();
-        groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
-        for group in groups {
-            let bin = bins
-                .iter_mut()
-                .min_by_key(|(load, _)| *load)
-                .expect("threads >= 1");
-            bin.0 += group.len();
-            bin.1.extend(group);
-        }
-        let global_cursor = AtomicUsize::new(0);
-        let global = &global;
-        let global_cursor = &global_cursor;
-        let slots_ref = &slots;
-        let epoch_ref = &epoch;
-        let prepared_ref = &prepared;
+        let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for (_, mine) in &bins {
-                let slots = slots_ref;
-                let epoch = epoch_ref;
-                let prepared = prepared_ref;
-                scope.spawn(move || {
-                    for &i in mine {
-                        let response = self.execute_prepared(epoch, &requests[i], &prepared[i]);
-                        slots[i].set(response).expect("each slot is written once");
+            for _ in 0..threads {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
-                    loop {
-                        let g = global_cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = global.get(g) else { break };
-                        let response = self.execute_prepared(epoch, &requests[i], &prepared[i]);
-                        slots[i].set(response).expect("each slot is written once");
-                    }
+                    let response = self.execute_on(&epoch, &requests[i]);
+                    slots[i].set(response).expect("each slot is written once");
                 });
             }
         });
@@ -1567,25 +1030,12 @@ impl SacEngine {
         // Read the accumulator and the live epoch under the accumulator's
         // lock (publish folds + swaps under the same lock), so an epoch's
         // counters are never counted both as retired and as live.  Recover a
-        // poisoned lock (see `publish_update`): stats and metrics endpoints
+        // poisoned lock (see `publish_at`): stats and metrics endpoints
         // must keep answering after a worker panic.
         let (retired, epoch) = {
             let acc = self.retired_cache.lock().unwrap_or_else(|e| e.into_inner());
             (*acc, self.epoch.load())
         };
-        let shards = epoch
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, slot)| ShardStats {
-                shard: s as u32,
-                epoch: slot.since_epoch,
-                queries: self.shard_queries[s].load(Ordering::Relaxed),
-                carries: self.shard_carries[s].load(Ordering::Relaxed),
-                rebuilds: self.shard_rebuilds[s].load(Ordering::Relaxed),
-                edges: slot.graph.num_edges(),
-            })
-            .collect();
         EngineStats {
             queries: self.queries.load(Ordering::Relaxed),
             infeasible_fast_path: self.infeasible_fast_path.load(Ordering::Relaxed),
@@ -1596,10 +1046,6 @@ impl SacEngine {
             epochs_published: self.epochs_published.load(Ordering::Relaxed),
             components_carried: self.components_carried.load(Ordering::Relaxed),
             components_invalidated: self.components_invalidated.load(Ordering::Relaxed),
-            shard_count: epoch.shards.len() as u32,
-            single_shard_queries: self.single_shard_queries.load(Ordering::Relaxed),
-            fallback_queries: self.fallback_queries.load(Ordering::Relaxed),
-            shards,
             tier_latency: if self.obs.enabled {
                 LatencyTier::ALL
                     .iter()
@@ -1653,9 +1099,8 @@ impl SacEngine {
 
     /// The metric registry the engine (and, by shared registration, the
     /// serving layers above) records into: per-tier and per-algorithm
-    /// latency histograms, dispatch stage spans, publish-pipeline spans and
-    /// fallback-reason counters.  Present — but silent — when observation is
-    /// disabled.
+    /// latency histograms, dispatch stage spans and publish-pipeline spans.
+    /// Present — but silent — when observation is disabled.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.obs.registry
     }
@@ -1674,10 +1119,10 @@ impl SacEngine {
         &self.obs.slow_log
     }
 
-    /// The engine's control-plane event log: epoch swaps and routing
-    /// fallbacks, tailed with a cursor ([`EventLog::since`]).  Layers above
-    /// (the live-update front, the serving transports) publish their own
-    /// events — commits, batch strategy choices — into the same ring.
+    /// The engine's control-plane event log: epoch swaps, tailed with a
+    /// cursor ([`EventLog::since`]).  Layers above (the live-update front,
+    /// the serving transports) publish their own events — commits, batch
+    /// strategy choices — into the same ring.
     /// Present — but silent — when observation is disabled.
     pub fn events(&self) -> &Arc<EventLog> {
         &self.obs.events
@@ -1735,11 +1180,6 @@ impl SacEngine {
             stats.cache.components.misses,
         );
         counter(
-            "sac_single_shard_queries_total",
-            "Queries answered on a single shard's induced snapshot",
-            stats.single_shard_queries,
-        );
-        counter(
             "sac_components_carried_total",
             "Per-k component indexes carried across epoch swaps",
             stats.components_carried,
@@ -1764,11 +1204,6 @@ impl SacEngine {
             let _ = writeln!(out, "{name} {value}");
         };
         gauge("sac_epoch", "Currently served epoch number", stats.epoch);
-        gauge(
-            "sac_shard_count",
-            "Spatial shards served (0 = unsharded)",
-            stats.shard_count as u64,
-        );
         gauge(
             "sac_slow_queries",
             "Slow-query records currently in the ring buffer",
@@ -2093,132 +1528,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_answers_match_unsharded() {
-        let unsharded = engine();
-        let sharded = SacEngine::with_shards(figure3_graph(), 2);
-        assert_eq!(sharded.shard_count(), 2);
-        assert!(sharded.shard_map().is_some());
-        let budgets = [
-            QueryBudget::exact(),
-            QueryBudget::balanced(),
-            QueryBudget::interactive(),
-            QueryBudget::within_ratio(2.0),
-            QueryBudget::balanced().with_theta(2.0),
-        ];
-        for q in 0..10u32 {
-            for k in [0u32, 1, 2, 3] {
-                for budget in &budgets {
-                    let req = SacRequest::new(1, q, k).with_budget(*budget);
-                    let a = unsharded.execute(&req);
-                    let b = sharded.execute(&req);
-                    assert_eq!(a.plan.label(), b.plan.label(), "q={q} k={k}");
-                    assert_eq!(
-                        a.community().map(Community::members),
-                        b.community().map(Community::members),
-                        "q={q} k={k} budget={budget:?}"
-                    );
-                    assert_eq!(b.trace.shard_count, 2);
-                    // Unsharded traces carry no shard info.
-                    assert_eq!(a.trace.shard_count, 0);
-                    assert_eq!(a.trace.shards_touched, 0);
-                }
-            }
-        }
-        let stats = sharded.stats();
-        assert_eq!(stats.shard_count, 2);
-        assert_eq!(stats.shards.len(), 2);
-        assert_eq!(
-            stats.single_shard_queries,
-            stats.shards.iter().map(|s| s.queries).sum::<u64>()
-        );
-        // Each shard snapshot was built exactly once so far.
-        assert!(stats.shards.iter().all(|s| s.rebuilds == 1 && s.epoch == 1));
-    }
-
-    #[test]
-    fn sharded_batches_are_shard_affine_and_order_preserving() {
-        let sharded = SacEngine::with_shards(figure3_graph(), 2);
-        let requests: Vec<SacRequest> = (0..60)
-            .map(|i| {
-                let q = [figure3::Q, figure3::A, figure3::F, figure3::G, figure3::I][i % 5];
-                SacRequest::new(i as u64, q, 2)
-            })
-            .collect();
-        let batch = sharded.execute_batch(&requests, 4);
-        assert_eq!(batch.len(), 60);
-        let reference = SacEngine::new(figure3_graph());
-        for (i, response) in batch.iter().enumerate() {
-            assert_eq!(response.id, i as u64);
-            let single = reference.execute(&requests[i]);
-            assert_eq!(
-                response.community().map(Community::members),
-                single.community().map(Community::members),
-                "index {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn overrides_and_trivial_k_fall_back_to_the_global_snapshot() {
-        let sharded = SacEngine::with_shards(figure3_graph(), 4);
-        // Baseline override: global execution (baselines span the graph).
-        let response = sharded.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
-        assert!(response.plan.dispatches("global"));
-        assert!(response.community().is_some());
-        // k < 2: trivial answers involve graph-global neighbours.
-        let response = sharded.execute(&SacRequest::new(2, figure3::Q, 1));
-        assert!(response.community().is_some());
-        let stats = sharded.stats();
-        assert_eq!(stats.single_shard_queries, 0);
-        assert_eq!(stats.fallback_queries, 2);
-        // Cache-answered infeasibility touches no shard.
-        let infeasible = sharded.execute(&SacRequest::new(3, figure3::I, 2));
-        assert_eq!(infeasible.plan, Plan::Infeasible);
-        assert_eq!(infeasible.trace.shards_touched, 0);
-        assert_eq!(sharded.stats().fallback_queries, 2);
-    }
-
-    #[test]
-    fn publish_update_rebuilds_only_dirty_shards() {
-        use sac_graph::DynamicGraph;
-
-        let sharded = SacEngine::with_shards(figure3_graph(), 2);
-        let old = sharded.snapshot();
-        let mut dynamic = DynamicGraph::from_graph(old.graph());
-        dynamic.remove_edge(figure3::H, figure3::I).unwrap();
-        let new_graph =
-            sac_graph::SpatialGraph::new(dynamic.to_graph(), old.positions().to_vec()).unwrap();
-        // Claim only shard 1 is dirty.
-        let report = sharded.publish_update(
-            Arc::new(new_graph),
-            dynamic.decomposition(),
-            1,
-            Some(&[false, true]),
-        );
-        assert_eq!(report.epoch, 2);
-        assert_eq!(report.shards_rebuilt, 1);
-        assert_eq!(report.shards_carried, 1);
-        let stats = sharded.stats();
-        assert_eq!(stats.shards[0].epoch, 1, "clean shard keeps its snapshot");
-        assert_eq!(stats.shards[1].epoch, 2);
-
-        // A vertex-count change forces a full shard rebuild regardless.
-        let mut grown = DynamicGraph::from_graph(sharded.snapshot().graph());
-        grown.add_vertex();
-        let mut positions = sharded.snapshot().positions().to_vec();
-        positions.push(sac_geom::Point::new(0.3, 0.4));
-        let grown_graph = sac_graph::SpatialGraph::new(grown.to_graph(), positions).unwrap();
-        let report = sharded.publish_update(
-            Arc::new(grown_graph),
-            grown.decomposition(),
-            0,
-            Some(&[false, false]),
-        );
-        assert_eq!(report.shards_rebuilt, 2);
-        assert_eq!(report.shards_carried, 0);
-    }
-
-    #[test]
     fn query_ids_are_monotonic_and_dense() {
         let engine = engine();
         for expected in 1..=5u64 {
@@ -2386,20 +1695,13 @@ mod tests {
     }
 
     #[test]
-    fn fallback_reason_counters_distinguish_causes() {
-        let sharded = SacEngine::with_shards(figure3_graph(), 4);
-        sharded.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
-        sharded.execute(&SacRequest::new(2, figure3::Q, 1));
-        sharded.execute(&SacRequest::new(3, figure3::Q, 1));
-        let text = sharded.metrics_text();
-        assert!(text.contains("sac_fallback_queries_total{reason=\"override\"} 1"));
-        assert!(text.contains("sac_fallback_queries_total{reason=\"trivial_k\"} 2"));
-        // Publish-pipeline spans tick on every publish.
-        let snapshot = sharded.snapshot();
+    fn publish_stage_spans_tick_on_every_publish() {
+        let engine = engine();
+        let snapshot = engine.snapshot();
         let decomposition = sac_graph::core_decomposition(snapshot.graph());
-        sharded.publish(snapshot, decomposition, u32::MAX);
-        let text = sharded.metrics_text();
-        assert!(text.contains("sac_publish_stage_micros_count{stage=\"shard_rebuild\"} 1"));
+        engine.publish(snapshot, decomposition, u32::MAX);
+        let text = engine.metrics_text();
+        assert!(text.contains("sac_publish_stage_micros_count{stage=\"epoch_build\"} 1"));
         assert!(text.contains("sac_publish_stage_micros_count{stage=\"epoch_swap\"} 1"));
     }
 
@@ -2468,14 +1770,13 @@ mod tests {
         assert_eq!(tree.name, "query");
         assert_eq!(tree.micros, sampled.micros);
         let stages: Vec<&str> = tree.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(stages, ["plan", "route", "exec"]);
-        let exec = tree.children.last().unwrap();
+        assert_eq!(stages, ["plan", "exec"]);
+        let plan = &tree.children[0];
+        assert_eq!(plan.micros, sampled.trace.plan_micros);
+        let exec = &tree.children[1];
         assert_eq!(exec.micros, sampled.trace.exec_micros);
         assert_eq!(exec.start_micros, sampled.trace.plan_micros);
-        assert_eq!(
-            exec.children[0].name, "snapshot",
-            "unsharded dispatches run on the global snapshot"
-        );
+        assert!(exec.children.is_empty(), "exec is a leaf");
         // Query id 3: unsampled but explicitly requested.
         let asked = engine.execute(&SacRequest::new(3, figure3::Q, 2).with_trace());
         assert!(asked.trace.tree.is_some());
@@ -2496,16 +1797,6 @@ mod tests {
         }
         let asked = never.execute(&SacRequest::new(9, figure3::Q, 2).with_trace());
         assert!(asked.trace.tree.is_some());
-        // On a sharded engine the exec child names the routed shard.
-        let sharded = SacEngine::with_shards(figure3_graph(), 2);
-        let response = sharded.execute(&SacRequest::new(1, figure3::Q, 2).with_trace());
-        let tree = response.trace.tree.expect("requested");
-        let exec = tree.children.last().unwrap();
-        let site = exec.children[0].name.as_str();
-        assert!(
-            site == "global" || site.starts_with("shard:"),
-            "sharded exec site was {site}"
-        );
     }
 
     #[test]
@@ -2524,7 +1815,7 @@ mod tests {
         let tree = entries[0].trace.as_ref().expect("slow queries get a tree");
         assert_eq!(tree.name, "query");
         assert_eq!(tree.micros, response.micros);
-        assert_eq!(tree.children.len(), 3);
+        assert_eq!(tree.children.len(), 2);
         assert!(tree.render().starts_with("query:"));
     }
 
@@ -2553,34 +1844,33 @@ mod tests {
     }
 
     #[test]
-    fn events_record_epoch_swaps_and_fallbacks() {
-        let sharded = SacEngine::with_shards(figure3_graph(), 2);
-        assert!(sharded.events().is_empty());
-        sharded.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
-        let snapshot = sharded.snapshot();
+    fn events_record_epoch_swaps() {
+        let engine = engine();
+        assert!(engine.events().is_empty());
+        // Queries publish no events.
+        engine.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
+        assert!(engine.events().is_empty());
+        let snapshot = engine.snapshot();
         let decomposition = sac_graph::core_decomposition(snapshot.graph());
-        sharded.publish(snapshot, decomposition, u32::MAX);
-        let batch = sharded.events().since(0);
+        engine.publish(snapshot, decomposition, u32::MAX);
+        let batch = engine.events().since(0);
         assert_eq!(batch.missed, 0);
         let kinds: Vec<&str> = batch.events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, ["fallback", "epoch_swap"]);
-        assert_eq!(
-            batch.events[0].detail,
-            format!("reason=override q={} k=2", figure3::Q)
-        );
-        assert!(batch.events[1].detail.starts_with("epoch=2 "));
+        assert_eq!(kinds, ["epoch_swap"]);
+        assert_eq!(batch.events[0].detail, "epoch=2 carried=0 invalidated=0");
         // The cursor tails: nothing new since the last batch.
-        assert!(sharded.events().since(batch.next_seq).events.is_empty());
+        assert!(engine.events().since(batch.next_seq).events.is_empty());
         // Dark engines publish nothing.
         let dark = SacEngine::with_config(
             Arc::new(figure3_graph()),
             EngineConfig {
-                shards: 2,
                 observe: false,
                 ..EngineConfig::default()
             },
         );
-        dark.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
+        let snapshot = dark.snapshot();
+        let decomposition = sac_graph::core_decomposition(snapshot.graph());
+        dark.publish(snapshot, decomposition, u32::MAX);
         assert!(dark.events().is_empty());
     }
 

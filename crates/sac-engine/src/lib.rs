@@ -67,7 +67,7 @@ mod planner;
 pub use cache::{CacheLayerStats, CacheStats, KCoreCache, KCoreComponents};
 pub use engine::{
     EngineConfig, EngineStats, LatencyStats, PublishReport, QueryTrace, SacEngine, SacRequest,
-    SacRequestBuilder, SacResponse, ShardStats,
+    SacRequestBuilder, SacResponse,
 };
 pub use epoch::EpochCell;
 pub use planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};

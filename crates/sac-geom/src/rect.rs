@@ -1,6 +1,6 @@
 //! Axis-aligned rectangles.
 
-use crate::{Circle, Point};
+use crate::Point;
 use std::fmt;
 
 /// An axis-aligned rectangle described by its minimum and maximum corners.
@@ -93,34 +93,12 @@ impl Rect {
             && self.max.y >= other.min.y
     }
 
-    /// Distance from `p` to the closest point of the rectangle (zero if inside).
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Returns `true` when the rectangle and the circle overlap.
-    pub fn intersects_circle(&self, c: &Circle) -> bool {
-        self.distance_to_point(c.center) <= c.radius
-    }
-
     /// Expands the rectangle by `margin` on every side.
     pub fn expanded(&self, margin: f64) -> Rect {
         Rect {
             min: Point::new(self.min.x - margin, self.min.y - margin),
             max: Point::new(self.max.x + margin, self.max.y + margin),
         }
-    }
-
-    /// Returns `true` when the whole circle `O(center, radius)` lies inside
-    /// the rectangle (boundary inclusive).  Infinite rectangle sides behave
-    /// as expected (everything is inside an unbounded side).
-    pub fn contains_circle(&self, center: Point, radius: f64) -> bool {
-        center.x - radius >= self.min.x
-            && center.x + radius <= self.max.x
-            && center.y - radius >= self.min.y
-            && center.y + radius <= self.max.y
     }
 }
 
@@ -179,38 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_to_point_is_zero_inside() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert_eq!(r.distance_to_point(Point::new(1.0, 1.0)), 0.0);
-        assert!((r.distance_to_point(Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn circle_intersection() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert!(r.intersects_circle(&Circle::new(Point::new(3.0, 1.0), 1.5)));
-        assert!(!r.intersects_circle(&Circle::new(Point::new(5.0, 5.0), 1.0)));
-    }
-
-    #[test]
     fn expanded_grows_every_side() {
         let r = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).expanded(0.5);
         assert_eq!(r.min, Point::new(-0.5, -0.5));
         assert_eq!(r.max, Point::new(1.5, 1.5));
-    }
-
-    #[test]
-    fn circle_containment() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(4.0, 4.0));
-        assert!(r.contains_circle(Point::new(2.0, 2.0), 2.0));
-        assert!(!r.contains_circle(Point::new(2.0, 2.0), 2.1));
-        assert!(!r.contains_circle(Point::new(0.5, 2.0), 1.0));
-        // Unbounded sides contain any circle on that side.
-        let open = Rect {
-            min: Point::new(f64::NEG_INFINITY, 0.0),
-            max: Point::new(4.0, f64::INFINITY),
-        };
-        assert!(open.contains_circle(Point::new(-100.0, 100.0), 50.0));
-        assert!(!open.contains_circle(Point::new(3.9, 100.0), 0.5));
     }
 }

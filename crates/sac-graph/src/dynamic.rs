@@ -493,8 +493,8 @@ impl DynamicGraph {
     /// * [`BatchStrategy::Recompute`] applies all edges structurally first and
     ///   then runs **one shared peel** over the adjacency (`O(n + m)`),
     ///   amortising the repair across the whole delta — for heavy-churn
-    ///   deltas this beats paying a cascade per edge (the `sharded_scaling`
-    ///   bench gates the win).
+    ///   deltas this beats paying a cascade per edge (the `bench_bulk_apply`
+    ///   runner gates the win).
     /// * [`BatchStrategy::Auto`] picks `Recompute` when the delta is large
     ///   relative to the graph, `PerEdge` otherwise.
     ///

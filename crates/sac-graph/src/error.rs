@@ -30,9 +30,6 @@ pub enum GraphError {
     },
     /// An underlying I/O failure.
     Io(io::Error),
-    /// Invalid sharding parameters (zero shards, or a non-finite/negative
-    /// halo fraction).
-    InvalidShardConfig,
     /// Externally supplied CSR arrays violate a structural invariant
     /// (see [`crate::Graph::try_from_csr`]).
     InvalidCsr(&'static str),
@@ -57,10 +54,6 @@ impl fmt::Display for GraphError {
                 write!(f, "parse error at line {line}: {message}")
             }
             GraphError::Io(e) => write!(f, "I/O error: {e}"),
-            GraphError::InvalidShardConfig => write!(
-                f,
-                "invalid shard configuration (need >= 1 shard and a finite non-negative halo)"
-            ),
             GraphError::InvalidCsr(detail) => write!(f, "invalid CSR arrays: {detail}"),
         }
     }

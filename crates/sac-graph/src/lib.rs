@@ -56,7 +56,6 @@ mod error;
 mod graph;
 pub mod io;
 mod kcore;
-mod shard;
 mod spatial;
 mod stats;
 mod sweep;
@@ -68,7 +67,6 @@ pub use dynamic::{BatchChange, BatchOp, BatchStrategy, DynamicGraph, EdgeChange}
 pub use error::GraphError;
 pub use graph::{Graph, VertexId};
 pub use kcore::{connected_kcore, KCoreSolver};
-pub use shard::{ShardMap, ShardedGraph};
 pub use spatial::SpatialGraph;
 pub use stats::{degree_histogram, GraphStats};
 pub use sweep::{RadiusSweepSolver, SweepStats};

@@ -17,7 +17,7 @@
 //!   POST /api            body = one protocol JSON document
 //!   GET  /stats          shorthand for {"cmd":"stats"}
 //!   GET  /metrics        Prometheus text exposition of the whole stack
-//!   GET  /healthz        liveness probe (epoch, shards, uptime, WAL and
+//!   GET  /healthz        liveness probe (epoch, uptime, WAL and
 //!                        replication state; "degraded" on a stale replica)
 //!
 //! With `--wal-dir`, SIGINT/SIGTERM flush the log and write a

@@ -16,7 +16,6 @@
 //! Serving:
 //!   --threads <n>        worker threads for batched requests (default: 4)
 //!   --warm <k1,k2,...>   pre-build the k-core indexes for these k
-//!   --shards <n>         serve n spatial shards (default: 0 = unsharded)
 //!   --slow-query-micros <n>
 //!                        slow-query log threshold (default: 10000; 0 = off)
 //!   --no-members         omit member lists from responses (ids/sizes only)

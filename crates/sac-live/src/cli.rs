@@ -36,8 +36,6 @@ pub struct ServeOptions {
     /// Include timing fields in responses (disable for deterministic,
     /// byte-comparable output).
     pub timing: bool,
-    /// Number of spatial shards the engine serves (`0` = unsharded).
-    pub shards: usize,
     /// Slow-query capture threshold in microseconds (`Some(0)` disables the
     /// slow log; `None` keeps the engine default).
     pub slow_query_micros: Option<u64>,
@@ -100,7 +98,6 @@ impl Default for ServeOptions {
             warm: Vec::new(),
             members: true,
             timing: true,
-            shards: 0,
             slow_query_micros: None,
             slowlog_capacity: None,
             trace_sample_every: None,
@@ -148,7 +145,7 @@ pub fn usage(binary: &str, with_addr: bool) -> String {
     format!(
         "usage: {binary} [--preset NAME] [--scale F] [--seed N] \
          [--edges FILE --locations FILE] [--threads N] [--warm K1,K2] \
-         [--shards N] [--slow-query-micros N] [--slowlog-capacity N] \
+         [--slow-query-micros N] [--slowlog-capacity N] \
          [--trace-sample-every N] [--wal-dir DIR] [--wal-sync always|never|N] \
          [--checkpoint-every N] [--ship-addr HOST:PORT] \
          [--replicate-from HOST:PORT] [--staleness-ms N] [--lease-ms N] \
@@ -210,11 +207,6 @@ pub fn parse_args(args: &[String], with_addr: bool) -> Result<ServeOptions, Stri
             }
             "--no-members" => opts.members = false,
             "--no-timing" => opts.timing = false,
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|_| "--shards must be a non-negative integer")?;
-            }
             "--slow-query-micros" => {
                 opts.slow_query_micros = Some(
                     value("--slow-query-micros")?
@@ -380,10 +372,7 @@ impl ServeOptions {
 
     /// The engine configuration these options describe.
     pub fn engine_config(&self) -> EngineConfig {
-        let mut config = EngineConfig {
-            shards: self.shards,
-            ..EngineConfig::default()
-        };
+        let mut config = EngineConfig::default();
         if let Some(threshold) = self.slow_query_micros {
             config.slow_query_micros = threshold;
         }
@@ -519,9 +508,6 @@ impl ServeOptions {
             }
         }
         let engine = live.engine();
-        if engine.shard_count() > 0 {
-            eprintln!("serving {} spatial shards", engine.shard_count());
-        }
         if !self.warm.is_empty() {
             engine.warm(&self.warm);
             eprintln!("warmed k-core indexes for k = {:?}", self.warm);
@@ -595,8 +581,6 @@ mod tests {
             &args(&[
                 "--addr",
                 "0.0.0.0:9000",
-                "--shards",
-                "4",
                 "--max-body",
                 "4096",
                 "--read-timeout-ms",
@@ -606,7 +590,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(opts.addr, "0.0.0.0:9000");
-        assert_eq!(opts.shards, 4);
         let http = opts.http_config();
         assert_eq!(http.max_body_bytes, 4096);
         assert_eq!(http.read_timeout, Some(Duration::from_millis(250)));
@@ -618,7 +601,6 @@ mod tests {
         assert!(parse_args(&args(&["--addr", "x"]), false).is_err());
         assert!(parse_args(&args(&["--max-body", "10"]), false).is_err());
         assert!(parse_args(&args(&["--max-body", "0"]), true).is_err());
-        assert!(parse_args(&args(&["--shards", "x"]), false).is_err());
         assert!(parse_args(&args(&["--slow-query-micros", "x"]), false).is_err());
         assert!(parse_args(&args(&["--slowlog-capacity", "0"]), false).is_err());
         assert!(parse_args(&args(&["--trace-sample-every", "x"]), false).is_err());

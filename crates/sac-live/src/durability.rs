@@ -4,14 +4,14 @@
 //!
 //! The mechanics (record framing, segments, snapshot codec) live in
 //! [`sac_wal`]; this module owns *policy*: when to append (every commit,
-//! before the epoch swap), when to checkpoint, which shard frames can be
-//! reused, and how the shared metrics registry and event log observe it all.
+//! before the epoch swap), when to checkpoint, and how the shared metrics
+//! registry and event log observe it all.
 
 use crate::delta::{GraphDelta, Mutation};
 use sac_engine::SacEngine;
 use sac_graph::GraphError;
 use sac_obs::{Counter, Gauge, Histogram};
-use sac_wal::{AppendInfo, SnapshotFrame, SyncPolicy, WalError, WalWriter};
+use sac_wal::{AppendInfo, SyncPolicy, WalError, WalWriter};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -86,11 +86,6 @@ pub struct CheckpointReport {
     pub epoch: u64,
     /// Snapshot bytes written.
     pub snapshot_bytes: u64,
-    /// Shard frames re-encoded (the rest were reused from the previous
-    /// checkpoint's cache).
-    pub frames_encoded: u32,
-    /// Shard frames reused verbatim.
-    pub frames_reused: u32,
     /// Log segments deleted (their records are covered by the snapshot).
     pub segments_removed: u64,
     /// Active segment id after the checkpoint's rotation.
@@ -214,15 +209,6 @@ pub(crate) struct WalState {
     pub(crate) obs: WalObs,
     pub(crate) commits_since_checkpoint: u64,
     pub(crate) last_checkpoint_epoch: u64,
-    /// Vertex count at the last checkpoint; a mismatch forces a full frame
-    /// re-encode (`usize::MAX` = no cached frames yet).
-    pub(crate) last_checkpoint_vertices: usize,
-    /// Cached per-shard frames from the last checkpoint, reused for shards
-    /// that saw no mutations since (always empty on unsharded engines).
-    pub(crate) frames: Vec<SnapshotFrame>,
-    /// Per-shard dirty flags accumulated since the last checkpoint (empty on
-    /// unsharded engines).
-    pub(crate) dirty_since_checkpoint: Vec<bool>,
     pub(crate) appended_records: u64,
     pub(crate) appended_bytes: u64,
     /// Oldest live segment id (checkpoints advance it), so the segment gauge
@@ -231,16 +217,10 @@ pub(crate) struct WalState {
 }
 
 impl WalState {
-    /// Folds one append's facts into counters and metrics, and accumulates
-    /// the commit's dirty-shard knowledge for the next checkpoint.
-    pub(crate) fn note_append(&mut self, info: &AppendInfo, commit_dirty: &[bool]) {
+    /// Folds one append's facts into counters and metrics.
+    pub(crate) fn note_append(&mut self, info: &AppendInfo) {
         self.appended_records += 1;
         self.appended_bytes += info.bytes;
-        if self.dirty_since_checkpoint.len() == commit_dirty.len() {
-            for (acc, &d) in self.dirty_since_checkpoint.iter_mut().zip(commit_dirty) {
-                *acc |= d;
-            }
-        }
         if self.obs.enabled {
             self.obs.appends.inc();
             self.obs.appended_bytes.add(info.bytes);
@@ -252,14 +232,10 @@ impl WalState {
         }
     }
 
-    /// Records a finished checkpoint into metrics and resets the cadence and
-    /// dirty tracking.
+    /// Records a finished checkpoint into metrics and resets the cadence.
     pub(crate) fn note_checkpoint(&mut self, report: &CheckpointReport, segments_now: u64) {
         self.commits_since_checkpoint = 0;
         self.last_checkpoint_epoch = report.epoch;
-        self.dirty_since_checkpoint
-            .iter_mut()
-            .for_each(|d| *d = false);
         if self.obs.enabled {
             self.obs.checkpoints.inc();
             self.obs.checkpoint_micros.record(report.micros);

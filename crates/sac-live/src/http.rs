@@ -14,7 +14,7 @@
 //! | `GET /stats` | shorthand for `{"cmd":"stats"}` |
 //! | `GET /metrics` | Prometheus text exposition (`{"cmd":"metrics"}` carries the same text as JSON) |
 //! | `GET /events?since=N` | structured event-log page from cursor `N` (shorthand for `{"cmd":"events","since":N}`) |
-//! | `GET /healthz` | liveness probe: `{"ok":true,"epoch":…,"shards":…,"uptime_secs":…,…,"role":"primary"\|"replica"\|"candidate"}` (plus a `wal` object when durability is on, and a `replication` object + `"status":"ok"|"degraded"` on replicas; `role` is always reported and tracks failover) |
+//! | `GET /healthz` | liveness probe: `{"ok":true,"epoch":…,"uptime_secs":…,…,"role":"primary"\|"replica"\|"candidate"}` (plus a `wal` object when durability is on, and a `replication` object + `"status":"ok"|"degraded"` on replicas; `role` is always reported and tracks failover) |
 //!
 //! A `{"cmd":"quit"}` document closes the connection (the server keeps
 //! accepting new ones); transport-level problems (unknown route, missing
@@ -366,7 +366,6 @@ pub fn handle_connection_with(
             }
             ("GET", "/healthz") => {
                 let engine = service.engine();
-                let shards = engine.shard_map().map_or(0, |m| m.num_shards());
                 // The WAL and replication sections append after the
                 // historical fields so earlier bodies stay byte-identical.
                 let wal = service.live().wal_stats().map_or(String::new(), |w| {
@@ -390,7 +389,7 @@ pub fn handle_connection_with(
                     )
                 });
                 let body = format!(
-                    "{{\"ok\":true,\"epoch\":{},\"shards\":{shards},\"uptime_secs\":{}{wal}{replication},\"role\":\"{}\"}}",
+                    "{{\"ok\":true,\"epoch\":{},\"uptime_secs\":{}{wal}{replication},\"role\":\"{}\"}}",
                     engine.epoch(),
                     service.uptime_secs(),
                     service.role().as_str(),
@@ -529,7 +528,7 @@ mod tests {
         // GET sugar routes.
         let (status, body) = roundtrip(&mut stream, "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.starts_with(r#"{"ok":true,"epoch":1,"shards":0,"uptime_secs":"#));
+        assert!(body.starts_with(r#"{"ok":true,"epoch":1,"uptime_secs":"#));
         // Every engine mode reports its role; a plain service is a primary.
         assert!(
             body.trim_end().ends_with(r#""role":"primary"}"#),

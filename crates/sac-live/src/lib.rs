@@ -22,11 +22,10 @@
 //!   is *selectively* invalidated: only the `k` entries whose cores the delta
 //!   touched are dropped, the rest carry over (observable via
 //!   `EngineStats::components_carried`).
-//! * **Bulk delta apply and sharded commits** — [`LiveEngine::apply_batch`]
-//!   repairs core numbers once per delta (shared peel for heavy batches),
+//! * **Bulk delta apply** — [`LiveEngine::apply_batch`] repairs core
+//!   numbers once per delta (shared peel for heavy batches), and
 //!   [`LiveEngine::move_vertex`] publishes grid-only epochs for position
-//!   updates, and on sharded engines a commit republishes only the shards a
-//!   delta touched (see [`CommitReport::shards_carried`]).
+//!   updates.
 //! * **The protocol service and its transports** — [`SacService`] executes
 //!   typed `sac-proto` requests (queries, batches, live updates, admin
 //!   commands) against the engine + write front; the `sac-serve` (LDJSON
@@ -34,19 +33,19 @@
 //!   over `std::net::TcpListener`, [`http`]) binaries are thin shells over
 //!   it, speaking byte-identical payloads.
 //! * **Observability end to end** — the commit pipeline
-//!   (`sac_commit_micros`, snapshot-build/publish stage spans, dirty-shard
-//!   and batch-strategy counters) and both transports (decode/handle/encode
+//!   (`sac_commit_micros`, snapshot-build/publish stage spans,
+//!   batch-strategy counters) and both transports (decode/handle/encode
 //!   stage spans, socket IO spans, per-status-code counters) record into the
 //!   engine's shared `sac-obs` registry, so `GET /metrics` (Prometheus text)
 //!   and the `{"cmd":"metrics"}` / `{"cmd":"slowlog"}` protocol commands
 //!   expose the whole serving stack; `GET /stats` and `/healthz` report
-//!   epoch, shard count, process uptime and durability state.
+//!   epoch, process uptime and durability state.
 //! * **Durability** — with a [`Durability`] config every commit appends its
 //!   delta record to a `sac-wal` write-ahead log *before* the epoch swap,
 //!   checkpoints serialize the current epoch and truncate older segments,
 //!   and [`LiveEngine::recover`] replays snapshot + log to a state
-//!   bit-identical to the pre-crash epoch (core numbers, shard layout,
-//!   query answers — pinned by the crash-recovery property suite).
+//!   bit-identical to the pre-crash epoch (core numbers and query answers
+//!   — pinned by the crash-recovery property suite).
 //! * **Replication** — the WAL doubles as a replication stream:
 //!   [`spawn_shipper`] serves it over TCP with snapshot bootstrap and
 //!   offset-addressable resume, and a [`Replica`] tails it, applying commit

@@ -8,10 +8,10 @@ use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
 use sac_graph::{
     BatchChange, BatchOp, BatchStrategy, CoreDecomposition, DynamicGraph, EdgeChange, GraphError,
-    ShardMap, SpatialGraph, VertexId,
+    SpatialGraph, VertexId,
 };
 use sac_obs::{Counter, Histogram, Span};
-use sac_wal::{DeltaRecord, SnapshotFrame, WalError, WalOp, WalWriter};
+use sac_wal::{DeltaRecord, WalError, WalOp, WalWriter};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -28,10 +28,8 @@ struct LiveObs {
     commit_micros: Arc<Histogram>,
     /// `sac_commit_stage_micros{stage="snapshot_build"}` — CSR + grid
     /// rebuild time (the engine itself records the downstream
-    /// `shard_rebuild`/`epoch_swap` publish stages).
+    /// `epoch_build`/`epoch_swap` publish stages).
     snapshot_build: Arc<Histogram>,
-    /// `sac_commit_dirty_shards_total` — shard snapshots marked dirty.
-    dirty_shards: Arc<Counter>,
     /// `sac_batch_applies_total{strategy=…}` per repair strategy chosen.
     shared_peel_applies: Arc<Counter>,
     per_edge_applies: Arc<Counter>,
@@ -55,11 +53,6 @@ impl LiveObs {
                 "sac_commit_stage_micros",
                 "Commit pipeline stage latency, microseconds",
                 &[("stage", "snapshot_build")],
-            ),
-            dirty_shards: registry.counter(
-                "sac_commit_dirty_shards_total",
-                "Shard snapshots rebuilt because a mutation touched their coverage",
-                &[],
             ),
             shared_peel_applies: registry.counter(
                 "sac_batch_applies_total",
@@ -110,16 +103,13 @@ pub struct CommitReport {
     pub components_carried: u64,
     /// Per-`k` component indexes invalidated by the swap.
     pub components_invalidated: u64,
-    /// Shard snapshots rebuilt for the new epoch (0 on unsharded engines).
-    pub shards_rebuilt: u32,
-    /// Shard snapshots carried unchanged (their region saw no mutation).
-    pub shards_carried: u32,
     /// Wall-clock cost of the commit (CSR + spatial-index rebuild + publish),
     /// in microseconds.
     pub micros: u64,
     /// CSR + spatial-grid rebuild share of `micros`.
     pub snapshot_build_micros: u64,
-    /// Shard/cache rebuild share of the engine-side publish.
+    /// Next-epoch build share of the engine-side publish (component
+    /// carry-over + cache seeding).
     pub rebuild_micros: u64,
     /// Epoch-pointer swap share of the engine-side publish.
     pub swap_micros: u64,
@@ -146,8 +136,7 @@ pub struct BatchApplyReport {
 }
 
 /// Mutable state between two epochs: the maintained dynamic graph, the vertex
-/// positions, the record of what changed, and which shards the changes
-/// touched.
+/// positions and the record of what changed.
 #[derive(Debug)]
 struct WriteFront {
     dynamic: DynamicGraph,
@@ -155,21 +144,6 @@ struct WriteFront {
     delta: GraphDelta,
     dirty_up_to: u32,
     cores_changed: u64,
-    /// Per-shard dirty flags (empty on unsharded engines): a shard is dirty
-    /// when a mutation touched a position inside its coverage (region +
-    /// halo), so its induced snapshot must be rebuilt at commit.
-    dirty_shards: Vec<bool>,
-}
-
-impl WriteFront {
-    /// Marks every shard whose coverage contains `p` dirty.
-    fn mark_dirty(&mut self, map: &Option<Arc<ShardMap>>, p: Point) {
-        if let Some(map) = map {
-            for s in map.shards_covering(p) {
-                self.dirty_shards[s as usize] = true;
-            }
-        }
-    }
 }
 
 /// A concurrent-safe live-update handle over a shared [`SacEngine`].
@@ -203,9 +177,6 @@ impl WriteFront {
 #[derive(Debug)]
 pub struct LiveEngine {
     engine: Arc<SacEngine>,
-    /// The engine's spatial partitioner, captured once (it is stable across
-    /// epochs); used to mark dirty shards as mutations arrive.
-    map: Option<Arc<ShardMap>>,
     front: Mutex<WriteFront>,
     obs: LiveObs,
     /// Durability state (`None` without a WAL).  Lock order: `front` before
@@ -223,12 +194,9 @@ impl LiveEngine {
         let decomposition = engine.decomposition();
         let dynamic = DynamicGraph::from_parts(snapshot.graph(), &decomposition);
         let positions = snapshot.positions().to_vec();
-        let map = engine.shard_map();
-        let shard_count = map.as_ref().map_or(0, |m| m.num_shards());
         let obs = LiveObs::new(&engine);
         LiveEngine {
             engine,
-            map,
             obs,
             front: Mutex::new(WriteFront {
                 dynamic,
@@ -236,7 +204,6 @@ impl LiveEngine {
                 delta: GraphDelta::new(),
                 dirty_up_to: 0,
                 cores_changed: 0,
-                dirty_shards: vec![false; shard_count],
             }),
             wal: Mutex::new(None),
         }
@@ -260,10 +227,9 @@ impl LiveEngine {
     /// Rebuilds a live engine from the durable state under `config.dir`:
     /// loads the newest snapshot, replays every WAL record past its epoch
     /// (torn tail truncated unless a clean-shutdown marker vouches for the
-    /// log; any other anomaly is a hard error), and restores the serialized
-    /// shard partition.  The recovered engine is **bit-identical** to the
-    /// pre-crash epoch: core numbers, shard layout and query answers all
-    /// match, which the crash-recovery property test pins.
+    /// log; any other anomaly is a hard error).  The recovered engine is
+    /// **bit-identical** to the pre-crash epoch: core numbers and query
+    /// answers all match, which the crash-recovery property test pins.
     pub fn recover(
         config: Durability,
         engine_config: EngineConfig,
@@ -332,11 +298,9 @@ impl LiveEngine {
         }
 
         let snapshot = SpatialGraph::new(dynamic.to_graph(), positions).map_err(WalError::Graph)?;
-        let map = image.map.map(Arc::new);
         let engine = Arc::new(SacEngine::restored(
             Arc::new(snapshot),
             engine_config,
-            map,
             epoch,
         ));
         engine.set_term(term);
@@ -377,7 +341,6 @@ impl LiveEngine {
             .first()
             .copied()
             .unwrap_or_else(|| writer.segment());
-        let shard_count = self.map.as_ref().map_or(0, |m| m.num_shards());
         let fresh = restored_from.is_none() && sac_wal::latest_snapshot(&config.dir)?.is_none();
         let state = WalState {
             writer,
@@ -385,9 +348,6 @@ impl LiveEngine {
             obs: WalObs::new(&self.engine),
             commits_since_checkpoint: 0,
             last_checkpoint_epoch: restored_from.unwrap_or(0),
-            last_checkpoint_vertices: usize::MAX,
-            frames: Vec::new(),
-            dirty_since_checkpoint: vec![true; shard_count],
             appended_records: 0,
             appended_bytes: 0,
             first_live_segment,
@@ -402,8 +362,7 @@ impl LiveEngine {
 
     /// Serializes the current epoch into a snapshot file, rotates the log,
     /// and deletes every segment strictly older than the new active one.
-    /// Shard frames untouched since the previous checkpoint are reused
-    /// verbatim.  Errors when durability is disabled.
+    /// Errors when durability is disabled.
     pub fn checkpoint(&self) -> Result<CheckpointReport, WalError> {
         // Quiesce commits so the snapshot and the segment cut are one
         // consistent point in the epoch sequence.
@@ -419,43 +378,12 @@ impl LiveEngine {
         let snapshot = self.engine.snapshot();
         let decomposition = self.engine.decomposition();
         let epoch = self.engine.epoch();
-        let graph = snapshot.graph();
-        let positions = snapshot.positions();
-        let map = self.map.as_deref();
-        let n = graph.num_vertices();
-        let expected = map.map_or(1, |m| m.num_shards());
-        let full = wal.last_checkpoint_vertices != n || wal.frames.len() != expected;
-        let mut frames_encoded = 0u32;
-        let mut frames_reused = 0u32;
-        // The cache moves out for the duration: clean frames are reused by
-        // move, and a failed write leaves it empty, forcing a full encode.
-        let cached = std::mem::take(&mut wal.frames);
-        let frames: Vec<SnapshotFrame> = if full {
-            frames_encoded = expected as u32;
-            sac_wal::encode_frames(graph, positions, map)
-        } else {
-            cached
-                .into_iter()
-                .enumerate()
-                .map(|(s, frame)| {
-                    let dirty = wal.dirty_since_checkpoint.get(s).copied().unwrap_or(true);
-                    if dirty {
-                        frames_encoded += 1;
-                        sac_wal::encode_frame(graph, positions, map, s as u32)
-                    } else {
-                        frames_reused += 1;
-                        frame
-                    }
-                })
-                .collect()
-        };
         let snapshot_bytes = sac_wal::write_snapshot(
             &wal.config.dir,
             epoch,
-            positions,
+            snapshot.graph(),
+            snapshot.positions(),
             decomposition.core_numbers(),
-            map,
-            &frames,
         )?;
         // All records in pre-rotation segments carry epochs <= the snapshot's
         // (commits are serialized with this checkpoint), so everything below
@@ -463,19 +391,10 @@ impl LiveEngine {
         wal.writer.rotate()?;
         let segments_removed = wal.writer.remove_segments_below(wal.writer.segment())?;
         sac_wal::remove_snapshots_below(&wal.config.dir, epoch)?;
-        // Only shards have clean frames to reuse.  An unsharded engine
-        // re-encodes its single frame every time, so caching it would pin
-        // a full adjacency copy between checkpoints for nothing.
-        if map.is_some() {
-            wal.frames = frames;
-        }
-        wal.last_checkpoint_vertices = n;
         wal.first_live_segment = wal.writer.segment();
         let report = CheckpointReport {
             epoch,
             snapshot_bytes,
-            frames_encoded,
-            frames_reused,
             segments_removed,
             segment: wal.writer.segment(),
             micros: start.elapsed().as_micros() as u64,
@@ -485,12 +404,8 @@ impl LiveEngine {
             self.engine.events().publish(
                 "checkpoint",
                 format!(
-                    "epoch={} bytes={} frames_encoded={} frames_reused={} segments_removed={}",
-                    report.epoch,
-                    report.snapshot_bytes,
-                    report.frames_encoded,
-                    report.frames_reused,
-                    report.segments_removed
+                    "epoch={} bytes={} segments_removed={}",
+                    report.epoch, report.snapshot_bytes, report.segments_removed
                 ),
             );
         }
@@ -580,10 +495,6 @@ impl LiveEngine {
             front.delta.push(Mutation::InsertEdge(u, v));
             front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
             front.cores_changed += change.changed.len() as u64;
-            for w in [u, v] {
-                let p = front.positions[w as usize];
-                front.mark_dirty(&self.map, p);
-            }
         }
         Ok(change)
     }
@@ -596,10 +507,6 @@ impl LiveEngine {
             front.delta.push(Mutation::RemoveEdge(u, v));
             front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
             front.cores_changed += change.changed.len() as u64;
-            for w in [u, v] {
-                let p = front.positions[w as usize];
-                front.mark_dirty(&self.map, p);
-            }
         }
         Ok(change)
     }
@@ -627,10 +534,6 @@ impl LiveEngine {
                 BatchOp::Insert(..) => Mutation::InsertEdge(u, v),
                 BatchOp::Remove(..) => Mutation::RemoveEdge(u, v),
             });
-            for w in [u, v] {
-                let p = front.positions[w as usize];
-                front.mark_dirty(&self.map, p);
-            }
         }
         front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
         front.cores_changed += change.changed.len() as u64;
@@ -680,7 +583,6 @@ impl LiveEngine {
         let v = front.dynamic.add_vertex();
         front.positions.push(position);
         front.delta.push(Mutation::AddVertex(position));
-        front.mark_dirty(&self.map, position);
         Ok(v)
     }
 
@@ -697,15 +599,11 @@ impl LiveEngine {
         if !position.is_finite() {
             return Err(GraphError::InvalidPosition(v));
         }
-        let old = front.positions[v as usize];
-        if old == position {
+        if front.positions[v as usize] == position {
             return Ok(false);
         }
         front.positions[v as usize] = position;
         front.delta.push(Mutation::MoveVertex(v, position));
-        // Both the vacated and the entered shard coverages change.
-        front.mark_dirty(&self.map, old);
-        front.mark_dirty(&self.map, position);
         Ok(true)
     }
 
@@ -738,8 +636,6 @@ impl LiveEngine {
                 dirty_up_to: 0,
                 components_carried: 0,
                 components_invalidated: 0,
-                shards_rebuilt: 0,
-                shards_carried: 0,
                 micros: 0,
                 snapshot_build_micros: 0,
                 rebuild_micros: 0,
@@ -757,9 +653,6 @@ impl LiveEngine {
         let snapshot = SpatialGraph::new(graph, front.positions.clone())?;
         let snapshot_build_micros = build_span.finish();
         let dirty_up_to = front.dirty_up_to;
-        // Clean shards (no mutation touched their coverage) carry their
-        // induced snapshot across the epoch swap; only dirty ones rebuild.
-        let dirty_shards = std::mem::take(&mut front.dirty_shards);
         // Write-ahead: the record must be on the log (durable per policy)
         // before the epoch swap makes the commit visible.  The wal lock is
         // held across the publish so a concurrent checkpoint can never cut
@@ -771,23 +664,16 @@ impl LiveEngine {
                 term: self.engine.term(),
                 ops: wal_ops(&front.delta),
             };
-            match wal.writer.append(&record) {
-                Ok(info) => wal.note_append(&info, &dirty_shards),
-                Err(e) => {
-                    // Nothing published: restore the dirty flags so a retry
-                    // still rebuilds the right shards.
-                    front.dirty_shards = dirty_shards;
-                    return Err(CommitError::Wal(e.into()));
-                }
-            }
+            // Nothing is published when the append fails.
+            let info = wal
+                .writer
+                .append(&record)
+                .map_err(|e| CommitError::Wal(e.into()))?;
+            wal.note_append(&info);
         }
-        let report = self.engine.publish_update(
-            Arc::new(snapshot),
-            decomposition,
-            dirty_up_to,
-            (!dirty_shards.is_empty()).then_some(dirty_shards.as_slice()),
-        );
-        front.dirty_shards = vec![false; dirty_shards.len()];
+        let report = self
+            .engine
+            .publish(Arc::new(snapshot), decomposition, dirty_up_to);
         let delta = std::mem::take(&mut front.delta);
         let cores_changed = std::mem::take(&mut front.cores_changed);
         front.dirty_up_to = 0;
@@ -796,9 +682,6 @@ impl LiveEngine {
             self.obs
                 .commit_micros
                 .record(start.elapsed().as_micros() as u64);
-            self.obs
-                .dirty_shards
-                .add(dirty_shards.iter().filter(|&&d| d).count() as u64);
         }
         if let Some(wal) = wal_guard.as_mut() {
             wal.commits_since_checkpoint += 1;
@@ -819,8 +702,6 @@ impl LiveEngine {
             dirty_up_to,
             components_carried: report.components_carried,
             components_invalidated: report.components_invalidated,
-            shards_rebuilt: report.shards_rebuilt,
-            shards_carried: report.shards_carried,
             micros: start.elapsed().as_micros() as u64,
             snapshot_build_micros,
             rebuild_micros: report.rebuild_micros,
@@ -986,57 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_commits_republish_only_dirty_shards() {
-        use sac_engine::SacEngine;
-
-        let engine = Arc::new(SacEngine::with_shards(figure3_graph(), 2));
-        let live = LiveEngine::new(Arc::clone(&engine));
-        // The fixture's left component (Q, A..E) and right component (F..I)
-        // land in different shards under the median split.  Mutating only the
-        // right component must leave the left shard's snapshot carried.
-        live.remove_edge(figure3::H, figure3::I).unwrap();
-        let report = live.commit().unwrap();
-        assert_eq!(
-            report.shards_rebuilt + report.shards_carried,
-            2,
-            "every shard accounted for"
-        );
-        assert!(report.shards_rebuilt >= 1);
-        assert!(
-            report.shards_carried >= 1,
-            "a localized delta must carry the untouched shard"
-        );
-        // Queries still answer identically to an unsharded engine on the new
-        // epoch.
-        let unsharded = SacEngine::new(
-            sac_graph::SpatialGraph::new(
-                engine.snapshot().graph().clone(),
-                engine.snapshot().positions().to_vec(),
-            )
-            .unwrap(),
-        );
-        for q in 0..10u32 {
-            let req = SacRequest::new(1, q, 2).with_budget(QueryBudget::exact());
-            assert_eq!(
-                engine
-                    .execute(&req)
-                    .community()
-                    .map(|c| c.members().to_vec()),
-                unsharded
-                    .execute(&req)
-                    .community()
-                    .map(|c| c.members().to_vec()),
-                "q={q}"
-            );
-        }
-        // Vertex additions invalidate every shard (id-space change).
-        live.add_vertex(Point::new(0.5, 0.5)).unwrap();
-        let report = live.commit().unwrap();
-        assert_eq!(report.shards_rebuilt, 2);
-        assert_eq!(report.shards_carried, 0);
-    }
-
-    #[test]
     fn commit_pipeline_records_into_the_shared_registry() {
         use sac_graph::BatchOp;
 
@@ -1056,64 +886,10 @@ mod tests {
             "sac_batch_applies_total{strategy=\"per_edge\"} 1",
             "sac_batch_repair_micros_count{strategy=\"per_edge\"} 1",
             // The engine's own publish stages fired under this commit.
+            "sac_publish_stage_micros_count{stage=\"epoch_build\"} 1",
             "sac_publish_stage_micros_count{stage=\"epoch_swap\"} 1",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
-        // Unsharded engine: no shard was ever dirty.
-        assert!(text.contains("sac_commit_dirty_shards_total 0"), "{text}");
-    }
-
-    #[test]
-    fn sharded_commit_counts_dirty_shards() {
-        let engine = Arc::new(SacEngine::with_shards(figure3_graph(), 2));
-        let live = LiveEngine::new(Arc::clone(&engine));
-        live.remove_edge(figure3::H, figure3::I).unwrap();
-        let report = live.commit().unwrap();
-        let text = engine.metrics_text();
-        let expected = format!("sac_commit_dirty_shards_total {}", report.shards_rebuilt);
-        assert!(text.contains(&expected), "missing {expected} in:\n{text}");
-    }
-
-    #[test]
-    fn checkpoints_cache_frames_only_for_shards() {
-        for shards in [0usize, 2] {
-            let dir = std::env::temp_dir().join(format!(
-                "sac-live-ckpt-frames-{shards}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let engine = Arc::new(match shards {
-                0 => SacEngine::new(figure3_graph()),
-                s => SacEngine::with_shards(figure3_graph(), s),
-            });
-            let durability = Durability {
-                dir: dir.clone(),
-                sync: sac_wal::SyncPolicy::Never,
-                checkpoint_every: 0,
-            };
-            // A fresh directory gets its base checkpoint on attach.
-            let live = LiveEngine::with_durability(engine, durability).unwrap();
-            let cached = |live: &LiveEngine| {
-                let guard = live.wal.lock().unwrap();
-                guard.as_ref().unwrap().frames.len()
-            };
-            assert_eq!(cached(&live), shards);
-            // Dirty only the right component's shard.
-            live.remove_edge(figure3::H, figure3::I).unwrap();
-            live.commit().unwrap();
-            let report = live.checkpoint().unwrap();
-            assert_eq!(cached(&live), shards);
-            if shards == 0 {
-                assert_eq!((report.frames_encoded, report.frames_reused), (1, 0));
-            } else {
-                assert_eq!(report.frames_encoded + report.frames_reused, 2);
-                assert!(
-                    report.frames_reused >= 1,
-                    "the clean shard's frame is reused"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -938,14 +938,12 @@ fn receive_snapshot(
 }
 
 /// What [`state_from_image`] rebuilds from a shipped snapshot image: the
-/// replay mirror, positions, the immutable snapshot, its decomposition and
-/// the shard map (if the primary served shards).
+/// replay mirror, positions, the immutable snapshot and its decomposition.
 type RestoredState = (
     DynamicGraph,
     Vec<Point>,
     Arc<SpatialGraph>,
     CoreDecomposition,
-    Option<Arc<sac_graph::ShardMap>>,
 );
 
 /// Rebuilds the replay mirror and an immutable snapshot from a shipped
@@ -955,8 +953,7 @@ fn state_from_image(image: sac_wal::SnapshotImage) -> Result<RestoredState, Repl
     let dynamic = DynamicGraph::from_parts(&image.graph, &decomposition);
     let positions = image.positions;
     let snapshot = Arc::new(SpatialGraph::new(dynamic.to_graph(), positions.clone())?);
-    let map = image.map.map(Arc::new);
-    Ok((dynamic, positions, snapshot, decomposition, map))
+    Ok((dynamic, positions, snapshot, decomposition))
 }
 
 /// First boot: snapshot handshake, engine construction.
@@ -997,8 +994,8 @@ fn bootstrap(
             image.epoch
         )));
     }
-    let (dynamic, positions, snapshot, _, map) = state_from_image(image)?;
-    let engine = Arc::new(SacEngine::restored(snapshot, config.engine, map, epoch));
+    let (dynamic, positions, snapshot, _) = state_from_image(image)?;
+    let engine = Arc::new(SacEngine::restored(snapshot, config.engine, epoch));
     engine.set_term(status.term());
     let state = ReplicaState {
         dynamic,
@@ -1127,7 +1124,7 @@ fn reconnect(
                 // The records between our applied epoch and the snapshot
                 // were truncated by a primary checkpoint (or the snapshot
                 // supersedes our fork): jump to it.
-                let (dynamic, positions, snapshot, decomposition, _) =
+                let (dynamic, positions, snapshot, decomposition) =
                     state_from_image(image).map_err(|_| ReconnectFail::TryAgain)?;
                 ctx.engine.publish_restored(snapshot, decomposition, epoch);
                 state.dynamic = dynamic;
@@ -1369,11 +1366,7 @@ fn apply_record(
     // The WAL record does not carry the commit's dirty-k analysis, so the
     // conservative invalidation (drop every cached index) keeps the
     // replica's answers trivially equal to a cold engine's.
-    ctx.engine.publish_update(
-        Arc::new(snapshot),
-        state.dynamic.decomposition(),
-        u32::MAX,
-        None,
-    );
+    ctx.engine
+        .publish(Arc::new(snapshot), state.dynamic.decomposition(), u32::MAX);
     Ok(())
 }

@@ -455,8 +455,6 @@ impl SacService {
                     dirty_up_to: report.dirty_up_to,
                     components_carried: report.components_carried,
                     components_invalidated: report.components_invalidated,
-                    shards_rebuilt: report.shards_rebuilt,
-                    shards_carried: report.shards_carried,
                     micros: Some(report.micros),
                     trace: (*trace && report.mutations > 0).then(|| {
                         let publish_start = report.snapshot_build_micros;
@@ -491,8 +489,6 @@ impl SacService {
                 Ok(report) => ProtoResponse::Checkpoint(CheckpointReply {
                     epoch: report.epoch,
                     snapshot_bytes: report.snapshot_bytes,
-                    frames_encoded: report.frames_encoded,
-                    frames_reused: report.frames_reused,
                     segments_removed: report.segments_removed,
                     micros: Some(report.micros),
                 }),

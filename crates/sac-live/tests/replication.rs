@@ -1,7 +1,7 @@
 //! Replication end-to-end suite: a read replica tailing a live primary's
 //! WAL-shipping endpoint must converge to a state **bit-identical** to the
-//! primary — core numbers, positions, shard layout and query answers — at
-//! every applied epoch, even when the link injects drops, delays,
+//! primary — core numbers, positions and query answers — at every applied
+//! epoch, even when the link injects drops, delays,
 //! duplicates, corruption and mid-frame truncation on both sides.
 //!
 //! Also covered here:
@@ -17,7 +17,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sac_engine::{EngineConfig, SacEngine, SacRequest};
+use sac_engine::{SacEngine, SacRequest};
 use sac_geom::Point;
 use sac_graph::{GraphBuilder, SpatialGraph};
 use sac_live::{
@@ -44,7 +44,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Clustered positions so sharded runs exercise real partitions.
+/// Positions in four well-separated clusters.
 fn positions(n: usize) -> Vec<Point> {
     (0..n)
         .map(|i| {
@@ -91,7 +91,6 @@ struct StateFingerprint {
     epoch: u64,
     cores: Vec<u32>,
     position_bits: Vec<(u64, u64)>,
-    shard_count: u32,
     answers: Vec<Option<Vec<u32>>>,
 }
 
@@ -113,7 +112,6 @@ fn fingerprint(engine: &SacEngine) -> StateFingerprint {
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
             .collect(),
-        shard_count: engine.shard_count() as u32,
         answers,
     }
 }
@@ -152,17 +150,10 @@ fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
 fn primary(
     dir: &Path,
     initial: &[(u32, u32)],
-    shards: usize,
     faults: Option<FaultPlan>,
 ) -> (Arc<SacEngine>, LiveEngine, sac_live::ShipHandle) {
     let graph = spatial(initial, N);
-    let engine = Arc::new(SacEngine::with_config(
-        Arc::new(graph),
-        EngineConfig {
-            shards,
-            ..EngineConfig::default()
-        },
-    ));
+    let engine = Arc::new(SacEngine::new(graph));
     let live = LiveEngine::with_durability(Arc::clone(&engine), durability(dir)).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let ship = spawn_shipper(
@@ -178,14 +169,10 @@ fn primary(
     (engine, live, ship)
 }
 
-fn replica_config(primary: &sac_live::ShipHandle, shards: usize, seed: u64) -> ReplicaConfig {
+fn replica_config(primary: &sac_live::ShipHandle, seed: u64) -> ReplicaConfig {
     let mut config = ReplicaConfig::new(primary.addr().to_string());
     config.retry = fast_retry();
     config.staleness = Duration::from_secs(60); // degradation tested separately
-    config.engine = EngineConfig {
-        shards,
-        ..EngineConfig::default()
-    };
     config.seed = seed;
     config
 }
@@ -196,8 +183,8 @@ fn replica_config(primary: &sac_live::ShipHandle, shards: usize, seed: u64) -> R
 fn replica_converges_in_lockstep_with_identical_fingerprints() {
     let dir = temp_dir("lockstep");
     let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 3) % N)).collect();
-    let (engine, live, ship) = primary(&dir, &initial, 3, None);
-    let replica = Replica::boot(replica_config(&ship, 3, 11)).unwrap();
+    let (engine, live, ship) = primary(&dir, &initial, None);
+    let replica = Replica::boot(replica_config(&ship, 11)).unwrap();
 
     // Bootstrap lands on the base checkpoint's state.
     assert!(
@@ -261,18 +248,16 @@ proptest! {
     fn faulty_link_replica_converges_bit_identical(
         initial in vec((0u32..N, 0u32..N), 20usize..60),
         stream in vec((0u32..N, 0u32..N, 0u32..10), 10usize..20),
-        shard_toggle in 0usize..2,
         commit_every in 2usize..4,
         fault_seed in 0u64..1_000,
     ) {
-        let shards = shard_toggle * 3; // 0 = unsharded, 3 = sharded
         let dir = temp_dir("faulty");
         let plan = FaultPlan::parse(&format!(
             "seed={fault_seed},drop=0.08,dup=0.08,corrupt=0.06,truncate=0.04,delay=0.05:1"
         ))
         .unwrap();
-        let (engine, live, ship) = primary(&dir, &initial, shards, Some(plan));
-        let mut config = replica_config(&ship, shards, fault_seed ^ 0xD1CE);
+        let (engine, live, ship) = primary(&dir, &initial, Some(plan));
+        let mut config = replica_config(&ship, fault_seed ^ 0xD1CE);
         config.faults = Some(plan); // receive side mangles frames too
         let replica = Replica::boot(config).unwrap();
 
@@ -338,10 +323,10 @@ proptest! {
 fn checkpoint_truncation_forces_snapshot_rebootstrap() {
     let dir = temp_dir("truncate");
     let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 5) % N)).collect();
-    let (engine, live, ship) = primary(&dir, &initial, 0, None);
+    let (engine, live, ship) = primary(&dir, &initial, None);
     let port_addr = ship.addr();
 
-    let mut config = replica_config(&ship, 0, 29);
+    let mut config = replica_config(&ship, 29);
     config.staleness = Duration::from_millis(300);
     let replica = Replica::boot(config).unwrap();
 
@@ -440,8 +425,8 @@ fn checkpoint_truncation_forces_snapshot_rebootstrap() {
 fn mutations_on_a_replica_redirect_to_the_primary() {
     let dir = temp_dir("redirect");
     let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 2) % N)).collect();
-    let (engine, _live, ship) = primary(&dir, &initial, 0, None);
-    let replica = Replica::boot(replica_config(&ship, 0, 41)).unwrap();
+    let (engine, _live, ship) = primary(&dir, &initial, None);
+    let replica = Replica::boot(replica_config(&ship, 41)).unwrap();
     assert!(wait_until(Duration::from_secs(20), || {
         replica.status().applied_epoch() == engine.epoch()
     }));

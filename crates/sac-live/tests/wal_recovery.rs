@@ -1,7 +1,7 @@
 //! Crash-recovery property suite: for a WAL-backed live engine,
 //! [`sac_live::LiveEngine::recover`] must rebuild a state **bit-identical**
-//! to the pre-crash epoch — core numbers, positions, shard layout and query
-//! answers — no matter where the crash lands:
+//! to the pre-crash epoch — core numbers, positions and query answers — no
+//! matter where the crash lands:
 //!
 //! * exactly on a record boundary (the durable prefix of commits),
 //! * mid-record (a torn tail, truncated on open and resolved to the last
@@ -43,7 +43,7 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Clustered positions so sharded runs exercise real partitions.
+/// Positions in four well-separated clusters.
 fn positions(n: usize) -> Vec<Point> {
     (0..n)
         .map(|i| {
@@ -78,7 +78,6 @@ struct StateFingerprint {
     epoch: u64,
     cores: Vec<u32>,
     position_bits: Vec<(u64, u64)>,
-    shard_count: u32,
     answers: Vec<Option<Vec<u32>>>,
 }
 
@@ -100,7 +99,6 @@ fn fingerprint(engine: &SacEngine) -> StateFingerprint {
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
             .collect(),
-        shard_count: engine.shard_count() as u32,
         answers,
     }
 }
@@ -132,16 +130,11 @@ proptest! {
     fn crash_at_every_record_boundary_recovers_bit_identical(
         initial in vec((0u32..N, 0u32..N), 20usize..60),
         stream in vec((0u32..N, 0u32..N, 0u32..10), 12usize..30),
-        shard_toggle in 0usize..2,
         commit_every in 2usize..5,
     ) {
-        let shards = shard_toggle * 3; // 0 = unsharded, 3 = sharded
         let dir = temp_dir("prop");
         let graph = spatial(&initial, N);
-        let engine = Arc::new(SacEngine::with_config(
-            Arc::new(graph),
-            EngineConfig { shards, ..EngineConfig::default() },
-        ));
+        let engine = Arc::new(SacEngine::new(graph));
         let live = LiveEngine::with_durability(Arc::clone(&engine), durability(&dir)).unwrap();
 
         // `states[j]` = the expected post-recovery state when the log holds
@@ -180,11 +173,8 @@ proptest! {
             file.set_len(cut).unwrap();
             drop(file);
 
-            let (recovered, report) = LiveEngine::recover(
-                durability(&scratch),
-                EngineConfig { shards, ..EngineConfig::default() },
-            )
-            .unwrap();
+            let (recovered, report) =
+                LiveEngine::recover(durability(&scratch), EngineConfig::default()).unwrap();
             prop_assert!(!report.clean_shutdown);
             prop_assert_eq!(report.records_replayed as usize, j);
             let got = fingerprint(recovered.engine());
@@ -210,11 +200,8 @@ proptest! {
                 let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
                 file.set_len(cut).unwrap();
                 drop(file);
-                let (recovered, report) = LiveEngine::recover(
-                    durability(&scratch),
-                    EngineConfig { shards, ..EngineConfig::default() },
-                )
-                .unwrap();
+                let (recovered, report) =
+                    LiveEngine::recover(durability(&scratch), EngineConfig::default()).unwrap();
                 prop_assert!(report.truncated_bytes > 0, "cut at {} is mid-record", cut);
                 prop_assert_eq!(report.records_replayed as usize, states.len() - 2);
                 let got = fingerprint(recovered.engine());
@@ -227,19 +214,15 @@ proptest! {
     }
 }
 
-/// Mixed update/commit/move stream on a sharded engine with a mid-stream
-/// checkpoint: a recovered engine answers every query exactly like the
-/// still-running original.
+/// Mixed update/commit/move stream with a mid-stream checkpoint: a
+/// recovered engine answers every query exactly like the still-running
+/// original.
 #[test]
 fn recovery_matches_live_after_mixed_stream_and_checkpoint() {
     let dir = temp_dir("mixed");
     let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 4) % N)).collect();
     let graph = spatial(&initial, N);
-    let config = EngineConfig {
-        shards: 3,
-        ..EngineConfig::default()
-    };
-    let engine = Arc::new(SacEngine::with_config(Arc::new(graph), config));
+    let engine = Arc::new(SacEngine::new(graph));
     let live = LiveEngine::with_durability(Arc::clone(&engine), durability(&dir)).unwrap();
 
     let stream: [(u32, u32, u32); 12] = [
@@ -270,7 +253,8 @@ fn recovery_matches_live_after_mixed_stream_and_checkpoint() {
     }
 
     // Crash (no clean marker): recover and compare against the original.
-    let (recovered, report) = LiveEngine::recover(durability(&dir), config).unwrap();
+    let (recovered, report) =
+        LiveEngine::recover(durability(&dir), EngineConfig::default()).unwrap();
     assert!(!report.clean_shutdown);
     assert!(
         report.snapshot_epoch > 1,

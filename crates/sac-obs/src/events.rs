@@ -1,6 +1,6 @@
 //! Structured engine event log: a sequence-numbered ring of control-plane
-//! events (epoch swaps, shard rebuilds, routing fallbacks, batch strategy
-//! choices) that clients tail incrementally with a cursor.
+//! events (epoch swaps, commits, checkpoints, batch strategy choices) that
+//! clients tail incrementally with a cursor.
 //!
 //! Every published event gets the next value of a monotonically increasing
 //! sequence number; the ring keeps the most recent `capacity` events.
@@ -8,14 +8,14 @@
 //! cursor to poll with, and reports how many events the ring had already
 //! evicted past the cursor — so a slow consumer sees a gap, never silently
 //! stale data. Publication takes a mutex and allocates the detail string;
-//! events are control-plane-rate (commits, epoch swaps, fallbacks), never
+//! events are control-plane-rate (commits, epoch swaps, checkpoints), never
 //! per-fast-path-query.
 //!
 //! ```
 //! use sac_obs::EventLog;
 //!
 //! let log = EventLog::new(128);
-//! log.publish("epoch_swap", "epoch=2 rebuilt=1 carried=3".to_string());
+//! log.publish("epoch_swap", "epoch=2 carried=1 invalidated=0".to_string());
 //! let batch = log.since(0);
 //! assert_eq!(batch.events[0].kind, "epoch_swap");
 //! assert_eq!(log.since(batch.next_seq).events.len(), 0); // tail is drained
@@ -33,7 +33,7 @@ pub struct EventRecord {
     /// Microseconds since the log was created (volatile — timing-gated on
     /// the wire).
     pub at_micros: u64,
-    /// Stable event kind, e.g. `epoch_swap`, `fallback`, `batch_apply`.
+    /// Stable event kind, e.g. `epoch_swap`, `checkpoint`, `batch_apply`.
     pub kind: &'static str,
     /// Deterministic `key=value` detail text (no timings, so deterministic
     /// transports stay byte-comparable).

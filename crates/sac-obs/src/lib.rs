@@ -19,14 +19,15 @@
 //!   ([`MetricsRegistry::render_prometheus`]);
 //! * [`Span`] — a lightweight stage timer that records elapsed microseconds
 //!   into a histogram when finished (or dropped);
-//! * [`TraceNode`] — a nested per-query span tree (plan→route→exec with
-//!   per-shard children; commit pipeline stages), built lazily off-path for
-//!   sampled, requested and slow queries;
+//! * [`TraceNode`] — a nested per-query span tree (query→{plan, exec};
+//!   commit pipeline stages), built lazily off-path for sampled, requested
+//!   and slow queries;
 //! * [`SlowQueryLog`] — a fixed-capacity ring buffer capturing a
-//!   [`SlowQueryRecord`] (query id, trace timings, plan label, shard route,
-//!   full trace tree) for every query slower than a configurable threshold;
+//!   [`SlowQueryRecord`] (query id, trace timings, plan label, full trace
+//!   tree) for every query slower than a configurable threshold;
 //! * [`EventLog`] — a sequence-numbered ring of control-plane events (epoch
-//!   swaps, fallbacks, batch strategy choices) tailed with a cursor.
+//!   swaps, commits, checkpoints, batch strategy choices) tailed with a
+//!   cursor.
 //!
 //! Recording into a counter or histogram is a single relaxed atomic RMW —
 //! no locks, no allocation — so instrumentation stays effectively free on

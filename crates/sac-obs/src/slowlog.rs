@@ -5,8 +5,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// One slow query: the full trace timings plus the plan label and shard
-/// route, correlated by `query_id`.
+/// One slow query: the full trace timings plus the plan label, correlated
+/// by `query_id`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SlowQueryRecord {
     /// Monotonic per-engine query id (matches `QueryTrace::query_id`).
@@ -19,12 +19,6 @@ pub struct SlowQueryRecord {
     pub tier: String,
     /// Epoch the query executed against.
     pub epoch: u64,
-    /// Shard the query was routed to, if it took the single-shard fast path.
-    pub shard: Option<u32>,
-    /// Number of shards in the epoch (0 on unsharded engines).
-    pub shard_count: u32,
-    /// Shards the query actually touched.
-    pub shards_touched: u32,
     /// Planning time in microseconds.
     pub plan_micros: u64,
     /// Execution time in microseconds.

@@ -2,7 +2,7 @@
 //!
 //! A [`TraceNode`] captures one timed stage — its label, its start offset
 //! from the root's start, its duration — and its child stages, e.g.
-//! `query → {plan, route, exec → {shard:3}}` for a dispatched query or
+//! `query → {plan, exec}` for a dispatched query or
 //! `commit → {snapshot_build, publish → {rebuild, swap}}` for the commit
 //! pipeline. Trees are built *lazily from already-measured durations* after
 //! the query finishes (head-sampled 1-in-N, on request, or when the slow-log
@@ -13,7 +13,7 @@
 //!
 //! let tree = TraceNode::new("query", 0, 1_500)
 //!     .with_child(TraceNode::new("plan", 0, 40))
-//!     .with_child(TraceNode::new("exec", 40, 1_460).with_child(TraceNode::new("shard:3", 40, 1_455)));
+//!     .with_child(TraceNode::new("exec", 40, 1_460));
 //! assert_eq!(tree.children.len(), 2);
 //! assert!(tree.render().starts_with("query:1500us"));
 //! ```
@@ -21,7 +21,7 @@
 /// One node of a per-query trace tree.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceNode {
-    /// Stage label, e.g. `plan`, `route`, `exec`, `shard:3`, `swap`.
+    /// Stage label, e.g. `plan`, `exec`, `snapshot_build`, `swap`.
     pub name: String,
     /// Microseconds from the root span's start to this span's start.
     pub start_micros: u64,
@@ -96,13 +96,13 @@ mod tests {
             .with_child(TraceNode::new("plan", 0, 10))
             .with_child(
                 TraceNode::new("exec", 10, 90)
-                    .with_child(TraceNode::new("shard:1", 10, 44))
-                    .with_child(TraceNode::new("shard:2", 54, 46)),
+                    .with_child(TraceNode::new("context", 10, 44))
+                    .with_child(TraceNode::new("search", 54, 46)),
             );
         assert_eq!(tree.node_count(), 5);
         assert_eq!(
             tree.render(),
-            "query:100us[plan:10us,exec:90us[shard:1:44us,shard:2:46us]]"
+            "query:100us[plan:10us,exec:90us[context:44us,search:46us]]"
         );
         let mut manual = TraceNode::new("query", 0, 100);
         manual.push_child(TraceNode::new("plan", 0, 10));

@@ -53,5 +53,5 @@ pub use transport::TransportError;
 pub use wire::{
     CheckpointReply, CommitReply, CoreReply, EncodeOptions, EventsReply, LatencyStatsReply,
     MutationReply, ProtoError, ProtoRequest, ProtoResponse, QueryReply, QueryResult, QuerySpec,
-    ReplicationStatsReply, ShardStatsReply, SlowLogReply, StatsReply, VertexReply, WalStatsReply,
+    ReplicationStatsReply, SlowLogReply, StatsReply, VertexReply, WalStatsReply,
 };

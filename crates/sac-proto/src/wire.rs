@@ -457,11 +457,6 @@ pub struct QueryReply {
     /// Spatial candidates its sweeps materialised (the amortisation
     /// denominator of the probe count).
     pub candidates: u64,
-    /// Spatial shards of the serving epoch (0 = unsharded engine; the shard
-    /// fields are omitted from the wire encoding in that case).
-    pub shard_count: u32,
-    /// Shards this query's execution involved (1 = single-shard fast path).
-    pub shards_touched: u32,
     /// The approximation ratio the dispatched plan guarantees, when any.
     pub ratio: Option<f64>,
     /// Full span tree of the query (requested via `"trace":true` or
@@ -495,8 +490,6 @@ impl QueryReply {
             epoch: response.trace.epoch,
             probes: response.trace.probe_count,
             candidates: response.trace.candidate_count,
-            shard_count: response.trace.shard_count,
-            shards_touched: response.trace.shards_touched,
             ratio: response.trace.guaranteed_ratio,
             trace: response.trace.tree.clone(),
         }
@@ -517,8 +510,6 @@ impl QueryReply {
             epoch: 0,
             probes: 0,
             candidates: 0,
-            shard_count: 0,
-            shards_touched: 0,
             ratio: None,
             trace: None,
         }
@@ -575,12 +566,6 @@ impl QueryReply {
         fields.push(("epoch", Json::Num(self.epoch as f64)));
         fields.push(("probes", Json::Num(self.probes as f64)));
         fields.push(("candidates", Json::Num(self.candidates as f64)));
-        // Shard fields appear only on sharded engines, keeping the unsharded
-        // wire layout byte-stable.
-        if self.shard_count > 0 {
-            fields.push(("shards", Json::Num(self.shard_count as f64)));
-            fields.push(("shards_touched", Json::Num(self.shards_touched as f64)));
-        }
         if let Some(ratio) = self.ratio {
             fields.push(("ratio", Json::Num(ratio)));
         }
@@ -591,23 +576,6 @@ impl QueryReply {
         }
         obj(fields)
     }
-}
-
-/// Per-shard serving counters of a `stats` reply (deterministic: no timing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStatsReply {
-    /// Shard id.
-    pub shard: u32,
-    /// Epoch in which this shard's snapshot was last rebuilt.
-    pub epoch: u64,
-    /// Single-shard fast-path queries executed on this shard.
-    pub queries: u64,
-    /// Epoch publishes that carried this shard's snapshot unchanged.
-    pub carries: u64,
-    /// Epoch publishes that rebuilt this shard's snapshot.
-    pub rebuilds: u64,
-    /// Edges of the shard's induced subgraph.
-    pub edges: usize,
 }
 
 /// One labelled latency summary of a `stats` reply (per latency tier or per
@@ -792,15 +760,6 @@ pub struct StatsReply {
     pub components_carried: u64,
     /// Component indexes invalidated at epoch swaps.
     pub components_invalidated: u64,
-    /// Spatial shards served (0 = unsharded; shard fields are then omitted
-    /// from the wire encoding).
-    pub shard_count: u32,
-    /// Queries answered on a single shard's induced snapshot.
-    pub single_shard_queries: u64,
-    /// Dispatched queries that fell back to the global snapshot.
-    pub fallback_queries: u64,
-    /// Per-shard counters, in shard order.
-    pub shards: Vec<ShardStatsReply>,
     /// Seconds since the serving process started (`None` when the transport
     /// has no process clock; omitted under `timing: false`).
     pub uptime_secs: Option<u64>,
@@ -847,21 +806,6 @@ impl StatsReply {
             component_misses: stats.cache.components.misses,
             components_carried: stats.components_carried,
             components_invalidated: stats.components_invalidated,
-            shard_count: stats.shard_count,
-            single_shard_queries: stats.single_shard_queries,
-            fallback_queries: stats.fallback_queries,
-            shards: stats
-                .shards
-                .iter()
-                .map(|s| ShardStatsReply {
-                    shard: s.shard,
-                    epoch: s.epoch,
-                    queries: s.queries,
-                    carries: s.carries,
-                    rebuilds: s.rebuilds,
-                    edges: s.edges,
-                })
-                .collect(),
             uptime_secs: None,
             tier_latency: stats
                 .tier_latency
@@ -885,35 +829,37 @@ impl StatsReply {
     }
 
     fn to_json(&self, options: EncodeOptions) -> Json {
-        let mut fields = obj_stats_fields(self);
+        let mut fields = vec![
+            ("ok", Json::Bool(true)),
+            ("vertices", Json::Num(self.vertices as f64)),
+            ("edges", Json::Num(self.edges as f64)),
+            ("epoch", Json::Num(self.epoch as f64)),
+            ("epochs_published", Json::Num(self.epochs_published as f64)),
+            (
+                "pending_mutations",
+                Json::Num(self.pending_mutations as f64),
+            ),
+            ("queries", Json::Num(self.queries as f64)),
+            (
+                "infeasible_fast_path",
+                Json::Num(self.infeasible_fast_path as f64),
+            ),
+            ("errors", Json::Num(self.errors as f64)),
+            ("decomp_hits", Json::Num(self.decomp_hits as f64)),
+            ("decomp_misses", Json::Num(self.decomp_misses as f64)),
+            ("component_hits", Json::Num(self.component_hits as f64)),
+            ("component_misses", Json::Num(self.component_misses as f64)),
+            (
+                "components_carried",
+                Json::Num(self.components_carried as f64),
+            ),
+            (
+                "components_invalidated",
+                Json::Num(self.components_invalidated as f64),
+            ),
+        ];
         if self.term > 0 {
             fields.push(("term", Json::Num(self.term as f64)));
-        }
-        if self.shard_count > 0 {
-            fields.push(("shard_count", Json::Num(self.shard_count as f64)));
-            fields.push((
-                "single_shard_queries",
-                Json::Num(self.single_shard_queries as f64),
-            ));
-            fields.push(("fallback_queries", Json::Num(self.fallback_queries as f64)));
-            fields.push((
-                "shards",
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("shard", Json::Num(s.shard as f64)),
-                                ("epoch", Json::Num(s.epoch as f64)),
-                                ("queries", Json::Num(s.queries as f64)),
-                                ("carries", Json::Num(s.carries as f64)),
-                                ("rebuilds", Json::Num(s.rebuilds as f64)),
-                                ("edges", Json::Num(s.edges as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
         }
         if let Some(wal) = &self.wal {
             fields.push(("wal", wal.to_json()));
@@ -961,33 +907,6 @@ impl StatsReply {
     }
 }
 
-/// The shard-independent `stats` fields, in their historical order.
-fn obj_stats_fields(s: &StatsReply) -> Vec<(&'static str, Json)> {
-    vec![
-        ("ok", Json::Bool(true)),
-        ("vertices", Json::Num(s.vertices as f64)),
-        ("edges", Json::Num(s.edges as f64)),
-        ("epoch", Json::Num(s.epoch as f64)),
-        ("epochs_published", Json::Num(s.epochs_published as f64)),
-        ("pending_mutations", Json::Num(s.pending_mutations as f64)),
-        ("queries", Json::Num(s.queries as f64)),
-        (
-            "infeasible_fast_path",
-            Json::Num(s.infeasible_fast_path as f64),
-        ),
-        ("errors", Json::Num(s.errors as f64)),
-        ("decomp_hits", Json::Num(s.decomp_hits as f64)),
-        ("decomp_misses", Json::Num(s.decomp_misses as f64)),
-        ("component_hits", Json::Num(s.component_hits as f64)),
-        ("component_misses", Json::Num(s.component_misses as f64)),
-        ("components_carried", Json::Num(s.components_carried as f64)),
-        (
-            "components_invalidated",
-            Json::Num(s.components_invalidated as f64),
-        ),
-    ]
-}
-
 /// The typed reply to an `add_edge`/`remove_edge` mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutationReply {
@@ -1032,10 +951,6 @@ pub struct CommitReply {
     pub components_carried: u64,
     /// Component indexes invalidated by the swap.
     pub components_invalidated: u64,
-    /// Shard snapshots rebuilt for the new epoch (0 on unsharded engines).
-    pub shards_rebuilt: u32,
-    /// Shard snapshots carried unchanged across the swap.
-    pub shards_carried: u32,
     /// Commit wall-clock cost in microseconds (`None` under `timing: false`).
     pub micros: Option<u64>,
     /// Stage-level commit trace (`Some` only when the request asked for one;
@@ -1050,10 +965,6 @@ pub struct CheckpointReply {
     pub epoch: u64,
     /// Snapshot bytes written.
     pub snapshot_bytes: u64,
-    /// Shard frames re-encoded for this snapshot.
-    pub frames_encoded: u32,
-    /// Shard frames reused verbatim from the previous checkpoint.
-    pub frames_reused: u32,
     /// Log segments deleted (their records are covered by the snapshot).
     pub segments_removed: u64,
     /// Checkpoint wall-clock cost in microseconds (`None` under
@@ -1088,13 +999,6 @@ impl SlowLogReply {
                     ("probes", Json::Num(e.probe_count as f64)),
                     ("candidates", Json::Num(e.candidate_count as f64)),
                 ];
-                if e.shard_count > 0 {
-                    fields.push(("shards", Json::Num(e.shard_count as f64)));
-                    fields.push(("shards_touched", Json::Num(e.shards_touched as f64)));
-                    if let Some(shard) = e.shard {
-                        fields.push(("shard", Json::Num(shard as f64)));
-                    }
-                }
                 if options.timing {
                     fields.push(("micros", Json::Num(e.total_micros as f64)));
                     fields.push(("plan_micros", Json::Num(e.plan_micros as f64)));
@@ -1283,10 +1187,6 @@ impl ProtoResponse {
                         Json::Num(c.components_invalidated as f64),
                     ),
                 ];
-                if c.shards_rebuilt + c.shards_carried > 0 {
-                    fields.push(("shards_rebuilt", Json::Num(c.shards_rebuilt as f64)));
-                    fields.push(("shards_carried", Json::Num(c.shards_carried as f64)));
-                }
                 if options.timing {
                     if let Some(micros) = c.micros {
                         fields.push(("micros", Json::Num(micros as f64)));
@@ -1302,8 +1202,6 @@ impl ProtoResponse {
                     ("ok", Json::Bool(true)),
                     ("epoch", Json::Num(c.epoch as f64)),
                     ("snapshot_bytes", Json::Num(c.snapshot_bytes as f64)),
-                    ("frames_encoded", Json::Num(c.frames_encoded as f64)),
-                    ("frames_reused", Json::Num(c.frames_reused as f64)),
                     ("segments_removed", Json::Num(c.segments_removed as f64)),
                 ];
                 if options.timing {
@@ -1481,8 +1379,6 @@ mod tests {
             epoch: 2,
             probes: 9,
             candidates: 61,
-            shard_count: 0,
-            shards_touched: 0,
             ratio: Some(2.0),
             trace: None,
         };
@@ -1490,16 +1386,6 @@ mod tests {
         assert_eq!(
             line,
             r#"{"ok":true,"id":7,"q":1,"k":2,"plan":"app_inc","feasible":true,"size":3,"radius":1.25,"center":[0.5,0.25],"members":[1,2,3],"query_id":11,"micros":42,"cache_hit":true,"epoch":2,"probes":9,"candidates":61,"ratio":2}"#
-        );
-        // Sharded engines append the shard fields; unsharded layouts stay
-        // byte-stable (asserted above: no "shards" key).
-        let mut sharded = reply.clone();
-        sharded.shard_count = 4;
-        sharded.shards_touched = 1;
-        let line = ProtoResponse::Query(sharded).encode_line(EncodeOptions::default());
-        assert!(
-            line.contains(r#""candidates":61,"shards":4,"shards_touched":1,"ratio":2"#),
-            "got: {line}"
         );
         // Deterministic mode drops the volatile timing fields — including the
         // query id, which depends on serving history.
@@ -1584,15 +1470,13 @@ mod tests {
         let reply = CheckpointReply {
             epoch: 9,
             snapshot_bytes: 2048,
-            frames_encoded: 3,
-            frames_reused: 1,
             segments_removed: 2,
             micros: Some(1234),
         };
         let line = ProtoResponse::Checkpoint(reply).encode_line(timing);
         assert_eq!(
             line,
-            r#"{"ok":true,"epoch":9,"snapshot_bytes":2048,"frames_encoded":3,"frames_reused":1,"segments_removed":2,"micros":1234}"#
+            r#"{"ok":true,"epoch":9,"snapshot_bytes":2048,"segments_removed":2,"micros":1234}"#
         );
         let line = ProtoResponse::Checkpoint(reply).encode_line(no_timing);
         assert!(!line.contains("micros"), "got: {line}");
@@ -1653,9 +1537,6 @@ mod tests {
                 plan: "app_inc".to_string(),
                 tier: "standard".to_string(),
                 epoch: 2,
-                shard: Some(1),
-                shard_count: 4,
-                shards_touched: 1,
                 plan_micros: 45,
                 exec_micros: 12_300,
                 cache_hit: true,
@@ -1670,10 +1551,6 @@ mod tests {
             "got: {line}"
         );
         assert!(line.contains(r#""query_id":7"#), "got: {line}");
-        assert!(
-            line.contains(r#""shards":4,"shards_touched":1,"shard":1"#),
-            "got: {line}"
-        );
         assert!(
             line.contains(r#""micros":12345,"plan_micros":45,"exec_micros":12300"#),
             "got: {line}"
@@ -1768,8 +1645,6 @@ mod tests {
             epoch: 1,
             probes: 0,
             candidates: 0,
-            shard_count: 0,
-            shards_touched: 0,
             ratio: None,
             trace: Some(
                 TraceNode::new("query", 0, 100)
@@ -1830,8 +1705,6 @@ mod tests {
             dirty_up_to: 2,
             components_carried: 0,
             components_invalidated: 1,
-            shards_rebuilt: 0,
-            shards_carried: 0,
             micros: Some(250),
             trace: Some(
                 TraceNode::new("commit", 0, 250).with_child(TraceNode::new("publish", 50, 200)),

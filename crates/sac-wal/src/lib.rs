@@ -7,9 +7,9 @@
 //! length-prefixed, CRC32-checksummed, epoch-stamped [`DeltaRecord`] to the
 //! active segment file *before* the epoch swap publishes the commit.  A
 //! checkpoint serializes the current epoch's graph (positions, CSR
-//! adjacency, core numbers, shard partition) into a [`snapshot`] file with
-//! per-shard frames, rotates to a fresh segment, and deletes every strictly
-//! older segment.  Recovery loads the newest snapshot, replays the records
+//! adjacency, core numbers) into a [`snapshot`] file with one adjacency
+//! frame, rotates to a fresh segment, and deletes every strictly older
+//! segment.  Recovery loads the newest snapshot, replays the records
 //! whose epoch exceeds it, and hands the result back to the engine.  A
 //! partial final record (crash mid-append) is truncated away on open; any
 //! other checksum or framing anomaly is a hard [`WalError::Corrupt`].  A
@@ -38,8 +38,8 @@ pub use log::{
 };
 pub use record::{DeltaRecord, WalOp, FRAME_HEADER_BYTES, MAX_RECORD_PAYLOAD};
 pub use snapshot::{
-    decode_snapshot, encode_frame, encode_frames, latest_snapshot, list_snapshots, read_snapshot,
-    remove_snapshots_below, write_snapshot, SnapshotFrame, SnapshotImage,
+    decode_snapshot, latest_snapshot, list_snapshots, read_snapshot, remove_snapshots_below,
+    write_snapshot, SnapshotImage,
 };
 
 use std::path::{Path, PathBuf};

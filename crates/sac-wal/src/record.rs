@@ -100,10 +100,6 @@ impl<'a> Cursor<'a> {
         self.take(1).map(|s| s[0])
     }
 
-    pub(crate) fn skip(&mut self, n: usize) -> Option<()> {
-        self.take(n).map(|_| ())
-    }
-
     pub(crate) fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|s| u32::from_le_bytes(s.try_into().unwrap()))

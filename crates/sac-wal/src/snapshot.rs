@@ -1,35 +1,31 @@
 //! Binary snapshot checkpoints: a compact, CRC-guarded serialization of one
-//! epoch's graph state — positions, core numbers, the (stable) shard
-//! partition, and per-shard adjacency frames.
+//! epoch's graph state — positions, core numbers and the adjacency.
 //!
 //! File layout (`snap-<epoch:020>.snap`, integers little-endian, `f64` as
 //! IEEE bit patterns so recovery is bit-identical):
 //!
 //! ```text
 //! magic "SACSNAP1"
-//! epoch: u64 | n: u32 | flags: u8          (flags bit0 = shard map present)
-//! [shard_count: u32 | halo: f64 | guard: f64 | shard_count × region(4×f64)]
+//! epoch: u64 | n: u32 | flags: u8          (flags must be 0)
 //! n × position (2×f64)
 //! n × core_number (u32)
-//! frame_count: u32
+//! frame_count: u32                         (must be 1)
 //! header_crc: u32                          (CRC of everything above)
-//! frame_count × frame
-//! frame = shard: u32 | len: u32 | crc: u32 | payload
+//! frame = id: u32 | len: u32 | crc: u32 | payload      (id must be 0)
 //! payload = row_count: u32 | rows          (row = vertex | degree | neighbors)
 //! ```
 //!
-//! Adjacency is framed **per owning shard** (`ShardMap::shard_of` of the
-//! vertex's position) so a checkpoint can reuse the frames of shards that
-//! saw no mutations since the previous checkpoint and re-encode only the
-//! dirty ones.  An unsharded engine uses a single frame.  Snapshots are
-//! written to a temp file, fsynced, then renamed — a crash mid-checkpoint
-//! leaves the previous snapshot intact.
+//! The single adjacency frame holds one row per vertex, in vertex order.
+//! The `flags` byte, the frame count and the frame id keep the layout of
+//! files written by earlier versions; the reader rejects any value it does
+//! not understand.  Snapshots are written to a temp file, fsynced, then
+//! renamed — a crash mid-checkpoint leaves the previous snapshot intact.
 
 use crate::crc::crc32;
 use crate::record::{put_f64, put_u32, put_u64, Cursor};
 use crate::WalError;
-use sac_geom::{Point, Rect};
-use sac_graph::{Graph, ShardMap, VertexId};
+use sac_geom::Point;
+use sac_graph::{Graph, VertexId};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -37,31 +33,6 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"SACSNAP1";
 const SNAP_PREFIX: &str = "snap-";
 const SNAP_SUFFIX: &str = ".snap";
-
-/// One shard's encoded adjacency rows.  Opaque payload so callers can cache
-/// frames across checkpoints and hand clean ones back verbatim.
-#[derive(Debug, Clone)]
-pub struct SnapshotFrame {
-    shard: u32,
-    payload: Vec<u8>,
-}
-
-impl SnapshotFrame {
-    /// The shard id this frame covers.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Encoded payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Whether the frame carries no rows (possible for an empty shard).
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-}
 
 /// A decoded snapshot: everything needed to reconstruct the pre-crash epoch.
 #[derive(Debug)]
@@ -74,39 +45,20 @@ pub struct SnapshotImage {
     pub core_numbers: Vec<u32>,
     /// CSR adjacency.
     pub graph: Graph,
-    /// The engine's stable spatial partition (`None` when unsharded).  This
-    /// is serialized rather than rebuilt because the partition derives from
-    /// *boot-time* positions; rebuilding from current positions would change
-    /// the shard layout and break bit-identical recovery.
-    pub map: Option<ShardMap>,
 }
 
-/// Encodes the adjacency frame of `shard`: rows for every vertex whose
-/// position the map assigns to `shard` (all vertices when `map` is `None`,
-/// in which case `shard` must be 0).
-pub fn encode_frame(
-    graph: &Graph,
-    positions: &[Point],
-    map: Option<&ShardMap>,
-    shard: u32,
-) -> SnapshotFrame {
-    let owned = |v: VertexId| match map {
-        Some(m) => m.shard_of(positions[v as usize]) == shard,
-        None => true,
-    };
+/// Encodes the adjacency frame payload: one row per vertex, in vertex order.
+fn encode_adjacency(graph: &Graph) -> Vec<u8> {
     let vertices = 0..graph.num_vertices() as VertexId;
     // Size the payload exactly, so the rows are written once into their
     // final buffer with no regrowth.
     let size = 4 + vertices
         .clone()
-        .filter(|&v| owned(v))
         .map(|v| 8 + 4 * graph.degree(v))
         .sum::<usize>();
     let mut payload = Vec::with_capacity(size);
-    put_u32(&mut payload, 0); // row count, patched below
-    let mut rows = 0u32;
-    for v in vertices.filter(|&v| owned(v)) {
-        rows += 1;
+    put_u32(&mut payload, graph.num_vertices() as u32);
+    for v in vertices {
         let neighbors = graph.neighbors(v);
         put_u32(&mut payload, v);
         put_u32(&mut payload, neighbors.len() as u32);
@@ -115,23 +67,7 @@ pub fn encode_frame(
         }
     }
     debug_assert_eq!(payload.len(), size);
-    payload[..4].copy_from_slice(&rows.to_le_bytes());
-    SnapshotFrame { shard, payload }
-}
-
-/// Encodes all frames of a snapshot (one per shard, or a single frame 0 when
-/// unsharded).
-pub fn encode_frames(
-    graph: &Graph,
-    positions: &[Point],
-    map: Option<&ShardMap>,
-) -> Vec<SnapshotFrame> {
-    match map {
-        Some(m) => (0..m.num_shards() as u32)
-            .map(|s| encode_frame(graph, positions, Some(m), s))
-            .collect(),
-        None => vec![encode_frame(graph, positions, None, 0)],
-    }
+    payload
 }
 
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -174,36 +110,23 @@ pub fn remove_snapshots_below(dir: &Path, floor: u64) -> std::io::Result<u64> {
     Ok(removed)
 }
 
-/// Writes a snapshot durably (temp file + fsync + rename) and returns its
-/// size in bytes.  `frames` must jointly cover every vertex exactly once —
-/// [`read_snapshot`] verifies this on the way back in.
+/// Writes a snapshot of `graph` durably (temp file + fsync + rename) and
+/// returns its size in bytes.
 pub fn write_snapshot(
     dir: &Path,
     epoch: u64,
+    graph: &Graph,
     positions: &[Point],
     core_numbers: &[u32],
-    map: Option<&ShardMap>,
-    frames: &[SnapshotFrame],
 ) -> Result<u64, WalError> {
     assert_eq!(positions.len(), core_numbers.len());
+    assert_eq!(positions.len(), graph.num_vertices());
     let n = positions.len() as u32;
     let mut header = Vec::with_capacity(32 + positions.len() * 20);
     header.extend_from_slice(MAGIC);
     put_u64(&mut header, epoch);
     put_u32(&mut header, n);
-    header.push(u8::from(map.is_some()));
-    if let Some(m) = map {
-        put_u32(&mut header, m.num_shards() as u32);
-        put_f64(&mut header, m.halo());
-        put_f64(&mut header, m.guard());
-        for s in 0..m.num_shards() as u32 {
-            let r = m.region(s);
-            put_f64(&mut header, r.min.x);
-            put_f64(&mut header, r.min.y);
-            put_f64(&mut header, r.max.x);
-            put_f64(&mut header, r.max.y);
-        }
-    }
+    header.push(0); // flags
     for p in positions {
         put_f64(&mut header, p.x);
         put_f64(&mut header, p.y);
@@ -211,23 +134,21 @@ pub fn write_snapshot(
     for &c in core_numbers {
         put_u32(&mut header, c);
     }
-    put_u32(&mut header, frames.len() as u32);
+    put_u32(&mut header, 1); // frame count
     let header_crc = crc32(&header);
+    let payload = encode_adjacency(graph);
+    let mut frame_header = Vec::with_capacity(12);
+    put_u32(&mut frame_header, 0); // frame id
+    put_u32(&mut frame_header, payload.len() as u32);
+    put_u32(&mut frame_header, crc32(&payload));
 
     let tmp = dir.join(format!("{SNAP_PREFIX}{epoch:020}.tmp"));
     let mut f = File::create(&tmp)?;
     f.write_all(&header)?;
     f.write_all(&header_crc.to_le_bytes())?;
-    let mut bytes = header.len() as u64 + 4;
-    for frame in frames {
-        let mut fh = Vec::with_capacity(12);
-        put_u32(&mut fh, frame.shard);
-        put_u32(&mut fh, frame.payload.len() as u32);
-        put_u32(&mut fh, crc32(&frame.payload));
-        f.write_all(&fh)?;
-        f.write_all(&frame.payload)?;
-        bytes += 12 + frame.payload.len() as u64;
-    }
+    f.write_all(&frame_header)?;
+    f.write_all(&payload)?;
+    let bytes = (header.len() + 4 + frame_header.len() + payload.len()) as u64;
     f.sync_all()?;
     drop(f);
     let path = snapshot_path(dir, epoch);
@@ -278,32 +199,9 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotImage, WalError> {
     }
     let epoch = take!(c.u64(), "epoch");
     let n = take!(c.u32(), "vertex count") as usize;
-    let flags = take!(c.u8(), "flags");
-    let map = if flags & 1 != 0 {
-        let shards = take!(c.u32(), "shard count") as usize;
-        if shards == 0 || shards > 1 << 16 {
-            return Err(corrupt("implausible shard count"));
-        }
-        let halo = take!(c.f64(), "halo");
-        let guard = take!(c.f64(), "guard");
-        let mut regions = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let min_x = take!(c.f64(), "region");
-            let min_y = take!(c.f64(), "region");
-            let max_x = take!(c.f64(), "region");
-            let max_y = take!(c.f64(), "region");
-            regions.push(Rect {
-                min: Point::new(min_x, min_y),
-                max: Point::new(max_x, max_y),
-            });
-        }
-        Some(
-            ShardMap::from_parts(regions, halo, guard)
-                .map_err(|e| corrupt(&format!("invalid shard map: {e}")))?,
-        )
-    } else {
-        None
-    };
+    if take!(c.u8(), "flags") != 0 {
+        return Err(corrupt("unsupported snapshot flags"));
+    }
     if n > 1 << 30 {
         return Err(corrupt("implausible vertex count"));
     }
@@ -327,59 +225,49 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotImage, WalError> {
         return Err(corrupt("header checksum mismatch"));
     }
 
-    // Frames → adjacency rows → CSR.
-    let mut adjacency: Vec<Option<(u32, Vec<VertexId>)>> = vec![None; n];
-    for _ in 0..frame_count {
-        let shard = take!(c.u32(), "frame shard");
-        let len = take!(c.u32(), "frame length") as usize;
-        let frame_crc = take!(c.u32(), "frame checksum");
-        if c.remaining() < len {
-            return Err(corrupt("truncated frame payload"));
-        }
-        let start = buf.len() - c.remaining();
-        let payload = &buf[start..start + len];
-        if crc32(payload) != frame_crc {
-            return Err(corrupt("frame checksum mismatch"));
-        }
-        let mut fc = Cursor::new(payload);
-        let rows = take!(fc.u32(), "row count") as usize;
-        for _ in 0..rows {
-            let v = take!(fc.u32(), "row vertex") as usize;
-            let deg = take!(fc.u32(), "row degree") as usize;
-            if v >= n {
-                return Err(corrupt("row vertex out of range"));
-            }
-            if adjacency[v].is_some() {
-                return Err(corrupt("vertex appears in two frames"));
-            }
-            if deg > fc.remaining() / 4 {
-                return Err(corrupt("row degree exceeds frame size"));
-            }
-            let mut neighbors = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                neighbors.push(take!(fc.u32(), "neighbor"));
-            }
-            adjacency[v] = Some((shard, neighbors));
-        }
-        if fc.remaining() != 0 {
-            return Err(corrupt("trailing bytes in frame"));
-        }
-        // Advance the outer cursor past the payload we just parsed.
-        take!(c.skip(len), "frame payload");
-    }
-    if c.remaining() != 0 {
-        return Err(corrupt("trailing bytes after last frame"));
+    if frame_count != 1 {
+        return Err(corrupt("expected exactly one adjacency frame"));
     }
 
+    // The adjacency frame → CSR rows, in vertex order.
+    if take!(c.u32(), "frame id") != 0 {
+        return Err(corrupt("unsupported frame id"));
+    }
+    let len = take!(c.u32(), "frame length") as usize;
+    let frame_crc = take!(c.u32(), "frame checksum");
+    if c.remaining() != len {
+        return Err(corrupt(if c.remaining() < len {
+            "truncated frame payload"
+        } else {
+            "trailing bytes after the frame"
+        }));
+    }
+    let payload = &buf[buf.len() - len..];
+    if crc32(payload) != frame_crc {
+        return Err(corrupt("frame checksum mismatch"));
+    }
+    let mut fc = Cursor::new(payload);
+    if take!(fc.u32(), "row count") as usize != n {
+        return Err(corrupt("row count does not match vertex count"));
+    }
     let mut offsets = Vec::with_capacity(n + 1);
     let mut neighbors = Vec::new();
     offsets.push(0u64);
-    for (v, slot) in adjacency.iter().enumerate() {
-        let Some((_, adj)) = slot else {
-            return Err(corrupt(&format!("vertex {v} missing from all frames")));
-        };
-        neighbors.extend_from_slice(adj);
+    for v in 0..n {
+        if take!(fc.u32(), "row vertex") as usize != v {
+            return Err(corrupt("rows out of vertex order"));
+        }
+        let deg = take!(fc.u32(), "row degree") as usize;
+        if deg > fc.remaining() / 4 {
+            return Err(corrupt("row degree exceeds frame size"));
+        }
+        for _ in 0..deg {
+            neighbors.push(take!(fc.u32(), "neighbor"));
+        }
         offsets.push(neighbors.len() as u64);
+    }
+    if fc.remaining() != 0 {
+        return Err(corrupt("trailing bytes in frame"));
     }
     let graph = Graph::try_from_csr(offsets, neighbors)
         .map_err(|e| corrupt(&format!("invalid adjacency: {e}")))?;
@@ -388,7 +276,6 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotImage, WalError> {
         positions,
         core_numbers,
         graph,
-        map,
     })
 }
 
@@ -420,18 +307,15 @@ mod tests {
     }
 
     #[test]
-    fn unsharded_roundtrip_is_bit_identical() {
+    fn roundtrip_is_bit_identical() {
         let dir = temp_dir("flat");
         let (graph, positions, cores) = sample();
-        let frames = encode_frames(&graph, &positions, None);
-        assert_eq!(frames.len(), 1);
-        write_snapshot(&dir, 7, &positions, &cores, None, &frames).unwrap();
+        write_snapshot(&dir, 7, &graph, &positions, &cores).unwrap();
         let (epoch, path) = latest_snapshot(&dir).unwrap().unwrap();
         assert_eq!(epoch, 7);
         let image = read_snapshot(&path).unwrap();
         assert_eq!(image.epoch, 7);
         assert_eq!(image.core_numbers, cores);
-        assert!(image.map.is_none());
         assert_eq!(image.graph.num_vertices(), graph.num_vertices());
         assert_eq!(image.graph.num_edges(), graph.num_edges());
         for v in 0..6 {
@@ -448,61 +332,43 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn sharded_roundtrip_restores_partition() {
-        let dir = temp_dir("sharded");
-        let (graph, positions, cores) = sample();
-        let map = ShardMap::build(&positions, 3, 0.1).unwrap();
-        let frames = encode_frames(&graph, &positions, Some(&map));
-        assert_eq!(frames.len(), map.num_shards());
-        write_snapshot(&dir, 9, &positions, &cores, Some(&map), &frames).unwrap();
-        let (_, path) = latest_snapshot(&dir).unwrap().unwrap();
-        let image = read_snapshot(&path).unwrap();
-        let back = image.map.expect("map restored");
-        assert_eq!(back.num_shards(), map.num_shards());
-        assert_eq!(back.halo().to_bits(), map.halo().to_bits());
-        for p in &positions {
-            assert_eq!(back.shard_of(*p), map.shard_of(*p));
-        }
-        for v in 0..6 {
-            assert_eq!(image.graph.neighbors(v), graph.neighbors(v));
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The frame payloads and snapshot files of a fixed fixture, as
+    /// The frame payload and snapshot file of a fixed fixture, as
     /// `(len, crc32)` fingerprints, stay byte-identical: the on-disk format
     /// is pinned, not just round-trippable.
     #[test]
     fn encoding_is_pinned_byte_for_byte() {
         let (graph, positions, cores) = sample();
-        let map = ShardMap::build(&positions, 3, 0.1).unwrap();
-        // (map, per-frame (shard, len, crc), whole-file (len, crc))
-        type Case<'a> = (Option<&'a ShardMap>, &'a [(u32, usize, u32)], (usize, u32));
-        let cases: [Case; 2] = [
-            (None, &[(0, 100, 1762280136)], (261, 0xfccd8868)),
-            (
-                Some(&map),
-                &[
-                    (0, 56, 1750280868),
-                    (1, 20, 1644567180),
-                    (2, 32, 4038594758),
-                ],
-                (409, 0xa977c81e),
-            ),
-        ];
-        for (map, frame_prints, file_print) in cases {
-            let frames = encode_frames(&graph, &positions, map);
-            let got: Vec<(u32, usize, u32)> = frames
-                .iter()
-                .map(|f| (f.shard, f.payload.len(), crc32(&f.payload)))
-                .collect();
-            assert_eq!(got, frame_prints);
-            let dir = temp_dir("pinned");
-            write_snapshot(&dir, 11, &positions, &cores, map, &frames).unwrap();
-            let file = fs::read(latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
-            assert_eq!((file.len(), crc32(&file)), file_print);
-            fs::remove_dir_all(&dir).ok();
+        // (frame (id, len, crc), whole-file (len, crc))
+        let (frame_print, file_print) = ((0, 100, 1762280136), (261, 0xfccd8868));
+        let payload = encode_adjacency(&graph);
+        assert_eq!((0, payload.len(), crc32(&payload)), frame_print);
+        let dir = temp_dir("pinned");
+        write_snapshot(&dir, 11, &graph, &positions, &cores).unwrap();
+        let file = fs::read(latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
+        assert_eq!((file.len(), crc32(&file)), file_print);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Nonzero `flags` (bit 0 once marked a serialized shard map) are
+    /// rejected before anything else is read.
+    #[test]
+    fn nonzero_flags_are_rejected() {
+        let dir = temp_dir("flags");
+        let (graph, positions, cores) = sample();
+        write_snapshot(&dir, 5, &graph, &positions, &cores).unwrap();
+        let clean = fs::read(latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
+        fs::remove_dir_all(&dir).ok();
+        decode_snapshot(&clean).unwrap();
+        // magic (8) | epoch (8) | n (4) | flags (1) ... | frame count | crc
+        let flags_at = 20;
+        let header_len = flags_at + 1 + positions.len() * 20 + 4;
+        for flags in [1u8, 2] {
+            let mut bytes = clean.clone();
+            bytes[flags_at] = flags;
+            let crc = crc32(&bytes[..header_len]);
+            bytes[header_len..header_len + 4].copy_from_slice(&crc.to_le_bytes());
+            let detail = corrupt_detail(decode_snapshot(&bytes));
+            assert_eq!(detail, "unsupported snapshot flags", "flags = {flags}");
         }
     }
 
@@ -510,8 +376,7 @@ mod tests {
     fn corruption_is_detected() {
         let dir = temp_dir("corrupt");
         let (graph, positions, cores) = sample();
-        let frames = encode_frames(&graph, &positions, None);
-        write_snapshot(&dir, 3, &positions, &cores, None, &frames).unwrap();
+        write_snapshot(&dir, 3, &graph, &positions, &cores).unwrap();
         let (_, path) = latest_snapshot(&dir).unwrap().unwrap();
         let clean = fs::read(&path).unwrap();
         for &at in &[10usize, clean.len() / 2, clean.len() - 2] {
@@ -565,7 +430,7 @@ mod tests {
             put_u32(&mut payload, 0); // vertex
             put_u32(&mut payload, deg);
             put_u32(&mut payload, 7);
-            put_u32(&mut bytes, 0); // shard
+            put_u32(&mut bytes, 0); // frame id
             put_u32(&mut bytes, payload.len() as u32);
             put_u32(&mut bytes, crc32(&payload));
             bytes.extend_from_slice(&payload);
@@ -583,9 +448,8 @@ mod tests {
     fn snapshot_retention() {
         let dir = temp_dir("retain");
         let (graph, positions, cores) = sample();
-        let frames = encode_frames(&graph, &positions, None);
         for epoch in [2u64, 5, 9] {
-            write_snapshot(&dir, epoch, &positions, &cores, None, &frames).unwrap();
+            write_snapshot(&dir, epoch, &graph, &positions, &cores).unwrap();
         }
         assert_eq!(latest_snapshot(&dir).unwrap().unwrap().0, 9);
         assert_eq!(remove_snapshots_below(&dir, 9).unwrap(), 2);
