@@ -188,7 +188,8 @@ pub(crate) fn app_acc_detailed_with_ctx(
             //
             // The initial probe and the whole binary search below are
             // concentric circles around `p`, so one sweep per anchor serves
-            // them all from a single range query + sort.
+            // them all from a single range query; an anchor pruned by this
+            // first probe never orders its candidates at all.
             let probe_radius = r_cur + half_diag;
             ctx.begin_sweep(p, probe_radius, Some(&in_s));
             let initial = ctx.probe(probe_radius);

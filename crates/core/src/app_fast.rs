@@ -96,7 +96,8 @@ pub(crate) fn app_fast_with_ctx(
         .fold(0.0f64, f64::max);
 
     // Every probe is a q-centred circle of radius ≤ u: one sweep serves the
-    // whole binary search (candidate view = X, each probe a sorted prefix).
+    // whole binary search (candidate view = X, each probe a prefix that the
+    // sweep partitions out of it on demand).
     ctx.begin_sweep(q_pos, u, Some(&in_x));
 
     // Λ starts as the whole k-ĉore (always feasible).
@@ -135,8 +136,8 @@ pub(crate) fn app_fast_with_ctx(
                     break;
                 }
                 // Infeasible at r: the next candidate radius is the distance of the
-                // nearest X-vertex strictly outside O(q, r) — a binary search on
-                // the sweep's sorted candidate view.
+                // nearest X-vertex strictly outside O(q, r) — found in the one
+                // bucket of the sweep's partitioned candidate view around r.
                 let next = ctx.next_candidate_distance_above(r);
                 if !next.is_finite() {
                     break;

@@ -24,10 +24,11 @@ use std::sync::Arc;
 ///
 /// Algorithms ask "is there a connected k-core containing `q` inside circle
 /// `O(c, r)`?" over monotone nested circle families.  The sweep API amortises
-/// that loop: [`SearchContext::begin_sweep`] pays one grid query and one sort,
-/// after which every [`SearchContext::probe`] at `r ≤ r_max` is answered from
-/// a prefix of the distance-ordered candidate array with an incremental peel
-/// (see [`sac_graph::RadiusSweepSolver`]).  [`SearchContext::feasible_in_circle`]
+/// that loop: [`SearchContext::begin_sweep`] pays one grid query, after which
+/// every [`SearchContext::probe`] at `r ≤ r_max` is answered from a prefix of
+/// the lazily partitioned candidate array (each probe partitions only the one
+/// unordered bucket its radius falls in) with an incremental peel (see
+/// [`sac_graph::RadiusSweepSolver`]).  [`SearchContext::feasible_in_circle`]
 /// is the from-scratch single-probe path, kept as the reference the property
 /// suite pins the sweep against.
 pub struct SearchContext<'g> {
@@ -168,9 +169,8 @@ impl<'g> SearchContext<'g> {
 
     /// Starts an incremental radius sweep centred at `center` covering every
     /// probe radius up to `r_max`, optionally restricted to a `universe`
-    /// bitmap: one grid query + one sort, after which
-    /// [`SearchContext::probe`] answers any `O(center, r)` with `r ≤ r_max`
-    /// without touching the spatial index.
+    /// bitmap: one grid query, after which [`SearchContext::probe`] answers
+    /// any `O(center, r)` with `r ≤ r_max` without touching the spatial index.
     pub fn begin_sweep(&mut self, center: Point, r_max: f64, universe: Option<&[bool]>) {
         self.sweep
             .begin(self.g, center, r_max, self.q, self.k, universe);
@@ -225,9 +225,9 @@ impl<'g> SearchContext<'g> {
 
     /// The smallest candidate distance strictly greater than `r` in the
     /// current sweep (`f64::INFINITY` when exhausted) — the `AppFast`
-    /// lower-bound advance, answered in `O(log |candidates|)` instead of a
-    /// linear scan.
-    pub fn next_candidate_distance_above(&self, r: f64) -> f64 {
+    /// lower-bound advance, answered from the one unordered bucket around `r`
+    /// (which it partitions at `r`) instead of a scan of every candidate.
+    pub fn next_candidate_distance_above(&mut self, r: f64) -> f64 {
         self.sweep.next_distance_above(r)
     }
 

@@ -1,13 +1,16 @@
 //! Property-based equivalence suite for the incremental radius-sweep solver.
 //!
 //! The `RadiusSweepSolver` behind `SearchContext::begin_sweep`/`probe` answers
-//! probes from a distance-ordered candidate prefix with an incremental peel
+//! probes from a lazily partitioned candidate prefix with an incremental peel
 //! (in-place shrinks, checkpoint restores, pre-peel re-seeds).  These tests
 //! pin the contract the migrated algorithms rely on: every probe — over
 //! random graphs, random query vertices, random universes and random
 //! **monotone and non-monotone** radius schedules — is bit-identical to the
 //! from-scratch `feasible_in_circle` path (grid range query + full subset
 //! peel), and the collected-sweep path is bit-identical to the subset solver.
+//! Lattice-coordinate graphs add exact distance ties and duplicate points,
+//! so a prefix must hold every tie at its bound whatever order the
+//! partitions left the candidates in.
 
 use proptest::prelude::*;
 use sac_core::SearchContext;
@@ -31,39 +34,184 @@ fn arb_spatial_graph() -> impl Strategy<Value = SpatialGraph> {
         })
 }
 
+/// A random small spatial graph with coordinates on the 5×5 lattice of
+/// spacing 0.25 in the unit square: exact distance ties and duplicate points
+/// are common.
+fn arb_lattice_graph() -> impl Strategy<Value = SpatialGraph> {
+    (5usize..18)
+        .prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), n..(n * 4));
+            let cells = proptest::collection::vec((0u32..5, 0u32..5), n);
+            (Just(n), edges, cells)
+        })
+        .prop_map(|(n, edges, cells)| {
+            let mut b = GraphBuilder::new();
+            b.ensure_vertex(n as u32 - 1);
+            b.add_edges(edges);
+            let positions: Vec<Point> = cells.iter().map(|&(x, y)| lattice_point(x, y)).collect();
+            SpatialGraph::new(b.build(), positions).expect("valid random graph")
+        })
+}
+
+fn lattice_point(x: u32, y: u32) -> Point {
+    Point::new(0.25 * x as f64, 0.25 * y as f64)
+}
+
+/// A radius in `[0, 1.6)`: half the time a lattice distance `0.25·√a`
+/// exactly (so probes land on distance ties), otherwise continuous.
+fn arb_radius() -> impl Strategy<Value = f64> {
+    (0u32..2, 0u32..41, 0.0f64..1.6).prop_map(|(pick, a, r)| {
+        if pick == 0 {
+            0.25 * (a as f64).sqrt()
+        } else {
+            r
+        }
+    })
+}
+
+/// Universe bitmap keeping ~70% of the vertices; `q` itself may be excluded
+/// (every probe is then infeasible on both paths).
+fn universe_of(g: &SpatialGraph, mask_bits: &[u32]) -> Vec<bool> {
+    (0..g.num_vertices()).map(|v| mask_bits[v] >= 3).collect()
+}
+
+/// Sweep probes equal from-scratch circle queries on arbitrary radius
+/// schedules: raw (non-monotone, exercising the re-seed fallback),
+/// descending (the incremental-shrink fast path) and ascending.
+fn check_sweep_probes(
+    g: &SpatialGraph,
+    q_raw: u32,
+    k: u32,
+    mut radii: Vec<f64>,
+    schedule: usize,
+) -> Result<(), TestCaseError> {
+    let q = q_raw % g.num_vertices() as u32;
+    match schedule {
+        1 => radii.sort_by(|a, b| b.partial_cmp(a).unwrap()), // monotone shrink
+        2 => radii.sort_by(|a, b| a.partial_cmp(b).unwrap()), // monotone grow
+        _ => {}                                               // non-monotone
+    }
+    let center = g.position(q);
+    let mut ctx = SearchContext::new(g, q, k).unwrap();
+    let mut reference = SearchContext::new(g, q, k).unwrap();
+    ctx.begin_sweep(center, 1.6, None);
+    for &r in &radii {
+        let via_sweep = ctx.probe(r);
+        let scratch = reference.feasible_in_circle(&Circle::new(center, r), None);
+        prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+    }
+    Ok(())
+}
+
+/// Same equivalence with a restricting universe and a sweep centre that is
+/// not the query vertex (the `AppAcc` anchor pattern).
+fn check_off_centre_sweep(
+    g: &SpatialGraph,
+    q_raw: u32,
+    k: u32,
+    center: Point,
+    mask_bits: &[u32],
+    radii: &[f64],
+) -> Result<(), TestCaseError> {
+    let q = q_raw % g.num_vertices() as u32;
+    let universe = universe_of(g, mask_bits);
+    let mut ctx = SearchContext::new(g, q, k).unwrap();
+    let mut reference = SearchContext::new(g, q, k).unwrap();
+    ctx.begin_sweep(center, 2.0, Some(&universe));
+    for &r in radii {
+        let via_sweep = ctx.probe(r);
+        let scratch = reference.feasible_in_circle(&Circle::new(center, r), Some(&universe));
+        prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+    }
+    Ok(())
+}
+
+/// One sweep with a universe serving radius probes, next-distance advances
+/// and arbitrary circles in random order — the interleaving `AppFast` and
+/// `Exact`/`Exact+` rely on.  `op` picks the call: 0 = `probe(r)`,
+/// 1 = `next_candidate_distance_above(r)`, 2 = `probe_circle`.
+fn check_interleaved_calls(
+    g: &SpatialGraph,
+    q_raw: u32,
+    k: u32,
+    mask_bits: &[u32],
+    ops: &[(u32, f64, (f64, f64))],
+) -> Result<(), TestCaseError> {
+    let q = q_raw % g.num_vertices() as u32;
+    let universe = universe_of(g, mask_bits);
+    let center = g.position(q);
+    let mut ctx = SearchContext::new(g, q, k).unwrap();
+    let mut reference = SearchContext::new(g, q, k).unwrap();
+    // Unit-square data, radii below 1.6: r_max = 4 covers every probe circle
+    // and every arbitrary circle's members as seen from q.
+    let r_max = 4.0;
+    ctx.begin_sweep(center, r_max, Some(&universe));
+    for &(op, r, (cx, cy)) in ops {
+        match op {
+            0 => {
+                let scratch =
+                    reference.feasible_in_circle(&Circle::new(center, r), Some(&universe));
+                prop_assert_eq!(ctx.probe(r), scratch, "probe q={} k={} r={}", q, k, r);
+            }
+            1 => {
+                let cover = Circle::new(center, r_max);
+                let expected = (0..g.num_vertices() as u32)
+                    .filter(|&v| universe[v as usize] && cover.contains(g.position(v)))
+                    .map(|v| g.position(v).distance(center))
+                    .filter(|&d| d > r)
+                    .fold(f64::INFINITY, f64::min);
+                prop_assert_eq!(
+                    ctx.next_candidate_distance_above(r).to_bits(),
+                    expected.to_bits(),
+                    "next distance q={} r={}",
+                    q,
+                    r
+                );
+            }
+            _ => {
+                let circle = Circle::new(Point::new(cx, cy), r);
+                let scratch = reference.feasible_in_circle(&circle, Some(&universe));
+                prop_assert_eq!(
+                    ctx.probe_circle(&circle),
+                    scratch,
+                    "circle q={} k={} ({}, {}) r={}",
+                    q,
+                    k,
+                    cx,
+                    cy,
+                    r
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sweep probes equal from-scratch circle queries on arbitrary radius
-    /// schedules: raw (non-monotone, exercising the re-seed fallback),
-    /// descending (the incremental-shrink fast path) and ascending.
     #[test]
     fn sweep_probes_match_from_scratch(
         g in arb_spatial_graph(),
         q_raw in 0u32..18,
         k in 0u32..5,
-        mut radii in proptest::collection::vec(0.0f64..1.6, 1..32),
+        radii in proptest::collection::vec(0.0f64..1.6, 1..32),
         schedule in 0usize..3,
     ) {
-        let q = q_raw % g.num_vertices() as u32;
-        match schedule {
-            1 => radii.sort_by(|a, b| b.partial_cmp(a).unwrap()), // monotone shrink
-            2 => radii.sort_by(|a, b| a.partial_cmp(b).unwrap()), // monotone grow
-            _ => {}                                               // non-monotone
-        }
-        let center = g.position(q);
-        let mut ctx = SearchContext::new(&g, q, k).unwrap();
-        let mut reference = SearchContext::new(&g, q, k).unwrap();
-        ctx.begin_sweep(center, 1.6, None);
-        for &r in &radii {
-            let via_sweep = ctx.probe(r);
-            let scratch = reference.feasible_in_circle(&Circle::new(center, r), None);
-            prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
-        }
+        check_sweep_probes(&g, q_raw, k, radii, schedule)?;
     }
 
-    /// Same equivalence with a restricting universe and a sweep centre that is
-    /// not the query vertex (the `AppAcc` anchor pattern).
+    #[test]
+    fn lattice_sweep_probes_match_from_scratch(
+        g in arb_lattice_graph(),
+        q_raw in 0u32..18,
+        k in 0u32..5,
+        radii in proptest::collection::vec(arb_radius(), 1..32),
+        schedule in 0usize..3,
+    ) {
+        check_sweep_probes(&g, q_raw, k, radii, schedule)?;
+    }
+
     #[test]
     fn off_centre_sweeps_with_universe_match(
         g in arb_spatial_graph(),
@@ -73,20 +221,51 @@ proptest! {
         mask_bits in proptest::collection::vec(0u32..10, 18),
         radii in proptest::collection::vec(0.0f64..2.0, 1..24),
     ) {
-        let q = q_raw % g.num_vertices() as u32;
-        // ~70% of the vertices stay in the universe; q itself may be excluded
-        // (every probe is then infeasible on both paths).
-        let universe: Vec<bool> = (0..g.num_vertices()).map(|v| mask_bits[v] >= 3).collect();
-        let center = Point::new(cx, cy);
-        let mut ctx = SearchContext::new(&g, q, k).unwrap();
-        let mut reference = SearchContext::new(&g, q, k).unwrap();
-        ctx.begin_sweep(center, 2.0, Some(&universe));
-        for &r in &radii {
-            let via_sweep = ctx.probe(r);
-            let scratch =
-                reference.feasible_in_circle(&Circle::new(center, r), Some(&universe));
-            prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
-        }
+        check_off_centre_sweep(&g, q_raw, k, Point::new(cx, cy), &mask_bits, &radii)?;
+    }
+
+    /// Off-centre sweeps on the lattice, centred on a lattice point.
+    #[test]
+    fn lattice_off_centre_sweeps_with_universe_match(
+        g in arb_lattice_graph(),
+        q_raw in 0u32..18,
+        k in 1u32..4,
+        (cx, cy) in (0u32..5, 0u32..5),
+        mask_bits in proptest::collection::vec(0u32..10, 18),
+        radii in proptest::collection::vec(arb_radius(), 1..24),
+    ) {
+        check_off_centre_sweep(&g, q_raw, k, lattice_point(cx, cy), &mask_bits, &radii)?;
+    }
+
+    #[test]
+    fn interleaved_probes_distances_and_circles_match(
+        g in arb_spatial_graph(),
+        q_raw in 0u32..18,
+        k in 0u32..4,
+        mask_bits in proptest::collection::vec(0u32..10, 18),
+        ops in proptest::collection::vec((0u32..3, 0.0f64..1.6, (0.0f64..1.0, 0.0f64..1.0)), 1..32),
+    ) {
+        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops)?;
+    }
+
+    /// The same interleaving on the lattice, where radii and circle centres
+    /// land exactly on distance ties.
+    #[test]
+    fn lattice_interleaved_probes_distances_and_circles_match(
+        g in arb_lattice_graph(),
+        q_raw in 0u32..18,
+        k in 0u32..4,
+        mask_bits in proptest::collection::vec(0u32..10, 18),
+        ops in proptest::collection::vec((0u32..3, arb_radius(), (0u32..5, 0u32..5)), 1..32),
+    ) {
+        let ops: Vec<(u32, f64, (f64, f64))> = ops
+            .iter()
+            .map(|&(op, r, (x, y))| {
+                let c = lattice_point(x, y);
+                (op, r, (c.x, c.y))
+            })
+            .collect();
+        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops)?;
     }
 
     /// Arbitrary (non-concentric) circles through the candidate view — the

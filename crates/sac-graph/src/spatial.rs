@@ -106,17 +106,18 @@ impl SpatialGraph {
         self.index.count_in_circle(circle)
     }
 
-    /// The distance-ordered candidate view of the ball `O(center, r_max)`:
-    /// one grid range query plus one sort, appended to `out` (cleared first)
-    /// as `(vertex, distance² from center)` in ascending distance order,
-    /// ties broken by vertex id.
+    /// The eager, fully sorted view of the ball `O(center, r_max)`: one grid
+    /// range query plus one sort, appended to `out` (cleared first) as
+    /// `(vertex, distance² from center)` in ascending distance order, ties
+    /// broken by vertex id.
     ///
     /// Because the grid query shares its inclusion bound with
     /// [`Circle::contains`] (see [`sac_geom::Circle::contains_bound_sq`]) and
     /// that bound is monotone in the radius, the vertex set of **any** circle
-    /// `O(center, r)` with `r ≤ r_max` is exactly a prefix of this array —
-    /// the foundation of the incremental radius-sweep solver
-    /// ([`crate::RadiusSweepSolver`]).
+    /// `O(center, r)` with `r ≤ r_max` is exactly a prefix of this array.
+    /// It is a reference view: the radius sweep
+    /// ([`crate::RadiusSweepSolver`]) partitions its candidates lazily
+    /// instead of sorting them.
     pub fn vertices_by_distance_into(
         &self,
         center: Point,
@@ -137,15 +138,6 @@ impl SpatialGraph {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.0.cmp(&b.0))
         });
-    }
-
-    /// Allocating convenience wrapper of
-    /// [`SpatialGraph::vertices_by_distance_into`].
-    pub fn vertices_by_distance(&self, center: Point, r_max: f64) -> Vec<(VertexId, f64)> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.vertices_by_distance_into(center, r_max, &mut scratch, &mut out);
-        out
     }
 
     /// The `k` vertices spatially nearest to `point`, as `(vertex, distance)` pairs
@@ -282,7 +274,8 @@ mod tests {
     fn distance_ordered_view_is_prefix_consistent() {
         let sg = grid_graph();
         let center = Point::new(1.0, 1.0);
-        let view = sg.vertices_by_distance(center, 1.5);
+        let mut view = Vec::new();
+        sg.vertices_by_distance_into(center, 1.5, &mut Vec::new(), &mut view);
         // Sorted ascending by distance.
         for w in view.windows(2) {
             assert!(w[0].1 <= w[1].1);

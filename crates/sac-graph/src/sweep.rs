@@ -6,16 +6,24 @@
 //! range query plus a complete subset peel per probe.  [`RadiusSweepSolver`]
 //! amortises both across the whole loop:
 //!
-//! * **Candidate view** — one grid query plus one sort at
-//!   [`RadiusSweepSolver::begin`] materialises every vertex within the largest
-//!   probe radius, ordered by distance from the sweep centre.  Because the
-//!   grid query and [`sac_geom::Circle::contains`] share one inclusion bound
+//! * **Candidate view** — one grid query at [`RadiusSweepSolver::begin`]
+//!   collects every vertex within the largest probe radius as unsorted
+//!   `(distance², vertex)` pairs.  Because the grid query and
+//!   [`sac_geom::Circle::contains`] share one inclusion bound
 //!   ([`sac_geom::Circle::contains_bound_sq`], monotone in the radius), the
-//!   vertex set of *any* probe radius `r ≤ r_max` is exactly a prefix of that
-//!   array — no further spatial queries are needed.
+//!   vertex set of *any* probe radius `r ≤ r_max` is a distance² down-set of
+//!   that array — no further spatial queries are needed.  The view is kept
+//!   *lazily partitioned*: each probe makes its down-set a prefix by
+//!   partitioning, in place, only the one bucket between the two nearest
+//!   known split points (incremental quickselect).  Earlier splits never
+//!   move, so every prefix length the peel state indexes stays a valid set
+//!   prefix, and a sweep whose first probe already decides it never pays
+//!   for ordering candidates at all.
 //! * **Pre-peel state** — the prefix membership bitset and prefix-restricted
 //!   degrees are maintained incrementally: moving the probe radius only
-//!   touches the annulus ring of candidates between the old and new radius.
+//!   touches the annulus ring of candidates between the old and new radius
+//!   (the first prefix of a sweep is built in bulk: all membership bits
+//!   first, then one in-prefix neighbour count per member).
 //! * **Incremental peel** — shrinking the radius removes the annulus from the
 //!   current peeled state and continues the existing deletion cascade (the
 //!   k-core of a subset is contained in the k-core of its superset, so no
@@ -144,9 +152,9 @@ impl PeelSnapshot {
     }
 }
 
-/// A sweep-capable connected-k-core solver over a distance-ordered candidate
-/// view: one spatial query per sweep, incremental peels per probe (see the
-/// module docs above for the probe model).
+/// A sweep-capable connected-k-core solver over a lazily partitioned
+/// candidate view: one spatial query per sweep, incremental peels per probe
+/// (see the module docs above for the probe model).
 ///
 /// ```
 /// use sac_graph::{GraphBuilder, RadiusSweepSolver, SpatialGraph};
@@ -174,16 +182,22 @@ pub struct RadiusSweepSolver {
     q: VertexId,
     k: u32,
     center: Point,
-    /// `q`'s rank in the candidate order (`None` when `q` is not a candidate).
+    /// `q`'s index in `cand` (`None` when `q` is not a candidate); partitions
+    /// keep it current as they swap `q`.
     q_idx: Option<usize>,
-    /// Whether the candidate view is distance-ordered (radius probes allowed).
+    /// Whether this is a radius sweep (`begin`; radius probes allowed) rather
+    /// than a collected one (`begin_collect`).
     by_distance: bool,
-    /// Candidates as `(distance² from the sweep centre, vertex)`, ascending.
+    /// Candidates as `(distance² from the sweep centre, vertex)`: in push
+    /// order for a collected sweep, lazily partitioned for a radius sweep.
     cand: Vec<(f64, VertexId)>,
+    /// Known split points of a radius sweep, ascending in both fields:
+    /// `(t, i)` means every `cand[..i]` lies at distance² ≤ `t` and every
+    /// `cand[i..]` beyond it.  Between two adjacent splits (or the array
+    /// ends) lies one unordered bucket.
+    splits: Vec<(f64, usize)>,
     /// Scratch for the grid range query of `begin`.
     grid_buf: Vec<VertexId>,
-    /// Scratch for the distance-ordered view the candidates are built from.
-    view_buf: Vec<(VertexId, f64)>,
     // Pre-peel state: prefix membership + prefix-restricted degrees,
     // maintained incrementally (annulus updates only).
     in_prefix: Vec<u64>,
@@ -231,8 +245,8 @@ impl RadiusSweepSolver {
             q_idx: None,
             by_distance: false,
             cand: Vec::new(),
+            splits: Vec::new(),
             grid_buf: Vec::new(),
-            view_buf: Vec::new(),
             in_prefix: vec![0; words],
             predeg: vec![0; n],
             prefix_len: 0,
@@ -281,14 +295,16 @@ impl RadiusSweepSolver {
         self.cached_members.clear();
         self.max_infeasible_len = 0;
         self.cand.clear();
+        self.splits.clear();
         self.q_idx = None;
     }
 
     /// Starts a sweep: one grid range query at the largest probe radius
-    /// `r_max`, one sort by distance from `center`.  Subsequent
+    /// `r_max`, kept as unsorted `(distance², vertex)` candidates.  Subsequent
     /// [`RadiusSweepSolver::probe_radius`] calls at any `r ≤ r_max` answer the
     /// exact circle query `O(center, r)` (optionally restricted to a
-    /// `universe` bitmap) without touching the spatial index again.
+    /// `universe` bitmap) without touching the spatial index again; each
+    /// orders only as much of the view as its own radius needs.
     pub fn begin(
         &mut self,
         g: &SpatialGraph,
@@ -304,17 +320,21 @@ impl RadiusSweepSolver {
         self.k = k;
         self.center = center;
         self.by_distance = true;
-        // The distance-ordered view is built by the spatial index (one grid
-        // query + one sort); a universe filter preserves its order, so the
-        // prefix property carries over to the filtered candidate list.
-        g.vertices_by_distance_into(center, r_max, &mut self.grid_buf, &mut self.view_buf);
-        self.cand.extend(
-            self.view_buf
-                .iter()
-                .filter(|&&(v, _)| universe.is_none_or(|mask| mask[v as usize]))
-                .map(|&(v, d2)| (d2, v)),
-        );
-        self.q_idx = self.cand.iter().position(|&(_, v)| v == q);
+        let cover = Circle::new(center, r_max.max(0.0));
+        g.vertices_in_circle_into(&cover, &mut self.grid_buf);
+        for &v in &self.grid_buf {
+            if universe.is_none_or(|mask| mask[v as usize]) {
+                if v == q {
+                    self.q_idx = Some(self.cand.len());
+                }
+                self.cand.push((g.position(v).distance_sq(center), v));
+            }
+        }
+        // The grid query admitted exactly the candidates within the cover
+        // circle's inclusion bound, so the whole view is the first split: a
+        // probe at `r_max` itself partitions nothing.
+        self.splits
+            .push((cover.contains_bound_sq(), self.cand.len()));
         self.stats.sweeps += 1;
         self.stats.candidates += self.cand.len() as u64;
     }
@@ -368,14 +388,34 @@ impl RadiusSweepSolver {
     /// The smallest candidate distance strictly greater than `r`
     /// (`f64::INFINITY` when every candidate is within `r`).  Distances are
     /// computed as `Point::distance` does, so the value matches a linear scan
-    /// over the candidates bit-for-bit.
-    pub fn next_distance_above(&self, r: f64) -> f64 {
+    /// over the candidates bit-for-bit.  The view is split at `r` on the way.
+    pub fn next_distance_above(&mut self, r: f64) -> f64 {
         debug_assert!(self.by_distance, "next_distance_above on a collected sweep");
-        let i = self.cand.partition_point(|&(d2, _)| d2.sqrt() <= r);
-        match self.cand.get(i) {
-            Some(&(d2, _)) => d2.sqrt(),
-            None => f64::INFINITY,
+        let within = |d2: f64| d2.sqrt() <= r;
+        let at = self.splits.partition_point(|&(t, _)| within(t));
+        let (lo, hi) = self.bucket(at);
+        let mid = self.partition(lo, hi, within);
+        if mid > lo {
+            // Everything right of `mid` lies beyond `r`, hence beyond the
+            // farthest candidate left of it: that distance² is a split.
+            let t = self.cand[lo..mid]
+                .iter()
+                .fold(f64::NEG_INFINITY, |t, &(d2, _)| t.max(d2));
+            self.splits.insert(at, (t, mid));
         }
+        // The nearest candidate beyond `r` lies in the first bucket from
+        // `mid` on: every later bucket is farther.
+        let end = self
+            .splits
+            .iter()
+            .map(|&(_, i)| i)
+            .find(|&i| i > mid)
+            .unwrap_or(self.cand.len());
+        self.cand[mid..end]
+            .iter()
+            .map(|&(d2, _)| d2)
+            .reduce(f64::min)
+            .map_or(f64::INFINITY, f64::sqrt)
     }
 
     /// The candidates inside an arbitrary `circle`, appended to `out`
@@ -385,7 +425,7 @@ impl RadiusSweepSolver {
     /// [`Circle::contains`] bound as the spatial index, so the result equals
     /// the from-scratch grid query filtered by the universe.
     pub fn candidates_in_circle_into(
-        &self,
+        &mut self,
         g: &SpatialGraph,
         circle: &Circle,
         out: &mut Vec<VertexId>,
@@ -399,7 +439,7 @@ impl RadiusSweepSolver {
         let bound = reach + EPS * (1.0 + reach);
         let bound_sq = bound * bound;
         let cut = if self.by_distance {
-            self.cand.partition_point(|&(d2, _)| d2 <= bound_sq)
+            self.prefix_within(bound_sq)
         } else {
             self.cand.len()
         };
@@ -417,8 +457,60 @@ impl RadiusSweepSolver {
     pub fn probe_radius(&mut self, g: &Graph, r: f64) -> Option<Vec<VertexId>> {
         debug_assert!(self.by_distance, "probe_radius on a collected sweep");
         let bound_sq = Circle::new(self.center, r.max(0.0)).contains_bound_sq();
-        let len = self.cand.partition_point(|&(d2, _)| d2 <= bound_sq);
+        let len = self.prefix_within(bound_sq);
         self.probe_len(g, len)
+    }
+
+    /// Makes the candidates at distance² ≤ `bound_sq` a prefix of the view
+    /// and returns its length: partitions only the bucket the bound falls in
+    /// and records the bound as a split, so the same bound again is a lookup.
+    fn prefix_within(&mut self, bound_sq: f64) -> usize {
+        let at = self.splits.partition_point(|&(t, _)| t < bound_sq);
+        if let Some(&(t, len)) = self.splits.get(at) {
+            if t == bound_sq {
+                return len;
+            }
+        }
+        let (lo, hi) = self.bucket(at);
+        if lo == hi {
+            return lo;
+        }
+        let len = self.partition(lo, hi, |d2| d2 <= bound_sq);
+        self.splits.insert(at, (bound_sq, len));
+        len
+    }
+
+    /// The unordered bucket `cand[lo..hi]` between the split before `at` and
+    /// the split at `at` (the array ends stand in for missing splits).
+    fn bucket(&self, at: usize) -> (usize, usize) {
+        let lo = at.checked_sub(1).map_or(0, |i| self.splits[i].1);
+        let hi = self.splits.get(at).map_or(self.cand.len(), |&(_, i)| i);
+        (lo, hi)
+    }
+
+    /// Partitions the bucket `cand[lo..hi]` in place so the candidates whose
+    /// distance² satisfies `within` come first, returning the boundary;
+    /// `q_idx` follows `q` through the swaps.
+    fn partition(&mut self, mut lo: usize, mut hi: usize, within: impl Fn(f64) -> bool) -> usize {
+        loop {
+            while lo < hi && within(self.cand[lo].0) {
+                lo += 1;
+            }
+            while lo < hi && !within(self.cand[hi - 1].0) {
+                hi -= 1;
+            }
+            if lo == hi {
+                return lo;
+            }
+            hi -= 1;
+            self.cand.swap(lo, hi);
+            if self.cand[lo].1 == self.q {
+                self.q_idx = Some(lo);
+            } else if self.cand[hi].1 == self.q {
+                self.q_idx = Some(hi);
+            }
+            lo += 1;
+        }
     }
 
     /// Answers the feasibility probe for every candidate pushed so far.
@@ -428,11 +520,12 @@ impl RadiusSweepSolver {
 
     /// The probe core: feasibility of the first `len` candidates.
     ///
-    /// Within one sweep the answer is a pure function of `len` (the candidate
-    /// order is fixed), and feasibility is monotone in `len` (a larger prefix
-    /// is a superset, and k-cores are monotone under subgraph inclusion) —
-    /// the two facts behind the infeasibility-frontier and unchanged-peel
-    /// fast paths.
+    /// Within one sweep the answer is a pure function of `len` (every probed
+    /// length is a split, and partitions never move a candidate across a
+    /// split, so `cand[..len]` is a fixed set), and feasibility is monotone
+    /// in `len` (a larger prefix is a superset, and k-cores are monotone
+    /// under subgraph inclusion) — the two facts behind the
+    /// infeasibility-frontier and unchanged-peel fast paths.
     fn probe_len(&mut self, g: &Graph, len: usize) -> Option<Vec<VertexId>> {
         self.stats.probes += 1;
         // At or below a known-infeasible prefix: `None` without touching the
@@ -531,6 +624,24 @@ impl RadiusSweepSolver {
     /// Moves the pre-peel state (prefix bitset + prefix-restricted degrees) to
     /// `len`, touching only the annulus of candidates in between.
     fn adjust_prefix(&mut self, g: &Graph, len: usize) {
+        if self.prefix_len == 0 {
+            // First prefix of the sweep: set every membership bit, then count
+            // each member's in-prefix neighbours — one degree write per
+            // member instead of one scattered increment per edge.  No vertex
+            // is its own neighbour (the graph builder drops self-loops).
+            for &(_, v) in &self.cand[..len] {
+                bits::set(&mut self.in_prefix, v);
+            }
+            for &(_, v) in &self.cand[..len] {
+                self.predeg[v as usize] = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| bits::test(&self.in_prefix, u))
+                    .count() as u32;
+            }
+            self.prefix_len = len;
+            return;
+        }
         while self.prefix_len < len {
             let v = self.cand[self.prefix_len].1;
             bits::set(&mut self.in_prefix, v);
@@ -824,6 +935,48 @@ mod tests {
                 .filter(|&d| d > r)
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(sweep.next_distance_above(r), expected, "r = {r}");
+        }
+    }
+
+    #[test]
+    fn direct_and_stepwise_prefixes_agree() {
+        let sg = figure3();
+        let g = sg.graph();
+        let center = sg.position(0);
+        let steps: Vec<f64> = (0..=40).map(|i| 0.05 * i as f64).collect();
+        for k in 0..=3 {
+            // One sweep jumps straight to each radius (its first prefix is
+            // built in bulk); the other climbs there in small steps (every
+            // later prefix grows annulus by annulus).
+            let mut direct = RadiusSweepSolver::new(sg.num_vertices());
+            let mut stepwise = RadiusSweepSolver::new(sg.num_vertices());
+            stepwise.begin(&sg, center, 10.0, 0, k, None);
+            for &r in &steps {
+                direct.begin(&sg, center, 10.0, 0, k, None);
+                assert_eq!(
+                    direct.probe_radius(g, r),
+                    stepwise.probe_radius(g, r),
+                    "k = {k}, r = {r}"
+                );
+            }
+            // The pre-peel degrees themselves: a bulk build of the whole
+            // prefix equals the one grown a candidate at a time.
+            let len = stepwise.prefix_within(Circle::new(center, 2.0).contains_bound_sq());
+            stepwise.adjust_prefix(g, 0);
+            direct.begin(&sg, center, 10.0, 0, k, None);
+            let direct_len = direct.prefix_within(Circle::new(center, 2.0).contains_bound_sq());
+            assert_eq!(direct_len, len);
+            direct.adjust_prefix(g, len);
+            for step in 1..=len {
+                stepwise.adjust_prefix(g, step);
+            }
+            for &(_, v) in &direct.cand[..len] {
+                assert!(bits::test(&stepwise.in_prefix, v));
+                assert_eq!(
+                    direct.predeg[v as usize], stepwise.predeg[v as usize],
+                    "v = {v}"
+                );
+            }
         }
     }
 
