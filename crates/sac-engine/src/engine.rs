@@ -542,15 +542,33 @@ impl SacEngine {
         config: EngineConfig,
         registry: Arc<AlgorithmRegistry>,
     ) -> Self {
-        SacEngine::assemble(graph, config, registry, 1)
+        SacEngine::assemble(graph, KCoreCache::new(), config, registry, 1)
     }
 
     /// An engine rebuilt from recovered state: serves `graph` as epoch
     /// `epoch` (crash recovery and replica bootstrap resume the epoch
-    /// sequence where the recovered state left it).
-    pub fn restored(graph: Arc<SpatialGraph>, config: EngineConfig, epoch: u64) -> Self {
+    /// sequence where the recovered state left it).  `decomposition` must be
+    /// the core decomposition of `graph`; it seeds the cache, so the
+    /// restored epoch never peels again.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the decomposition does not match the graph's vertex count.
+    pub fn restored(
+        graph: Arc<SpatialGraph>,
+        decomposition: CoreDecomposition,
+        config: EngineConfig,
+        epoch: u64,
+    ) -> Self {
+        assert_eq!(
+            decomposition.core_numbers().len(),
+            graph.num_vertices(),
+            "decomposition does not match the restored graph"
+        );
+        let cache = KCoreCache::seeded(Arc::new(decomposition), Vec::new());
         SacEngine::assemble(
             graph,
+            cache,
             config,
             Arc::new(AlgorithmRegistry::builtin()),
             epoch.max(1),
@@ -559,6 +577,7 @@ impl SacEngine {
 
     fn assemble(
         graph: Arc<SpatialGraph>,
+        cache: KCoreCache,
         config: EngineConfig,
         registry: Arc<AlgorithmRegistry>,
         epoch: u64,
@@ -568,7 +587,7 @@ impl SacEngine {
             epoch: EpochCell::new(Arc::new(EngineEpoch {
                 number: epoch,
                 graph,
-                cache: KCoreCache::new(),
+                cache,
             })),
             planner: Planner::new(registry, config.small_exact_threshold, config.exact_eps_a),
             queries: AtomicU64::new(0),
@@ -604,12 +623,13 @@ impl SacEngine {
         self.term.load(Ordering::Acquire)
     }
 
-    /// Stamps the leadership term.  Called by the failover layer at boot
-    /// (from the recovered WAL) and on replica promotion (bumped past the
-    /// observed term); the commit path stamps the current value into every
-    /// WAL record it appends.
+    /// Raises the leadership term to `term`; a lower value is ignored, so
+    /// terms never go back.  Called by the failover layer at boot (from the
+    /// recovered WAL), by a replica tracking its primary, and on promotion
+    /// (bumped past the observed term); the commit path stamps the current
+    /// value into every WAL record it appends.
     pub fn set_term(&self, term: u64) {
-        self.term.store(term, Ordering::Release);
+        self.term.fetch_max(term, Ordering::AcqRel);
     }
 
     /// Publishes a new snapshot as the next epoch, selectively carrying the
@@ -1841,6 +1861,18 @@ mod tests {
             .map(|r| r.query_id)
             .collect();
         assert_eq!(ids, vec![4, 5], "the ring keeps the most recent entries");
+    }
+
+    #[test]
+    fn terms_never_go_back() {
+        // A replica tailer may stamp its observed term after promotion
+        // raised the engine past it; the stale stamp must not win.
+        let engine = engine();
+        engine.set_term(3);
+        engine.set_term(1);
+        assert_eq!(engine.term(), 3);
+        engine.set_term(4);
+        assert_eq!(engine.term(), 4);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! before the epoch swap), when to checkpoint, and how the shared metrics
 //! registry and event log observe it all.
 
-use crate::delta::{GraphDelta, Mutation};
 use sac_engine::SacEngine;
 use sac_graph::GraphError;
 use sac_obs::{Counter, Gauge, Histogram};
@@ -243,18 +242,4 @@ impl WalState {
             self.obs.segments.set(segments_now as i64);
         }
     }
-}
-
-/// Converts a pending delta into WAL operations (application order).
-pub(crate) fn wal_ops(delta: &GraphDelta) -> Vec<sac_wal::WalOp> {
-    delta
-        .ops()
-        .iter()
-        .map(|m| match *m {
-            Mutation::InsertEdge(u, v) => sac_wal::WalOp::InsertEdge(u, v),
-            Mutation::RemoveEdge(u, v) => sac_wal::WalOp::RemoveEdge(u, v),
-            Mutation::AddVertex(p) => sac_wal::WalOp::AddVertex(p.x, p.y),
-            Mutation::MoveVertex(v, p) => sac_wal::WalOp::MoveVertex(v, p.x, p.y),
-        })
-        .collect()
 }

@@ -14,13 +14,14 @@
 //!   in the last broadcast roster wins.  No votes are exchanged: the roster
 //!   all candidates hold is the one the dead primary broadcast, so they
 //!   agree on the winner without talking to each other.
-//! * **Promotion.** The winner stops its tailer, seeds a fresh WAL directory
-//!   from its applied state (the snapshot checkpoint the new log starts
-//!   from), adopts `observed term + 1`, opens its own shipping endpoint on
-//!   the advertised address, and swaps the service's live front in place —
-//!   transports keep their handle, writes start landing.  Losers re-point
-//!   their believed primary at the winner and force a snapshot re-bootstrap
-//!   (the winner's log coordinates are unrelated to the dead primary's).
+//! * **Promotion.** The winner stops its tailer, attaches a fresh WAL
+//!   directory to the write front it was already serving (a snapshot
+//!   checkpoint of its applied state is where the new log starts), adopts
+//!   `observed term + 1`, opens its own shipping endpoint on the advertised
+//!   address, and lifts the service's read-only guard — transports keep
+//!   their handle, writes start landing.  Losers re-point their believed
+//!   primary at the winner and force a snapshot re-bootstrap (the winner's
+//!   log coordinates are unrelated to the dead primary's).
 //! * **Fencing.** Terms are stamped into every WAL record and replication
 //!   frame.  A restarted zombie primary recovers at its old term; before
 //!   serving writes it probes its peers ([`find_superseding_primary`]) and,
@@ -32,7 +33,7 @@
 
 use crate::replication;
 use crate::service::{Role, SacService};
-use crate::{Durability, LiveEngine, ShipConfig};
+use crate::{Durability, ShipConfig};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,16 +189,15 @@ fn promote(
         .take_replica()
         .ok_or("no replica link to promote (already taken)")?;
     // Stop the tailer before opening the write path: no frame from the old
-    // primary may land after we start a new history.
-    let (engine, _status) = replica.into_parts();
+    // primary may land after we start a new history.  A record the tailer
+    // already holds is applied before the attach below or not at all (both
+    // take the front lock).
+    let (live, _status) = replica.into_parts();
     let term = observed_term + 1;
-    // Seed a fresh WAL under the failover directory: attaching durability
-    // writes a base checkpoint of the applied state, the root of the new log.
-    let durability = Durability {
-        dir: config.dir.clone(),
-        ..Durability::new(&config.dir)
-    };
-    let live = LiveEngine::with_durability(engine, durability)
+    // Seed a fresh WAL under the failover directory on the replica's own
+    // front: attaching writes a base checkpoint of the applied state, the
+    // root of the new log.
+    live.attach_wal(Durability::new(&config.dir), None)
         .map_err(|e| format!("cannot seed WAL under {}: {e}", config.dir.display()))?;
     live.adopt_term(term)
         .map_err(|e| format!("cannot adopt term {term}: {e}"))?;
@@ -212,7 +212,7 @@ fn promote(
     .map_err(|e| format!("cannot start shipper: {e}"))?;
     // The shipper outlives its handle; the endpoint serves until exit.
     let _ = handle;
-    service.install_live(live);
+    service.promoted();
     Ok(term)
 }
 
@@ -247,9 +247,9 @@ pub fn find_superseding_primary(
 mod tests {
     use super::*;
     use crate::replication::spawn_shipper;
-    use crate::ServiceConfig;
+    use crate::{FaultPlan, LiveEngine, Replica, ReplicaConfig, RetryPolicy, ServiceConfig};
     use sac_core::fixtures::figure3_graph;
-    use sac_engine::SacEngine;
+    use sac_engine::{EngineConfig, SacEngine};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sac-failover-{}-{tag}", std::process::id()));
@@ -297,5 +297,71 @@ mod tests {
         );
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Promotion racing a record the tailer already holds: the tailer reads
+    /// the record, the fault plan holds it for 300 ms, and promotion stops
+    /// the tailer and attaches its WAL meanwhile.  The held record must
+    /// never reach the engine, or the promoted front (seeded before it
+    /// landed) would fork history on its next commit.
+    #[test]
+    fn promotion_drops_a_record_the_tailer_still_holds() {
+        let dir = temp_dir("race-primary");
+        let fdir = temp_dir("race-promoted");
+        let engine = Arc::new(SacEngine::new(figure3_graph()));
+        let live = LiveEngine::with_durability(Arc::clone(&engine), Durability::new(&dir)).unwrap();
+        // Logged before the replica connects, so it is the first frame the
+        // tailer reads after its bootstrap from the epoch-1 snapshot.
+        live.add_edge(8, 0).unwrap();
+        assert_eq!(live.commit().unwrap().epoch, 2);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ship = spawn_shipper(listener, dir.clone(), engine, ShipConfig::default()).unwrap();
+
+        let mut config = ReplicaConfig::new(ship.addr().to_string());
+        config.faults = Some(FaultPlan::parse("delay=1.0:300").unwrap());
+        config.retry = RetryPolicy {
+            base: Duration::from_millis(5),
+            ..RetryPolicy::default()
+        };
+        let replica = Replica::boot(config).unwrap();
+        let service = Arc::new(SacService::for_replica(replica, ServiceConfig::default()));
+        let booted = service.engine().epoch();
+        assert_eq!(booted, 1);
+
+        // The tailer is now inside the record's 300 ms delay.
+        thread::sleep(Duration::from_millis(100));
+        let failover = FailoverConfig::new(1, "127.0.0.1:0", &fdir);
+        assert_eq!(promote(&service, &failover, 0).unwrap(), 1);
+        thread::sleep(Duration::from_millis(500));
+        assert_eq!(
+            service.engine().epoch(),
+            booted,
+            "a record held across promotion reached the engine"
+        );
+
+        // Front, engine and base checkpoint are one state: the next commit
+        // recovers bit-identically from the new log.
+        let (checkpoint, _) = sac_wal::latest_snapshot(&fdir).unwrap().unwrap();
+        assert_eq!(checkpoint, booted);
+        let promoted = service.live();
+        promoted.add_edge(8, 1).unwrap();
+        assert_eq!(promoted.commit().unwrap().epoch, booted + 1);
+        let (recovered, _) =
+            LiveEngine::recover(Durability::new(&fdir), EngineConfig::default()).unwrap();
+        let (a, b) = (recovered.engine().snapshot(), service.engine().snapshot());
+        assert_eq!(recovered.engine().epoch(), service.engine().epoch());
+        assert_eq!(a.num_edges(), b.num_edges());
+        for v in 0..a.num_vertices() as u32 {
+            assert_eq!(a.graph().neighbors(v), b.graph().neighbors(v));
+        }
+        assert_eq!(
+            recovered.engine().decomposition().core_numbers(),
+            service.engine().decomposition().core_numbers()
+        );
+
+        ship.stop();
+        for d in [&dir, &fdir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 }

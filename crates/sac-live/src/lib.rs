@@ -8,15 +8,18 @@
 //! full rebuild — graph, spatial index, core decomposition, every per-`k`
 //! k-core index — on every edge change.  This crate closes that gap:
 //!
-//! * **Write front** — [`LiveEngine`] accepts edge insertions/removals and
-//!   vertex additions (with positions), applying each to a
+//! * **Write front** — [`LiveEngine`] accepts edge insertions/removals,
+//!   vertex additions and moves, applying each to a
 //!   [`sac_graph::DynamicGraph`] whose core numbers are maintained
 //!   **incrementally**: a mutation walks only the affected subcore, and the
 //!   result is bit-identical to a full recomputation (asserted by the
-//!   property suite on random update streams).
-//! * **Deltas** — mutations batch into a [`GraphDelta`] between commits;
-//!   [`LiveEngine::commit`] rebuilds the immutable CSR + grid index once per
-//!   epoch and publishes through the engine's atomic epoch pointer.
+//!   property suite on random update streams).  The front is the only code
+//!   that applies a mutation: crash recovery and replica replay feed
+//!   logged ops through the same apply path.
+//! * **Commits** — applied mutations buffer as the next WAL record's
+//!   [`sac_wal::WalOp`]s; [`LiveEngine::commit`] rebuilds the immutable
+//!   CSR + grid index once per epoch and publishes through the engine's
+//!   atomic epoch pointer.
 //! * **Epoch snapshots** — in-flight queries finish on the snapshot they
 //!   loaded; new queries see the new epoch.  The engine's k-core index cache
 //!   is *selectively* invalidated: only the `k` entries whose cores the delta
@@ -48,17 +51,19 @@
 //!   — pinned by the crash-recovery property suite).
 //! * **Replication** — the WAL doubles as a replication stream:
 //!   [`spawn_shipper`] serves it over TCP with snapshot bootstrap and
-//!   offset-addressable resume, and a [`Replica`] tails it, applying commit
-//!   records through the recovery replay path to serve reads bit-identical
-//!   to the primary at every applied epoch.  [`RetryPolicy`]-driven
+//!   offset-addressable resume, and a [`Replica`] tails it.  The replica
+//!   owns a [`LiveEngine`] without a WAL and commits each record through it,
+//!   the same apply path recovery replays through, so it serves reads
+//!   bit-identical to the primary at every applied epoch and carries the
+//!   same per-`k` indexes across commits.  [`RetryPolicy`]-driven
 //!   reconnects, deterministic [`FaultInjector`] link faults on either
 //!   side, and staleness-aware degradation ([`ReplicaStatus::degraded`])
 //!   make the link's failure modes first-class and rehearsable (see
 //!   [`replication`]).
 //! * **Failover** — heartbeats double as leadership leases: when a replica's
 //!   lease expires, the deterministic winner (lowest id in the last roster)
-//!   promotes itself in place — tailer stopped, fresh WAL seeded, term
-//!   bumped, shipping endpoint opened — while losers re-point and
+//!   promotes its write front in place — tailer stopped, fresh WAL attached,
+//!   term bumped, shipping endpoint opened — while losers re-point and
 //!   re-bootstrap.  Terms stamped into every WAL record and frame fence a
 //!   restarted zombie primary out of the new history (see [`failover`]).
 //!
@@ -89,7 +94,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-mod delta;
 mod durability;
 pub mod failover;
 mod fault;
@@ -100,7 +104,6 @@ pub mod replication;
 mod retry;
 mod service;
 
-pub use delta::{GraphDelta, Mutation};
 pub use durability::{CheckpointReport, CommitError, Durability, RecoveryReport, WalStats};
 pub use failover::{FailoverConfig, FailoverHandle};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};

@@ -1,18 +1,19 @@
 //! The live-update handle: a mutable write front over a [`SacEngine`].
 
-use crate::delta::{GraphDelta, Mutation};
 use crate::durability::{
-    wal_ops, CheckpointReport, CommitError, Durability, RecoveryReport, WalObs, WalState, WalStats,
+    CheckpointReport, CommitError, Durability, RecoveryReport, WalObs, WalState, WalStats,
 };
 use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
 use sac_graph::{
-    BatchChange, BatchOp, BatchStrategy, CoreDecomposition, DynamicGraph, EdgeChange, GraphError,
+    core_decomposition, BatchChange, BatchOp, BatchStrategy, DynamicGraph, EdgeChange, GraphError,
     SpatialGraph, VertexId,
 };
 use sac_obs::{Counter, Histogram, Span};
-use sac_wal::{DeltaRecord, WalError, WalOp, WalWriter};
-use std::sync::{Arc, Mutex};
+use sac_wal::{DeltaRecord, SnapshotImage, WalError, WalOp, WalWriter};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Pre-bound commit-pipeline instruments, registered into the engine's
@@ -79,7 +80,7 @@ impl LiveObs {
 }
 
 /// What one [`LiveEngine::commit`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitReport {
     /// Epoch now being served (unchanged when the delta was empty).
     pub epoch: u64,
@@ -136,28 +137,131 @@ pub struct BatchApplyReport {
 }
 
 /// Mutable state between two epochs: the maintained dynamic graph, the vertex
-/// positions and the record of what changed.
+/// positions and the ops applied since the last commit, which are the next
+/// WAL record.
 #[derive(Debug)]
 struct WriteFront {
     dynamic: DynamicGraph,
     positions: Vec<Point>,
-    delta: GraphDelta,
+    ops: Vec<WalOp>,
     dirty_up_to: u32,
     cores_changed: u64,
+}
+
+impl WriteFront {
+    fn new(dynamic: DynamicGraph, positions: Vec<Point>) -> WriteFront {
+        WriteFront {
+            dynamic,
+            positions,
+            ops: Vec::new(),
+            dirty_up_to: 0,
+            cores_changed: 0,
+        }
+    }
+
+    /// A front over the engine's current snapshot; the engine's memoised
+    /// decomposition seeds the maintained core numbers, so no peel is paid.
+    fn seeded(engine: &SacEngine) -> WriteFront {
+        let snapshot = engine.snapshot();
+        let dynamic = DynamicGraph::from_parts(snapshot.graph(), &engine.decomposition());
+        WriteFront::new(dynamic, snapshot.positions().to_vec())
+    }
+
+    /// A front over a snapshot image (crash recovery and replica
+    /// bootstraps).  The image's graph is peeled once, and a snapshot whose
+    /// stored core numbers disagree with that peel is refused: every later
+    /// incremental repair builds on these numbers.
+    fn restore(image: SnapshotImage) -> Result<WriteFront, WalError> {
+        let decomposition = core_decomposition(&image.graph);
+        if decomposition.core_numbers() != image.core_numbers.as_slice() {
+            return Err(WalError::SnapshotCorrupt {
+                path: PathBuf::new(),
+                detail: format!(
+                    "stored core numbers of the epoch-{} snapshot disagree with its graph",
+                    image.epoch
+                ),
+            });
+        }
+        let dynamic = DynamicGraph::from_parts(&image.graph, &decomposition);
+        Ok(WriteFront::new(dynamic, image.positions))
+    }
+
+    /// Applies one mutation, repairing the core numbers incrementally, and
+    /// records it for the next commit when it changed anything.  This is
+    /// the only code that applies a [`WalOp`]: live writes, crash recovery
+    /// and replica replay all come through here.
+    fn apply(&mut self, op: WalOp) -> Result<EdgeChange, GraphError> {
+        let change = match op {
+            WalOp::InsertEdge(u, v) => self.dynamic.insert_edge(u, v)?,
+            WalOp::RemoveEdge(u, v) => self.dynamic.remove_edge(u, v)?,
+            WalOp::AddVertex(x, y) => {
+                let position = Point::new(x, y);
+                if !position.is_finite() {
+                    let next = self.dynamic.num_vertices() as VertexId;
+                    return Err(GraphError::InvalidPosition(next));
+                }
+                self.dynamic.add_vertex();
+                self.positions.push(position);
+                EdgeChange {
+                    applied: true,
+                    ..EdgeChange::default()
+                }
+            }
+            WalOp::MoveVertex(v, x, y) => {
+                let position = Point::new(x, y);
+                let slot = self
+                    .positions
+                    .get_mut(v as usize)
+                    .ok_or(GraphError::VertexOutOfRange(v))?;
+                if !position.is_finite() {
+                    return Err(GraphError::InvalidPosition(v));
+                }
+                // Position-only: core numbers are untouched (`dirty_up_to`
+                // stays 0), and a move to the current position is a no-op.
+                let applied = *slot != position;
+                *slot = position;
+                EdgeChange {
+                    applied,
+                    ..EdgeChange::default()
+                }
+            }
+        };
+        if change.applied {
+            self.ops.push(op);
+            self.note(change.dirty_up_to, change.changed.len());
+        }
+        Ok(change)
+    }
+
+    /// Folds one repair's dirty bound and core changes into the pending
+    /// commit.
+    fn note(&mut self, dirty_up_to: u32, cores_changed: usize) {
+        self.dirty_up_to = self.dirty_up_to.max(dirty_up_to);
+        self.cores_changed += cores_changed as u64;
+    }
+
+    /// The immutable snapshot of the front: CSR adjacency plus grid index.
+    fn snapshot(&self) -> Result<SpatialGraph, GraphError> {
+        SpatialGraph::new(self.dynamic.to_graph(), self.positions.clone())
+    }
 }
 
 /// A concurrent-safe live-update handle over a shared [`SacEngine`].
 ///
 /// The handle owns the *write front*: a [`DynamicGraph`] (adjacency +
 /// incrementally maintained core numbers) plus the vertex positions.  Edge
-/// insertions/removals and vertex additions are applied to the front
+/// insertions/removals, vertex additions and moves are applied to the front
 /// immediately — each one repairs the core numbers by walking only the
-/// affected subcore — and are batched into a [`GraphDelta`] until
-/// [`LiveEngine::commit`] rebuilds the immutable snapshot (CSR + grid index)
-/// once and publishes it as the engine's next epoch.  Queries running against
-/// the engine never see the front: they finish on the epoch they loaded, and
-/// the k-core index cache carries over every `k` entry the delta did not
-/// touch.
+/// affected subcore — and are buffered as the next WAL record's [`WalOp`]s
+/// until [`LiveEngine::commit`] rebuilds the immutable snapshot (CSR + grid
+/// index) once and publishes it as the engine's next epoch.  Queries running
+/// against the engine never see the front: they finish on the epoch they
+/// loaded, and the k-core index cache carries over every `k` entry the
+/// commit did not touch.
+///
+/// The front is the one place a mutation is applied: crash recovery
+/// ([`LiveEngine::recover`]) and replica replay feed logged [`WalOp`]s
+/// through the same code the write methods use.
 ///
 /// ```
 /// use sac_engine::SacEngine;
@@ -190,23 +294,100 @@ impl LiveEngine {
     /// memoised decomposition seeds the maintained core numbers, so no peel is
     /// paid here.
     pub fn new(engine: Arc<SacEngine>) -> Self {
-        let snapshot = engine.snapshot();
-        let decomposition = engine.decomposition();
-        let dynamic = DynamicGraph::from_parts(snapshot.graph(), &decomposition);
-        let positions = snapshot.positions().to_vec();
-        let obs = LiveObs::new(&engine);
+        let front = WriteFront::seeded(&engine);
+        LiveEngine::with_front(engine, front)
+    }
+
+    fn with_front(engine: Arc<SacEngine>, front: WriteFront) -> LiveEngine {
         LiveEngine {
+            obs: LiveObs::new(&engine),
             engine,
-            obs,
-            front: Mutex::new(WriteFront {
-                dynamic,
-                positions,
-                delta: GraphDelta::new(),
-                dirty_up_to: 0,
-                cores_changed: 0,
-            }),
+            front: Mutex::new(front),
             wal: Mutex::new(None),
         }
+    }
+
+    /// A live engine serving `front` as epoch `epoch` of a fresh engine: the
+    /// front's ops are already in that epoch, so nothing stays pending.
+    fn from_front(
+        front: WriteFront,
+        config: EngineConfig,
+        epoch: u64,
+    ) -> Result<LiveEngine, WalError> {
+        let snapshot = front.snapshot().map_err(WalError::Graph)?;
+        let decomposition = front.dynamic.decomposition();
+        let engine = SacEngine::restored(Arc::new(snapshot), decomposition, config, epoch);
+        let settled = WriteFront::new(front.dynamic, front.positions);
+        Ok(LiveEngine::with_front(Arc::new(engine), settled))
+    }
+
+    /// A live engine (no WAL) serving a shipped snapshot image at its epoch:
+    /// a replica's first bootstrap.
+    pub(crate) fn restore(image: SnapshotImage, config: EngineConfig) -> Result<Self, WalError> {
+        let epoch = image.epoch;
+        LiveEngine::from_front(WriteFront::restore(image)?, config, epoch)
+    }
+
+    /// Replaces the front and the served epoch with a shipped snapshot image
+    /// whose epoch is ahead of the served one (a replica re-bootstrap).  Every
+    /// cached index is dropped.  Returns `Ok(false)`, changing nothing, once
+    /// `stop` is raised; see [`LiveEngine::replay`].
+    pub(crate) fn rebootstrap(
+        &self,
+        image: SnapshotImage,
+        stop: &AtomicBool,
+    ) -> Result<bool, WalError> {
+        let epoch = image.epoch;
+        let restored = WriteFront::restore(image)?;
+        let snapshot = restored.snapshot().map_err(WalError::Graph)?;
+        let mut front = self.lock_front();
+        if stop.load(Ordering::SeqCst) {
+            return Ok(false);
+        }
+        let served = self.engine.epoch();
+        if epoch <= served {
+            return Err(WalError::EpochGap {
+                expected: served + 1,
+                found: epoch,
+            });
+        }
+        self.engine
+            .publish_restored(Arc::new(snapshot), restored.dynamic.decomposition(), epoch);
+        *front = restored;
+        Ok(true)
+    }
+
+    /// Applies one shipped WAL record and commits it as the next epoch, all
+    /// under the front lock: the replica tailer's path.  Returns `Ok(None)`,
+    /// changing nothing, once `stop` is raised.  Promotion raises `stop`
+    /// before it takes the same lock to attach its WAL, so no record can
+    /// reach the engine without reaching the promoted front.
+    ///
+    /// A record that does not fit the front leaves it realigned with the
+    /// served epoch and returns the error.
+    pub(crate) fn replay(
+        &self,
+        record: &DeltaRecord,
+        stop: &AtomicBool,
+    ) -> Result<Option<CommitReport>, CommitError> {
+        let mut front = self.lock_front();
+        if stop.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
+        let result = record
+            .ops
+            .iter()
+            .try_for_each(|&op| front.apply(op).map(drop))
+            .map_err(CommitError::Graph)
+            .and_then(|()| self.commit_front(&mut front));
+        if result.is_err() {
+            *front = WriteFront::seeded(&self.engine);
+        }
+        result.map(Some)
+    }
+
+    fn lock_front(&self) -> MutexGuard<'_, WriteFront> {
+        self.front.lock().expect("write front poisoned")
     }
 
     /// A write front with durability: every commit is logged to the WAL under
@@ -243,10 +424,8 @@ impl LiveEngine {
         let marker_term = sac_wal::read_term_marker(&config.dir).unwrap_or(0);
         let log = sac_wal::read_log(&config.dir, clean_epoch.is_none())?;
 
-        // Replay through the same incremental maintenance the live path uses.
-        let decomposition = CoreDecomposition::from_core_numbers(image.core_numbers);
-        let mut dynamic = DynamicGraph::from_parts(&image.graph, &decomposition);
-        let mut positions = image.positions;
+        // Replay through the same apply the live path uses, then publish once.
+        let mut front = WriteFront::restore(image)?;
         let mut epoch = snapshot_epoch;
         let mut term = marker_term;
         let mut records_replayed = 0u64;
@@ -272,39 +451,16 @@ impl LiveEngine {
                 });
             }
             term = record.term;
-            for op in &record.ops {
-                match *op {
-                    WalOp::InsertEdge(u, v) => {
-                        dynamic.insert_edge(u, v).map_err(WalError::Graph)?;
-                    }
-                    WalOp::RemoveEdge(u, v) => {
-                        dynamic.remove_edge(u, v).map_err(WalError::Graph)?;
-                    }
-                    WalOp::AddVertex(x, y) => {
-                        dynamic.add_vertex();
-                        positions.push(Point::new(x, y));
-                    }
-                    WalOp::MoveVertex(v, x, y) => {
-                        if v as usize >= positions.len() {
-                            return Err(WalError::Graph(GraphError::VertexOutOfRange(v)));
-                        }
-                        positions[v as usize] = Point::new(x, y);
-                    }
-                }
-                mutations_replayed += 1;
+            for &op in &record.ops {
+                front.apply(op).map_err(WalError::Graph)?;
             }
+            mutations_replayed += record.ops.len() as u64;
             epoch = record.epoch;
             records_replayed += 1;
         }
 
-        let snapshot = SpatialGraph::new(dynamic.to_graph(), positions).map_err(WalError::Graph)?;
-        let engine = Arc::new(SacEngine::restored(
-            Arc::new(snapshot),
-            engine_config,
-            epoch,
-        ));
-        engine.set_term(term);
-        let live = LiveEngine::new(Arc::clone(&engine));
+        let live = LiveEngine::from_front(front, engine_config, epoch)?;
+        live.engine.set_term(term);
         live.attach_wal(config, Some(snapshot_epoch))?;
         let report = RecoveryReport {
             snapshot_epoch,
@@ -316,8 +472,8 @@ impl LiveEngine {
             clean_shutdown: clean_epoch.is_some(),
             micros: start.elapsed().as_micros() as u64,
         };
-        if engine.observing() {
-            engine.events().publish(
+        if live.engine.observing() {
+            live.engine.events().publish(
                 "recovery",
                 format!(
                     "snapshot_epoch={} epoch={} records={} mutations={} truncated_bytes={} clean={}",
@@ -334,8 +490,16 @@ impl LiveEngine {
     }
 
     /// Opens the log for appending and installs the WAL state.  On a fresh
-    /// directory (no snapshot yet), writes the base checkpoint.
-    fn attach_wal(&self, config: Durability, restored_from: Option<u64>) -> Result<(), WalError> {
+    /// directory (no snapshot yet), writes the base checkpoint.  Holds the
+    /// front lock throughout, so the base checkpoint, the front and the
+    /// served epoch are one state even while a replica tailer is replaying
+    /// into this front (promotion attaches a WAL to a replica's front).
+    pub(crate) fn attach_wal(
+        &self,
+        config: Durability,
+        restored_from: Option<u64>,
+    ) -> Result<(), WalError> {
+        let _front = self.lock_front();
         let writer = WalWriter::open(&config.dir, config.sync)?;
         let first_live_segment = sac_wal::list_segments(&config.dir)?
             .first()
@@ -366,7 +530,7 @@ impl LiveEngine {
     pub fn checkpoint(&self) -> Result<CheckpointReport, WalError> {
         // Quiesce commits so the snapshot and the segment cut are one
         // consistent point in the epoch sequence.
-        let _front = self.front.lock().expect("write front poisoned");
+        let _front = self.lock_front();
         let mut guard = self.wal.lock().expect("wal state poisoned");
         let wal = guard.as_mut().ok_or(WalError::Disabled)?;
         self.run_checkpoint(wal)
@@ -436,7 +600,7 @@ impl LiveEngine {
     /// the write front are *not* committed — uncommitted work is volatile by
     /// design.
     pub fn shutdown_flush(&self) -> Result<bool, WalError> {
-        let _front = self.front.lock().expect("write front poisoned");
+        let _front = self.lock_front();
         let mut guard = self.wal.lock().expect("wal state poisoned");
         let Some(wal) = guard.as_mut() else {
             return Ok(false);
@@ -472,16 +636,7 @@ impl LiveEngine {
 
     /// Number of mutations buffered since the last commit.
     pub fn pending(&self) -> usize {
-        self.front.lock().expect("write front poisoned").delta.len()
-    }
-
-    /// A copy of the buffered delta (application order).
-    pub fn pending_delta(&self) -> GraphDelta {
-        self.front
-            .lock()
-            .expect("write front poisoned")
-            .delta
-            .clone()
+        self.lock_front().ops.len()
     }
 
     /// Inserts the undirected edge `{u, v}` into the write front.
@@ -489,33 +644,19 @@ impl LiveEngine {
     /// Returns the incremental core repair (`applied == false` for self-loops
     /// and already-present edges); errors when an endpoint does not exist.
     pub fn add_edge(&self, u: VertexId, v: VertexId) -> Result<EdgeChange, GraphError> {
-        let mut front = self.front.lock().expect("write front poisoned");
-        let change = front.dynamic.insert_edge(u, v)?;
-        if change.applied {
-            front.delta.push(Mutation::InsertEdge(u, v));
-            front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
-            front.cores_changed += change.changed.len() as u64;
-        }
-        Ok(change)
+        self.lock_front().apply(WalOp::InsertEdge(u, v))
     }
 
     /// Removes the undirected edge `{u, v}` from the write front.
     pub fn remove_edge(&self, u: VertexId, v: VertexId) -> Result<EdgeChange, GraphError> {
-        let mut front = self.front.lock().expect("write front poisoned");
-        let change = front.dynamic.remove_edge(u, v)?;
-        if change.applied {
-            front.delta.push(Mutation::RemoveEdge(u, v));
-            front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
-            front.cores_changed += change.changed.len() as u64;
-        }
-        Ok(change)
+        self.lock_front().apply(WalOp::RemoveEdge(u, v))
     }
 
     /// Applies a whole batch of edge mutations in one pass: the core numbers
     /// are repaired once for the delta (shared `O(n + m)` peel for heavy
     /// batches) instead of once per edge — see
     /// [`sac_graph::DynamicGraph::apply_batch_with`].  The applied ops join
-    /// the pending delta exactly as the equivalent single-edge calls would.
+    /// the pending ops exactly as the equivalent single-edge calls would.
     pub fn apply_batch(&self, ops: &[BatchOp]) -> Result<BatchApplyReport, GraphError> {
         self.apply_batch_with(ops, BatchStrategy::Auto)
     }
@@ -526,17 +667,13 @@ impl LiveEngine {
         ops: &[BatchOp],
         strategy: BatchStrategy,
     ) -> Result<BatchApplyReport, GraphError> {
-        let mut front = self.front.lock().expect("write front poisoned");
+        let mut front = self.lock_front();
         let change: BatchChange = front.dynamic.apply_batch_with(ops, strategy)?;
-        for op in &change.applied {
-            let (u, v) = op.endpoints();
-            front.delta.push(match op {
-                BatchOp::Insert(..) => Mutation::InsertEdge(u, v),
-                BatchOp::Remove(..) => Mutation::RemoveEdge(u, v),
-            });
-        }
-        front.dirty_up_to = front.dirty_up_to.max(change.dirty_up_to);
-        front.cores_changed += change.changed.len() as u64;
+        front.ops.extend(change.applied.iter().map(|op| match *op {
+            BatchOp::Insert(u, v) => WalOp::InsertEdge(u, v),
+            BatchOp::Remove(u, v) => WalOp::RemoveEdge(u, v),
+        }));
+        front.note(change.dirty_up_to, change.changed.len());
         if self.obs.enabled {
             let (applies, repair) = if change.recomputed {
                 (&self.obs.shared_peel_applies, &self.obs.shared_peel_repair)
@@ -574,16 +711,9 @@ impl LiveEngine {
     /// Adds a new vertex at `position` (core number 0 until edges attach it)
     /// and returns its id.
     pub fn add_vertex(&self, position: Point) -> Result<VertexId, GraphError> {
-        let mut front = self.front.lock().expect("write front poisoned");
-        if !position.is_finite() {
-            return Err(GraphError::InvalidPosition(
-                front.dynamic.num_vertices() as VertexId
-            ));
-        }
-        let v = front.dynamic.add_vertex();
-        front.positions.push(position);
-        front.delta.push(Mutation::AddVertex(position));
-        Ok(v)
+        let mut front = self.lock_front();
+        front.apply(WalOp::AddVertex(position.x, position.y))?;
+        Ok(front.dynamic.num_vertices() as VertexId - 1)
     }
 
     /// Moves an existing vertex to `position` — a **position-only** update:
@@ -592,19 +722,10 @@ impl LiveEngine {
     ///
     /// Moving a vertex to its current position is a no-op (`Ok(false)`).
     pub fn move_vertex(&self, v: VertexId, position: Point) -> Result<bool, GraphError> {
-        let mut front = self.front.lock().expect("write front poisoned");
-        if (v as usize) >= front.positions.len() {
-            return Err(GraphError::VertexOutOfRange(v));
-        }
-        if !position.is_finite() {
-            return Err(GraphError::InvalidPosition(v));
-        }
-        if front.positions[v as usize] == position {
-            return Ok(false);
-        }
-        front.positions[v as usize] = position;
-        front.delta.push(Mutation::MoveVertex(v, position));
-        Ok(true)
+        let change = self
+            .lock_front()
+            .apply(WalOp::MoveVertex(v, position.x, position.y))?;
+        Ok(change.applied)
     }
 
     /// Rebuilds the immutable snapshot from the write front and publishes it
@@ -623,23 +744,15 @@ impl LiveEngine {
     /// loses only what was never acknowledged.  A WAL append failure leaves
     /// the mutations buffered and publishes nothing.
     pub fn commit(&self) -> Result<CommitReport, CommitError> {
-        let mut front = self.front.lock().expect("write front poisoned");
-        if front.delta.is_empty() {
+        self.commit_front(&mut self.lock_front())
+    }
+
+    /// Commit body; the caller holds the front lock.
+    fn commit_front(&self, front: &mut WriteFront) -> Result<CommitReport, CommitError> {
+        if front.ops.is_empty() {
             return Ok(CommitReport {
                 epoch: self.engine.epoch(),
-                mutations: 0,
-                edges_inserted: 0,
-                edges_removed: 0,
-                vertices_added: 0,
-                vertices_moved: 0,
-                cores_changed: 0,
-                dirty_up_to: 0,
-                components_carried: 0,
-                components_invalidated: 0,
-                micros: 0,
-                snapshot_build_micros: 0,
-                rebuild_micros: 0,
-                swap_micros: 0,
+                ..CommitReport::default()
             });
         }
         let start = Instant::now();
@@ -648,9 +761,8 @@ impl LiveEngine {
         } else {
             Span::disabled()
         };
-        let graph = front.dynamic.to_graph();
+        let snapshot = front.snapshot()?;
         let decomposition = front.dynamic.decomposition();
-        let snapshot = SpatialGraph::new(graph, front.positions.clone())?;
         let snapshot_build_micros = build_span.finish();
         let dirty_up_to = front.dirty_up_to;
         // Write-ahead: the record must be on the log (durable per policy)
@@ -662,7 +774,7 @@ impl LiveEngine {
             let record = DeltaRecord {
                 epoch: self.engine.epoch() + 1,
                 term: self.engine.term(),
-                ops: wal_ops(&front.delta),
+                ops: front.ops.clone(),
             };
             // Nothing is published when the append fails.
             let info = wal
@@ -674,7 +786,7 @@ impl LiveEngine {
         let report = self
             .engine
             .publish(Arc::new(snapshot), decomposition, dirty_up_to);
-        let delta = std::mem::take(&mut front.delta);
+        let ops = std::mem::take(&mut front.ops);
         let cores_changed = std::mem::take(&mut front.cores_changed);
         front.dirty_up_to = 0;
         if self.obs.enabled {
@@ -691,13 +803,14 @@ impl LiveEngine {
                 self.run_checkpoint(wal).map_err(CommitError::Wal)?;
             }
         }
+        let count = |kind: fn(&WalOp) -> bool| ops.iter().filter(|op| kind(op)).count();
         Ok(CommitReport {
             epoch: report.epoch,
-            mutations: delta.len(),
-            edges_inserted: delta.edges_inserted(),
-            edges_removed: delta.edges_removed(),
-            vertices_added: delta.vertices_added(),
-            vertices_moved: delta.vertices_moved(),
+            mutations: ops.len(),
+            edges_inserted: count(|op| matches!(op, WalOp::InsertEdge(..))),
+            edges_removed: count(|op| matches!(op, WalOp::RemoveEdge(..))),
+            vertices_added: count(|op| matches!(op, WalOp::AddVertex(..))),
+            vertices_moved: count(|op| matches!(op, WalOp::MoveVertex(..))),
             cores_changed,
             dirty_up_to,
             components_carried: report.components_carried,
@@ -902,6 +1015,7 @@ mod tests {
         // Removing the pendant edge H–I only dirties k <= 1.
         live.remove_edge(figure3::H, figure3::I).unwrap();
         let report = live.commit().unwrap();
+        assert_eq!((report.mutations, report.edges_removed), (1, 1));
         assert_eq!(report.dirty_up_to, 1);
         assert_eq!(report.components_carried, 1); // k = 2 survived
         assert_eq!(report.components_invalidated, 1); // k = 1 dropped

@@ -1,7 +1,7 @@
 //! Log-shipping replication: a primary streams its write-ahead log to
 //! read replicas over TCP; replicas apply the records through the same
-//! replay path crash recovery uses and serve read-only queries at their
-//! applied epoch.
+//! write front crash recovery replays into and serve read-only queries at
+//! their applied epoch.
 //!
 //! ## Topology
 //!
@@ -11,9 +11,9 @@
 //!                         │ read_tail polling
 //!                   [log shipper]  ── TCP ──►  [replica tailer]
 //!                         │                        │ apply record,
-//!                   heartbeats (epoch + tail)      │ publish epoch N
+//!                   heartbeats (epoch + tail)      │ commit epoch N
 //!                                                  ▼
-//!                                             SacEngine (read-only)
+//!                                   LiveEngine (no WAL) → SacEngine (read-only)
 //! ```
 //!
 //! * The **shipper** ([`spawn_shipper`]) serves any number of replica
@@ -24,11 +24,18 @@
 //!   checkpoint truncation as the clean [`WalError::SnapshotRequired`]
 //!   signal.  Heartbeats carry the primary's served epoch and WAL tail.
 //! * The **replica** ([`Replica::boot`]) re-verifies every record's CRC
-//!   end to end, deduplicates by log position, insists on a gapless epoch
-//!   sequence, and publishes each applied record as its own epoch through
-//!   the engine's normal atomic epoch swap — so a replica's state at epoch
-//!   `N` is bit-identical to the primary's state at epoch `N` (pinned by
-//!   the convergence property suite).
+//!   end to end, deduplicates by log position and insists on a gapless
+//!   epoch sequence.  It owns a [`LiveEngine`] without a WAL, the same write
+//!   front a primary mutates and crash recovery replays into: each record's
+//!   ops go through that front's one apply path, and the record is
+//!   committed as its own epoch.  So a replica's state at epoch `N` is
+//!   bit-identical to the primary's state at epoch `N` (pinned by the
+//!   convergence property suite).  The commit publishes with the same dirty
+//!   bound a primary commit computes, so per-`k` indexes the record did not
+//!   touch (including ones `--warm` built) carry over, and the replica
+//!   ticks the commit metrics.  A bootstrap snapshot's stored core numbers
+//!   are checked against one peel of its graph before anything builds on
+//!   them.
 //! * The link is **fault-injectable** on both sides ([`FaultPlan`]): drops,
 //!   delays, duplicates, payload corruption and mid-frame truncation all
 //!   resolve to a reconnect-and-resume, driven by [`RetryPolicy`] backoff.
@@ -51,15 +58,14 @@
 
 use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 use crate::retry::RetryPolicy;
+use crate::LiveEngine;
 use sac_engine::{EngineConfig, SacEngine};
-use sac_geom::Point;
-use sac_graph::{CoreDecomposition, DynamicGraph, GraphError, SpatialGraph};
 use sac_obs::{Counter, Gauge};
 use sac_proto::replication::{
     ProbeReply, ProbeRequest, ReplFrame, ReplicateHello, ReplicateRequest,
 };
 use sac_proto::ReplicationStatsReply;
-use sac_wal::{crc::crc32, DeltaRecord, WalError, WalOp};
+use sac_wal::{crc::crc32, DeltaRecord, WalError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -408,10 +414,9 @@ fn send_frame(
 pub enum ReplicaError {
     /// The link itself failed (connect, read, write).
     Io(std::io::Error),
-    /// Snapshot or record decoding failed.
+    /// Snapshot or record decoding failed, or a shipped snapshot failed
+    /// validation.
     Wal(WalError),
-    /// Applying shipped operations to the graph failed.
-    Graph(GraphError),
     /// The primary answered with something other than the expected hello.
     Protocol(String),
 }
@@ -421,7 +426,6 @@ impl std::fmt::Display for ReplicaError {
         match self {
             ReplicaError::Io(e) => write!(f, "replication link: {e}"),
             ReplicaError::Wal(e) => write!(f, "replication stream: {e}"),
-            ReplicaError::Graph(e) => write!(f, "replication apply: {e}"),
             ReplicaError::Protocol(m) => write!(f, "replication protocol: {m}"),
         }
     }
@@ -432,7 +436,6 @@ impl std::error::Error for ReplicaError {
         match self {
             ReplicaError::Io(e) => Some(e),
             ReplicaError::Wal(e) => Some(e),
-            ReplicaError::Graph(e) => Some(e),
             ReplicaError::Protocol(_) => None,
         }
     }
@@ -447,12 +450,6 @@ impl From<std::io::Error> for ReplicaError {
 impl From<WalError> for ReplicaError {
     fn from(e: WalError) -> Self {
         ReplicaError::Wal(e)
-    }
-}
-
-impl From<GraphError> for ReplicaError {
-    fn from(e: GraphError) -> Self {
-        ReplicaError::Graph(e)
     }
 }
 
@@ -749,11 +746,11 @@ impl ReplicationObs {
     }
 }
 
-/// A running read replica: a serving engine plus the tailer thread that
-/// keeps it converged with the primary.
+/// A running read replica: a write front without a WAL plus the tailer
+/// thread that keeps it converged with the primary.
 #[derive(Debug)]
 pub struct Replica {
-    engine: Arc<SacEngine>,
+    live: Arc<LiveEngine>,
     status: Arc<ReplicaStatus>,
     stop: Arc<AtomicBool>,
 }
@@ -766,7 +763,7 @@ impl Replica {
     pub fn boot(config: ReplicaConfig) -> Result<Replica, ReplicaError> {
         let status = Arc::new(ReplicaStatus::new(config.primary.clone(), config.staleness));
         let mut attempt = 0u32;
-        let (reader, state, engine) = loop {
+        let (reader, pos, live) = loop {
             match bootstrap(&config, &status) {
                 Ok(booted) => break booted,
                 Err(e) => {
@@ -779,35 +776,38 @@ impl Replica {
             }
         };
         status.connected.store(true, Ordering::Relaxed);
-        status.applied_epoch.store(state.applied, Ordering::Relaxed);
-        status.primary_epoch.store(state.applied, Ordering::Relaxed);
+        let applied = live.engine().epoch();
+        status.applied_epoch.store(applied, Ordering::Relaxed);
+        status.primary_epoch.store(applied, Ordering::Relaxed);
         status.touch();
         let stop = Arc::new(AtomicBool::new(false));
-        let obs = ReplicationObs::new(&engine);
+        let obs = ReplicationObs::new(live.engine());
         if obs.enabled {
             obs.connected.set(1);
-            obs.applied_epoch.set(state.applied as i64);
-            obs.primary_epoch.set(state.applied as i64);
+            obs.applied_epoch.set(applied as i64);
+            obs.primary_epoch.set(applied as i64);
         }
         let ctx = TailerCtx {
-            engine: Arc::clone(&engine),
+            live: Arc::clone(&live),
             status: Arc::clone(&status),
             obs,
             config,
             stop: Arc::clone(&stop),
         };
-        thread::spawn(move || run_tailer(ctx, reader, state));
-        Ok(Replica {
-            engine,
-            status,
-            stop,
-        })
+        thread::spawn(move || run_tailer(ctx, reader, pos));
+        Ok(Replica { live, status, stop })
     }
 
     /// The replica's serving engine (read path only; mutations are
     /// rejected at the service layer with a redirect to the primary).
     pub fn engine(&self) -> &Arc<SacEngine> {
-        &self.engine
+        self.live.engine()
+    }
+
+    /// The write front the tailer replays records into; a service over
+    /// this replica serves the same front.
+    pub(crate) fn live(&self) -> &Arc<LiveEngine> {
+        &self.live
     }
 
     /// The shared replication status.
@@ -822,12 +822,18 @@ impl Replica {
     }
 
     /// Tears the replica down for promotion: stops the tailer and hands
-    /// back the serving engine and the shared status.  The engine keeps
-    /// serving its applied epoch throughout — promotion wraps it in a
-    /// [`crate::LiveEngine`] without a restart.
-    pub fn into_parts(self) -> (Arc<SacEngine>, Arc<ReplicaStatus>) {
+    /// back the write front and the shared status.  The front's engine keeps
+    /// serving its applied epoch throughout; promotion attaches a WAL to this
+    /// same front without a restart.
+    ///
+    /// The tailer may still hold a record it read before the stop.  It
+    /// checks the stop flag under the front lock before it applies
+    /// anything, and attaching a WAL takes that lock too, so a record is
+    /// either committed before the attach (and is in its base checkpoint) or
+    /// never applied.
+    pub fn into_parts(self) -> (Arc<LiveEngine>, Arc<ReplicaStatus>) {
         self.stop();
-        (self.engine, self.status)
+        (self.live, self.status)
     }
 }
 
@@ -845,19 +851,11 @@ pub fn probe(addr: &str, timeout: Duration) -> Result<ProbeReply, ReplicaError> 
     })
 }
 
-/// The tailer's mutable replay state: the incrementally maintained graph
-/// mirror plus the exact log position the next record must extend.
-struct ReplicaState {
-    dynamic: DynamicGraph,
-    positions: Vec<Point>,
-    /// Resume position: `(segment, offset)` after the last consumed record.
-    pos: (u64, u64),
-    /// Epoch of the applied state (`engine.epoch()` mirrors this).
-    applied: u64,
-}
+/// A log position: `(segment, offset)` just past the last consumed record.
+type LogPos = (u64, u64);
 
 struct TailerCtx {
-    engine: Arc<SacEngine>,
+    live: Arc<LiveEngine>,
     status: Arc<ReplicaStatus>,
     obs: ReplicationObs,
     config: ReplicaConfig,
@@ -869,7 +867,7 @@ enum StreamEnd {
     /// [`Replica::stop`] was called.
     Stop,
     /// The link broke, a frame was damaged, or the epoch sequence gapped:
-    /// reconnect and resume from `state.pos`.
+    /// reconnect and resume from the last consumed position.
     Reconnect,
     /// The position was truncated by a primary checkpoint: re-bootstrap
     /// from a fresh snapshot.
@@ -937,30 +935,13 @@ fn receive_snapshot(
     Ok(sac_wal::decode_snapshot(&bytes)?)
 }
 
-/// What [`state_from_image`] rebuilds from a shipped snapshot image: the
-/// replay mirror, positions, the immutable snapshot and its decomposition.
-type RestoredState = (
-    DynamicGraph,
-    Vec<Point>,
-    Arc<SpatialGraph>,
-    CoreDecomposition,
-);
-
-/// Rebuilds the replay mirror and an immutable snapshot from a shipped
-/// image, exactly like local recovery does.
-fn state_from_image(image: sac_wal::SnapshotImage) -> Result<RestoredState, ReplicaError> {
-    let decomposition = CoreDecomposition::from_core_numbers(image.core_numbers);
-    let dynamic = DynamicGraph::from_parts(&image.graph, &decomposition);
-    let positions = image.positions;
-    let snapshot = Arc::new(SpatialGraph::new(dynamic.to_graph(), positions.clone())?);
-    Ok((dynamic, positions, snapshot, decomposition))
-}
-
-/// First boot: snapshot handshake, engine construction.
+/// First boot: snapshot handshake, write front and engine construction.
+/// Returns the stream, the position the next record must extend, and the
+/// front.
 fn bootstrap(
     config: &ReplicaConfig,
     status: &ReplicaStatus,
-) -> Result<(BufReader<TcpStream>, ReplicaState, Arc<SacEngine>), ReplicaError> {
+) -> Result<(BufReader<TcpStream>, LogPos, Arc<LiveEngine>), ReplicaError> {
     let request = ReplicateRequest {
         term: status.term(),
         replica_id: config.replica_id,
@@ -994,24 +975,17 @@ fn bootstrap(
             image.epoch
         )));
     }
-    let (dynamic, positions, snapshot, _) = state_from_image(image)?;
-    let engine = Arc::new(SacEngine::restored(snapshot, config.engine, epoch));
-    engine.set_term(status.term());
-    let state = ReplicaState {
-        dynamic,
-        positions,
-        pos: (segment, offset),
-        applied: epoch.max(1),
-    };
-    Ok((reader, state, engine))
+    let live = LiveEngine::restore(image, config.engine)?;
+    live.engine().set_term(status.term());
+    Ok((reader, (segment, offset), Arc::new(live)))
 }
 
 /// The tailer thread: stream frames, apply records, reconnect on damage,
 /// re-bootstrap on truncation — forever, until stopped.
-fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut state: ReplicaState) {
+fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut pos: LogPos) {
     let mut conn: u64 = 1;
     'serve: loop {
-        let end = stream_frames(&ctx, &mut reader, &mut state, conn);
+        let end = stream_frames(&ctx, &mut reader, &mut pos, conn);
         let mut want_snapshot = match end {
             StreamEnd::Stop => return,
             StreamEnd::SnapshotRequired => true,
@@ -1037,7 +1011,7 @@ fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut state: Repli
             if ctx.obs.enabled {
                 ctx.obs.reconnects.inc();
             }
-            match reconnect(&ctx, &mut state, want_snapshot) {
+            match reconnect(&ctx, &mut pos, want_snapshot) {
                 Ok(new_reader) => {
                     reader = new_reader;
                     ctx.status.connected.store(true, Ordering::Relaxed);
@@ -1063,11 +1037,11 @@ enum ReconnectFail {
     NeedSnapshot,
 }
 
-/// One reconnect attempt: tail resume from `state.pos`, or a snapshot
+/// One reconnect attempt: tail resume from `pos`, or a snapshot
 /// re-bootstrap when the position was truncated.
 fn reconnect(
     ctx: &TailerCtx,
-    state: &mut ReplicaState,
+    pos: &mut LogPos,
     want_snapshot: bool,
 ) -> Result<BufReader<TcpStream>, ReconnectFail> {
     let want_snapshot = want_snapshot || ctx.status.bootstrap_requested.load(Ordering::Relaxed);
@@ -1075,7 +1049,7 @@ fn reconnect(
         term: ctx.status.term(),
         replica_id: ctx.config.replica_id,
         advertise: ctx.config.advertise.clone(),
-        ..ReplicateRequest::new(state.pos.0, state.pos.1, want_snapshot)
+        ..ReplicateRequest::new(pos.0, pos.1, want_snapshot)
     };
     // The believed primary is re-read from the status every attempt: the
     // failover watchdog may have re-pointed it at an elected peer.
@@ -1093,8 +1067,8 @@ fn reconnect(
                 return Err(ReconnectFail::TryAgain);
             }
             ctx.status.observe_term(term);
-            ctx.engine.set_term(ctx.status.term());
-            state.pos = (segment, offset);
+            ctx.live.engine().set_term(ctx.status.term());
+            *pos = (segment, offset);
             Ok(reader)
         }
         ReplicateHello::SnapshotRequired { .. } => Err(ReconnectFail::NeedSnapshot),
@@ -1109,7 +1083,7 @@ fn reconnect(
                 return Err(ReconnectFail::TryAgain);
             }
             ctx.status.observe_term(term);
-            ctx.engine.set_term(ctx.status.term());
+            ctx.live.engine().set_term(ctx.status.term());
             let image = receive_snapshot(&mut reader, len).map_err(|_| ReconnectFail::TryAgain)?;
             if image.epoch != epoch {
                 return Err(ReconnectFail::TryAgain);
@@ -1120,16 +1094,15 @@ fn reconnect(
             // dead primary but never reaching the winner) is discarded so
             // the fleet converges bit-identically.
             let forced = ctx.status.bootstrap_requested.load(Ordering::Relaxed);
-            if epoch > state.applied || (forced && epoch != state.applied) {
+            let applied = ctx.live.engine().epoch();
+            if epoch > applied || (forced && epoch != applied) {
                 // The records between our applied epoch and the snapshot
                 // were truncated by a primary checkpoint (or the snapshot
-                // supersedes our fork): jump to it.
-                let (dynamic, positions, snapshot, decomposition) =
-                    state_from_image(image).map_err(|_| ReconnectFail::TryAgain)?;
-                ctx.engine.publish_restored(snapshot, decomposition, epoch);
-                state.dynamic = dynamic;
-                state.positions = positions;
-                state.applied = epoch;
+                // supersedes our fork): jump to it.  `Ok(false)` means
+                // promotion stopped the tailer meanwhile.
+                if !matches!(ctx.live.rebootstrap(image, &ctx.stop), Ok(true)) {
+                    return Err(ReconnectFail::TryAgain);
+                }
                 ctx.status.applied_epoch.store(epoch, Ordering::Relaxed);
                 ctx.status
                     .snapshot_bootstraps
@@ -1138,8 +1111,9 @@ fn reconnect(
                     ctx.obs.applied_epoch.set(epoch as i64);
                     ctx.obs.bootstraps.inc();
                 }
-                if ctx.engine.observing() {
-                    ctx.engine.events().publish(
+                let engine = ctx.live.engine();
+                if engine.observing() {
+                    engine.events().publish(
                         "replication",
                         format!("snapshot_bootstrap epoch={epoch} segment={segment}"),
                     );
@@ -1150,7 +1124,7 @@ fn reconnect(
             // records at or below `applied` are skipped on arrival.  Either
             // way the position realigns to this primary's log coordinates,
             // which satisfies any pending post-failover bootstrap request.
-            state.pos = (segment, offset);
+            *pos = (segment, offset);
             ctx.status
                 .bootstrap_requested
                 .store(false, Ordering::Relaxed);
@@ -1167,7 +1141,7 @@ fn reconnect(
 fn stream_frames(
     ctx: &TailerCtx,
     reader: &mut BufReader<TcpStream>,
-    state: &mut ReplicaState,
+    pos: &mut LogPos,
     conn: u64,
 ) -> StreamEnd {
     let mut injector = ctx
@@ -1200,7 +1174,7 @@ fn stream_frames(
                 FaultAction::Duplicate => {
                     // Feed the frame through twice; the second pass is
                     // deduplicated by position like any wire duplicate.
-                    match process_frame(ctx, state, frame.clone(), &mut stalled_heartbeats) {
+                    match process_frame(ctx, pos, frame.clone(), &mut stalled_heartbeats) {
                         FrameVerdict::Continue => {}
                         FrameVerdict::End(end) => return end,
                     }
@@ -1216,7 +1190,7 @@ fn stream_frames(
                 FaultAction::Truncate(_) => return StreamEnd::Reconnect,
             }
         }
-        match process_frame(ctx, state, frame, &mut stalled_heartbeats) {
+        match process_frame(ctx, pos, frame, &mut stalled_heartbeats) {
             FrameVerdict::Continue => {}
             FrameVerdict::End(end) => return end,
         }
@@ -1230,7 +1204,7 @@ enum FrameVerdict {
 
 fn process_frame(
     ctx: &TailerCtx,
-    state: &mut ReplicaState,
+    pos: &mut LogPos,
     frame: ReplFrame,
     stalled_heartbeats: &mut u32,
 ) -> FrameVerdict {
@@ -1242,7 +1216,7 @@ fn process_frame(
             payload,
         } => {
             ctx.status.touch();
-            if (segment, end_offset) <= state.pos {
+            if (segment, end_offset) <= *pos {
                 return FrameVerdict::Continue; // duplicate delivery
             }
             if crc32(&payload) != crc {
@@ -1254,10 +1228,11 @@ fn process_frame(
                 return FrameVerdict::End(StreamEnd::Reconnect);
             };
             *stalled_heartbeats = 0;
-            if record.epoch <= state.applied {
+            let applied = ctx.live.engine().epoch();
+            if record.epoch <= applied {
                 // Already covered by our snapshot/applied state; the
                 // position still advances past it.
-                state.pos = (segment, end_offset);
+                *pos = (segment, end_offset);
                 return FrameVerdict::Continue;
             }
             if record.term < ctx.status.term() {
@@ -1267,15 +1242,16 @@ fn process_frame(
                 return FrameVerdict::End(StreamEnd::Reconnect);
             }
             ctx.status.observe_term(record.term);
-            if record.epoch != state.applied + 1 {
+            if record.epoch != applied + 1 {
                 // A gap means an earlier record was lost (e.g. dropped by
                 // the fault injector): resume from the last good position.
                 return FrameVerdict::End(StreamEnd::Reconnect);
             }
-            match apply_record(ctx, state, &record) {
-                Ok(()) => {
-                    state.pos = (segment, end_offset);
-                    state.applied = record.epoch;
+            match ctx.live.replay(&record, &ctx.stop) {
+                // Promotion stopped the tailer: the record stays unapplied.
+                Ok(None) => FrameVerdict::End(StreamEnd::Stop),
+                Ok(Some(report)) if report.epoch == record.epoch => {
+                    *pos = (segment, end_offset);
                     ctx.status
                         .applied_epoch
                         .store(record.epoch, Ordering::Relaxed);
@@ -1287,9 +1263,10 @@ fn process_frame(
                     }
                     FrameVerdict::Continue
                 }
-                // The shipped ops do not fit our mirror: the states have
-                // diverged and only a fresh snapshot can realign them.
-                Err(_) => FrameVerdict::End(StreamEnd::SnapshotRequired),
+                // The shipped ops do not fit our front (or changed nothing):
+                // the states have diverged and only a fresh snapshot can
+                // realign them.
+                _ => FrameVerdict::End(StreamEnd::SnapshotRequired),
             }
         }
         ReplFrame::Heartbeat {
@@ -1306,7 +1283,7 @@ fn process_frame(
                 return FrameVerdict::End(StreamEnd::Reconnect);
             }
             ctx.status.observe_term(term);
-            ctx.engine.set_term(ctx.status.term());
+            ctx.live.engine().set_term(ctx.status.term());
             if lease_ms > 0 {
                 ctx.status.grant_lease(lease_ms);
                 ctx.status.set_roster(roster);
@@ -1316,7 +1293,7 @@ fn process_frame(
                 ctx.obs.primary_epoch.set(epoch as i64);
                 ctx.obs.lag.set(ctx.status.lag_epochs() as i64);
             }
-            if (segment, offset) > state.pos {
+            if (segment, offset) > *pos {
                 // The primary's tail is ahead of us yet no record arrived:
                 // after a few of these in a row the records were lost on
                 // the wire — reconnect and re-request from our position.
@@ -1332,41 +1309,4 @@ fn process_frame(
         }
         ReplFrame::SnapshotRequired => FrameVerdict::End(StreamEnd::SnapshotRequired),
     }
-}
-
-/// Applies one record's operations through the same incremental
-/// maintenance local recovery uses, then publishes the result as the
-/// record's epoch.
-fn apply_record(
-    ctx: &TailerCtx,
-    state: &mut ReplicaState,
-    record: &DeltaRecord,
-) -> Result<(), ReplicaError> {
-    for op in &record.ops {
-        match *op {
-            WalOp::InsertEdge(u, v) => {
-                state.dynamic.insert_edge(u, v)?;
-            }
-            WalOp::RemoveEdge(u, v) => {
-                state.dynamic.remove_edge(u, v)?;
-            }
-            WalOp::AddVertex(x, y) => {
-                state.dynamic.add_vertex();
-                state.positions.push(Point::new(x, y));
-            }
-            WalOp::MoveVertex(v, x, y) => {
-                if v as usize >= state.positions.len() {
-                    return Err(GraphError::VertexOutOfRange(v).into());
-                }
-                state.positions[v as usize] = Point::new(x, y);
-            }
-        }
-    }
-    let snapshot = SpatialGraph::new(state.dynamic.to_graph(), state.positions.clone())?;
-    // The WAL record does not carry the commit's dirty-k analysis, so the
-    // conservative invalidation (drop every cached index) keeps the
-    // replica's answers trivially equal to a cold engine's.
-    ctx.engine
-        .publish(Arc::new(snapshot), state.dynamic.decomposition(), u32::MAX);
-    Ok(())
 }

@@ -175,10 +175,10 @@ impl ServiceObs {
 /// HTTP connection closes).
 #[derive(Debug)]
 pub struct SacService {
-    /// The live front requests run against, swappable so failover can
-    /// promote a replica to a writable primary without restarting the
-    /// transports (they hold the service, not the engine).
-    live: RwLock<Arc<LiveEngine>>,
+    /// The live front requests run against.  On a replica it is the
+    /// replica's own front, which failover promotes in place without
+    /// restarting the transports (they hold the service, not the engine).
+    live: Arc<LiveEngine>,
     config: ServiceConfig,
     obs: ServiceObs,
     /// Process-start clock for the `uptime_secs` fields of `stats` and
@@ -202,9 +202,13 @@ impl SacService {
 
     /// A service over an existing live front.
     pub fn with_live(live: LiveEngine, config: ServiceConfig) -> Self {
+        SacService::over(Arc::new(live), config)
+    }
+
+    fn over(live: Arc<LiveEngine>, config: ServiceConfig) -> Self {
         let obs = ServiceObs::new(live.engine());
         SacService {
-            live: RwLock::new(Arc::new(live)),
+            live,
             config,
             obs,
             started: Instant::now(),
@@ -218,11 +222,11 @@ impl SacService {
     /// the replica's converging engine, mutations get a redirect to the
     /// primary, and `stats`/`/healthz` report replication lag and health.
     ///
-    /// The service takes ownership of the replica so failover (see
-    /// [`crate::failover`]) can stop the link and promote the engine in
-    /// place.
+    /// The service serves the replica's own write front, and takes
+    /// ownership of the replica so failover (see [`crate::failover`]) can
+    /// stop the link and promote that front in place.
     pub fn for_replica(replica: Replica, config: ServiceConfig) -> Self {
-        let service = SacService::with_live(LiveEngine::new(Arc::clone(replica.engine())), config);
+        let service = SacService::over(Arc::clone(replica.live()), config);
         *service.replica.write().expect("replica lock poisoned") =
             Some(Arc::clone(replica.status()));
         *service.handle.lock().expect("replica handle poisoned") = Some(replica);
@@ -260,24 +264,21 @@ impl SacService {
         }
     }
 
-    /// Installs a new (writable) live front and clears the replica state:
-    /// the final step of a promotion.  Requests that started on the old
-    /// front finish there; new requests see the primary engine.
-    pub(crate) fn install_live(&self, live: LiveEngine) {
-        *self.live.write().expect("service live lock poisoned") = Arc::new(live);
+    /// Clears the replica state, so mutations reach the live front: the
+    /// final step of a promotion, once the front has its WAL.
+    pub(crate) fn promoted(&self) {
         *self.replica.write().expect("replica lock poisoned") = None;
         self.set_role(Role::Primary);
     }
 
     /// The engine queries run against.
     pub fn engine(&self) -> Arc<SacEngine> {
-        Arc::clone(self.live().engine())
+        Arc::clone(self.live.engine())
     }
 
-    /// The live-update front mutations go through (a clone of the current
-    /// handle: failover may swap the front under a running service).
+    /// The live-update front mutations go through.
     pub fn live(&self) -> Arc<LiveEngine> {
-        Arc::clone(&self.live.read().expect("service live lock poisoned"))
+        Arc::clone(&self.live)
     }
 
     /// The encoding options transports must encode responses with.
@@ -306,7 +307,7 @@ impl SacService {
     /// Handles one typed request; `None` means "quit" (the transport ends
     /// the session without a reply).
     pub fn handle(&self, request: &ProtoRequest) -> Option<ProtoResponse> {
-        let live = self.live();
+        let live = &self.live;
         let engine = live.engine();
         if let Some(status) = self.replica_status() {
             // A replica's state is exactly the primary's log replayed; a

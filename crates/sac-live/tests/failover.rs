@@ -18,16 +18,18 @@
 //!   replica — unreplicated zombie writes are discarded by the snapshot
 //!   bootstrap and the cluster converges bit-identically.
 
+mod common;
+
+use common::{durability, fast_retry, fingerprint, wait_until, N};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sac_engine::{EngineConfig, SacEngine, SacRequest};
+use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
 use sac_graph::{GraphBuilder, SpatialGraph};
 use sac_live::failover::{arm, find_superseding_primary};
 use sac_live::{
-    spawn_shipper, Durability, FailoverConfig, FailoverHandle, FaultPlan, LiveEngine, Replica,
-    ReplicaConfig, RetryPolicy, Role, SacService, ServiceConfig, ShipConfig, ShipHandle,
-    SyncPolicy,
+    spawn_shipper, FailoverConfig, FailoverHandle, FaultPlan, LiveEngine, Replica, ReplicaConfig,
+    Role, SacService, ServiceConfig, ShipConfig, ShipHandle,
 };
 use sac_proto::{ProtoRequest, ProtoResponse};
 use std::net::TcpListener;
@@ -35,8 +37,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const N: u32 = 32;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -67,66 +67,6 @@ fn spatial(initial: &[(u32, u32)]) -> SpatialGraph {
     builder.ensure_vertex(N - 1);
     builder.add_edges(initial.iter().copied().filter(|(u, v)| u != v));
     SpatialGraph::new(builder.build(), positions(N as usize)).unwrap()
-}
-
-fn durability(dir: &Path) -> Durability {
-    Durability {
-        dir: dir.to_path_buf(),
-        sync: SyncPolicy::Never,
-        checkpoint_every: 0,
-    }
-}
-
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        base: Duration::from_millis(5),
-        max: Duration::from_millis(50),
-        multiplier: 2.0,
-        jitter: 0.2,
-        attempt_timeout: Duration::from_secs(2),
-    }
-}
-
-/// Everything "bit-identical" means, captured from an engine.
-#[derive(Clone, PartialEq, Debug)]
-struct StateFingerprint {
-    epoch: u64,
-    cores: Vec<u32>,
-    position_bits: Vec<(u64, u64)>,
-    answers: Vec<Option<Vec<u32>>>,
-}
-
-fn fingerprint(engine: &SacEngine) -> StateFingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let mut answers = Vec::new();
-    for q in (0..n).step_by(5) {
-        for k in 1..4u32 {
-            let response = engine.execute(&SacRequest::new(u64::from(q), q, k));
-            answers.push(response.community().map(|c| c.members().to_vec()));
-        }
-    }
-    StateFingerprint {
-        epoch: engine.epoch(),
-        cores: engine.decomposition().core_numbers().to_vec(),
-        position_bits: snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    }
-}
-
-fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    done()
 }
 
 /// Boots a durable primary over `initial` with a lease-stamping shipper.

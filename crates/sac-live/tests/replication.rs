@@ -13,25 +13,29 @@
 //!   answering at its last applied epoch, reports `degraded`, and recovers
 //!   on its own once the primary is back;
 //! * the read-only contract: mutations on a replica get a typed redirect
-//!   carrying the primary's address.
+//!   carrying the primary's address;
+//! * the shared write front: a replica carries the same per-`k` indexes as
+//!   its primary, and refuses a bootstrap snapshot whose core numbers
+//!   disagree with its graph.
 
+mod common;
+
+use common::{apply_op, durability, fast_retry, fingerprint, spatial, wait_until, N};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sac_engine::{SacEngine, SacRequest};
 use sac_geom::Point;
-use sac_graph::{GraphBuilder, SpatialGraph};
 use sac_live::{
-    spawn_shipper, Durability, FaultPlan, LiveEngine, Replica, ReplicaConfig, RetryPolicy,
-    SacService, ServiceConfig, ShipConfig, SyncPolicy,
+    spawn_shipper, FaultPlan, LiveEngine, Replica, ReplicaConfig, ReplicaError, SacService,
+    ServiceConfig, ShipConfig,
 };
 use sac_proto::{ProtoRequest, ProtoResponse};
+use sac_wal::WalError;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const N: u32 = 32;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -42,108 +46,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Positions in four well-separated clusters.
-fn positions(n: usize) -> Vec<Point> {
-    (0..n)
-        .map(|i| {
-            let cluster = i % 4;
-            let (cx, cy) = ((cluster % 2) as f64 * 100.0, (cluster / 2) as f64 * 100.0);
-            Point::new(
-                cx + (i / 4 % 4) as f64 + 0.3 * (i % 3) as f64,
-                cy + (i / 16) as f64,
-            )
-        })
-        .collect()
-}
-
-fn spatial(initial: &[(u32, u32)], n: u32) -> SpatialGraph {
-    let mut builder = GraphBuilder::new();
-    builder.ensure_vertex(n - 1);
-    builder.add_edges(initial.iter().copied().filter(|(u, v)| u != v));
-    SpatialGraph::new(builder.build(), positions(n as usize)).unwrap()
-}
-
-fn durability(dir: &Path) -> Durability {
-    Durability {
-        dir: dir.to_path_buf(),
-        sync: SyncPolicy::Never,
-        checkpoint_every: 0, // manual only: the log keeps every record
-    }
-}
-
-/// A retry policy tight enough that fault-driven reconnects cost
-/// milliseconds, not the production-scale backoff.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        base: Duration::from_millis(5),
-        max: Duration::from_millis(50),
-        multiplier: 2.0,
-        jitter: 0.2,
-        attempt_timeout: Duration::from_secs(2),
-    }
-}
-
-/// Everything "bit-identical" means, captured from an engine.
-#[derive(Clone, PartialEq, Debug)]
-struct StateFingerprint {
-    epoch: u64,
-    cores: Vec<u32>,
-    position_bits: Vec<(u64, u64)>,
-    answers: Vec<Option<Vec<u32>>>,
-}
-
-fn fingerprint(engine: &SacEngine) -> StateFingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let mut answers = Vec::new();
-    for q in (0..n).step_by(5) {
-        for k in 1..4u32 {
-            let response = engine.execute(&SacRequest::new(u64::from(q), q, k));
-            answers.push(response.community().map(|c| c.members().to_vec()));
-        }
-    }
-    StateFingerprint {
-        epoch: engine.epoch(),
-        cores: engine.decomposition().core_numbers().to_vec(),
-        position_bits: snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    }
-}
-
-/// Applies stream op `i` to the live front; returns whether it buffered
-/// a mutation.
-fn apply_op(live: &LiveEngine, u: u32, v: u32, op: u32) -> bool {
-    match op {
-        7 => {
-            let p = Point::new((u % 9) as f64 * 23.0, (v % 9) as f64 * 17.0);
-            live.move_vertex(u % N, p).unwrap()
-        }
-        8 => {
-            live.add_vertex(Point::new((u % 11) as f64, (v % 11) as f64))
-                .unwrap();
-            true
-        }
-        _ if u != v => live.add_edge(u, v).unwrap().applied,
-        _ => false,
-    }
-}
-
-/// Polls `done` until it returns true or `deadline` elapses.
-fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if done() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    done()
 }
 
 /// Boots a durable primary over `initial` plus its shipping endpoint.
@@ -471,6 +373,112 @@ fn mutations_on_a_replica_redirect_to_the_primary() {
     assert_eq!(service.role(), sac_live::Role::Replica);
 
     service.stop_replica();
+    ship.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replica commits each record through a write front like a primary's,
+/// with the same dirty bound: it carries exactly the per-`k` indexes its
+/// primary carries, and an index only the replica warmed survives a
+/// position-only record.
+#[test]
+fn replica_carries_the_primary_per_k_indexes() {
+    let dir = temp_dir("carry");
+    // Vertices 0..16 form a 4-core (circulant, offsets 1 and 2); 16..32 a
+    // ring, core 2.  Ring edits dirty k <= 2 at most, moves dirty nothing,
+    // edits in the dense half dirty k <= 4.
+    let mut initial: Vec<(u32, u32)> = (0..16)
+        .flat_map(|v| [(v, (v + 1) % 16), (v, (v + 2) % 16)])
+        .collect();
+    initial.extend((16..N).map(|v| (v, 16 + (v - 15) % 16)));
+    let (engine, live, ship) = primary(&dir, &initial, None);
+    let replica = Replica::boot(replica_config(&ship, 47)).unwrap();
+    let query = SacRequest::new(1, 0, 3);
+    let caught_up = |target: u64| {
+        wait_until(Duration::from_secs(20), || {
+            replica.status().applied_epoch() == target
+        })
+    };
+    assert!(caught_up(engine.epoch()), "bootstrap stalled");
+    assert!(engine.execute(&query).community().is_some());
+    assert!(replica.engine().execute(&query).community().is_some());
+
+    let far = Point::new(250.0, 250.0);
+    for step in 0..8 {
+        match step {
+            0 => assert!(live.add_edge(16, 24).unwrap().applied),
+            1 => assert!(live.move_vertex(3, far).unwrap()),
+            2 => assert!(live.remove_edge(0, 1).unwrap().applied),
+            3 => assert!(live.move_vertex(20, far).unwrap()),
+            4 => assert!(live.add_edge(18, 27).unwrap().applied),
+            5 => assert!(live.remove_edge(17, 18).unwrap().applied),
+            6 => assert!(live.add_edge(0, 1).unwrap().applied),
+            _ => assert!(live.move_vertex(5, far).unwrap()),
+        }
+        live.commit().unwrap();
+        assert!(caught_up(engine.epoch()), "replica stalled at step {step}");
+        engine.execute(&query);
+        replica.engine().execute(&query);
+        assert_eq!(
+            replica.engine().stats().components_carried,
+            engine.stats().components_carried,
+            "carried indexes diverged at step {step}"
+        );
+        assert_eq!(
+            replica.engine().stats().components_invalidated,
+            engine.stats().components_invalidated,
+            "invalidated indexes diverged at step {step}"
+        );
+    }
+    assert!(
+        engine.stats().components_carried > 0,
+        "the stream must carry some k = 3 index"
+    );
+    assert_eq!(fingerprint(replica.engine()), fingerprint(&engine));
+
+    // An index only the replica built (as `--warm` does) survives a record
+    // that moves a vertex.
+    replica.engine().warm(&[2, 3]);
+    let before = replica.engine().stats();
+    assert!(live.move_vertex(9, Point::new(1.0, 1.0)).unwrap());
+    live.commit().unwrap();
+    assert!(caught_up(engine.epoch()));
+    let after = replica.engine().stats();
+    assert_eq!(after.components_carried, before.components_carried + 2);
+    assert_eq!(after.components_invalidated, before.components_invalidated);
+
+    replica.stop();
+    ship.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bootstrap snapshot whose stored core numbers disagree with its graph
+/// is refused: the replica peels it once before building on the numbers.
+#[test]
+fn replica_refuses_a_snapshot_with_wrong_core_numbers() {
+    let dir = temp_dir("cores");
+    let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 1) % N)).collect();
+    let (engine, _live, ship) = primary(&dir, &initial, None);
+    let snapshot = engine.snapshot();
+    let mut cores = engine.decomposition().core_numbers().to_vec();
+    cores[0] += 1;
+    sac_wal::write_snapshot(
+        &dir,
+        engine.epoch(),
+        snapshot.graph(),
+        snapshot.positions(),
+        &cores,
+    )
+    .unwrap();
+    let mut config = replica_config(&ship, 53);
+    config.boot_attempts = 1;
+    let Err(err) = Replica::boot(config) else {
+        panic!("bootstrap accepted core numbers its snapshot graph does not have");
+    };
+    assert!(
+        matches!(err, ReplicaError::Wal(WalError::SnapshotCorrupt { .. })),
+        "expected a corrupt-snapshot error, got {err}"
+    );
     ship.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

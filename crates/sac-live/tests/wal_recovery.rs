@@ -12,17 +12,17 @@
 //! A flipped byte inside a *complete* record is never survivable: it must be
 //! a hard error, not a silent rollback.
 
+mod common;
+
+use common::{apply_op, durability, fingerprint, spatial, N};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sac_engine::{EngineConfig, SacEngine, SacRequest};
-use sac_geom::Point;
-use sac_graph::{GraphBuilder, SpatialGraph};
-use sac_live::{Durability, LiveEngine, SyncPolicy};
+use sac_engine::{EngineConfig, SacEngine};
+use sac_live::LiveEngine;
+use sac_wal::WalError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const N: u32 = 32;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -40,84 +40,6 @@ fn copy_dir(src: &Path, dst: &Path) {
     for entry in std::fs::read_dir(src).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-    }
-}
-
-/// Positions in four well-separated clusters.
-fn positions(n: usize) -> Vec<Point> {
-    (0..n)
-        .map(|i| {
-            let cluster = i % 4;
-            let (cx, cy) = ((cluster % 2) as f64 * 100.0, (cluster / 2) as f64 * 100.0);
-            Point::new(
-                cx + (i / 4 % 4) as f64 + 0.3 * (i % 3) as f64,
-                cy + (i / 16) as f64,
-            )
-        })
-        .collect()
-}
-
-fn spatial(initial: &[(u32, u32)], n: u32) -> SpatialGraph {
-    let mut builder = GraphBuilder::new();
-    builder.ensure_vertex(n - 1);
-    builder.add_edges(initial.iter().copied().filter(|(u, v)| u != v));
-    SpatialGraph::new(builder.build(), positions(n as usize)).unwrap()
-}
-
-fn durability(dir: &Path) -> Durability {
-    Durability {
-        dir: dir.to_path_buf(),
-        sync: SyncPolicy::Never,
-        checkpoint_every: 0, // manual only: the log keeps every record
-    }
-}
-
-/// Everything "bit-identical" means, captured from a live engine.
-#[derive(Clone, PartialEq, Debug)]
-struct StateFingerprint {
-    epoch: u64,
-    cores: Vec<u32>,
-    position_bits: Vec<(u64, u64)>,
-    answers: Vec<Option<Vec<u32>>>,
-}
-
-fn fingerprint(engine: &SacEngine) -> StateFingerprint {
-    let snapshot = engine.snapshot();
-    let n = snapshot.num_vertices() as u32;
-    let mut answers = Vec::new();
-    for q in (0..n).step_by(5) {
-        for k in 1..4u32 {
-            let response = engine.execute(&SacRequest::new(u64::from(q), q, k));
-            answers.push(response.community().map(|c| c.members().to_vec()));
-        }
-    }
-    StateFingerprint {
-        epoch: engine.epoch(),
-        cores: engine.decomposition().core_numbers().to_vec(),
-        position_bits: snapshot
-            .positions()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        answers,
-    }
-}
-
-/// Applies stream op `i` to the live front; returns whether it buffered
-/// a mutation.
-fn apply_op(live: &LiveEngine, u: u32, v: u32, op: u32) -> bool {
-    match op {
-        7 => {
-            let p = Point::new((u % 9) as f64 * 23.0, (v % 9) as f64 * 17.0);
-            live.move_vertex(u % N, p).unwrap()
-        }
-        8 => {
-            live.add_vertex(Point::new((u % 11) as f64, (v % 11) as f64))
-                .unwrap();
-            true
-        }
-        _ if u != v => live.add_edge(u, v).unwrap().applied,
-        _ => false,
     }
 }
 
@@ -324,5 +246,35 @@ fn clean_shutdown_marker_round_trips() {
     assert_eq!(fingerprint(recovered.engine()), expected);
     // Reopening for appends consumed the marker: the next boot scans again.
     assert_eq!(sac_wal::read_clean_marker(&dir), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot that passes its CRC but stores core numbers its graph does
+/// not have is refused: recovery peels the snapshot's graph once and every
+/// later incremental repair would build on the stored numbers.
+#[test]
+fn recovery_refuses_a_snapshot_with_wrong_core_numbers() {
+    let dir = temp_dir("cores");
+    let graph = spatial(&[(0, 1), (1, 2), (2, 0)], N);
+    let engine = Arc::new(SacEngine::new(graph));
+    drop(LiveEngine::with_durability(Arc::clone(&engine), durability(&dir)).unwrap());
+    let snapshot = engine.snapshot();
+    let mut cores = engine.decomposition().core_numbers().to_vec();
+    cores[0] += 1;
+    sac_wal::write_snapshot(
+        &dir,
+        engine.epoch(),
+        snapshot.graph(),
+        snapshot.positions(),
+        &cores,
+    )
+    .unwrap();
+    let Err(err) = LiveEngine::recover(durability(&dir), EngineConfig::default()) else {
+        panic!("recovery accepted core numbers its snapshot graph does not have");
+    };
+    assert!(
+        matches!(err, WalError::SnapshotCorrupt { .. }),
+        "expected a corrupt-snapshot error, got {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
