@@ -311,7 +311,13 @@ fn main() {
             let engine = Arc::clone(&inproc_engine);
             Box::new(move |id, q| {
                 std::hint::black_box(
-                    engine.execute(&SacRequest::new(id, q, K).with_budget(budget)),
+                    engine.execute(
+                        &SacRequest::builder(q, K)
+                            .id(id)
+                            .budget(budget)
+                            .build()
+                            .expect("valid budget"),
+                    ),
                 );
             })
         }),
@@ -381,7 +387,13 @@ fn main() {
             let engine = Arc::clone(&probe_engine);
             Box::new(move |id, q| {
                 std::hint::black_box(
-                    engine.execute(&SacRequest::new(id, q, K).with_budget(budget)),
+                    engine.execute(
+                        &SacRequest::builder(q, K)
+                            .id(id)
+                            .budget(budget)
+                            .build()
+                            .expect("valid budget"),
+                    ),
                 );
             })
         }),

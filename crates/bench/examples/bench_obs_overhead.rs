@@ -63,7 +63,13 @@ fn requests(queries: &[VertexId], budget: QueryBudget) -> Vec<SacRequest> {
     queries
         .iter()
         .enumerate()
-        .map(|(i, &q)| SacRequest::new(i as u64, q, K).with_budget(budget))
+        .map(|(i, &q)| {
+            SacRequest::builder(q, K)
+                .id(i as u64)
+                .budget(budget)
+                .build()
+                .expect("valid budget")
+        })
         .collect()
 }
 

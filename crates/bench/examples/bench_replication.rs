@@ -60,7 +60,12 @@ fn serve_loop(engine: &SacEngine, queries: &[u32], stop: &AtomicBool, served: &A
     while !stop.load(Ordering::Relaxed) {
         let q = queries[i % queries.len()];
         let k = 2 + (i % 3) as u32;
-        let _ = engine.execute(&SacRequest::new(i as u64, q, k));
+        let _ = engine.execute(
+            &SacRequest::builder(q, k)
+                .id(i as u64)
+                .build()
+                .expect("valid budget"),
+        );
         served.fetch_add(1, Ordering::Relaxed);
         i += 1;
     }
@@ -161,7 +166,12 @@ fn main() {
     // Warm every instance's caches with one pass of the query set.
     for instance in [&engine, r1.engine(), r2.engine()] {
         for (i, &q) in queries.iter().enumerate() {
-            let _ = instance.execute(&SacRequest::new(i as u64, q, 3));
+            let _ = instance.execute(
+                &SacRequest::builder(q, 3)
+                    .id(i as u64)
+                    .build()
+                    .expect("valid budget"),
+            );
         }
     }
 

@@ -159,7 +159,12 @@ pub fn fingerprint(engine: &SacEngine) -> Fingerprint {
         .step_by((n as usize / 24).max(1))
         .map(|q| {
             engine
-                .execute(&SacRequest::new(u64::from(q), q, 3))
+                .execute(
+                    &SacRequest::builder(q, 3)
+                        .id(u64::from(q))
+                        .build()
+                        .expect("valid budget"),
+                )
                 .community()
                 .map(|c| c.members().to_vec())
         })

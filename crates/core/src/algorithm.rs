@@ -1,29 +1,22 @@
-//! The unified algorithm interface: one trait, declared profiles, a registry.
+//! The closed algorithm set: one enum, one query record, one `run`.
 //!
 //! The paper's algorithms are also exposed as free functions with historically
 //! divergent signatures (`app_fast` takes `εF`, `app_acc` takes `εA`,
 //! `theta_sac` takes `θ`, `app_inc` takes nothing).  This module gives every
-//! algorithm — and any future one — a single uniform shape:
+//! algorithm a single uniform shape:
 //!
 //! * [`SacQuery`] — a validated query record (vertex, degree bound, optional
 //!   accuracy/radius parameters);
-//! * [`CommunitySearch`] — the trait every algorithm implements:
-//!   `run(&mut SearchContext, &SacQuery) -> Result<SacOutcome, SacError>`;
-//! * [`AlgorithmProfile`] — the machine-readable contract an implementation
-//!   declares: its proven approximation-ratio guarantee ([`RatioGuarantee`]),
-//!   its asymptotic cost class ([`CostClass`]) and whether it answers
-//!   radius-constrained (θ) queries;
-//! * [`AlgorithmRegistry`] — a name-indexed collection of algorithms the
-//!   serving planner selects over, so adding an algorithm means registering
-//!   it, not editing every dispatch site.
+//! * [`Algorithm`] — the closed set of servable algorithms: the paper's five
+//!   SAC algorithms (Table 3), the exhaustive `Exact` and the `Global`/`Local`
+//!   structure-only baselines.  [`Algorithm::run`] executes one inside a
+//!   [`SearchContext`] and returns a [`SacOutcome`].
 
 use crate::app_acc::validate_eps_a;
 use crate::app_fast::{app_fast_with_ctx, validate_eps_f};
 use crate::common::SearchContext;
 use crate::{Community, SacError, DEFAULT_EPS_A, DEFAULT_EPS_F, EXACT_PLUS_EPS_A};
-use sac_graph::{SpatialGraph, VertexId};
-use std::fmt;
-use std::sync::Arc;
+use sac_graph::VertexId;
 
 /// One SAC query in the uniform algorithm interface: the query vertex, the
 /// minimum-degree constraint, and the optional per-algorithm parameters.
@@ -35,13 +28,14 @@ use std::sync::Arc;
 /// up front, instead of deep inside the algorithm arms.
 ///
 /// ```
-/// use sac_core::{fixtures, AppFastSearch, CommunitySearch, SacQuery};
+/// use sac_core::{fixtures, Algorithm, SacQuery, SearchContext};
 ///
 /// let graph = fixtures::figure3_graph();
 /// let query = SacQuery::new(fixtures::figure3::Q, 2).with_eps_f(0.5);
 /// query.validate().unwrap();
 ///
-/// let outcome = AppFastSearch.search(&graph, &query).unwrap();
+/// let mut ctx = SearchContext::new(&graph, query.q, query.k).unwrap();
+/// let outcome = Algorithm::AppFast.run(&mut ctx, &query).unwrap();
 /// assert!(outcome.community.unwrap().contains(fixtures::figure3::Q));
 ///
 /// // Typed validation errors are produced at query construction time.
@@ -155,7 +149,7 @@ impl SacQuery {
     }
 }
 
-/// The uniform result of one [`CommunitySearch::run`] call.
+/// The uniform result of one [`Algorithm::run`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SacOutcome {
     /// The community, or `None` when the query is infeasible (no connected
@@ -186,488 +180,186 @@ impl From<Option<Community>> for SacOutcome {
     }
 }
 
-/// Asymptotic cost class of an algorithm (the planner's cost model), ordered
-/// cheapest-first.  The classes coarsen the paper's Table 3 complexities just
-/// enough to be comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CostClass {
-    /// `O(m)` — a single feasibility pass (θ-SAC).
-    Linear,
-    /// `O(m · min{n, log 1/ε})` — a logarithmic binary search over radii
-    /// (`AppFast`).
-    NearLinear,
-    /// `O(m · n)` — one feasibility pass per candidate radius (`AppInc`,
-    /// degree-based baselines).
-    Quadratic,
-    /// `O(m/ε² · min{n, log 1/ε})` — anchor-grid search (`AppAcc`).
-    Heavy,
-    /// `AppAcc` cost plus `O(m · |F1|³)` triple enumeration (`Exact+`).
-    ExactHeavy,
-    /// `O(m · n³)` — exhaustive triple enumeration (`Exact`).
-    Exhaustive,
-}
-
-impl fmt::Display for CostClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let label = match self {
-            CostClass::Linear => "O(m)",
-            CostClass::NearLinear => "O(m·log)",
-            CostClass::Quadratic => "O(m·n)",
-            CostClass::Heavy => "O(m/eps^2)",
-            CostClass::ExactHeavy => "O(m/eps^2 + m·|F1|^3)",
-            CostClass::Exhaustive => "O(m·n^3)",
-        };
-        f.write_str(label)
-    }
-}
-
-/// The proven approximation-ratio guarantee an algorithm declares — the band
-/// of worst-case MCC-radius ratios it can be tuned to, inverted from the
-/// paper's Table 3.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RatioGuarantee {
-    /// Ratio exactly 1: the algorithm returns the optimal community.
-    Exact,
-    /// Tunable ratio `1 + εA` with `εA ∈ (0, 1)`: covers budgets strictly
-    /// between 1 and 2.
-    OnePlusEpsA,
-    /// Tunable ratio `2 + εF` with `εF ≥ 0`: covers budgets of 2 and above.
-    TwoPlusEpsF,
-    /// A fixed, parameter-free proven ratio (e.g. 2 for `AppInc`).
-    Fixed(f64),
-    /// No proven ratio on the unconstrained SAC objective (θ-SAC answers a
-    /// different, radius-constrained question; baselines have no guarantee).
-    Unbounded,
-}
-
-impl RatioGuarantee {
-    /// Whether the algorithm can be tuned so its proven ratio is at most
-    /// `max_ratio` (i.e. `max_ratio` lies in this guarantee's band).
-    pub fn fits(&self, max_ratio: f64) -> bool {
-        match self {
-            RatioGuarantee::Exact => true,
-            RatioGuarantee::OnePlusEpsA => max_ratio > 1.0 + 1e-12 && max_ratio < 2.0,
-            RatioGuarantee::TwoPlusEpsF => max_ratio >= 2.0,
-            // No tolerance: a fixed guarantee fits only when it genuinely
-            // does not exceed the budget (a slack here would let a planner
-            // hand back a guarantee worse than the caller demanded).
-            RatioGuarantee::Fixed(ratio) => *ratio <= max_ratio,
-            RatioGuarantee::Unbounded => false,
-        }
-    }
-
-    /// The guarantee actually obtained when tuned for `max_ratio` (`None`
-    /// when the budget is outside the band or the guarantee is unbounded).
-    pub fn tuned(&self, max_ratio: f64) -> Option<f64> {
-        if !self.fits(max_ratio) {
-            return None;
-        }
-        match self {
-            RatioGuarantee::Exact => Some(1.0),
-            RatioGuarantee::OnePlusEpsA | RatioGuarantee::TwoPlusEpsF => Some(max_ratio),
-            RatioGuarantee::Fixed(ratio) => Some(*ratio),
-            RatioGuarantee::Unbounded => None,
-        }
-    }
-
-    /// Whether this guarantee demands the optimum (ratio 1).
-    pub fn is_exact(&self) -> bool {
-        matches!(self, RatioGuarantee::Exact)
-    }
-
-    /// Whether the ratio depends on a tunable accuracy parameter.
-    pub fn is_tunable(&self) -> bool {
-        matches!(
-            self,
-            RatioGuarantee::OnePlusEpsA | RatioGuarantee::TwoPlusEpsF
-        )
-    }
-}
-
-/// The declared contract of one [`CommunitySearch`] implementation: what the
-/// planner knows about an algorithm without hard-coding it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlgorithmProfile {
-    /// Stable registry/wire name (e.g. `app_fast`).
-    pub name: &'static str,
-    /// Proven approximation-ratio guarantee.
-    pub ratio: RatioGuarantee,
-    /// Asymptotic cost class (the planner's cost model).
-    pub cost: CostClass,
-    /// Whether the algorithm answers radius-constrained (θ-SAC) queries,
-    /// reading [`SacQuery::theta`].
-    pub supports_theta: bool,
-    /// Whether the algorithm's structural phase consumes a shared core
-    /// decomposition from its [`SearchContext`] (the k-ĉore-extracting
-    /// algorithms do).  Serving layers skip fetching/ computing the
-    /// decomposition for algorithms that declare `false`.
-    pub shares_decomposition: bool,
-    /// Where the algorithm comes from (paper reference or baseline origin).
-    pub reference: &'static str,
-}
-
-/// The uniform interface every SAC search algorithm implements.
+/// The closed set of SAC algorithms the serving stack can run.
 ///
-/// `run` executes the algorithm inside a caller-provided [`SearchContext`]
-/// (which may carry a shared core decomposition — the serving engine's cache
-/// hook), reading its parameters from the [`SacQuery`].  [`CommunitySearch::search`]
-/// is the convenience wrapper that validates the query and builds a fresh
-/// context.
+/// Variants are listed in [`Algorithm::ALL`] order, which is also the order
+/// of the per-algorithm latency series in metrics and stats.  Every `run`
+/// arm calls the same `sac_core` entry point a direct caller would use, so
+/// answers through the enum are bit-identical to the free functions.
 ///
 /// ```
-/// use sac_core::{fixtures, AlgorithmRegistry, CommunitySearch, SacQuery};
+/// use sac_core::{fixtures, Algorithm, SacQuery, SearchContext};
 ///
 /// let graph = fixtures::figure3_graph();
-/// let registry = AlgorithmRegistry::builtin();
 /// let query = SacQuery::new(fixtures::figure3::Q, 2);
 ///
-/// // Every registered algorithm answers the same query through one interface.
-/// let exact = registry.get("exact_plus").unwrap().search(&graph, &query).unwrap();
-/// let approx = registry.get("app_inc").unwrap().search(&graph, &query).unwrap();
-/// let (exact, approx) = (exact.community.unwrap(), approx.community.unwrap());
+/// // Every algorithm answers the same query through one interface.
+/// let mut run = |algorithm: Algorithm| {
+///     let mut ctx = SearchContext::new(&graph, query.q, query.k).unwrap();
+///     algorithm.run(&mut ctx, &query).unwrap().community.unwrap()
+/// };
+/// let (exact, approx) = (run(Algorithm::ExactPlus), run(Algorithm::AppInc));
 ///
-/// // AppInc's declared guarantee (ratio 2) holds against the exact optimum.
+/// // AppInc's proven ratio 2 holds against the exact optimum.
 /// assert!(approx.radius() <= 2.0 * exact.radius() + 1e-9);
+/// assert_eq!(Algorithm::from_name("app_inc"), Some(Algorithm::AppInc));
 /// ```
-pub trait CommunitySearch: Send + Sync {
-    /// The declared contract of this algorithm.
-    fn profile(&self) -> AlgorithmProfile;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algorithm {
+    /// `Exact+` (Algorithm 5): optimal, bootstrapped by `AppAcc` with `εA` =
+    /// [`SacQuery::eps_a_or`] ([`EXACT_PLUS_EPS_A`] when unset).
+    ExactPlus,
+    /// `AppAcc` (Algorithm 4): ratio `1 + εA`.
+    AppAcc,
+    /// `AppFast` (Algorithm 3): ratio `2 + εF`.
+    AppFast,
+    /// `AppInc` (Algorithm 2): parameter-free ratio 2.
+    AppInc,
+    /// `θ-SAC` (§3): the community must lie inside `O(q, θ)`; requires
+    /// [`SacQuery::with_theta`].
+    ThetaSac,
+    /// `Exact` (Algorithm 1): the exhaustive baseline `Exact+` improves on.
+    Exact,
+    /// The `Global` structure-only baseline (Sozio & Gionis): no ratio
+    /// guarantee on the MCC radius.
+    Global,
+    /// The `Local` structure-only baseline (Cui et al.): no ratio guarantee
+    /// on the MCC radius.
+    Local,
+}
+
+impl Algorithm {
+    /// Every algorithm, in metric-series order (`ALL[a as usize] == a`).
+    pub const ALL: [Algorithm; 8] = [
+        Algorithm::ExactPlus,
+        Algorithm::AppAcc,
+        Algorithm::AppFast,
+        Algorithm::AppInc,
+        Algorithm::ThetaSac,
+        Algorithm::Exact,
+        Algorithm::Global,
+        Algorithm::Local,
+    ];
+
+    /// Stable wire name (e.g. `app_fast`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::ExactPlus => "exact_plus",
+            Algorithm::AppAcc => "app_acc",
+            Algorithm::AppFast => "app_fast",
+            Algorithm::AppInc => "app_inc",
+            Algorithm::ThetaSac => "theta_sac",
+            Algorithm::Exact => "exact",
+            Algorithm::Global => "global",
+            Algorithm::Local => "local",
+        }
+    }
+
+    /// The algorithm with wire name `name`, when there is one.
+    pub fn from_name(name: &str) -> Option<Algorithm> {
+        Algorithm::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// Whether the algorithm's structural phase consumes a shared core
+    /// decomposition from its [`SearchContext`] (the k-ĉore-extracting
+    /// algorithms do).  Serving layers skip fetching or computing the
+    /// decomposition for the rest.
+    pub fn shares_decomposition(self) -> bool {
+        matches!(
+            self,
+            Algorithm::ExactPlus | Algorithm::AppAcc | Algorithm::AppFast | Algorithm::Exact
+        )
+    }
 
     /// Runs the algorithm for `query` inside `ctx`.
     ///
     /// `ctx` must have been built for the same vertex and degree bound as
     /// `query` (see [`SearchContext::new`] /
     /// [`SearchContext::with_decomposition`]); parameters the algorithm does
-    /// not read are ignored.  Callers are expected to have run
-    /// [`SacQuery::validate`]; implementations still re-check the parameters
-    /// they consume.
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError>;
-
-    /// Validates `query` and runs the algorithm in a fresh context over `g`.
-    fn search(&self, g: &SpatialGraph, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        query.validate()?;
-        let mut ctx = SearchContext::new(g, query.q, query.k)?;
-        self.run(&mut ctx, query)
+    /// not read are ignored, and the ones it reads are checked here.
+    pub fn run(
+        self,
+        ctx: &mut SearchContext<'_>,
+        query: &SacQuery,
+    ) -> Result<SacOutcome, SacError> {
+        debug_assert_eq!(
+            (ctx.query_vertex(), ctx.degree_bound()),
+            (query.q, query.k),
+            "SearchContext was built for a different query"
+        );
+        let community = match self {
+            Algorithm::ExactPlus => {
+                let eps_a = query.eps_a_or(EXACT_PLUS_EPS_A);
+                validate_eps_a(eps_a)?;
+                crate::exact_plus::exact_plus_detailed_with_ctx(ctx, eps_a)?.map(|d| d.community)
+            }
+            Algorithm::AppAcc => {
+                let eps_a = query.eps_a();
+                validate_eps_a(eps_a)?;
+                crate::app_acc::app_acc_detailed_with_ctx(ctx, eps_a)?.map(|d| d.community)
+            }
+            Algorithm::AppFast => {
+                let eps_f = query.eps_f();
+                validate_eps_f(eps_f)?;
+                app_fast_with_ctx(ctx, eps_f)?.map(|o| o.community)
+            }
+            Algorithm::AppInc => crate::app_inc::app_inc_with_ctx(ctx)?.map(|o| o.community),
+            Algorithm::ThetaSac => {
+                let theta = query.theta().ok_or_else(|| SacError::InvalidParameter {
+                    name: "theta",
+                    message: "theta_sac requires a theta radius constraint".to_string(),
+                })?;
+                crate::theta_sac(ctx.g, query.q, query.k, theta)?
+            }
+            Algorithm::Exact => crate::exact::exact_with_ctx(ctx)?,
+            Algorithm::Global => crate::baselines::global_search(ctx.g, query.q, query.k)?,
+            Algorithm::Local => crate::baselines::local_search(ctx.g, query.q, query.k)?,
+        };
+        Ok(SacOutcome::new(community))
     }
-}
 
-/// Debug guard: `ctx` and `query` must describe the same (q, k) pair.
-fn check_ctx(ctx: &SearchContext<'_>, query: &SacQuery) {
-    debug_assert_eq!(
-        (ctx.query_vertex(), ctx.degree_bound()),
-        (query.q, query.k),
-        "SearchContext was built for a different query"
-    );
-}
-
-/// `Exact+` (Algorithm 5) through the uniform interface: optimal result,
-/// bootstrapped by `AppAcc` with `εA` = [`SacQuery::eps_a_or`]
-/// ([`EXACT_PLUS_EPS_A`] when unset).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactPlusSearch;
-
-impl CommunitySearch for ExactPlusSearch {
-    fn profile(&self) -> AlgorithmProfile {
+    /// This algorithm's [`AlgorithmProfile`].
+    pub fn profile(self) -> AlgorithmProfile {
         AlgorithmProfile {
-            name: "exact_plus",
-            ratio: RatioGuarantee::Exact,
-            cost: CostClass::ExactHeavy,
-            supports_theta: false,
-            shares_decomposition: true,
-            reference: "Algorithm 5 (Exact+)",
+            name: self.name(),
+            shares_decomposition: self.shares_decomposition(),
         }
     }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        let eps_a = query.eps_a_or(EXACT_PLUS_EPS_A);
-        validate_eps_a(eps_a)?;
-        let detail = crate::exact_plus::exact_plus_detailed_with_ctx(ctx, eps_a)?;
-        Ok(SacOutcome::new(detail.map(|d| d.community)))
-    }
 }
 
-/// `AppAcc` (Algorithm 4) through the uniform interface: ratio `1 + εA`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppAccSearch;
-
-impl CommunitySearch for AppAccSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "app_acc",
-            ratio: RatioGuarantee::OnePlusEpsA,
-            cost: CostClass::Heavy,
-            supports_theta: false,
-            shares_decomposition: true,
-            reference: "Algorithm 4 (AppAcc)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        let eps_a = query.eps_a();
-        validate_eps_a(eps_a)?;
-        let detail = crate::app_acc::app_acc_detailed_with_ctx(ctx, eps_a)?;
-        Ok(SacOutcome::new(detail.map(|d| d.community)))
-    }
+/// What the by-name [`AlgorithmRegistry`] view reports about one
+/// [`Algorithm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AlgorithmProfile {
+    /// Stable wire name (e.g. `app_fast`).
+    pub name: &'static str,
+    /// See [`Algorithm::shares_decomposition`].
+    pub shares_decomposition: bool,
 }
 
-/// `AppFast` (Algorithm 3) through the uniform interface: ratio `2 + εF`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppFastSearch;
-
-impl CommunitySearch for AppFastSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "app_fast",
-            ratio: RatioGuarantee::TwoPlusEpsF,
-            cost: CostClass::NearLinear,
-            supports_theta: false,
-            shares_decomposition: true,
-            reference: "Algorithm 3 (AppFast)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        let eps_f = query.eps_f();
-        validate_eps_f(eps_f)?;
-        let outcome = app_fast_with_ctx(ctx, eps_f)?;
-        Ok(SacOutcome::new(outcome.map(|o| o.community)))
-    }
-}
-
-/// `AppInc` (Algorithm 2) through the uniform interface: parameter-free
-/// ratio-2 approximation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppIncSearch;
-
-impl CommunitySearch for AppIncSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "app_inc",
-            ratio: RatioGuarantee::Fixed(2.0),
-            cost: CostClass::Quadratic,
-            supports_theta: false,
-            shares_decomposition: false,
-            reference: "Algorithm 2 (AppInc)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        let outcome = crate::app_inc::app_inc_with_ctx(ctx)?;
-        Ok(SacOutcome::new(outcome.map(|o| o.community)))
-    }
-}
-
-/// `θ-SAC` (§3) through the uniform interface: the community must lie inside
-/// the circle `O(q, θ)`; requires [`SacQuery::with_theta`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThetaSacSearch;
-
-impl CommunitySearch for ThetaSacSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "theta_sac",
-            ratio: RatioGuarantee::Unbounded,
-            cost: CostClass::Linear,
-            supports_theta: true,
-            shares_decomposition: false,
-            reference: "§3 (θ-SAC)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        let theta = query.theta().ok_or_else(|| SacError::InvalidParameter {
-            name: "theta",
-            message: "theta_sac requires a theta radius constraint".to_string(),
-        })?;
-        Ok(SacOutcome::new(crate::theta_sac(
-            ctx.g, query.q, query.k, theta,
-        )?))
-    }
-}
-
-/// `Exact` (Algorithm 1) through the uniform interface: the exhaustive
-/// baseline the paper improves on with `Exact+`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactSearch;
-
-impl CommunitySearch for ExactSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "exact",
-            ratio: RatioGuarantee::Exact,
-            cost: CostClass::Exhaustive,
-            supports_theta: false,
-            shares_decomposition: true,
-            reference: "Algorithm 1 (Exact)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        Ok(SacOutcome::new(crate::exact::exact_with_ctx(ctx)?))
-    }
-}
-
-/// The `Global` structure-only baseline (Sozio & Gionis) through the uniform
-/// interface: spatially oblivious, no ratio guarantee on the MCC radius.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalBaselineSearch;
-
-impl CommunitySearch for GlobalBaselineSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "global",
-            ratio: RatioGuarantee::Unbounded,
-            cost: CostClass::Quadratic,
-            supports_theta: false,
-            shares_decomposition: false,
-            reference: "baseline (Global, Sozio & Gionis)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        Ok(SacOutcome::new(crate::baselines::global_search(
-            ctx.g, query.q, query.k,
-        )?))
-    }
-}
-
-/// The `Local` structure-only baseline (Cui et al.) through the uniform
-/// interface: spatially oblivious, no ratio guarantee on the MCC radius.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalBaselineSearch;
-
-impl CommunitySearch for LocalBaselineSearch {
-    fn profile(&self) -> AlgorithmProfile {
-        AlgorithmProfile {
-            name: "local",
-            ratio: RatioGuarantee::Unbounded,
-            cost: CostClass::Quadratic,
-            supports_theta: false,
-            shares_decomposition: false,
-            reference: "baseline (Local, Cui et al.)",
-        }
-    }
-
-    fn run(&self, ctx: &mut SearchContext<'_>, query: &SacQuery) -> Result<SacOutcome, SacError> {
-        check_ctx(ctx, query);
-        Ok(SacOutcome::new(crate::baselines::local_search(
-            ctx.g, query.q, query.k,
-        )?))
-    }
-}
-
-/// A name-indexed collection of [`CommunitySearch`] algorithms.
-///
-/// The serving planner selects over the registered [`AlgorithmProfile`]s and
-/// dispatches by name, so registering a new implementation is the *only* step
-/// needed to make it servable.  Registration replaces any algorithm with the
-/// same profile name, which also lets callers shadow a built-in with a custom
-/// implementation.
-pub struct AlgorithmRegistry {
-    algorithms: Vec<Arc<dyn CommunitySearch>>,
-}
+/// A by-name view of the closed [`Algorithm`] set, kept for callers that
+/// dispatch by wire name (the `sacbench` traced profile).  New code should
+/// use [`Algorithm::from_name`] and [`Algorithm::run`] directly.
+#[derive(Debug, Clone, Copy)]
+pub struct AlgorithmRegistry;
 
 impl AlgorithmRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        AlgorithmRegistry {
-            algorithms: Vec::new(),
-        }
-    }
-
-    /// The registry of built-in algorithms: the paper's five SAC algorithms
-    /// (`exact_plus`, `app_acc`, `app_fast`, `app_inc`, `theta_sac`), the
-    /// exhaustive `exact`, and the `global`/`local` baselines.
-    pub fn builtin() -> Self {
-        let mut registry = AlgorithmRegistry::empty();
-        registry.register(Arc::new(ExactPlusSearch));
-        registry.register(Arc::new(AppAccSearch));
-        registry.register(Arc::new(AppFastSearch));
-        registry.register(Arc::new(AppIncSearch));
-        registry.register(Arc::new(ThetaSacSearch));
-        registry.register(Arc::new(ExactSearch));
-        registry.register(Arc::new(GlobalBaselineSearch));
-        registry.register(Arc::new(LocalBaselineSearch));
-        registry
-    }
-
-    /// Registers `algorithm`, replacing any existing entry with the same
-    /// profile name.
-    pub fn register(&mut self, algorithm: Arc<dyn CommunitySearch>) {
-        let name = algorithm.profile().name;
-        self.algorithms.retain(|a| a.profile().name != name);
-        self.algorithms.push(algorithm);
-    }
-
-    /// Looks an algorithm up by its profile name.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn CommunitySearch>> {
-        self.algorithms.iter().find(|a| a.profile().name == name)
-    }
-
-    /// Whether an algorithm with this name is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
+    /// The algorithm named `name`, when there is one.
+    pub fn get(&self, name: &str) -> Option<Algorithm> {
+        Algorithm::from_name(name)
     }
 
     /// Runs the named algorithm for `query` inside `ctx`
-    /// ([`SacError::UnknownAlgorithm`] when absent).
+    /// ([`SacError::UnknownAlgorithm`] when no algorithm has that name).
     pub fn run(
         &self,
         name: &str,
         ctx: &mut SearchContext<'_>,
         query: &SacQuery,
     ) -> Result<SacOutcome, SacError> {
-        let algorithm = self
-            .get(name)
-            .ok_or_else(|| SacError::UnknownAlgorithm(name.to_string()))?;
-        algorithm.run(ctx, query)
-    }
-
-    /// Iterates the registered algorithms (registration order).
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn CommunitySearch>> {
-        self.algorithms.iter()
-    }
-
-    /// The declared profiles of every registered algorithm.
-    pub fn profiles(&self) -> Vec<AlgorithmProfile> {
-        self.algorithms.iter().map(|a| a.profile()).collect()
-    }
-
-    /// The registered algorithm names (registration order).
-    pub fn names(&self) -> Vec<&'static str> {
-        self.algorithms.iter().map(|a| a.profile().name).collect()
-    }
-
-    /// Number of registered algorithms.
-    pub fn len(&self) -> usize {
-        self.algorithms.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.algorithms.is_empty()
-    }
-}
-
-impl Default for AlgorithmRegistry {
-    fn default() -> Self {
-        AlgorithmRegistry::builtin()
-    }
-}
-
-// Trait objects have no `Debug` of their own: print the registered names.
-impl fmt::Debug for AlgorithmRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AlgorithmRegistry")
-            .field("algorithms", &self.names())
-            .finish()
+        Algorithm::from_name(name)
+            .ok_or_else(|| SacError::UnknownAlgorithm(name.to_string()))?
+            .run(ctx, query)
     }
 }
 
@@ -675,71 +367,112 @@ impl fmt::Debug for AlgorithmRegistry {
 mod tests {
     use super::*;
     use crate::fixtures::{figure3, figure3_graph};
+    use sac_graph::SpatialGraph;
+
+    /// Runs `algorithm` for `query` in a fresh context over `g`.
+    fn run(
+        algorithm: Algorithm,
+        g: &SpatialGraph,
+        query: &SacQuery,
+    ) -> Result<SacOutcome, SacError> {
+        let mut ctx = SearchContext::new(g, query.q, query.k)?;
+        algorithm.run(&mut ctx, query)
+    }
 
     #[test]
-    fn builtin_registry_contains_all_paper_algorithms() {
-        let registry = AlgorithmRegistry::builtin();
-        for name in [
-            "exact_plus",
-            "app_acc",
-            "app_fast",
-            "app_inc",
-            "theta_sac",
-            "exact",
-            "global",
-            "local",
-        ] {
-            assert!(registry.contains(name), "missing builtin '{name}'");
+    fn algorithm_set_is_closed_and_ordered() {
+        for (i, algorithm) in Algorithm::ALL.into_iter().enumerate() {
+            assert_eq!(Algorithm::from_name(algorithm.name()), Some(algorithm));
+            assert_eq!(algorithm as usize, i, "ALL is indexed by the enum");
         }
-        assert_eq!(registry.len(), 8);
-        assert!(!registry.is_empty());
-        assert!(registry.get("bogus").is_none());
-        let debug = format!("{registry:?}");
-        assert!(debug.contains("app_fast"));
+        // The order of the `sac_algorithm_latency_micros` series.
+        assert_eq!(
+            Algorithm::ALL.map(Algorithm::name),
+            [
+                "exact_plus",
+                "app_acc",
+                "app_fast",
+                "app_inc",
+                "theta_sac",
+                "exact",
+                "global",
+                "local",
+            ]
+        );
+        assert_eq!(Algorithm::from_name("bogus"), None);
+        assert_eq!(Algorithm::from_name(""), None);
+        let shared: Vec<_> = Algorithm::ALL
+            .into_iter()
+            .filter(|a| a.shares_decomposition())
+            .map(Algorithm::name)
+            .collect();
+        assert_eq!(shared, ["exact_plus", "app_acc", "app_fast", "exact"]);
     }
 
     #[test]
     fn trait_answers_match_free_functions() {
         let g = figure3_graph();
-        let registry = AlgorithmRegistry::builtin();
         for q in [figure3::Q, figure3::A, figure3::F, figure3::I] {
             let query = SacQuery::new(q, 2).with_eps_a(0.3).with_eps_f(0.5);
-            let pairs: [(&str, Option<Community>); 4] = [
-                ("exact_plus", crate::exact_plus(&g, q, 2, 0.3).unwrap()),
-                ("app_acc", crate::app_acc(&g, q, 2, 0.3).unwrap()),
+            let pairs: [(Algorithm, Option<Community>); 7] = [
                 (
-                    "app_fast",
+                    Algorithm::ExactPlus,
+                    crate::exact_plus(&g, q, 2, 0.3).unwrap(),
+                ),
+                (Algorithm::AppAcc, crate::app_acc(&g, q, 2, 0.3).unwrap()),
+                (
+                    Algorithm::AppFast,
                     crate::app_fast(&g, q, 2, 0.5).unwrap().map(|o| o.community),
                 ),
                 (
-                    "app_inc",
+                    Algorithm::AppInc,
                     crate::app_inc(&g, q, 2).unwrap().map(|o| o.community),
                 ),
+                (Algorithm::Exact, crate::exact(&g, q, 2).unwrap()),
+                (
+                    Algorithm::Global,
+                    crate::baselines::global_search(&g, q, 2).unwrap(),
+                ),
+                (
+                    Algorithm::Local,
+                    crate::baselines::local_search(&g, q, 2).unwrap(),
+                ),
             ];
-            for (name, direct) in pairs {
-                let via_trait = registry.get(name).unwrap().search(&g, &query).unwrap();
+            for (algorithm, direct) in pairs {
+                let via_enum = run(algorithm, &g, &query).unwrap();
                 assert_eq!(
-                    via_trait.community.as_ref().map(Community::members),
-                    direct.as_ref().map(Community::members),
-                    "trait/free-function mismatch for {name} at q={q}"
+                    via_enum.community, direct,
+                    "enum/free-function mismatch for {algorithm:?} at q={q}"
                 );
             }
         }
-        // θ-SAC through the trait requires a theta and matches the free call.
+        // θ-SAC through the enum requires a theta and matches the free call.
         let query = SacQuery::new(figure3::Q, 2).with_theta(10.0);
-        let via_trait = registry
-            .get("theta_sac")
-            .unwrap()
-            .search(&g, &query)
-            .unwrap();
+        let via_enum = run(Algorithm::ThetaSac, &g, &query).unwrap();
         let direct = crate::theta_sac(&g, figure3::Q, 2, 10.0).unwrap();
+        assert_eq!(via_enum.community, direct);
+        assert!(run(Algorithm::ThetaSac, &g, &SacQuery::new(figure3::Q, 2)).is_err());
+    }
+
+    #[test]
+    fn registry_view_runs_by_name() {
+        let g = figure3_graph();
+        let registry = AlgorithmRegistry;
+        let query = SacQuery::new(figure3::Q, 2);
+        let profile = registry.get("app_inc").unwrap().profile();
+        assert_eq!(profile.name, "app_inc");
+        assert!(!profile.shares_decomposition);
+        assert!(registry.get("nope").is_none());
+
+        let mut ctx = SearchContext::new(&g, query.q, query.k).unwrap();
+        let outcome = registry.run("app_inc", &mut ctx, &query).unwrap();
+        assert!(outcome.feasible());
+        assert!(outcome.community().unwrap().contains(figure3::Q));
+        let mut ctx = SearchContext::new(&g, query.q, query.k).unwrap();
         assert_eq!(
-            via_trait.community.as_ref().map(Community::members),
-            direct.as_ref().map(Community::members)
+            registry.run("nope", &mut ctx, &query),
+            Err(SacError::UnknownAlgorithm("nope".to_string()))
         );
-        assert!(ThetaSacSearch
-            .search(&g, &SacQuery::new(figure3::Q, 2))
-            .is_err());
     }
 
     #[test]
@@ -775,66 +508,5 @@ mod tests {
             SacQuery::new(0, 2).with_theta(0.25).params_label(),
             "(theta=0.25)"
         );
-    }
-
-    #[test]
-    fn ratio_guarantee_bands_partition_the_budget_axis() {
-        assert!(RatioGuarantee::Exact.fits(1.0));
-        assert!(RatioGuarantee::Exact.is_exact());
-        assert!(!RatioGuarantee::OnePlusEpsA.fits(1.0));
-        assert!(RatioGuarantee::OnePlusEpsA.fits(1.5));
-        assert!(!RatioGuarantee::OnePlusEpsA.fits(2.0));
-        assert!(!RatioGuarantee::TwoPlusEpsF.fits(1.99));
-        assert!(RatioGuarantee::TwoPlusEpsF.fits(2.0));
-        assert!(RatioGuarantee::Fixed(2.0).fits(2.0));
-        assert!(!RatioGuarantee::Fixed(2.0).fits(1.5));
-        assert!(!RatioGuarantee::Unbounded.fits(100.0));
-        assert_eq!(RatioGuarantee::Exact.tuned(4.0), Some(1.0));
-        assert_eq!(RatioGuarantee::TwoPlusEpsF.tuned(2.5), Some(2.5));
-        assert_eq!(RatioGuarantee::Fixed(2.0).tuned(3.0), Some(2.0));
-        assert_eq!(RatioGuarantee::Unbounded.tuned(3.0), None);
-        assert!(RatioGuarantee::OnePlusEpsA.is_tunable());
-        assert!(!RatioGuarantee::Fixed(2.0).is_tunable());
-        // Cost classes order cheapest-first for the planner.
-        assert!(CostClass::Linear < CostClass::NearLinear);
-        assert!(CostClass::NearLinear < CostClass::Quadratic);
-        assert!(CostClass::Heavy < CostClass::ExactHeavy);
-        assert!(CostClass::ExactHeavy < CostClass::Exhaustive);
-        assert!(CostClass::Linear.to_string().contains("O(m)"));
-    }
-
-    #[test]
-    fn registry_replaces_same_name_and_runs_by_name() {
-        let g = figure3_graph();
-        let mut registry = AlgorithmRegistry::builtin();
-        let before = registry.len();
-        // Shadow app_inc with... app_inc (replacement keeps the count).
-        registry.register(Arc::new(AppIncSearch));
-        assert_eq!(registry.len(), before);
-
-        let query = SacQuery::new(figure3::Q, 2);
-        let mut ctx = SearchContext::new(&g, query.q, query.k).unwrap();
-        let outcome = registry.run("app_inc", &mut ctx, &query).unwrap();
-        assert!(outcome.feasible());
-        assert!(outcome.community().unwrap().contains(figure3::Q));
-        let mut ctx = SearchContext::new(&g, query.q, query.k).unwrap();
-        assert_eq!(
-            registry.run("nope", &mut ctx, &query),
-            Err(SacError::UnknownAlgorithm("nope".to_string()))
-        );
-    }
-
-    #[test]
-    fn profiles_expose_the_paper_table() {
-        let registry = AlgorithmRegistry::builtin();
-        let profiles = registry.profiles();
-        assert_eq!(profiles.len(), registry.len());
-        let theta = profiles.iter().find(|p| p.name == "theta_sac").unwrap();
-        assert!(theta.supports_theta);
-        assert_eq!(theta.cost, CostClass::Linear);
-        let fast = profiles.iter().find(|p| p.name == "app_fast").unwrap();
-        assert_eq!(fast.ratio, RatioGuarantee::TwoPlusEpsF);
-        assert!(profiles.iter().filter(|p| p.ratio.is_exact()).count() >= 2);
-        assert!(registry.names().contains(&"global"));
     }
 }

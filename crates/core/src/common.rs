@@ -14,11 +14,10 @@ use std::sync::Arc;
 /// — a shared core decomposition that lets the structural phase skip its
 /// `O(m)` peel.
 ///
-/// A context is the execution environment a
-/// [`CommunitySearch`](crate::CommunitySearch) implementation runs in: the
-/// serving engine builds one per query (threading its cached decomposition
-/// through [`SearchContext::with_decomposition`]) and hands it to whichever
-/// registered algorithm the planner picked.
+/// A context is the execution environment [`Algorithm::run`](crate::Algorithm::run)
+/// runs in: the serving engine builds one per query (threading its cached
+/// decomposition through [`SearchContext::with_decomposition`]) and hands it
+/// to whichever algorithm the planner picked.
 ///
 /// ## Probe model
 ///

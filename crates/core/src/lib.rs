@@ -27,12 +27,12 @@
 //!
 //! ## Unified algorithm interface
 //!
-//! Every algorithm (and the baselines) also implements the [`CommunitySearch`]
-//! trait — `run(&mut SearchContext, &SacQuery) -> Result<SacOutcome, SacError>` —
-//! and declares an [`AlgorithmProfile`] (proven ratio band, cost class,
-//! θ-support).  The [`AlgorithmRegistry`] collects them by name; the
-//! `sac-engine` planner selects over the registered profiles, so a new
-//! algorithm becomes servable by registering it, with no dispatch-site edits.
+//! The servable algorithms (the table above plus the `Global`/`Local`
+//! baselines) form one closed enum, [`Algorithm`], with one entry point:
+//! `run(&mut SearchContext, &SacQuery) -> Result<SacOutcome, SacError>`.
+//! [`Algorithm::name`]/[`Algorithm::from_name`] map it to and from its wire
+//! name; the `sac-engine` planner is a `match` from a request's budget to
+//! one variant.
 //!
 //! ## Baselines
 //!
@@ -80,11 +80,7 @@ pub mod metrics;
 mod result;
 mod theta;
 
-pub use algorithm::{
-    AlgorithmProfile, AlgorithmRegistry, AppAccSearch, AppFastSearch, AppIncSearch,
-    CommunitySearch, CostClass, ExactPlusSearch, ExactSearch, GlobalBaselineSearch,
-    LocalBaselineSearch, RatioGuarantee, SacOutcome, SacQuery, ThetaSacSearch,
-};
+pub use algorithm::{Algorithm, AlgorithmProfile, AlgorithmRegistry, SacOutcome, SacQuery};
 pub use app_acc::{app_acc, app_acc_detailed, AppAccDetail};
 pub use app_fast::{app_fast, AppFastOutcome};
 pub use app_inc::{app_inc, AppIncOutcome};

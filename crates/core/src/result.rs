@@ -95,8 +95,7 @@ pub enum SacError {
     /// A latency/accuracy budget could not be understood (e.g. an unknown
     /// latency-tier name on the wire).
     InvalidBudget(String),
-    /// The named algorithm is not registered in the
-    /// [`AlgorithmRegistry`](crate::AlgorithmRegistry) serving the request.
+    /// No [`Algorithm`](crate::Algorithm) has the requested name.
     UnknownAlgorithm(String),
 }
 

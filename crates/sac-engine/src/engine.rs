@@ -4,7 +4,7 @@
 use crate::cache::{CacheLayerStats, CacheStats, KCoreCache, KCoreComponents};
 use crate::epoch::EpochCell;
 use crate::planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};
-use sac_core::{AlgorithmRegistry, Community, SacError, SearchContext, EXACT_PLUS_EPS_A};
+use sac_core::{Algorithm, AlgorithmRegistry, Community, SacError, SearchContext};
 use sac_graph::{CoreDecomposition, SpatialGraph, SweepStats, VertexId};
 use sac_obs::{
     EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord, Span,
@@ -21,8 +21,6 @@ pub struct EngineConfig {
     /// unconstrained budget to `Exact+` (the candidate set is so small that an
     /// exact answer costs no more than an approximate one).
     pub small_exact_threshold: usize,
-    /// `εA` used inside `Exact+` plans (the paper's exact-experiment value).
-    pub exact_eps_a: f64,
     /// Whether the engine records latency histograms and stage spans (see
     /// [`SacEngine::metrics`]).  On by default — recording is a handful of
     /// relaxed atomic adds per query (the bench gate pins the dispatch
@@ -52,7 +50,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             small_exact_threshold: 48,
-            exact_eps_a: EXACT_PLUS_EPS_A,
             observe: true,
             slow_query_micros: 10_000,
             slowlog_capacity: 128,
@@ -79,11 +76,11 @@ pub struct SacRequest {
     pub k: u32,
     /// Accuracy/latency budget driving plan selection.
     pub budget: QueryBudget,
-    /// Explicit algorithm override: when set, the planner dispatches this
-    /// registry name directly (default parameters, no small-core upgrade, no
-    /// cache-infeasibility short-circuit), which makes otherwise unreachable
-    /// registrations — e.g. the `global`/`local` baselines — A/B-testable
-    /// against the planned path.
+    /// Explicit algorithm override: when set, the planner dispatches the
+    /// [`Algorithm`] of this name directly (default parameters, no
+    /// small-core upgrade, no cache-infeasibility short-circuit), which makes
+    /// otherwise unreachable algorithms — e.g. the `global`/`local`
+    /// baselines — A/B-testable against the planned path.
     pub algorithm: Option<String>,
     /// Requests a full [`TraceNode`] span tree on the response regardless of
     /// the engine's head-sampling rate ([`EngineConfig::trace_sample_every`]).
@@ -91,36 +88,6 @@ pub struct SacRequest {
 }
 
 impl SacRequest {
-    /// A request with the default (balanced) budget.
-    pub fn new(id: u64, q: VertexId, k: u32) -> Self {
-        SacRequest {
-            id,
-            q,
-            k,
-            budget: QueryBudget::default(),
-            algorithm: None,
-            trace: false,
-        }
-    }
-
-    /// Replaces the budget.
-    pub fn with_budget(mut self, budget: QueryBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Forces the named registry algorithm instead of planner selection.
-    pub fn with_algorithm(mut self, algorithm: impl Into<String>) -> Self {
-        self.algorithm = Some(algorithm.into());
-        self
-    }
-
-    /// Requests a span tree on the response (see [`SacRequest::trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// A validating builder for a request against vertex `q` with degree
     /// bound `k` (see [`SacRequestBuilder`]).
     pub fn builder(q: VertexId, k: u32) -> SacRequestBuilder {
@@ -178,7 +145,7 @@ impl SacRequestBuilder {
         self
     }
 
-    /// Forces the named registry algorithm instead of planner selection (see
+    /// Forces the named algorithm instead of planner selection (see
     /// [`SacRequest::algorithm`]); an unknown name is reported by the engine
     /// as [`SacError::UnknownAlgorithm`].
     pub fn algorithm(mut self, algorithm: impl Into<String>) -> Self {
@@ -246,7 +213,7 @@ pub struct QueryTrace {
     /// Epoch (snapshot generation) the query was answered against.
     pub epoch: u64,
     /// Microseconds spent planning (budget validation, cache feasibility
-    /// lookup, profile selection).
+    /// lookup, algorithm choice).
     pub plan_micros: u64,
     /// Microseconds spent executing the selected algorithm.
     pub exec_micros: u64,
@@ -325,7 +292,7 @@ pub struct EngineStats {
     /// ([`EngineConfig::observe`]).
     pub tier_latency: Vec<LatencyStats>,
     /// End-to-end latency percentile summaries per dispatched algorithm, in
-    /// registry order.  Empty when observation is disabled.
+    /// [`Algorithm::ALL`] order.  Empty when observation is disabled.
     pub algorithm_latency: Vec<LatencyStats>,
     /// Windowed ("last 10s") latency summaries per [`LatencyTier`], in
     /// [`LatencyTier::ALL`] order — the rotating-ring counterpart of
@@ -342,7 +309,7 @@ pub struct EngineStats {
 /// plus its percentile summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyStats {
-    /// Series label: the tier wire name or the registry algorithm name.
+    /// Series label: the tier or algorithm wire name.
     pub label: &'static str,
     /// p50/p95/p99/max summary in microseconds.
     pub summary: LatencySummary,
@@ -386,11 +353,10 @@ struct EngineObs {
     tier_latency: [Arc<Histogram>; 3],
     /// Windowed ("last 10s") end-to-end latency per tier, same indexing.
     tier_window: [Arc<WindowedHistogram>; 3],
-    /// End-to-end latency per registered algorithm, in registry order
-    /// (linear scan — registries hold a handful of entries).
-    algo_latency: Vec<(&'static str, Arc<Histogram>)>,
-    /// Planning sub-span (budget validation + cache feasibility + profile
-    /// selection).
+    /// End-to-end latency per algorithm, indexed by `Algorithm as usize`.
+    algo_latency: [Arc<Histogram>; Algorithm::ALL.len()],
+    /// Planning sub-span (budget validation + cache feasibility + algorithm
+    /// choice).
     plan_stage: Arc<Histogram>,
     /// Execution sub-span (the dispatched algorithm itself).
     exec_stage: Arc<Histogram>,
@@ -408,7 +374,7 @@ struct EngineObs {
 }
 
 impl EngineObs {
-    fn new(config: &EngineConfig, algorithms: &[&'static str]) -> Self {
+    fn new(config: &EngineConfig) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         const TIER_HELP: &str = "End-to-end query latency per latency tier";
         const ALGO_HELP: &str = "End-to-end query latency per dispatched algorithm";
@@ -430,19 +396,13 @@ impl EngineObs {
                 TELEMETRY_WINDOW_MICROS,
             )
         });
-        let algo_latency = algorithms
-            .iter()
-            .map(|&name| {
-                (
-                    name,
-                    registry.histogram(
-                        "sac_algorithm_latency_micros",
-                        ALGO_HELP,
-                        &[("algorithm", name)],
-                    ),
-                )
-            })
-            .collect();
+        let algo_latency = std::array::from_fn(|i| {
+            registry.histogram(
+                "sac_algorithm_latency_micros",
+                ALGO_HELP,
+                &[("algorithm", Algorithm::ALL[i].name())],
+            )
+        });
         let stage = |stage: &'static str| {
             registry.histogram("sac_stage_micros", STAGE_HELP, &[("stage", stage)])
         };
@@ -491,8 +451,10 @@ impl EngineObs {
 /// use sac_engine::{QueryBudget, SacEngine, SacRequest};
 ///
 /// let engine = SacEngine::new(sac_core::fixtures::figure3_graph());
-/// let request = SacRequest::new(0, sac_core::fixtures::figure3::Q, 2)
-///     .with_budget(QueryBudget::exact());
+/// let request = SacRequest::builder(sac_core::fixtures::figure3::Q, 2)
+///     .budget(QueryBudget::exact())
+///     .build()
+///     .unwrap();
 /// let response = engine.execute(&request);
 /// let community = response.community().expect("Q has a 2-core community");
 /// assert!(community.contains(sac_core::fixtures::figure3::Q));
@@ -528,21 +490,9 @@ impl SacEngine {
         SacEngine::with_config(graph, EngineConfig::default())
     }
 
-    /// An engine with custom tunables over the built-in algorithm registry.
+    /// An engine with custom tunables.
     pub fn with_config(graph: Arc<SpatialGraph>, config: EngineConfig) -> Self {
-        SacEngine::with_registry(graph, config, Arc::new(AlgorithmRegistry::builtin()))
-    }
-
-    /// An engine serving the algorithms of a caller-supplied registry: the
-    /// planner selects over the registered profiles and every query arm
-    /// dispatches by name, so registering an algorithm is all it takes to
-    /// serve it.
-    pub fn with_registry(
-        graph: Arc<SpatialGraph>,
-        config: EngineConfig,
-        registry: Arc<AlgorithmRegistry>,
-    ) -> Self {
-        SacEngine::assemble(graph, KCoreCache::new(), config, registry, 1)
+        SacEngine::assemble(graph, KCoreCache::new(), config, 1)
     }
 
     /// An engine rebuilt from recovered state: serves `graph` as epoch
@@ -566,30 +516,23 @@ impl SacEngine {
             "decomposition does not match the restored graph"
         );
         let cache = KCoreCache::seeded(Arc::new(decomposition), Vec::new());
-        SacEngine::assemble(
-            graph,
-            cache,
-            config,
-            Arc::new(AlgorithmRegistry::builtin()),
-            epoch.max(1),
-        )
+        SacEngine::assemble(graph, cache, config, epoch.max(1))
     }
 
     fn assemble(
         graph: Arc<SpatialGraph>,
         cache: KCoreCache,
         config: EngineConfig,
-        registry: Arc<AlgorithmRegistry>,
         epoch: u64,
     ) -> Self {
-        let obs = EngineObs::new(&config, &registry.names());
+        let obs = EngineObs::new(&config);
         SacEngine {
             epoch: EpochCell::new(Arc::new(EngineEpoch {
                 number: epoch,
                 graph,
                 cache,
             })),
-            planner: Planner::new(registry, config.small_exact_threshold, config.exact_eps_a),
+            planner: Planner::new(config.small_exact_threshold),
             queries: AtomicU64::new(0),
             infeasible_fast_path: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -602,9 +545,9 @@ impl SacEngine {
         }
     }
 
-    /// The algorithm registry this engine dispatches into.
-    pub fn registry(&self) -> &Arc<AlgorithmRegistry> {
-        self.planner.registry()
+    /// The by-name view of the algorithms this engine dispatches into.
+    pub fn registry(&self) -> AlgorithmRegistry {
+        AlgorithmRegistry
     }
 
     /// The shared snapshot of the current epoch.
@@ -907,15 +850,8 @@ impl SacEngine {
             self.obs.exec_stage.record(exec_micros);
             self.obs.tier_latency[request.budget.tier.index()].record(total_micros);
             self.obs.tier_window[request.budget.tier.index()].record(total_micros);
-            if let Plan::Execute(planned) = &plan {
-                if let Some((_, hist)) = self
-                    .obs
-                    .algo_latency
-                    .iter()
-                    .find(|(name, _)| *name == planned.algorithm)
-                {
-                    hist.record(total_micros);
-                }
+            if let Some(algorithm) = plan.algorithm().and_then(Algorithm::from_name) {
+                self.obs.algo_latency[algorithm as usize].record(total_micros);
             }
             self.obs.slow_log.observe(total_micros, || SlowQueryRecord {
                 query_id,
@@ -952,13 +888,11 @@ impl SacEngine {
         }
     }
 
-    /// Runs the planned algorithm by looking it up in the registry — the
-    /// engine has no per-algorithm dispatch arms.  Every registered
-    /// implementation runs the same `sac_core` entry point a direct caller
-    /// would use, so engine answers are bit-identical to library answers (the
-    /// equivalence suite asserts this); the [`SearchContext`] carries the
-    /// epoch's memoised decomposition, so k-ĉore-extracting algorithms skip
-    /// the `O(m)` peel.
+    /// Runs the planned [`Algorithm`], which calls the same `sac_core` entry
+    /// point a direct caller would use, so engine answers are bit-identical
+    /// to library answers (the equivalence suite asserts this); the
+    /// [`SearchContext`] carries the epoch's memoised decomposition, so
+    /// k-ĉore-extracting algorithms skip the `O(m)` peel.
     fn dispatch(
         &self,
         epoch: &EngineEpoch,
@@ -969,17 +903,13 @@ impl SacEngine {
             Plan::Rejected => unreachable!("rejected plans never reach dispatch"),
             Plan::Execute(planned) => planned,
         };
-        let Some(algorithm) = self.planner.registry().get(planned.algorithm) else {
-            return (
-                Err(SacError::UnknownAlgorithm(planned.algorithm.to_string())),
-                SweepStats::default(),
-            );
-        };
+        let algorithm = Algorithm::from_name(planned.algorithm)
+            .expect("the planner plans only Algorithm names");
         let graph: &SpatialGraph = &epoch.graph;
         // Only k-ĉore-extracting algorithms consume the shared decomposition;
         // the rest (theta_sac, app_inc, ...) must not force the `O(m)` peel
         // on a cold cache for nothing.
-        let ctx = if algorithm.profile().shares_decomposition {
+        let ctx = if algorithm.shares_decomposition() {
             SearchContext::with_decomposition(
                 graph,
                 planned.query.q,
@@ -1080,12 +1010,13 @@ impl SacEngine {
                 Vec::new()
             },
             algorithm_latency: if self.obs.enabled {
-                self.obs
-                    .algo_latency
+                Algorithm::ALL
                     .iter()
-                    .map(|(name, hist)| LatencyStats {
-                        label: name,
-                        summary: LatencySummary::from_snapshot(&hist.snapshot()),
+                    .map(|&algorithm| LatencyStats {
+                        label: algorithm.name(),
+                        summary: LatencySummary::from_snapshot(
+                            &self.obs.algo_latency[algorithm as usize].snapshot(),
+                        ),
                     })
                     .collect()
             } else {
@@ -1265,7 +1196,7 @@ mod tests {
     use super::*;
     use crate::planner::LatencyTier;
     use sac_core::fixtures::{figure3, figure3_graph};
-    use sac_core::{exact_plus, theta_sac};
+    use sac_core::{exact_plus, theta_sac, EXACT_PLUS_EPS_A};
 
     fn engine() -> SacEngine {
         SacEngine::new(figure3_graph())
@@ -1274,8 +1205,13 @@ mod tests {
     #[test]
     fn exact_budget_returns_paper_answer() {
         let engine = engine();
-        let response =
-            engine.execute(&SacRequest::new(1, figure3::Q, 2).with_budget(QueryBudget::exact()));
+        let response = engine.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(1)
+                .budget(QueryBudget::exact())
+                .build()
+                .unwrap(),
+        );
         assert_eq!(response.id, 1);
         assert!(response.plan.dispatches("exact_plus"));
         let community = response.community().expect("feasible");
@@ -1293,7 +1229,7 @@ mod tests {
     fn infeasible_queries_short_circuit_through_cache() {
         let engine = engine();
         // Vertex I (pendant) has core number 1: no 2-core community.
-        let response = engine.execute(&SacRequest::new(2, figure3::I, 2));
+        let response = engine.execute(&SacRequest::builder(figure3::I, 2).id(2).build().unwrap());
         assert_eq!(response.plan, Plan::Infeasible);
         assert_eq!(response.outcome, Ok(None));
         let stats = engine.stats();
@@ -1305,7 +1241,8 @@ mod tests {
     fn absurd_k_values_never_build_or_cache_indexes() {
         let engine = engine();
         for k in [100u32, 1_000_000, u32::MAX] {
-            let response = engine.execute(&SacRequest::new(9, figure3::Q, k));
+            let response =
+                engine.execute(&SacRequest::builder(figure3::Q, k).id(9).build().unwrap());
             assert_eq!(response.plan, Plan::Infeasible);
             assert_eq!(response.outcome, Ok(None));
         }
@@ -1323,7 +1260,7 @@ mod tests {
     fn trivial_k_queries_bypass_the_feasibility_fast_path() {
         let engine = engine();
         // k = 0 has a trivial single-vertex answer even for the pendant vertex.
-        let response = engine.execute(&SacRequest::new(3, figure3::I, 0));
+        let response = engine.execute(&SacRequest::builder(figure3::I, 0).id(3).build().unwrap());
         let community = response.community().expect("k=0 is always feasible");
         assert_eq!(community.members(), &[figure3::I]);
     }
@@ -1331,7 +1268,7 @@ mod tests {
     #[test]
     fn second_query_hits_the_cache() {
         let engine = engine();
-        let req = SacRequest::new(4, figure3::Q, 2);
+        let req = SacRequest::builder(figure3::Q, 2).id(4).build().unwrap();
         let first = engine.execute(&req);
         let second = engine.execute(&req);
         assert!(!first.trace.cache_hit);
@@ -1345,15 +1282,17 @@ mod tests {
     #[test]
     fn errors_are_reported_per_query() {
         let engine = engine();
-        let out_of_range = engine.execute(&SacRequest::new(5, 999, 2));
+        let out_of_range = engine.execute(&SacRequest::builder(999, 2).id(5).build().unwrap());
         assert_eq!(out_of_range.plan, Plan::Rejected);
         assert_eq!(
             out_of_range.outcome,
             Err(SacError::QueryVertexOutOfRange(999))
         );
-        let bad_budget = engine.execute(
-            &SacRequest::new(6, figure3::Q, 2).with_budget(QueryBudget::within_ratio(0.2)),
-        );
+        // The builder refuses this budget; the engine still re-checks a
+        // request whose public fields were set directly.
+        let mut bad = SacRequest::builder(figure3::Q, 2).id(6).build().unwrap();
+        bad.budget = QueryBudget::within_ratio(0.2);
+        let bad_budget = engine.execute(&bad);
         assert_eq!(bad_budget.plan, Plan::Rejected);
         assert!(bad_budget.outcome.is_err());
         assert_eq!(engine.stats().errors, 2);
@@ -1365,7 +1304,7 @@ mod tests {
         let requests: Vec<SacRequest> = (0..40)
             .map(|i| {
                 let q = [figure3::Q, figure3::A, figure3::F, figure3::I][i % 4];
-                SacRequest::new(i as u64, q, 2)
+                SacRequest::builder(q, 2).id(i as u64).build().unwrap()
             })
             .collect();
         let batch = engine.execute_batch(&requests, 4);
@@ -1391,7 +1330,13 @@ mod tests {
         assert!(engine.connected_core(figure3::I, 2).is_none());
         // Small fixture: the planner upgrades every feasible plan to Exact+.
         let plan = engine
-            .plan_for(&SacRequest::new(7, figure3::Q, 2).with_budget(QueryBudget::interactive()))
+            .plan_for(
+                &SacRequest::builder(figure3::Q, 2)
+                    .id(7)
+                    .budget(QueryBudget::interactive())
+                    .build()
+                    .unwrap(),
+            )
             .unwrap();
         assert!(plan.dispatches("exact_plus"));
     }
@@ -1444,7 +1389,7 @@ mod tests {
     #[test]
     fn stats_accumulate_across_epochs() {
         let engine = engine();
-        let req = SacRequest::new(1, figure3::Q, 2);
+        let req = SacRequest::builder(figure3::Q, 2).id(1).build().unwrap();
         engine.execute(&req);
         let before = engine.stats();
         assert!(before.cache.decomposition.misses >= 1);
@@ -1468,7 +1413,11 @@ mod tests {
         // decomposition (k < 2) and theta_sac declares it does not consume
         // one — so a cold engine must not pay the O(m) peel for it.
         let response = engine.execute(
-            &SacRequest::new(1, figure3::Q, 0).with_budget(QueryBudget::balanced().with_theta(5.0)),
+            &SacRequest::builder(figure3::Q, 0)
+                .id(1)
+                .budget(QueryBudget::balanced().with_theta(5.0))
+                .build()
+                .unwrap(),
         );
         assert!(response.plan.dispatches("theta_sac"));
         assert!(response.community().is_some());
@@ -1484,15 +1433,26 @@ mod tests {
         let engine = engine();
         // A planned algorithm that probes (exact_plus on the small fixture)
         // must report its sweep counters in the trace.
-        let response =
-            engine.execute(&SacRequest::new(1, figure3::Q, 2).with_budget(QueryBudget::exact()));
+        let response = engine.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(1)
+                .budget(QueryBudget::exact())
+                .build()
+                .unwrap(),
+        );
         assert!(response.trace.probe_count > 0, "exact_plus probes circles");
         assert!(response.trace.candidate_count > 0);
         // Algorithms that build their context internally in the free-function
         // form still surface counters through the engine's context (app_inc
         // collects into a sweep, exact probes triple circles).
         for name in ["app_inc", "exact", "app_fast", "app_acc"] {
-            let response = engine.execute(&SacRequest::new(3, figure3::Q, 2).with_algorithm(name));
+            let response = engine.execute(
+                &SacRequest::builder(figure3::Q, 2)
+                    .id(3)
+                    .algorithm(name)
+                    .build()
+                    .unwrap(),
+            );
             assert!(
                 response.trace.probe_count > 0,
                 "{name} must report its probes"
@@ -1503,7 +1463,7 @@ mod tests {
             );
         }
         // Cache-answered infeasibility never probes.
-        let infeasible = engine.execute(&SacRequest::new(2, figure3::I, 2));
+        let infeasible = engine.execute(&SacRequest::builder(figure3::I, 2).id(2).build().unwrap());
         assert_eq!(infeasible.plan, Plan::Infeasible);
         assert_eq!(infeasible.trace.probe_count, 0);
         assert_eq!(infeasible.trace.candidate_count, 0);
@@ -1532,14 +1492,24 @@ mod tests {
         // The override runs the real algorithm even where the cache would
         // short-circuit (A/B timing honesty): vertex I has no 2-core, and the
         // algorithm itself — not the cache — reports infeasibility.
-        let request = SacRequest::new(12, figure3::I, 2).with_algorithm("app_inc");
+        let request = SacRequest::builder(figure3::I, 2)
+            .id(12)
+            .algorithm("app_inc")
+            .build()
+            .unwrap();
         let response = engine.execute(&request);
         assert!(response.plan.dispatches("app_inc"));
         assert_eq!(response.outcome, Ok(None));
         assert_eq!(engine.stats().infeasible_fast_path, 0);
 
         // Unknown overrides are typed per-query errors.
-        let response = engine.execute(&SacRequest::new(13, figure3::Q, 2).with_algorithm("nope"));
+        let response = engine.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(13)
+                .algorithm("nope")
+                .build()
+                .unwrap(),
+        );
         assert_eq!(response.plan, Plan::Rejected);
         assert_eq!(
             response.outcome,
@@ -1551,12 +1521,14 @@ mod tests {
     fn query_ids_are_monotonic_and_dense() {
         let engine = engine();
         for expected in 1..=5u64 {
-            let response = engine.execute(&SacRequest::new(0, figure3::Q, 2));
+            let response = engine.execute(&SacRequest::builder(figure3::Q, 2).build().unwrap());
             assert_eq!(response.trace.query_id, expected);
         }
         // Batch execution draws from the same per-engine sequence: ids stay
         // unique and cover the next contiguous range (order is unspecified).
-        let requests: Vec<SacRequest> = (0..8).map(|i| SacRequest::new(i, figure3::Q, 2)).collect();
+        let requests: Vec<SacRequest> = (0..8)
+            .map(|i| SacRequest::builder(figure3::Q, 2).id(i).build().unwrap())
+            .collect();
         let mut ids: Vec<u64> = engine
             .execute_batch(&requests, 4)
             .iter()
@@ -1571,11 +1543,14 @@ mod tests {
         let engine = engine();
         for _ in 0..4 {
             engine.execute(
-                &SacRequest::new(1, figure3::Q, 2)
-                    .with_budget(QueryBudget::exact().with_tier(LatencyTier::Interactive)),
+                &SacRequest::builder(figure3::Q, 2)
+                    .id(1)
+                    .budget(QueryBudget::exact().with_tier(LatencyTier::Interactive))
+                    .build()
+                    .unwrap(),
             );
         }
-        engine.execute(&SacRequest::new(2, figure3::Q, 2));
+        engine.execute(&SacRequest::builder(figure3::Q, 2).id(2).build().unwrap());
         let stats = engine.stats();
         assert_eq!(stats.tier_latency.len(), 3, "one summary per tier");
         let tier = |label: &str| {
@@ -1598,7 +1573,7 @@ mod tests {
             .algorithm_latency
             .iter()
             .find(|a| a.label == "exact_plus")
-            .expect("registered algorithms get a series");
+            .expect("every algorithm gets a series");
         assert_eq!(exact_plus.summary.count, 5);
 
         // The Prometheus exposition agrees with EngineStats: same counts,
@@ -1624,7 +1599,7 @@ mod tests {
         // EngineStats summaries.
         let engine = engine();
         for i in 0..20 {
-            engine.execute(&SacRequest::new(i, figure3::Q, 2));
+            engine.execute(&SacRequest::builder(figure3::Q, 2).id(i).build().unwrap());
         }
         let stats = engine.stats();
         let standard = stats
@@ -1677,8 +1652,13 @@ mod tests {
         };
         let noisy = SacEngine::with_config(Arc::new(figure3_graph()), config);
         assert_eq!(noisy.slow_log().threshold_micros(), 1);
-        let response =
-            noisy.execute(&SacRequest::new(7, figure3::Q, 2).with_budget(QueryBudget::exact()));
+        let response = noisy.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(7)
+                .budget(QueryBudget::exact())
+                .build()
+                .unwrap(),
+        );
         let entries = noisy.slow_log().snapshot();
         assert_eq!(entries.len(), 1);
         let entry = &entries[0];
@@ -1696,7 +1676,7 @@ mod tests {
 
         // Default threshold (10ms) never trips on the tiny fixture.
         let calm = engine();
-        calm.execute(&SacRequest::new(8, figure3::Q, 2));
+        calm.execute(&SacRequest::builder(figure3::Q, 2).id(8).build().unwrap());
         assert!(calm.slow_log().is_empty());
 
         // observe = false disables capture entirely.
@@ -1708,7 +1688,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        dark.execute(&SacRequest::new(9, figure3::Q, 2));
+        dark.execute(&SacRequest::builder(figure3::Q, 2).id(9).build().unwrap());
         assert!(dark.slow_log().is_empty());
         assert!(dark.stats().tier_latency.is_empty());
         assert!(dark.stats().algorithm_latency.is_empty());
@@ -1729,7 +1709,7 @@ mod tests {
     fn windowed_latency_lands_in_stats_and_metrics() {
         let engine = engine();
         for i in 0..5 {
-            engine.execute(&SacRequest::new(i, figure3::Q, 2));
+            engine.execute(&SacRequest::builder(figure3::Q, 2).id(i).build().unwrap());
         }
         let stats = engine.stats();
         assert_eq!(stats.windowed_tier_latency.len(), 3, "one series per tier");
@@ -1767,7 +1747,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        dark.execute(&SacRequest::new(1, figure3::Q, 2));
+        dark.execute(&SacRequest::builder(figure3::Q, 2).id(1).build().unwrap());
         assert!(dark.stats().windowed_tier_latency.is_empty());
         assert_eq!(dark.stats().window_span_micros, 0);
     }
@@ -1782,10 +1762,10 @@ mod tests {
             },
         );
         // Query id 1: unsampled, no tree unless asked for.
-        let plain = engine.execute(&SacRequest::new(1, figure3::Q, 2));
+        let plain = engine.execute(&SacRequest::builder(figure3::Q, 2).id(1).build().unwrap());
         assert!(plain.trace.tree.is_none());
         // Query id 2: head-sampled.
-        let sampled = engine.execute(&SacRequest::new(2, figure3::Q, 2));
+        let sampled = engine.execute(&SacRequest::builder(figure3::Q, 2).id(2).build().unwrap());
         let tree = sampled.trace.tree.expect("every 2nd query is sampled");
         assert_eq!(tree.name, "query");
         assert_eq!(tree.micros, sampled.micros);
@@ -1798,7 +1778,13 @@ mod tests {
         assert_eq!(exec.start_micros, sampled.trace.plan_micros);
         assert!(exec.children.is_empty(), "exec is a leaf");
         // Query id 3: unsampled but explicitly requested.
-        let asked = engine.execute(&SacRequest::new(3, figure3::Q, 2).with_trace());
+        let asked = engine.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(3)
+                .trace(true)
+                .build()
+                .unwrap(),
+        );
         assert!(asked.trace.tree.is_some());
         // Sampling off (0) still honours explicit requests.
         let never = SacEngine::with_config(
@@ -1810,12 +1796,18 @@ mod tests {
         );
         for i in 1..=4u64 {
             assert!(never
-                .execute(&SacRequest::new(i, figure3::Q, 2))
+                .execute(&SacRequest::builder(figure3::Q, 2).id(i).build().unwrap())
                 .trace
                 .tree
                 .is_none());
         }
-        let asked = never.execute(&SacRequest::new(9, figure3::Q, 2).with_trace());
+        let asked = never.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(9)
+                .trace(true)
+                .build()
+                .unwrap(),
+        );
         assert!(asked.trace.tree.is_some());
     }
 
@@ -1829,7 +1821,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let response = noisy.execute(&SacRequest::new(1, figure3::Q, 2));
+        let response = noisy.execute(&SacRequest::builder(figure3::Q, 2).id(1).build().unwrap());
         assert!(response.trace.tree.is_none(), "not sampled, not requested");
         let entries = noisy.slow_log().snapshot();
         let tree = entries[0].trace.as_ref().expect("slow queries get a tree");
@@ -1850,7 +1842,7 @@ mod tests {
             },
         );
         for i in 0..5 {
-            tiny.execute(&SacRequest::new(i, figure3::Q, 2));
+            tiny.execute(&SacRequest::builder(figure3::Q, 2).id(i).build().unwrap());
         }
         assert_eq!(tiny.slow_log().len(), 2);
         assert_eq!(tiny.slow_log().dropped(), 3);
@@ -1880,7 +1872,13 @@ mod tests {
         let engine = engine();
         assert!(engine.events().is_empty());
         // Queries publish no events.
-        engine.execute(&SacRequest::new(1, figure3::Q, 2).with_algorithm("global"));
+        engine.execute(
+            &SacRequest::builder(figure3::Q, 2)
+                .id(1)
+                .algorithm("global")
+                .build()
+                .unwrap(),
+        );
         assert!(engine.events().is_empty());
         let snapshot = engine.snapshot();
         let decomposition = sac_graph::core_decomposition(snapshot.graph());
@@ -1909,11 +1907,15 @@ mod tests {
     #[test]
     fn theta_budgets_dispatch_theta_sac() {
         let engine = engine();
-        let request = SacRequest::new(8, figure3::Q, 2).with_budget(
-            QueryBudget::balanced()
-                .with_theta(10.0)
-                .with_tier(LatencyTier::Batch),
-        );
+        let request = SacRequest::builder(figure3::Q, 2)
+            .id(8)
+            .budget(
+                QueryBudget::balanced()
+                    .with_theta(10.0)
+                    .with_tier(LatencyTier::Batch),
+            )
+            .build()
+            .unwrap();
         let response = engine.execute(&request);
         assert!(response.plan.dispatches("theta_sac"));
         assert_eq!(response.plan.label(), "theta_sac(theta=10)");

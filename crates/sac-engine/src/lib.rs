@@ -22,14 +22,11 @@
 //! * **A k-core index cache** — the `O(m)` core decomposition and the per-`k`
 //!   connected-core labellings are memoised per snapshot ([`KCoreCache`]),
 //!   turning the structural phase of repeated queries into cache hits.
-//! * **A profile-driven planner** — each request carries a [`QueryBudget`]
-//!   (worst acceptable approximation ratio + latency tier); the [`Planner`]
-//!   selects over the declared [`AlgorithmProfile`](sac_core::AlgorithmProfile)s
-//!   of an [`AlgorithmRegistry`](sac_core::AlgorithmRegistry) — proven ratio
-//!   band, cost class, θ-support — with a workload-aware upgrade to exact
-//!   search when the cached candidate set is tiny ([`Plan`]).  Registering an
-//!   algorithm is all it takes to serve it; the engine has no per-algorithm
-//!   dispatch arms.
+//! * **A budget planner** — each request carries a [`QueryBudget`] (worst
+//!   acceptable approximation ratio + latency tier); the [`Planner`] is one
+//!   `match` from the budget to a [`sac_core::Algorithm`] — the paper's
+//!   Table 3 inverted — with a workload-aware upgrade to exact search when
+//!   the cached candidate set is tiny ([`Plan`]).
 //! * **A validating request API** — [`SacRequest::builder`] rejects invalid
 //!   budgets with typed errors at construction time, and every
 //!   [`SacResponse`] carries per-request trace metadata ([`QueryTrace`]:
@@ -47,9 +44,14 @@
 //!
 //! let engine = SacEngine::new(sac_core::fixtures::figure3_graph());
 //! let requests: Vec<SacRequest> = (0..8)
-//!     .map(|i| SacRequest::new(i, sac_core::fixtures::figure3::Q, 2)
-//!         .with_budget(QueryBudget::balanced()))
-//!     .collect();
+//!     .map(|i| {
+//!         SacRequest::builder(sac_core::fixtures::figure3::Q, 2)
+//!             .id(i)
+//!             .budget(QueryBudget::balanced())
+//!             .build()
+//!     })
+//!     .collect::<Result<_, _>>()
+//!     .unwrap();
 //! let responses = engine.execute_batch(&requests, 4);
 //! assert!(responses.iter().all(|r| r.community().is_some()));
 //! // After the first query the k-core indexes are served from cache.

@@ -1,51 +1,36 @@
 //! The query planner: maps a per-request accuracy/latency budget onto one of
-//! the registered SAC algorithms.
+//! the closed set of SAC algorithms ([`Algorithm`]).
 //!
 //! The paper's Table 3 gives every algorithm a proven approximation ratio on
-//! the MCC radius and an asymptotic cost; each implementation now *declares*
-//! that row as an [`AlgorithmProfile`](sac_core::AlgorithmProfile) (a
-//! [`RatioGuarantee`] band plus a [`CostClass`](sac_core::CostClass)), and the
-//! [`Planner`] inverts the table by selecting over the profiles of an
-//! [`AlgorithmRegistry`] — no per-algorithm dispatch arms.  A request states
-//! the worst ratio it tolerates ([`QueryBudget::max_ratio`]) and how much
-//! latency it can spend ([`LatencyTier`]); the planner picks among the
-//! algorithms whose declared band contains the budget:
-//!
-//! * **Interactive** minimises `(cost class, tuned guarantee)` — the cheapest
-//!   fitting algorithm wins.
-//! * **Standard/Batch** minimise `(tuned guarantee, parameter-free first,
-//!   cost class)` — latency slack is spent on the tightest guarantee, and a
-//!   fixed (parameter-free) guarantee beats a tunable one at equal ratio.
-//!
-//! Exact-ratio algorithms are reached through two dedicated doors rather than
-//! the band competition: a budget demanding ratio 1, and the workload-aware
-//! *small-core upgrade* — when the connected k-core containing `q` (which
-//! every community is a subset of) is tiny, even `Exact+` is effectively
-//! free, so the budget's slack is converted into an exact answer at no
-//! latency cost.
-//!
-//! With the built-in registry the decision table is:
+//! the MCC radius and an asymptotic cost.  A request states the worst ratio
+//! it tolerates ([`QueryBudget::max_ratio`]) and how much latency it can
+//! spend ([`LatencyTier`]); [`Planner::plan`] inverts the table with one
+//! `match`, one arm per row, tried top to bottom:
 //!
 //! | budget | plan |
 //! |---|---|
-//! | explicit `algorithm` override | that registry entry, verbatim (no upgrade, no cache short-circuit) |
-//! | `theta` set | `theta_sac` (cheapest θ-capable algorithm, §3) |
+//! | explicit `algorithm` override | that algorithm, verbatim (no upgrade, no cache short-circuit) |
 //! | `q` not in any k-core (cache lookup) | [`Plan::Infeasible`] — answered without running any algorithm |
+//! | `theta` set | `theta_sac` (§3) |
 //! | k-ĉore of `q` ≤ `small_exact_threshold` | `exact_plus` |
 //! | `max_ratio` = 1 | `exact_plus` |
 //! | 1 < `max_ratio` < 2 | `app_acc` with `εA = max_ratio − 1` |
-//! | `max_ratio` ≥ 2, [`LatencyTier::Interactive`] | `app_fast` with `εF = max_ratio − 2` |
-//! | `max_ratio` ≥ 2, otherwise | `app_inc` |
+//! | `max_ratio` ≥ 2, [`LatencyTier::Interactive`] | `app_fast` with `εF = max_ratio − 2` (the cheapest in band) |
+//! | `max_ratio` ≥ 2, otherwise | `app_inc` (the tightest guarantee in band: a parameter-free 2) |
 //!
-//! The override row is what makes registered-but-unreachable algorithms (the
-//! `global`/`local` structure-only baselines have an unbounded ratio, so no
+//! The small-core row is a workload-aware upgrade: every community is a
+//! subset of the connected k-core containing `q`, so when that core is tiny
+//! even `Exact+` is effectively free and the budget's slack buys an exact
+//! answer at no latency cost.
+//!
+//! The override row is what makes budget-unreachable algorithms (the
+//! `global`/`local` structure-only baselines have no ratio guarantee, so no
 //! budget ever selects them) A/B-testable through the serving path.
 
-use sac_core::{AlgorithmProfile, AlgorithmRegistry, RatioGuarantee, SacError, SacQuery};
+use sac_core::{Algorithm, SacError, SacQuery, DEFAULT_EPS_A, DEFAULT_EPS_F, EXACT_PLUS_EPS_A};
 use sac_graph::VertexId;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// How much latency a request is willing to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -200,10 +185,10 @@ impl QueryBudget {
     }
 }
 
-/// One algorithm selected from the registry, with its tuned query.
+/// One planned algorithm with its tuned query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedQuery {
-    /// Registry name of the algorithm to dispatch.
+    /// Wire name of the [`Algorithm`] to dispatch.
     pub algorithm: &'static str,
     /// The tuned query (accuracy parameters derived from the budget).
     pub query: SacQuery,
@@ -215,7 +200,7 @@ pub struct PlannedQuery {
 /// The outcome of planning one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Plan {
-    /// Dispatch the selected algorithm from the registry.
+    /// Dispatch the planned algorithm.
     Execute(PlannedQuery),
     /// Answered from the k-core cache without running any algorithm: `q` is in
     /// no k-core, so no SAC community exists (every algorithm returns `None`).
@@ -225,7 +210,7 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// The registry name of the algorithm this plan dispatches, when any.
+    /// The wire name of the algorithm this plan dispatches, when any.
     pub fn algorithm(&self) -> Option<&'static str> {
         match self {
             Plan::Execute(planned) => Some(planned.algorithm),
@@ -284,45 +269,29 @@ fn clamp_eps_a(eps: f64) -> f64 {
     eps.clamp(1e-6, 1.0 - 1e-6)
 }
 
-/// A budget-to-algorithm planner over the profiles of an
-/// [`AlgorithmRegistry`] (see the module docs for the selection policy and
-/// the resulting decision table).
-#[derive(Debug, Clone)]
+/// The budget-to-algorithm planner (see the module docs for the decision
+/// table it implements).
+#[derive(Debug, Clone, Copy)]
 pub struct Planner {
-    registry: Arc<AlgorithmRegistry>,
     small_exact_threshold: usize,
-    exact_eps_a: f64,
 }
 
 impl Planner {
-    /// A planner selecting over `registry`, upgrading to an exact algorithm
-    /// when the candidate k-core has at most `small_exact_threshold` members,
-    /// and passing `exact_eps_a` to exact plans' bootstrap phase.
-    pub fn new(
-        registry: Arc<AlgorithmRegistry>,
-        small_exact_threshold: usize,
-        exact_eps_a: f64,
-    ) -> Self {
+    /// A planner upgrading to `Exact+` when the candidate k-core has at most
+    /// `small_exact_threshold` members.
+    pub fn new(small_exact_threshold: usize) -> Self {
         Planner {
-            registry,
             small_exact_threshold,
-            exact_eps_a,
         }
     }
 
-    /// The registry this planner selects from.
-    pub fn registry(&self) -> &Arc<AlgorithmRegistry> {
-        &self.registry
-    }
-
-    /// Plans one query: validates the budget, then picks the best registered
-    /// algorithm for it (see the module docs for the policy).  An explicit
-    /// `override_algorithm` bypasses selection entirely and dispatches that
-    /// registry entry with its default parameters.
+    /// Plans one query: validates the budget, then walks the decision table
+    /// of the module docs.  An explicit `override_algorithm` bypasses the
+    /// table and dispatches that algorithm with its default parameters (plus
+    /// the budget's θ when set — `theta_sac` needs it, the rest ignore it).
     ///
-    /// Errors are typed: an invalid budget is rejected here, a registry with
-    /// no fitting algorithm yields [`SacError::InvalidBudget`], and an
-    /// unknown override yields [`SacError::UnknownAlgorithm`].
+    /// Errors are typed: an invalid budget is rejected here, and an unknown
+    /// override yields [`SacError::UnknownAlgorithm`].
     pub fn plan(
         &self,
         q: VertexId,
@@ -332,173 +301,62 @@ impl Planner {
         override_algorithm: Option<&str>,
     ) -> Result<Plan, SacError> {
         budget.validate()?;
-        if let Some(name) = override_algorithm {
-            return self.override_plan(q, k, budget, name);
-        }
-        if ctx.infeasible {
-            return Ok(Plan::Infeasible);
-        }
-        if let Some(theta) = budget.theta {
-            return self.theta_plan(q, k, theta);
-        }
-        // Workload-aware upgrade: every SAC community is a subset of the
-        // connected k-core containing q, so a tiny candidate set makes an
-        // exact algorithm as cheap as the approximations — spend the slack on
-        // exactness.
+        let query = SacQuery::new(q, k);
         let small_core = ctx
             .core_size
             .is_some_and(|size| size <= self.small_exact_threshold);
-        if small_core || budget.max_ratio <= 1.0 + 1e-12 {
-            return self.exact_plan(q, k);
-        }
-        self.approximate_plan(q, k, budget)
-    }
-
-    /// Explicit A/B override: dispatch the named registry entry verbatim,
-    /// with its documented default parameters (plus the budget's θ when set —
-    /// θ-capable algorithms need it, the rest ignore it).  The reported
-    /// guarantee is what the algorithm's declared band yields at defaults.
-    fn override_plan(
-        &self,
-        q: VertexId,
-        k: u32,
-        budget: &QueryBudget,
-        name: &str,
-    ) -> Result<Plan, SacError> {
-        let algorithm = self
-            .registry
-            .get(name)
-            .ok_or_else(|| SacError::UnknownAlgorithm(name.to_string()))?;
-        let profile = algorithm.profile();
-        let mut query = SacQuery::new(q, k);
-        if let Some(theta) = budget.theta {
-            query = query.with_theta(theta);
-        }
-        let guaranteed_ratio = match profile.ratio {
-            RatioGuarantee::Exact => Some(1.0),
-            RatioGuarantee::Fixed(ratio) => Some(ratio),
-            RatioGuarantee::OnePlusEpsA => Some(1.0 + sac_core::DEFAULT_EPS_A),
-            RatioGuarantee::TwoPlusEpsF => Some(2.0 + sac_core::DEFAULT_EPS_F),
-            RatioGuarantee::Unbounded => None,
+        let ratio = budget.max_ratio;
+        let (algorithm, query, guaranteed_ratio) = match (override_algorithm, budget.theta) {
+            (Some(name), theta) => {
+                let algorithm = Algorithm::from_name(name)
+                    .ok_or_else(|| SacError::UnknownAlgorithm(name.to_string()))?;
+                let query = theta.map_or(query, |theta| query.with_theta(theta));
+                (algorithm, query, default_ratio(algorithm))
+            }
+            _ if ctx.infeasible => return Ok(Plan::Infeasible),
+            (None, Some(theta)) => (Algorithm::ThetaSac, query.with_theta(theta), None),
+            _ if small_core || ratio <= 1.0 + 1e-12 => (
+                Algorithm::ExactPlus,
+                query.with_eps_a(EXACT_PLUS_EPS_A),
+                Some(1.0),
+            ),
+            _ if ratio < 2.0 => {
+                let eps_a = clamp_eps_a(ratio - 1.0);
+                (
+                    Algorithm::AppAcc,
+                    query.with_eps_a(eps_a),
+                    Some(1.0 + eps_a),
+                )
+            }
+            _ if budget.tier == LatencyTier::Interactive => {
+                let eps_f = ratio - 2.0;
+                (
+                    Algorithm::AppFast,
+                    query.with_eps_f(eps_f),
+                    Some(2.0 + eps_f),
+                )
+            }
+            _ => (Algorithm::AppInc, query, Some(2.0)),
         };
         Ok(Plan::Execute(PlannedQuery {
-            algorithm: profile.name,
+            algorithm: algorithm.name(),
             query,
             guaranteed_ratio,
         }))
     }
-
-    /// Radius-constrained request: the cheapest θ-capable algorithm.
-    fn theta_plan(&self, q: VertexId, k: u32, theta: f64) -> Result<Plan, SacError> {
-        let profile = self
-            .fitting_profiles(|p| p.supports_theta)
-            .into_iter()
-            .min_by_key(|p| p.cost)
-            .ok_or_else(|| {
-                SacError::InvalidBudget("no registered algorithm supports theta".to_string())
-            })?;
-        Ok(Plan::Execute(PlannedQuery {
-            algorithm: profile.name,
-            query: SacQuery::new(q, k).with_theta(theta),
-            guaranteed_ratio: None,
-        }))
-    }
-
-    /// Exact demand (ratio 1 or small-core upgrade): the cheapest exact-ratio
-    /// algorithm.
-    fn exact_plan(&self, q: VertexId, k: u32) -> Result<Plan, SacError> {
-        let profile = self
-            .fitting_profiles(|p| p.ratio.is_exact())
-            .into_iter()
-            .min_by_key(|p| p.cost)
-            .ok_or_else(|| {
-                SacError::InvalidBudget("no registered algorithm is exact".to_string())
-            })?;
-        Ok(Plan::Execute(PlannedQuery {
-            algorithm: profile.name,
-            query: SacQuery::new(q, k).with_eps_a(self.exact_eps_a),
-            guaranteed_ratio: Some(1.0),
-        }))
-    }
-
-    /// Approximate demand: selects among the algorithms whose declared
-    /// guarantee band contains `max_ratio` (exact-ratio algorithms compete
-    /// only through [`Planner::exact_plan`]'s doors).
-    fn approximate_plan(
-        &self,
-        q: VertexId,
-        k: u32,
-        budget: &QueryBudget,
-    ) -> Result<Plan, SacError> {
-        let candidates =
-            self.fitting_profiles(|p| !p.ratio.is_exact() && p.ratio.fits(budget.max_ratio));
-        let chosen = match budget.tier {
-            // Interactive: cheapest wins; guarantee breaks cost ties.
-            LatencyTier::Interactive => candidates.into_iter().min_by(|a, b| {
-                (a.cost, tuned(a, budget))
-                    .partial_cmp(&(b.cost, tuned(b, budget)))
-                    .expect("fitting guarantees are finite")
-            }),
-            // Standard/Batch: tightest guarantee wins; a parameter-free
-            // (fixed) guarantee beats a tunable one at equal ratio — it hits
-            // its bound without accuracy-parameter slack; cost breaks what
-            // remains.
-            LatencyTier::Standard | LatencyTier::Batch => candidates.into_iter().min_by(|a, b| {
-                (tuned(a, budget), a.ratio.is_tunable(), a.cost)
-                    .partial_cmp(&(tuned(b, budget), b.ratio.is_tunable(), b.cost))
-                    .expect("fitting guarantees are finite")
-            }),
-        };
-        // Nothing in-band (possible with a stripped-down registry): fall back
-        // to an exact answer, which trivially satisfies any ratio.
-        let Some(profile) = chosen else {
-            return self.exact_plan(q, k);
-        };
-        let mut query = SacQuery::new(q, k);
-        let guaranteed = match profile.ratio {
-            RatioGuarantee::OnePlusEpsA => {
-                let eps_a = clamp_eps_a(budget.max_ratio - 1.0);
-                query = query.with_eps_a(eps_a);
-                1.0 + eps_a
-            }
-            RatioGuarantee::TwoPlusEpsF => {
-                let eps_f = budget.max_ratio - 2.0;
-                query = query.with_eps_f(eps_f);
-                2.0 + eps_f
-            }
-            RatioGuarantee::Fixed(ratio) => ratio,
-            RatioGuarantee::Exact => 1.0,
-            RatioGuarantee::Unbounded => {
-                unreachable!("unbounded guarantees never fit a ratio budget")
-            }
-        };
-        Ok(Plan::Execute(PlannedQuery {
-            algorithm: profile.name,
-            query,
-            guaranteed_ratio: Some(guaranteed),
-        }))
-    }
-
-    /// The registered profiles passing `filter`.
-    fn fitting_profiles(
-        &self,
-        filter: impl Fn(&AlgorithmProfile) -> bool,
-    ) -> Vec<AlgorithmProfile> {
-        self.registry
-            .iter()
-            .map(|a| a.profile())
-            .filter(|p| filter(p))
-            .collect()
-    }
 }
 
-/// The guarantee `profile` achieves when tuned for `budget` (infinite when it
-/// cannot fit, so it loses every comparison).
-fn tuned(profile: &AlgorithmProfile, budget: &QueryBudget) -> f64 {
-    profile
-        .ratio
-        .tuned(budget.max_ratio)
-        .unwrap_or(f64::INFINITY)
+/// The ratio `algorithm` guarantees at its default parameters (Table 3);
+/// `None` for θ-SAC, which answers a different objective, and the
+/// baselines, which have no guarantee.
+fn default_ratio(algorithm: Algorithm) -> Option<f64> {
+    match algorithm {
+        Algorithm::ExactPlus | Algorithm::Exact => Some(1.0),
+        Algorithm::AppAcc => Some(1.0 + DEFAULT_EPS_A),
+        Algorithm::AppFast => Some(2.0 + DEFAULT_EPS_F),
+        Algorithm::AppInc => Some(2.0),
+        Algorithm::ThetaSac | Algorithm::Global | Algorithm::Local => None,
+    }
 }
 
 #[cfg(test)]
@@ -511,7 +369,7 @@ mod tests {
     };
 
     fn planner() -> Planner {
-        Planner::new(Arc::new(AlgorithmRegistry::builtin()), 48, 1e-4)
+        Planner::new(48)
     }
 
     fn plan(budget: &QueryBudget, ctx: &PlanContext) -> Plan {
@@ -615,7 +473,7 @@ mod tests {
     #[test]
     fn explicit_override_reaches_any_registered_algorithm() {
         let planner = planner();
-        // The baselines are unreachable through budgets (Unbounded ratio)...
+        // The baselines are unreachable through budgets (no ratio guarantee)...
         for ratio in [1.0, 1.5, 4.0] {
             assert!(!plan(&QueryBudget::within_ratio(ratio), &CTX_BIG).dispatches("global"));
         }
@@ -704,38 +562,5 @@ mod tests {
             assert!(plan.dispatches("app_acc"), "tier {tier:?}");
             assert!(plan.guaranteed_ratio().unwrap() <= ratio);
         }
-    }
-
-    #[test]
-    fn stripped_registries_fall_back_or_reject_with_typed_errors() {
-        // Only AppInc registered: a 1.5-ratio budget has nothing in band and
-        // no exact fallback -> typed error.
-        let mut registry = AlgorithmRegistry::empty();
-        registry.register(Arc::new(sac_core::AppIncSearch));
-        let planner = Planner::new(Arc::new(registry), 0, 1e-4);
-        assert!(matches!(
-            planner.plan(0, 2, &QueryBudget::within_ratio(1.5), &CTX_BIG, None),
-            Err(SacError::InvalidBudget(_))
-        ));
-        // ...and a theta request has no capable algorithm either.
-        assert!(planner
-            .plan(
-                0,
-                2,
-                &QueryBudget::balanced().with_theta(1.0),
-                &CTX_BIG,
-                None
-            )
-            .is_err());
-
-        // AppInc + Exact+: the out-of-band budget falls back to exact.
-        let mut registry = AlgorithmRegistry::empty();
-        registry.register(Arc::new(sac_core::AppIncSearch));
-        registry.register(Arc::new(sac_core::ExactPlusSearch));
-        let planner = Planner::new(Arc::new(registry), 0, 1e-4);
-        let plan = planner
-            .plan(0, 2, &QueryBudget::within_ratio(1.5), &CTX_BIG, None)
-            .unwrap();
-        assert!(plan.dispatches("exact_plus"));
     }
 }

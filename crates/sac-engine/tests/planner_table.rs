@@ -1,14 +1,10 @@
 //! One assertion per row of the planner's budget→plan decision table (see the
-//! `planner` module docs), driven through the registry-based [`Planner`] —
-//! the table the paper's Table 3 inverts must survive the profile-driven
-//! selection redesign bit-for-bit.
+//! `planner` module docs), driven through the public [`Planner`] — the
+//! table the paper's Table 3 inverts, pinned row by row.
 
-use sac_core::AlgorithmRegistry;
 use sac_engine::{LatencyTier, Plan, PlanContext, Planner, QueryBudget};
-use std::sync::Arc;
 
 const SMALL_EXACT_THRESHOLD: usize = 48;
-const EXACT_EPS_A: f64 = 1e-4;
 
 const BIG_CORE: PlanContext = PlanContext {
     core_size: Some(100_000),
@@ -22,11 +18,7 @@ const ALL_TIERS: [LatencyTier; 3] = [
 ];
 
 fn planner() -> Planner {
-    Planner::new(
-        Arc::new(AlgorithmRegistry::builtin()),
-        SMALL_EXACT_THRESHOLD,
-        EXACT_EPS_A,
-    )
+    Planner::new(SMALL_EXACT_THRESHOLD)
 }
 
 fn plan(budget: &QueryBudget, ctx: &PlanContext) -> Plan {
@@ -169,58 +161,4 @@ fn row_ratio_two_plus_standard_and_batch_is_app_inc() {
             assert_eq!(plan.guaranteed_ratio(), Some(2.0));
         }
     }
-}
-
-/// The registry is genuinely load-bearing: a registered non-builtin
-/// algorithm with a cheaper in-band profile is selected with no planner
-/// edits.
-#[test]
-fn registered_algorithms_join_the_table() {
-    use sac_core::{
-        AlgorithmProfile, CommunitySearch, CostClass, RatioGuarantee, SacOutcome, SacQuery,
-        SearchContext,
-    };
-
-    /// A fake ratio-2 algorithm cheaper than anything built in.
-    struct Turbo;
-    impl CommunitySearch for Turbo {
-        fn profile(&self) -> AlgorithmProfile {
-            AlgorithmProfile {
-                name: "turbo",
-                ratio: RatioGuarantee::Fixed(2.0),
-                cost: CostClass::Linear,
-                supports_theta: false,
-                shares_decomposition: false,
-                reference: "test double",
-            }
-        }
-        fn run(
-            &self,
-            _ctx: &mut SearchContext<'_>,
-            _query: &SacQuery,
-        ) -> Result<SacOutcome, sac_core::SacError> {
-            Ok(SacOutcome::new(None))
-        }
-    }
-
-    let mut registry = AlgorithmRegistry::builtin();
-    registry.register(Arc::new(Turbo));
-    let planner = Planner::new(Arc::new(registry), 0, EXACT_EPS_A);
-    // Interactive minimises cost: turbo (Linear) now beats app_fast.
-    let plan = planner
-        .plan(
-            0,
-            2,
-            &QueryBudget::within_ratio(3.0).with_tier(LatencyTier::Interactive),
-            &BIG_CORE,
-            None,
-        )
-        .unwrap();
-    assert!(plan.dispatches("turbo"));
-    // Standard prefers the tightest guarantee; turbo ties app_inc at 2 and
-    // wins on cost among the parameter-free candidates.
-    let plan = planner
-        .plan(0, 2, &QueryBudget::within_ratio(3.0), &BIG_CORE, None)
-        .unwrap();
-    assert!(plan.dispatches("turbo"));
 }

@@ -86,7 +86,7 @@
 //! // Publish: epoch 2 serves the grown graph, cache carried where possible.
 //! let report = live.commit().unwrap();
 //! assert_eq!(report.epoch, 2);
-//! let response = engine.execute(&SacRequest::new(1, v, 2));
+//! let response = engine.execute(&SacRequest::builder(v, 2).id(1).build().unwrap());
 //! assert!(response.community().expect("v sits in a 2-core").contains(v));
 //! ```
 

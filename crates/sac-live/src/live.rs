@@ -6,8 +6,8 @@ use crate::durability::{
 use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
 use sac_graph::{
-    core_decomposition, BatchChange, BatchOp, BatchStrategy, DynamicGraph, EdgeChange, GraphError,
-    SpatialGraph, VertexId,
+    core_decomposition, BatchChange, BatchOp, DynamicGraph, EdgeChange, GraphError, SpatialGraph,
+    VertexId,
 };
 use sac_obs::{Counter, Histogram, Span};
 use sac_wal::{DeltaRecord, SnapshotImage, WalError, WalOp, WalWriter};
@@ -658,17 +658,8 @@ impl LiveEngine {
     /// [`sac_graph::DynamicGraph::apply_batch_with`].  The applied ops join
     /// the pending ops exactly as the equivalent single-edge calls would.
     pub fn apply_batch(&self, ops: &[BatchOp]) -> Result<BatchApplyReport, GraphError> {
-        self.apply_batch_with(ops, BatchStrategy::Auto)
-    }
-
-    /// [`LiveEngine::apply_batch`] with an explicit repair strategy.
-    pub fn apply_batch_with(
-        &self,
-        ops: &[BatchOp],
-        strategy: BatchStrategy,
-    ) -> Result<BatchApplyReport, GraphError> {
         let mut front = self.lock_front();
-        let change: BatchChange = front.dynamic.apply_batch_with(ops, strategy)?;
+        let change: BatchChange = front.dynamic.apply_batch(ops)?;
         front.ops.extend(change.applied.iter().map(|op| match *op {
             BatchOp::Insert(u, v) => WalOp::InsertEdge(u, v),
             BatchOp::Remove(u, v) => WalOp::RemoveEdge(u, v),
@@ -874,7 +865,11 @@ mod tests {
         let live = live();
         let engine = Arc::clone(live.engine());
         // I (pendant) has no 2-core community on epoch 1.
-        let req = SacRequest::new(1, figure3::I, 2).with_budget(QueryBudget::exact());
+        let req = SacRequest::builder(figure3::I, 2)
+            .id(1)
+            .budget(QueryBudget::exact())
+            .build()
+            .unwrap();
         assert!(engine.execute(&req).community().is_none());
 
         // Close the triangle F–G–H–I: now I belongs to a 2-core.

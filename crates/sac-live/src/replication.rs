@@ -176,7 +176,7 @@ struct RosterGuard<'a> {
 }
 
 impl<'a> RosterGuard<'a> {
-    fn register(roster: &'a Mutex<Vec<(u64, String)>>, id: u64, addr: String) -> RosterGuard<'a> {
+    fn enroll(roster: &'a Mutex<Vec<(u64, String)>>, id: u64, addr: String) -> RosterGuard<'a> {
         let mut r = roster.lock().expect("roster poisoned");
         r.retain(|(i, _)| *i != id);
         r.push((id, addr));
@@ -244,7 +244,7 @@ fn ship_connection(
         return Ok(());
     }
     let _candidate = match (request.replica_id, request.advertise.clone()) {
-        (Some(id), Some(addr)) => Some(RosterGuard::register(roster, id, addr)),
+        (Some(id), Some(addr)) => Some(RosterGuard::enroll(roster, id, addr)),
         _ => None,
     };
 

@@ -69,7 +69,8 @@ pub fn fingerprint(engine: &SacEngine) -> StateFingerprint {
     let mut answers = Vec::new();
     for q in (0..n).step_by(5) {
         for k in 1..4u32 {
-            let response = engine.execute(&SacRequest::new(u64::from(q), q, k));
+            let response =
+                engine.execute(&SacRequest::builder(q, k).id(u64::from(q)).build().unwrap());
             answers.push(response.community().map(|c| c.members().to_vec()));
         }
     }

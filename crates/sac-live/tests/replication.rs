@@ -251,7 +251,9 @@ fn checkpoint_truncation_forces_snapshot_rebootstrap() {
     );
     // Degraded, not dead: reads still answer at the last applied epoch.
     assert_eq!(replica.engine().epoch(), pre_partition);
-    let reply = replica.engine().execute(&SacRequest::new(1, 0, 1));
+    let reply = replica
+        .engine()
+        .execute(&SacRequest::builder(0, 1).id(1).build().unwrap());
     assert!(reply.community().is_some() || reply.community().is_none()); // served, not panicked
     assert!(replica.status().stats_reply().degraded);
 
@@ -393,7 +395,7 @@ fn replica_carries_the_primary_per_k_indexes() {
     initial.extend((16..N).map(|v| (v, 16 + (v - 15) % 16)));
     let (engine, live, ship) = primary(&dir, &initial, None);
     let replica = Replica::boot(replica_config(&ship, 47)).unwrap();
-    let query = SacRequest::new(1, 0, 3);
+    let query = SacRequest::builder(0, 3).id(1).build().unwrap();
     let caught_up = |target: u64| {
         wait_until(Duration::from_secs(20), || {
             replica.status().applied_epoch() == target

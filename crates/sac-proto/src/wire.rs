@@ -57,9 +57,9 @@ pub struct QuerySpec {
     pub tier: Option<sac_engine::LatencyTier>,
     /// θ radius constraint (requests the radius-constrained variant).
     pub theta: Option<f64>,
-    /// Explicit algorithm override (registry name): dispatches that algorithm
-    /// directly instead of planner selection, making the registered baselines
-    /// A/B-testable over the wire.  Unknown names become typed per-query
+    /// Explicit algorithm override (an `Algorithm` wire name): dispatches
+    /// that algorithm directly instead of planner selection, making the
+    /// baselines A/B-testable over the wire.  Unknown names become typed per-query
     /// errors.
     pub algorithm: Option<String>,
     /// Requests a full span tree on the reply (`"trace":true`) regardless of
@@ -582,7 +582,7 @@ impl QueryReply {
 /// algorithm), extracted from the engine's lock-free histograms.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LatencyStatsReply {
-    /// Series label (tier wire name or algorithm registry name).
+    /// Series label (tier or algorithm wire name).
     pub label: String,
     /// Observations recorded.
     pub count: u64,

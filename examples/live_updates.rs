@@ -32,7 +32,12 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let queries = select_query_vertices(engine.snapshot().graph(), 8, 4, &mut rng);
     let requests: Vec<SacRequest> = (0..64)
-        .map(|i| SacRequest::new(i as u64, queries[i % queries.len()], 4))
+        .map(|i| {
+            SacRequest::builder(queries[i % queries.len()], 4)
+                .id(i as u64)
+                .build()
+                .expect("valid budget")
+        })
         .collect();
 
     // 2. Serve a batch, then mutate and commit, then serve again — five rounds

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sackit::data::{select_query_vertices, DatasetKind, DatasetSpec};
 use sackit::engine::LatencyTier;
-use sackit::{QueryBudget, SacEngine, SacRequest, SacService, ServiceConfig};
+use sackit::{Algorithm, QueryBudget, SacEngine, SacRequest, SacService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,18 +27,19 @@ fn main() {
     let engine = Arc::new(SacEngine::new(graph));
     let snapshot = engine.snapshot();
 
-    // The planner selects over the declared profiles of the algorithm
-    // registry — this is the whole dispatch table, printed from the data the
-    // engine actually plans with.
-    println!("registered algorithms:");
-    for profile in engine.registry().profiles() {
+    // The closed algorithm set the planner chooses from (in metric-series
+    // order); `shared decomposition` marks the algorithms whose structural
+    // phase reuses the engine's cached core decomposition.
+    println!("algorithms:");
+    for algorithm in Algorithm::ALL {
         println!(
-            "  {:<12} ratio {:?}, cost {}, theta {}  [{}]",
-            profile.name,
-            profile.ratio,
-            profile.cost,
-            if profile.supports_theta { "yes" } else { "no" },
-            profile.reference
+            "  {:<12} shared decomposition: {}",
+            algorithm.name(),
+            if algorithm.shares_decomposition() {
+                "yes"
+            } else {
+                "no"
+            }
         );
     }
 
@@ -60,7 +61,11 @@ fn main() {
             } else {
                 (queries[i % queries.len()], 4)
             };
-            SacRequest::new(i as u64, q, k).with_budget(interactive[i % 2])
+            SacRequest::builder(q, k)
+                .id(i as u64)
+                .budget(interactive[i % 2])
+                .build()
+                .expect("valid budget")
         })
         .collect();
 

@@ -17,7 +17,7 @@
 //! * [`data`] — synthetic dataset and workload generators;
 //! * [`eval`] — the experiment harness reproducing the paper's tables and figures;
 //! * [`engine`] — the concurrent, cache-aware query-serving engine with
-//!   epoch-published snapshots and the profile-driven planner;
+//!   epoch-published snapshots and the budget planner;
 //! * [`proto`] — the typed, transport-agnostic wire protocol (LDJSON codec);
 //! * [`live`] — the dynamic-graph write front (incremental k-core maintenance,
 //!   delta commits) plus the protocol service and the `sac-serve`/`sac-http`
@@ -70,8 +70,7 @@ pub use sac_live as live;
 
 pub use sac_core::{
     app_acc, app_fast, app_inc, baselines, exact, exact_plus, fixtures, metrics, range_only,
-    theta_sac, AlgorithmProfile, AlgorithmRegistry, Community, CommunitySearch, SacError,
-    SacOutcome, SacQuery, SearchContext,
+    theta_sac, Algorithm, Community, SacError, SacOutcome, SacQuery, SearchContext,
 };
 pub use sac_engine::{
     LatencyTier, Plan, QueryBudget, QueryTrace, SacEngine, SacRequest, SacResponse,

@@ -40,7 +40,11 @@ fn mixed_requests(graph: &SpatialGraph, count: usize) -> Vec<SacRequest> {
                 queries[i % queries.len()]
             };
             let k = [2u32, 4, 5][i % 3];
-            SacRequest::new(i as u64, q, k).with_budget(budgets[i % budgets.len()])
+            SacRequest::builder(q, k)
+                .id(i as u64)
+                .budget(budgets[i % budgets.len()])
+                .build()
+                .unwrap()
         })
         .collect()
 }
@@ -201,7 +205,11 @@ fn figure3_engine_answers_match_direct_calls() {
         for k in [2u32, 3] {
             for budget in budgets {
                 id += 1;
-                let request = SacRequest::new(id, q, k).with_budget(budget);
+                let request = SacRequest::builder(q, k)
+                    .id(id)
+                    .budget(budget)
+                    .build()
+                    .unwrap();
                 let response = engine.execute(&request);
                 let direct = direct_call(&snapshot, &request, response.plan);
                 let got = response.outcome.as_ref().unwrap();
@@ -219,7 +227,12 @@ fn figure3_engine_answers_match_direct_calls() {
         }
     }
     // The cache proves infeasibility without running algorithms: I at k=2.
-    let response = engine.execute(&SacRequest::new(id + 1, figure3::I, 2));
+    let response = engine.execute(
+        &SacRequest::builder(figure3::I, 2)
+            .id(id + 1)
+            .build()
+            .unwrap(),
+    );
     assert_eq!(response.plan, Plan::Infeasible);
     assert!(engine.stats().infeasible_fast_path > 0);
 }

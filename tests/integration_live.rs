@@ -62,7 +62,11 @@ fn committed_epochs_answer_like_cold_engines() {
         ];
         for (i, &q) in queries.iter().enumerate() {
             for k in [2u32, 3] {
-                let request = SacRequest::new(i as u64, q, k).with_budget(budgets[i % 3]);
+                let request = SacRequest::builder(q, k)
+                    .id(i as u64)
+                    .budget(budgets[i % 3])
+                    .build()
+                    .unwrap();
                 let warm_answer = engine.execute(&request);
                 let cold_answer = cold.execute(&request);
                 assert_eq!(
@@ -105,7 +109,7 @@ fn old_snapshot_queries_complete_correctly_across_concurrent_swaps() {
                 let mut completed = 0usize;
                 for i in 0..400usize {
                     let q = queries[(i + t) % queries.len()];
-                    let request = SacRequest::new(i as u64, q, 2);
+                    let request = SacRequest::builder(q, 2).id(i as u64).build().unwrap();
                     // Pin the epoch, then the snapshot, then query: if the
                     // epoch number is unchanged after the query, no publish
                     // landed anywhere in the window, so the snapshot and the
