@@ -260,14 +260,19 @@ impl Algorithm {
         Algorithm::ALL.into_iter().find(|a| a.name() == name)
     }
 
-    /// Whether the algorithm's structural phase consumes a shared core
-    /// decomposition from its [`SearchContext`] (the k-ĉore-extracting
-    /// algorithms do).  Serving layers skip fetching or computing the
-    /// decomposition for the rest.
+    /// Whether the algorithm reads Step 1 (the k-ĉore containing `q`) from
+    /// its [`SearchContext`], so a shared k-core index there spares it the
+    /// `O(m)` peel.  Serving layers skip fetching or building that index for
+    /// the rest.
     pub fn shares_decomposition(self) -> bool {
         matches!(
             self,
-            Algorithm::ExactPlus | Algorithm::AppAcc | Algorithm::AppFast | Algorithm::Exact
+            Algorithm::ExactPlus
+                | Algorithm::AppAcc
+                | Algorithm::AppFast
+                | Algorithm::Exact
+                | Algorithm::Global
+                | Algorithm::Local
         )
     }
 
@@ -275,7 +280,7 @@ impl Algorithm {
     ///
     /// `ctx` must have been built for the same vertex and degree bound as
     /// `query` (see [`SearchContext::new`] /
-    /// [`SearchContext::with_decomposition`]); parameters the algorithm does
+    /// [`SearchContext::with_components`]); parameters the algorithm does
     /// not read are ignored, and the ones it reads are checked here.
     pub fn run(
         self,
@@ -312,8 +317,8 @@ impl Algorithm {
                 crate::theta_sac(ctx.g, query.q, query.k, theta)?
             }
             Algorithm::Exact => crate::exact::exact_with_ctx(ctx)?,
-            Algorithm::Global => crate::baselines::global_search(ctx.g, query.q, query.k)?,
-            Algorithm::Local => crate::baselines::local_search(ctx.g, query.q, query.k)?,
+            Algorithm::Global => crate::baselines::global_search_with_ctx(ctx),
+            Algorithm::Local => crate::baselines::local_search_with_ctx(ctx),
         };
         Ok(SacOutcome::new(community))
     }
@@ -406,7 +411,17 @@ mod tests {
             .filter(|a| a.shares_decomposition())
             .map(Algorithm::name)
             .collect();
-        assert_eq!(shared, ["exact_plus", "app_acc", "app_fast", "exact"]);
+        assert_eq!(
+            shared,
+            [
+                "exact_plus",
+                "app_acc",
+                "app_fast",
+                "exact",
+                "global",
+                "local"
+            ]
+        );
     }
 
     #[test]
@@ -452,6 +467,37 @@ mod tests {
         let direct = crate::theta_sac(&g, figure3::Q, 2, 10.0).unwrap();
         assert_eq!(via_enum.community, direct);
         assert!(run(Algorithm::ThetaSac, &g, &SacQuery::new(figure3::Q, 2)).is_err());
+    }
+
+    #[test]
+    fn baselines_read_step1_from_the_context_at_every_k() {
+        use sac_graph::{core_decomposition, KCoreComponents};
+        use std::sync::Arc;
+
+        let g = figure3_graph();
+        let decomposition = core_decomposition(g.graph());
+        for k in 0..=decomposition.max_core() + 1 {
+            let index = Arc::new(KCoreComponents::build(g.graph(), &decomposition, k));
+            for q in 0..g.num_vertices() as sac_graph::VertexId {
+                let query = SacQuery::new(q, k);
+                let pairs = [
+                    (
+                        Algorithm::Global,
+                        crate::baselines::global_search(&g, q, k).unwrap(),
+                    ),
+                    (
+                        Algorithm::Local,
+                        crate::baselines::local_search(&g, q, k).unwrap(),
+                    ),
+                ];
+                for (algorithm, direct) in pairs {
+                    let mut ctx = SearchContext::with_components(&g, q, k, index.clone()).unwrap();
+                    let via_index = algorithm.run(&mut ctx, &query).unwrap().community;
+                    assert_eq!(via_index, direct, "{algorithm:?} at q={q}, k={k}");
+                    assert_eq!(run(algorithm, &g, &query).unwrap().community, direct);
+                }
+            }
+        }
     }
 
     #[test]

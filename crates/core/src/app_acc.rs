@@ -77,9 +77,9 @@ pub(crate) fn validate_eps_a(eps_a: f64) -> Result<(), SacError> {
 
 /// `AppAcc` over an existing [`SearchContext`] (assumes `eps_a` validated).
 ///
-/// A context carrying a shared core decomposition accelerates the embedded
-/// `AppFast(εF = 0)` bootstrap — the candidate-set extraction the planner
-/// previously paid per query on the `AppAcc` and `Exact+` arms.
+/// A context carrying a shared k-core index accelerates the embedded
+/// `AppFast(εF = 0)` bootstrap — its Step 1 reads the k-ĉore from the index
+/// instead of peeling the graph.
 pub(crate) fn app_acc_detailed_with_ctx(
     ctx: &mut SearchContext<'_>,
     eps_a: f64,
@@ -99,7 +99,7 @@ pub(crate) fn app_acc_detailed_with_ctx(
     }
 
     // Line 2: run AppFast with εF = 0 to obtain Φ, δ and γ (sharing this
-    // context's scratch state and, when present, its core decomposition).
+    // context's scratch state and, when present, its shared k-core index).
     let seed = match app_fast_with_ctx(ctx, 0.0)? {
         Some(seed) => seed,
         None => return Ok(None),

@@ -61,8 +61,8 @@ pub(crate) fn validate_eps_f(eps_f: f64) -> Result<(), SacError> {
 /// `AppFast` over an existing [`SearchContext`] (assumes `eps_f` validated).
 ///
 /// This is the single implementation behind [`app_fast`], the batch session
-/// and the `AppAcc`/`Exact+` bootstrap: when the context carries a shared core
-/// decomposition, the k-ĉore extraction skips the `O(m)` peel.
+/// and the `AppAcc`/`Exact+` bootstrap: when the context carries a shared
+/// k-core index, the k-ĉore extraction skips the `O(m)` peel.
 pub(crate) fn app_fast_with_ctx(
     ctx: &mut SearchContext<'_>,
     eps_f: f64,

@@ -1,6 +1,6 @@
 //! The `Global` community-search baseline.
 
-use crate::{Community, SacError};
+use crate::{Community, SacError, SearchContext};
 use sac_graph::{connected_kcore, SpatialGraph, VertexId};
 
 /// `Global` (Sozio & Gionis): returns the connected k-core (k-ĉore) of the whole
@@ -19,6 +19,17 @@ pub fn global_search(g: &SpatialGraph, q: VertexId, k: u32) -> Result<Option<Com
         return Ok(Some(Community::new(g, vec![q])));
     }
     Ok(connected_kcore(g.graph(), q, k).map(|members| Community::new(g, members)))
+}
+
+/// [`global_search`] over an existing [`SearchContext`]: Step 1 is read from
+/// the context, so a context carrying a shared k-core index answers with a
+/// slice copy instead of a full peel.
+pub(crate) fn global_search_with_ctx(ctx: &SearchContext<'_>) -> Option<Community> {
+    if ctx.k == 0 {
+        return Some(Community::new(ctx.g, vec![ctx.q]));
+    }
+    ctx.global_kcore_of_q()
+        .map(|members| Community::new(ctx.g, members))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The `Local` community-search baseline.
 
-use crate::{Community, SacError};
+use crate::{Community, SacError, SearchContext};
 use sac_graph::{connected_kcore, KCoreSolver, SpatialGraph, VertexId};
 
 /// `Local` (after Cui et al., SIGMOD 2014): local expansion from the query vertex.
@@ -28,10 +28,22 @@ pub fn local_search(g: &SpatialGraph, q: VertexId, k: u32) -> Result<Option<Comm
     if k == 0 {
         return Ok(Some(Community::new(g, vec![q])));
     }
-    let universe = match connected_kcore(g.graph(), q, k) {
-        Some(x) => x,
-        None => return Ok(None),
-    };
+    Ok(connected_kcore(g.graph(), q, k).map(|universe| expand(g, q, k, universe)))
+}
+
+/// [`local_search`] over an existing [`SearchContext`]: Step 1 (the
+/// expansion's universe) is read from the context, so a context carrying a
+/// shared k-core index skips the full peel.
+pub(crate) fn local_search_with_ctx(ctx: &SearchContext<'_>) -> Option<Community> {
+    if ctx.k == 0 {
+        return Some(Community::new(ctx.g, vec![ctx.q]));
+    }
+    ctx.global_kcore_of_q()
+        .map(|universe| expand(ctx.g, ctx.q, ctx.k, universe))
+}
+
+/// The local expansion from `q` inside `universe`, the k-ĉore containing `q`.
+fn expand(g: &SpatialGraph, q: VertexId, k: u32, universe: Vec<VertexId>) -> Community {
     let n = g.num_vertices();
     let mut in_universe = vec![false; n];
     for &v in &universe {
@@ -104,12 +116,12 @@ pub fn local_search(g: &SpatialGraph, q: VertexId, k: u32) -> Result<Option<Comm
             continue;
         }
         if let Some(members) = solver.kcore_containing(g.graph(), &c, q, k) {
-            return Ok(Some(Community::new(g, members)));
+            return Community::new(g, members);
         }
     }
     // The universe itself is a k-ĉore, so the loop always finds a community before
     // exhausting the frontier; this is a defensive fallback.
-    Ok(Some(Community::new(g, universe)))
+    Community::new(g, universe)
 }
 
 #[cfg(test)]

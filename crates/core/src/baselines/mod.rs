@@ -20,5 +20,7 @@ mod louvain;
 
 pub use geo_modu::{geo_modularity, GeoModularity};
 pub use global::global_search;
+pub(crate) use global::global_search_with_ctx;
 pub use local::local_search;
+pub(crate) use local::local_search_with_ctx;
 pub use louvain::{louvain, LouvainResult, WeightedAdjacency};

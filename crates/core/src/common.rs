@@ -3,21 +3,21 @@
 use crate::{Community, SacError};
 use sac_geom::{Circle, Point};
 use sac_graph::{
-    connected_kcore, CoreDecomposition, KCoreSolver, RadiusSweepSolver, SpatialGraph, SweepStats,
-    VertexId,
+    connected_kcore, CoreDecomposition, KCoreComponents, KCoreSolver, RadiusSweepSolver,
+    SpatialGraph, SweepStats, VertexId,
 };
 use std::sync::Arc;
 
 /// Per-query scratch state shared by all algorithms: the validated query, a
 /// reusable subset-k-core solver, an incremental radius-sweep solver, a
-/// reusable circular-range-query buffer and — when the caller already has one
-/// — a shared core decomposition that lets the structural phase skip its
-/// `O(m)` peel.
+/// reusable circular-range-query buffer and — when the caller already has
+/// one — a shared k-core index that lets the structural phase (Step 1) skip
+/// its `O(m)` peel.
 ///
 /// A context is the execution environment [`Algorithm::run`](crate::Algorithm::run)
 /// runs in: the serving engine builds one per query (threading its cached
-/// decomposition through [`SearchContext::with_decomposition`]) and hands it
-/// to whichever algorithm the planner picked.
+/// per-`k` component index through [`SearchContext::with_components`]) and
+/// hands it to whichever algorithm the planner picked.
 ///
 /// ## Probe model
 ///
@@ -36,21 +36,32 @@ pub struct SearchContext<'g> {
     pub(crate) k: u32,
     solver: KCoreSolver,
     sweep: RadiusSweepSolver,
-    decomposition: Option<Arc<CoreDecomposition>>,
+    step1: Step1,
     circle_buf: Vec<VertexId>,
     subset_buf: Vec<VertexId>,
+}
+
+/// Where [`SearchContext::global_kcore_of_q`] reads Step 1 from.
+enum Step1 {
+    /// Nothing shared: a full peel of the graph.
+    Peel,
+    /// A shared core decomposition: a BFS over the vertices with core
+    /// number ≥ `k`.
+    Decomposition(Arc<CoreDecomposition>),
+    /// The shared component index of the k-core: a slice copy.
+    Components(Arc<KCoreComponents>),
 }
 
 impl<'g> SearchContext<'g> {
     /// Validates the query vertex and builds the scratch state.
     pub fn new(g: &'g SpatialGraph, q: VertexId, k: u32) -> Result<Self, SacError> {
-        SearchContext::build(g, q, k, None)
+        SearchContext::build(g, q, k, Step1::Peel)
     }
 
     /// Like [`SearchContext::new`], but reuses an already-computed core
-    /// decomposition of `g` (e.g. the serving engine's cached one):
-    /// [`SearchContext::global_kcore_of_q`] then costs a BFS instead of a full
-    /// peel.  The decomposition must belong to exactly this graph.
+    /// decomposition of `g`: [`SearchContext::global_kcore_of_q`] then costs
+    /// a BFS over the k-ĉore instead of a full peel.  The decomposition must
+    /// belong to exactly this graph.
     pub fn with_decomposition(
         g: &'g SpatialGraph,
         q: VertexId,
@@ -62,15 +73,34 @@ impl<'g> SearchContext<'g> {
             g.num_vertices(),
             "decomposition does not match graph"
         );
-        SearchContext::build(g, q, k, Some(decomposition))
+        SearchContext::build(g, q, k, Step1::Decomposition(decomposition))
     }
 
-    fn build(
+    /// Like [`SearchContext::new`], but reuses the connected-component index
+    /// of `g`'s k-core (e.g. the serving engine's per-`k` cache entry):
+    /// [`SearchContext::global_kcore_of_q`] then costs one copy of the
+    /// k-ĉore's sorted member slice, with no peel and no BFS.
+    ///
+    /// The index must be built for this `k` and must belong to this graph.
+    /// Its covered vertex count may fall short of `g`'s when the index was
+    /// carried over from an earlier epoch that `g` only appended vertices to
+    /// (ids past the covered range are outside the k-core); it may never
+    /// exceed it.
+    pub fn with_components(
         g: &'g SpatialGraph,
         q: VertexId,
         k: u32,
-        decomposition: Option<Arc<CoreDecomposition>>,
+        components: Arc<KCoreComponents>,
     ) -> Result<Self, SacError> {
+        assert!(
+            components.covered_vertices() <= g.num_vertices(),
+            "component index does not match graph"
+        );
+        assert_eq!(components.k(), k, "component index built for another k");
+        SearchContext::build(g, q, k, Step1::Components(components))
+    }
+
+    fn build(g: &'g SpatialGraph, q: VertexId, k: u32, step1: Step1) -> Result<Self, SacError> {
         if (q as usize) >= g.num_vertices() {
             return Err(SacError::QueryVertexOutOfRange(q));
         }
@@ -80,7 +110,7 @@ impl<'g> SearchContext<'g> {
             k,
             solver: KCoreSolver::new(g.num_vertices()),
             sweep: RadiusSweepSolver::new(g.num_vertices()),
-            decomposition,
+            step1,
             circle_buf: Vec::new(),
             subset_buf: Vec::new(),
         })
@@ -89,13 +119,15 @@ impl<'g> SearchContext<'g> {
     /// The k-ĉore containing `q` in the **whole** graph (Step 1 of the paper's
     /// two-step framework), sorted by id; `None` when `q` is in no k-core.
     ///
-    /// With a shared decomposition this is a BFS over vertices with core
-    /// number ≥ `k`; without one it falls back to
+    /// With a shared component index this copies the k-ĉore's member slice;
+    /// with a shared decomposition it is a BFS over vertices with core
+    /// number ≥ `k`; without either it falls back to
     /// [`sac_graph::connected_kcore`], which recomputes the decomposition.
-    /// Both paths return the identical sorted vertex set.
+    /// All three paths return the identical sorted vertex set.
     pub fn global_kcore_of_q(&self) -> Option<Vec<VertexId>> {
-        match &self.decomposition {
-            Some(d) => {
+        match &self.step1 {
+            Step1::Components(c) => c.core_of(self.q).map(<[VertexId]>::to_vec),
+            Step1::Decomposition(d) => {
                 if d.core_number(self.q) < self.k {
                     return None;
                 }
@@ -103,7 +135,7 @@ impl<'g> SearchContext<'g> {
                     d.core_number(v) >= self.k
                 }))
             }
-            None => connected_kcore(self.g.graph(), self.q, self.k),
+            Step1::Peel => connected_kcore(self.g.graph(), self.q, self.k),
         }
     }
 
@@ -120,12 +152,6 @@ impl<'g> SearchContext<'g> {
     /// The minimum-degree constraint `k` this context was built for.
     pub fn degree_bound(&self) -> u32 {
         self.k
-    }
-
-    /// Whether this context carries a shared (pre-computed) core
-    /// decomposition; when `true`, k-ĉore extraction costs a BFS, not a peel.
-    pub fn has_shared_decomposition(&self) -> bool {
-        self.decomposition.is_some()
     }
 
     /// Location of the query vertex.
@@ -314,6 +340,62 @@ pub(crate) fn knn_lower_bound(
 mod tests {
     use super::*;
     use crate::fixtures::{figure3, figure3_graph};
+    use sac_graph::{core_decomposition, GraphBuilder};
+
+    /// `g` plus one isolated vertex appended (the shape of a live epoch that
+    /// only added a vertex).
+    fn with_extra_vertex(g: &SpatialGraph) -> SpatialGraph {
+        let mut b = GraphBuilder::new();
+        b.ensure_vertex(g.num_vertices() as VertexId);
+        b.add_edges(g.graph().edges());
+        let mut positions = g.positions().to_vec();
+        positions.push(Point::new(9.0, 9.0));
+        SpatialGraph::new(b.build(), positions).unwrap()
+    }
+
+    fn components_of(g: &SpatialGraph, k: u32) -> Arc<KCoreComponents> {
+        let d = core_decomposition(g.graph());
+        Arc::new(KCoreComponents::build(g.graph(), &d, k))
+    }
+
+    #[test]
+    fn carried_component_indexes_answer_for_the_grown_graph() {
+        let g = figure3_graph();
+        let grown = with_extra_vertex(&g);
+        // k = 0 is left out: an appended vertex joins the 0-core, so the
+        // engine never carries a k = 0 index across epochs.
+        for k in 1..=3 {
+            let old_index = components_of(&g, k);
+            for q in 0..grown.num_vertices() as VertexId {
+                let expected = SearchContext::new(&grown, q, k)
+                    .unwrap()
+                    .global_kcore_of_q();
+                // An index of the epoch before the vertex was appended
+                // still answers for the grown graph.
+                let carried = SearchContext::with_components(&grown, q, k, old_index.clone());
+                assert_eq!(
+                    carried.unwrap().global_kcore_of_q(),
+                    expected,
+                    "q={q} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "component index built for another k")]
+    fn with_components_rejects_an_index_of_another_k() {
+        let g = figure3_graph();
+        let _ = SearchContext::with_components(&g, figure3::Q, 3, components_of(&g, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "component index does not match graph")]
+    fn with_components_rejects_an_index_of_a_larger_graph() {
+        let g = figure3_graph();
+        let index = components_of(&with_extra_vertex(&g), 2);
+        let _ = SearchContext::with_components(&g, figure3::Q, 2, index);
+    }
 
     #[test]
     fn context_validates_query_vertex() {

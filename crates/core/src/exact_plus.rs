@@ -57,7 +57,7 @@ pub fn exact_plus_detailed(
 }
 
 /// `Exact+` over an existing [`SearchContext`]: a context carrying a shared
-/// core decomposition accelerates the embedded `AppAcc` bootstrap.
+/// k-core index accelerates the embedded `AppAcc` bootstrap.
 pub(crate) fn exact_plus_detailed_with_ctx(
     ctx: &mut SearchContext<'_>,
     eps_a: f64,
@@ -72,7 +72,7 @@ pub(crate) fn exact_plus_detailed_with_ctx(
         }));
     }
 
-    // Line 2: run AppAcc (sharing this context's scratch and decomposition).
+    // Line 2: run AppAcc (sharing this context's scratch and k-core index).
     validate_eps_a(eps_a)?;
     let detail = match app_acc_detailed_with_ctx(ctx, eps_a)? {
         Some(d) => d,

@@ -2,122 +2,20 @@
 //!
 //! Every SAC algorithm starts from the same two structural facts about the
 //! graph: the core number of every vertex (an `O(m)` peeling pass) and the
-//! connected component of the k-core containing the query vertex.  A serving
-//! engine answering many queries over one immutable snapshot recomputes
-//! neither: this module memoises the [`CoreDecomposition`] once per snapshot
-//! and a [`KCoreComponents`] labelling once per distinct `k`, both behind
+//! connected component of the k-core containing the query vertex (the
+//! paper's Step 1).  A serving engine answering many queries over one
+//! immutable snapshot recomputes neither: this module memoises the
+//! [`CoreDecomposition`] once per snapshot and a [`KCoreComponents`]
+//! labelling (defined in `sac-graph`) once per distinct `k`, both behind
 //! lock-free (`OnceLock`) or read-mostly (`RwLock`) sharing so concurrent
-//! readers never serialise on a cache hit.
+//! readers never serialise on a cache hit.  The planner reads its
+//! feasibility facts from the per-`k` labelling, and the engine hands the
+//! same labelling to the query's `SearchContext`, so Step 1 is a slice copy.
 
-use sac_graph::{core_decomposition, CoreDecomposition, Graph, VertexId};
+use sac_graph::{core_decomposition, CoreDecomposition, Graph, KCoreComponents};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// Connected-component labelling of one k-core (all vertices with core number
-/// `>= k`), with members grouped per component for O(size) retrieval.
-#[derive(Debug, Clone)]
-pub struct KCoreComponents {
-    k: u32,
-    /// Component id per vertex; `NOT_IN_CORE` for vertices outside the k-core.
-    label: Vec<u32>,
-    /// Members of every component, grouped contiguously (CSR layout).
-    members: Vec<VertexId>,
-    /// `offsets[c]..offsets[c + 1]` indexes `members` for component `c`.
-    offsets: Vec<u32>,
-}
-
-const NOT_IN_CORE: u32 = u32::MAX;
-
-impl KCoreComponents {
-    /// The (allocation-free) labelling of an empty k-core, used for any `k`
-    /// above the graph's degeneracy.
-    pub fn empty(k: u32) -> Self {
-        KCoreComponents {
-            k,
-            label: Vec::new(),
-            members: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    /// Labels the connected components of the k-core in `O(n + m)`.
-    pub fn build(graph: &Graph, decomposition: &CoreDecomposition, k: u32) -> Self {
-        if k > decomposition.max_core() {
-            return KCoreComponents::empty(k);
-        }
-        let n = graph.num_vertices();
-        let mut label = vec![NOT_IN_CORE; n];
-        let mut members = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut queue = Vec::new();
-        let mut next_component = 0u32;
-        for start in 0..n as VertexId {
-            if decomposition.core_number(start) < k || label[start as usize] != NOT_IN_CORE {
-                continue;
-            }
-            label[start as usize] = next_component;
-            queue.push(start);
-            while let Some(v) = queue.pop() {
-                members.push(v);
-                for &u in graph.neighbors(v) {
-                    if decomposition.core_number(u) >= k && label[u as usize] == NOT_IN_CORE {
-                        label[u as usize] = next_component;
-                        queue.push(u);
-                    }
-                }
-            }
-            offsets.push(members.len() as u32);
-            next_component += 1;
-        }
-        // Members sorted within each component: deterministic output for
-        // serving, and binary-searchable.
-        for c in 0..next_component as usize {
-            members[offsets[c] as usize..offsets[c + 1] as usize].sort_unstable();
-        }
-        KCoreComponents {
-            k,
-            label,
-            members,
-            offsets,
-        }
-    }
-
-    /// The `k` this labelling was built for.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Number of connected components of the k-core.
-    pub fn num_components(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Component id of `v`, or `None` when `v` is not in the k-core.
-    pub fn component_of(&self, v: VertexId) -> Option<u32> {
-        match self.label.get(v as usize) {
-            Some(&c) if c != NOT_IN_CORE => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Sorted members of component `c`.
-    pub fn component_members(&self, c: u32) -> &[VertexId] {
-        &self.members[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
-    }
-
-    /// Size of the connected k-core containing `v` (`None` outside the k-core).
-    pub fn core_size_of(&self, v: VertexId) -> Option<usize> {
-        self.component_of(v)
-            .map(|c| self.component_members(c).len())
-    }
-
-    /// Sorted members of the connected k-core containing `v` — the paper's
-    /// "k-ĉore of q" — or `None` when `v` is not in the k-core.
-    pub fn core_of(&self, v: VertexId) -> Option<&[VertexId]> {
-        self.component_of(v).map(|c| self.component_members(c))
-    }
-}
 
 /// Hit/miss counters of one cache layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -281,23 +179,6 @@ mod tests {
             (4, 6),
             (6, 7),
         ])
-    }
-
-    #[test]
-    fn components_label_the_kcore() {
-        let g = two_triangles();
-        let d = core_decomposition(&g);
-        let c = KCoreComponents::build(&g, &d, 2);
-        assert_eq!(c.k(), 2);
-        assert_eq!(c.num_components(), 2);
-        assert_eq!(c.core_of(0).unwrap(), &[0, 1, 2]);
-        assert_eq!(c.core_of(5).unwrap(), &[4, 5, 6]);
-        assert_eq!(c.core_size_of(1), Some(3));
-        assert!(c.component_of(3).is_none());
-        assert!(c.core_of(7).is_none());
-        assert!(c.component_of(99).is_none());
-        // Distinct components get distinct labels.
-        assert_ne!(c.component_of(0), c.component_of(4));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The serving engine: epoch-published immutable graph snapshots, the shared
 //! k-core cache, the planner, and a concurrent batch executor.
 
-use crate::cache::{CacheLayerStats, CacheStats, KCoreCache, KCoreComponents};
+use crate::cache::{CacheLayerStats, CacheStats, KCoreCache};
 use crate::epoch::EpochCell;
 use crate::planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};
 use sac_core::{Algorithm, AlgorithmRegistry, Community, SacError, SearchContext};
-use sac_graph::{CoreDecomposition, SpatialGraph, SweepStats, VertexId};
+use sac_graph::{CoreDecomposition, KCoreComponents, SpatialGraph, SweepStats, VertexId};
 use sac_obs::{
     EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord, Span,
     TraceNode, WindowedHistogram,
@@ -891,8 +891,9 @@ impl SacEngine {
     /// Runs the planned [`Algorithm`], which calls the same `sac_core` entry
     /// point a direct caller would use, so engine answers are bit-identical
     /// to library answers (the equivalence suite asserts this); the
-    /// [`SearchContext`] carries the epoch's memoised decomposition, so
-    /// k-ĉore-extracting algorithms skip the `O(m)` peel.
+    /// [`SearchContext`] carries the epoch's per-`k` component index, so
+    /// k-ĉore-extracting algorithms read Step 1 as a slice copy instead of
+    /// peeling the graph.
     fn dispatch(
         &self,
         epoch: &EngineEpoch,
@@ -906,18 +907,18 @@ impl SacEngine {
         let algorithm = Algorithm::from_name(planned.algorithm)
             .expect("the planner plans only Algorithm names");
         let graph: &SpatialGraph = &epoch.graph;
-        // Only k-ĉore-extracting algorithms consume the shared decomposition;
-        // the rest (theta_sac, app_inc, ...) must not force the `O(m)` peel
-        // on a cold cache for nothing.
-        let ctx = if algorithm.shares_decomposition() {
-            SearchContext::with_decomposition(
-                graph,
-                planned.query.q,
-                planned.query.k,
-                epoch.cache.decomposition(graph.graph()),
-            )
+        // Only the Step-1 readers consume the shared index; the rest
+        // (theta_sac, app_inc) must not force an index build on a cold cache
+        // for nothing.  For a planned `k >= 2`, `plan_context` has already
+        // built it (an explicit override builds it here, once per epoch and
+        // `k`; an absurd `k` gets the uncached empty index).  Below `k = 2`
+        // the SAC algorithms answer without Step 1, and the baselines peel
+        // exactly as their free functions do.
+        let (q, k) = (planned.query.q, planned.query.k);
+        let ctx = if algorithm.shares_decomposition() && k >= 2 {
+            SearchContext::with_components(graph, q, k, epoch.cache.components(graph.graph(), k))
         } else {
-            SearchContext::new(graph, planned.query.q, planned.query.k)
+            SearchContext::new(graph, q, k)
         };
         let mut ctx = match ctx {
             Ok(ctx) => ctx,
@@ -1196,7 +1197,7 @@ mod tests {
     use super::*;
     use crate::planner::LatencyTier;
     use sac_core::fixtures::{figure3, figure3_graph};
-    use sac_core::{exact_plus, theta_sac, EXACT_PLUS_EPS_A};
+    use sac_core::{exact_plus, theta_sac, SacQuery, EXACT_PLUS_EPS_A};
 
     fn engine() -> SacEngine {
         SacEngine::new(figure3_graph())
@@ -1384,6 +1385,52 @@ mod tests {
         assert_eq!(stats.epochs_published, 1);
         assert_eq!(stats.components_carried, 1);
         assert_eq!(stats.components_invalidated, 1);
+    }
+
+    #[test]
+    fn carried_indexes_serve_step1_after_vertex_additions() {
+        use sac_graph::DynamicGraph;
+
+        // A vertex-only delta carries the k = 2 index over unchanged, so the
+        // next epoch's graph has one more vertex than the index covers.
+        let engine = engine();
+        engine.warm(&[2]);
+        let old_snapshot = engine.snapshot();
+        let mut dynamic = DynamicGraph::from_graph(old_snapshot.graph());
+        let added = dynamic.add_vertex();
+        let mut positions = old_snapshot.positions().to_vec();
+        positions.push(sac_geom::Point::new(2.0, 2.0));
+        let grown = sac_graph::SpatialGraph::new(dynamic.to_graph(), positions).unwrap();
+        let report = engine.publish(Arc::new(grown.clone()), dynamic.decomposition(), 0);
+        assert_eq!(report.components_carried, 1);
+        assert!(engine.core_components(2).covered_vertices() < grown.num_vertices());
+
+        // Every Step-1 reader answers like the library on the grown graph.
+        for name in [
+            "exact_plus",
+            "app_acc",
+            "app_fast",
+            "exact",
+            "global",
+            "local",
+        ] {
+            for q in [figure3::Q, figure3::F, added] {
+                let query = SacQuery::new(q, 2);
+                let response =
+                    engine.execute(&SacRequest::builder(q, 2).algorithm(name).build().unwrap());
+                let mut ctx = SearchContext::new(&grown, q, 2).unwrap();
+                let direct = Algorithm::from_name(name)
+                    .unwrap()
+                    .run(&mut ctx, &query)
+                    .unwrap()
+                    .community;
+                assert_eq!(
+                    response.community().map(Community::members),
+                    direct.as_ref().map(Community::members),
+                    "{name} at q = {q}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1887,7 +1934,9 @@ mod tests {
         assert_eq!(batch.missed, 0);
         let kinds: Vec<&str> = batch.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, ["epoch_swap"]);
-        assert_eq!(batch.events[0].detail, "epoch=2 carried=0 invalidated=0");
+        // The `global` query read Step 1 from the k = 2 index it built; the
+        // full invalidation drops that index.
+        assert_eq!(batch.events[0].detail, "epoch=2 carried=0 invalidated=1");
         // The cursor tails: nothing new since the last batch.
         assert!(engine.events().since(batch.next_seq).events.is_empty());
         // Dark engines publish nothing.

@@ -5,12 +5,15 @@
 //! and if so, which vertices form it?*  This module provides:
 //!
 //! * [`connected_kcore`] — the k-ĉore of the **whole graph** containing `q`
-//!   (the `Global` baseline and Step 1 of the paper's two-step framework), and
+//!   (the `Global` baseline and Step 1 of the paper's two-step framework),
+//! * [`KCoreComponents`] — the same answer for every vertex at once: the
+//!   connected components of one k-core, labelled in `O(n + m)` so Step 1 of
+//!   every later query with that `k` is a slice lookup, and
 //! * [`KCoreSolver`] — a reusable solver answering the **subset-restricted**
 //!   question without allocating per call, which is the inner loop of `Exact`,
 //!   `AppInc`, `AppFast`, `AppAcc` and `Exact+`.
 
-use crate::{bits, core_decomposition, Graph, VertexId};
+use crate::{bits, core_decomposition, CoreDecomposition, Graph, VertexId};
 
 /// Returns the vertex set of the connected k-core (k-ĉore) of `graph` that contains
 /// `q`, or `None` when `q` is not part of any k-core.
@@ -42,6 +45,121 @@ pub fn connected_kcore(graph: &Graph, q: VertexId, k: u32) -> Option<Vec<VertexI
     }
     component.sort_unstable();
     Some(component)
+}
+
+/// Connected-component labelling of one k-core (all vertices with core number
+/// `>= k`), with members grouped per component for O(size) retrieval.
+///
+/// [`KCoreComponents::core_of`] answers [`connected_kcore`] for every vertex
+/// (the same sorted member list) without a peel or a BFS.
+#[derive(Debug, Clone)]
+pub struct KCoreComponents {
+    k: u32,
+    /// Component id per vertex; `NOT_IN_CORE` for vertices outside the k-core.
+    label: Vec<u32>,
+    /// Members of every component, grouped contiguously (CSR layout).
+    members: Vec<VertexId>,
+    /// `offsets[c]..offsets[c + 1]` indexes `members` for component `c`.
+    offsets: Vec<u32>,
+}
+
+const NOT_IN_CORE: u32 = u32::MAX;
+
+impl KCoreComponents {
+    /// The (allocation-free) labelling of an empty k-core, used for any `k`
+    /// above the graph's degeneracy.
+    pub fn empty(k: u32) -> Self {
+        KCoreComponents {
+            k,
+            label: Vec::new(),
+            members: Vec::new(),
+            offsets: vec![0],
+        }
+    }
+
+    /// Labels the connected components of the k-core in `O(n + m)`.
+    pub fn build(graph: &Graph, decomposition: &CoreDecomposition, k: u32) -> Self {
+        if k > decomposition.max_core() {
+            return KCoreComponents::empty(k);
+        }
+        let n = graph.num_vertices();
+        let mut label = vec![NOT_IN_CORE; n];
+        let mut members = Vec::new();
+        let mut offsets = vec![0u32];
+        let mut queue = Vec::new();
+        let mut next_component = 0u32;
+        for start in 0..n as VertexId {
+            if decomposition.core_number(start) < k || label[start as usize] != NOT_IN_CORE {
+                continue;
+            }
+            label[start as usize] = next_component;
+            queue.push(start);
+            while let Some(v) = queue.pop() {
+                members.push(v);
+                for &u in graph.neighbors(v) {
+                    if decomposition.core_number(u) >= k && label[u as usize] == NOT_IN_CORE {
+                        label[u as usize] = next_component;
+                        queue.push(u);
+                    }
+                }
+            }
+            offsets.push(members.len() as u32);
+            next_component += 1;
+        }
+        // Members sorted within each component: deterministic output for
+        // serving, and binary-searchable.
+        for c in 0..next_component as usize {
+            members[offsets[c] as usize..offsets[c + 1] as usize].sort_unstable();
+        }
+        KCoreComponents {
+            k,
+            label,
+            members,
+            offsets,
+        }
+    }
+
+    /// The `k` this labelling was built for.
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Number of vertex ids the labelling covers; every id at or past it is
+    /// outside the k-core.  This is the vertex count of the graph the index
+    /// was built for, and 0 for [`KCoreComponents::empty`].
+    pub fn covered_vertices(&self) -> usize {
+        self.label.len()
+    }
+
+    /// Number of connected components of the k-core.
+    pub fn num_components(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Component id of `v`, or `None` when `v` is not in the k-core.
+    pub fn component_of(&self, v: VertexId) -> Option<u32> {
+        match self.label.get(v as usize) {
+            Some(&c) if c != NOT_IN_CORE => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Sorted members of component `c`.
+    pub fn component_members(&self, c: u32) -> &[VertexId] {
+        &self.members[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
+    }
+
+    /// Size of the connected k-core containing `v` (`None` outside the k-core).
+    pub fn core_size_of(&self, v: VertexId) -> Option<usize> {
+        self.component_of(v)
+            .map(|c| self.component_members(c).len())
+    }
+
+    /// Sorted members of the connected k-core containing `v` — the paper's
+    /// "k-ĉore of q" — or `None` when `v` is not in the k-core.
+    pub fn core_of(&self, v: VertexId) -> Option<&[VertexId]> {
+        self.component_of(v).map(|c| self.component_members(c))
+    }
 }
 
 /// A reusable solver for subset-restricted connected-k-core queries.
@@ -227,6 +345,44 @@ mod tests {
         assert!(connected_kcore(&g, 9, 2).is_none());
         // Out-of-range query vertex.
         assert!(connected_kcore(&g, 99, 2).is_none());
+    }
+
+    /// Two disjoint triangles, each with a pendant vertex: the 2-core has two
+    /// components {0,1,2} and {4,5,6}; vertices 3 and 7 have core number 1.
+    fn two_triangles() -> Graph {
+        GraphBuilder::from_edges([
+            (0, 1),
+            (1, 2),
+            (0, 2),
+            (2, 3),
+            (4, 5),
+            (5, 6),
+            (4, 6),
+            (6, 7),
+        ])
+    }
+
+    #[test]
+    fn components_label_the_kcore() {
+        let g = two_triangles();
+        let d = core_decomposition(&g);
+        let c = KCoreComponents::build(&g, &d, 2);
+        assert_eq!(c.k(), 2);
+        assert_eq!(c.covered_vertices(), g.num_vertices());
+        assert_eq!(c.num_components(), 2);
+        assert_eq!(c.core_of(0).unwrap(), &[0, 1, 2]);
+        assert_eq!(c.core_of(5).unwrap(), &[4, 5, 6]);
+        assert_eq!(c.core_size_of(1), Some(3));
+        assert!(c.component_of(3).is_none());
+        assert!(c.core_of(7).is_none());
+        assert!(c.component_of(99).is_none());
+        // Distinct components get distinct labels.
+        assert_ne!(c.component_of(0), c.component_of(4));
+        // Above the degeneracy: the empty labelling.
+        let empty = KCoreComponents::build(&g, &d, 3);
+        assert_eq!((empty.k(), empty.num_components()), (3, 0));
+        assert_eq!(empty.covered_vertices(), 0);
+        assert!(empty.core_of(0).is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   circular range and nearest-neighbour queries ([`SpatialGraph`]),
 //! * the O(m) k-core decomposition of Batagelj & Zaversnik ([`core_decomposition`])
 //!   and the connected-k-core ("k-ĉore") queries the paper's algorithms use
-//!   ([`connected_kcore`], [`KCoreSolver`]),
+//!   ([`connected_kcore`], [`KCoreComponents`], [`KCoreSolver`]),
 //! * traversal helpers (BFS, connected components, induced-subgraph degree checks),
 //! * plain-text loaders/writers for SNAP-style edge lists and location files
 //!   ([`io`]),
@@ -66,7 +66,7 @@ pub use core_decomp::{core_decomposition, CoreDecomposition};
 pub use dynamic::{BatchChange, BatchOp, BatchStrategy, DynamicGraph, EdgeChange};
 pub use error::GraphError;
 pub use graph::{Graph, VertexId};
-pub use kcore::{connected_kcore, KCoreSolver};
+pub use kcore::{connected_kcore, KCoreComponents, KCoreSolver};
 pub use spatial::SpatialGraph;
 pub use stats::{degree_histogram, GraphStats};
 pub use sweep::{RadiusSweepSolver, SweepStats};

@@ -32,6 +32,12 @@
 //!   checkpoint of the most recent feasible probe makes the shrink path
 //!   available even after an infeasible probe wrecked the working state —
 //!   exactly the access pattern of the paper's binary searches.
+//! * **Component collection** — a probe whose peel changed re-collects the
+//!   component of `q` with one bitset of unreached vertices: seeded with the
+//!   alive candidates of the prefix, cleared bit by bit as the BFS reaches
+//!   vertices (one bit test per edge), and read back as `alive & !unreached`
+//!   in id order, which also zeroes it.  Probes that leave the peel
+//!   unchanged answer from the cached member list without a BFS.
 //!
 //! Probe answers are bit-identical to running [`crate::KCoreSolver`] on the
 //! from-scratch circle query (the `sac-core` property suite pins this),
@@ -228,8 +234,9 @@ pub struct RadiusSweepSolver {
     /// monotone in it, so anything at or below this frontier is `None` for
     /// free.
     max_infeasible_len: usize,
-    // BFS scratch (always all-clear between probes).
-    visited: Vec<u64>,
+    // BFS scratch of `collect_component`: the alive candidates the BFS has
+    // not reached yet (always all-clear between probes).
+    unreached: Vec<u64>,
     stack: Vec<VertexId>,
     stats: SweepStats,
 }
@@ -258,7 +265,7 @@ impl RadiusSweepSolver {
             roof: PeelSnapshot::new(n),
             cached_members: Vec::new(),
             max_infeasible_len: 0,
-            visited: vec![0; words],
+            unreached: vec![0; words],
             stack: Vec::new(),
             stats: SweepStats::default(),
         }
@@ -270,7 +277,7 @@ impl RadiusSweepSolver {
             let words = bits::words_for(n);
             self.in_prefix.resize(words, 0);
             self.alive.resize(words, 0);
-            self.visited.resize(words, 0);
+            self.unreached.resize(words, 0);
             self.predeg.resize(n, 0);
             self.deg.resize(n, 0);
         }
@@ -755,31 +762,45 @@ impl RadiusSweepSolver {
     /// BFS from `q` over the peeled survivors (read-only on the peel state),
     /// returning the sorted component.
     ///
-    /// The visited bitset *is* the component, so scanning its words in order
-    /// emits the members already id-sorted — no comparison sort — and clears
-    /// the scratch in the same pass.
+    /// The `unreached` bitset starts as a copy of the alive candidates
+    /// (`O(prefix)`, never `O(n / 64)`), and the BFS clears a vertex's bit
+    /// the moment it reaches it, so each edge costs one bit test ("alive and
+    /// not yet reached") instead of two.  The BFS stops as soon as it has
+    /// reached every alive vertex — the usual case, since a peel is rarely
+    /// disconnected.  The component is then `alive & !unreached`; scanning
+    /// those words in order emits the members already id-sorted — no
+    /// comparison sort — and zeroes the scratch in the same pass.
     fn collect_component(&mut self, g: &Graph) -> Vec<VertexId> {
+        let mut alive_count = 0usize;
+        let (mut min_word, mut max_word) = (usize::MAX, 0);
+        for &(_, v) in &self.cand[..self.work_len] {
+            if bits::test(&self.alive, v) {
+                bits::set(&mut self.unreached, v);
+                alive_count += 1;
+                min_word = min_word.min((v >> 6) as usize);
+                max_word = max_word.max((v >> 6) as usize);
+            }
+        }
+        bits::clear(&mut self.unreached, self.q);
+        let mut left = alive_count - 1;
         self.stack.clear();
         self.stack.push(self.q);
-        bits::set(&mut self.visited, self.q);
-        let mut count = 0usize;
-        let mut min_word = (self.q >> 6) as usize;
-        let mut max_word = min_word;
-        while let Some(v) = self.stack.pop() {
-            count += 1;
+        'bfs: while let Some(v) = self.stack.pop() {
             for &u in g.neighbors(v) {
-                if bits::test(&self.alive, u) && !bits::test(&self.visited, u) {
-                    bits::set(&mut self.visited, u);
-                    min_word = min_word.min((u >> 6) as usize);
-                    max_word = max_word.max((u >> 6) as usize);
+                if bits::test(&self.unreached, u) {
+                    bits::clear(&mut self.unreached, u);
+                    left -= 1;
+                    if left == 0 {
+                        break 'bfs;
+                    }
                     self.stack.push(u);
                 }
             }
         }
-        let mut component = Vec::with_capacity(count);
+        let mut component = Vec::with_capacity(alive_count - left);
         for w in min_word..=max_word {
-            let mut word = self.visited[w];
-            self.visited[w] = 0;
+            let mut word = self.alive[w] & !self.unreached[w];
+            self.unreached[w] = 0;
             while word != 0 {
                 component.push(((w as u32) << 6) | word.trailing_zeros());
                 word &= word - 1;
@@ -860,6 +881,41 @@ mod tests {
             "shrinking probes must be incremental"
         );
         assert!(stats.reseeds > 0, "growing probes must re-seed");
+    }
+
+    #[test]
+    fn disconnected_peels_leave_the_scratch_clear() {
+        // At r = 10 both 2-cores of the fixture survive the peel, so the
+        // component collection meets alive vertices it never reaches.
+        let sg = figure3();
+        let g = sg.graph();
+        let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
+        let mut reference = KCoreSolver::new(sg.num_vertices());
+        // (q, probe radii): shrinks that keep and that break the far core,
+        // a grow back to two cores, then a re-begun sweep from the far core.
+        for (q, radii) in [
+            (0u32, &[10.0, 7.0, 1.3, 10.0, 6.2, 0.45, 10.0][..]),
+            (6, &[10.0, 6.0, 0.6, 8.0, 0.3][..]),
+        ] {
+            let center = sg.position(q);
+            sweep.begin(&sg, center, 10.0, q, 2, None);
+            for &r in radii {
+                assert_eq!(
+                    sweep.probe_radius(g, r),
+                    from_scratch(&sg, &mut reference, center, r, q, 2),
+                    "q = {q}, r = {r}"
+                );
+                assert!(
+                    sweep.unreached.iter().all(|&w| w == 0),
+                    "unreached bits left behind at q = {q}, r = {r}"
+                );
+            }
+        }
+        // The r = 10 peel of the far core's sweep keeps the near core alive,
+        // so the alive-but-unreached branch really ran.
+        let first = sweep.probe_radius(g, 10.0).unwrap();
+        assert_eq!(first, vec![6, 7, 8]);
+        assert!(bits::test(&sweep.alive, 0), "the other core stays alive");
     }
 
     #[test]
