@@ -597,6 +597,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_get_an_error_reply() {
+        let addr = spawn_server();
+        // 100k unclosed arrays would overflow the connection thread's stack
+        // in a parser without a depth cap, aborting the whole process.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let (status, body) = post(&mut stream, &"[".repeat(100_000));
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(body.starts_with(r#"{"ok":false,"error":"#), "got: {body}");
+        assert!(
+            body.contains("nesting deeper than 128 levels"),
+            "got: {body}"
+        );
+        // The server keeps serving.
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        let (status, body) = roundtrip(&mut fresh, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(body.starts_with(r#"{"ok":true"#), "got: {body}");
+    }
+
+    #[test]
     fn configured_body_limit_and_read_timeout_are_enforced() {
         // A tiny body limit: a modest batch is now oversize -> 413 + typed
         // message carrying the configured limit.

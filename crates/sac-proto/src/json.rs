@@ -1,12 +1,26 @@
 //! Minimal JSON support for the SAC wire protocol.
 //!
 //! The build environment has no network access, so `serde`/`serde_json` are
-//! unavailable; this module implements the small subset the protocol needs: a
-//! recursive-descent parser into a [`Json`] tree, accessors, and a
-//! serialiser.  Numbers are `f64` (ids and vertex ids in this protocol stay
-//! far below 2^53, where `f64` is exact).
+//! unavailable; this module implements the small subset the protocol needs.
+//!
+//! * **Decoding**: a recursive-descent parser into a [`Json`] tree, with
+//!   accessors.  Numbers are `f64` (ids and vertex ids in this protocol stay
+//!   far below 2^53, where `f64` is exact).  Arrays and objects may nest at
+//!   most [`MAX_DEPTH`] deep, so hostile input (a body of 100k `[`) is a
+//!   [`JsonError`], not a stack overflow.  The parser serves HTTP bodies,
+//!   LDJSON lines and the replication handshake alike.
+//! * **Encoding**: [`Json::write_to`] appends compact text to a caller's
+//!   `String`, and the crate-private `ObjectWriter` writes an object field
+//!   by field into the same kind of buffer, so a reply can emit its member
+//!   list straight from a `&[u32]` instead of one [`Json`] node per member.  A number that
+//!   is a finite integer with magnitude below 2^53, other than `-0`, goes
+//!   through a digit-pair integer writer; every other finite number prints
+//!   through `f64`'s `Display` (which gives those integers the same digits),
+//!   and non-finite numbers print as `null`.  `Display for Json` is the same
+//!   writer.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,6 +66,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -118,72 +133,233 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+
+    /// Appends the compact JSON text of this value to `out`.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                let mut object = ObjectWriter::new(out);
+                for (key, value) in fields {
+                    object.value(key, value);
+                }
+                object.finish();
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write_num(f, *n),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    f.write_str(":")?;
-                    write!(f, "{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
-    if n.is_finite() {
-        write!(f, "{n}")
+/// Writes one JSON object field by field straight into a `String`, so a
+/// reply can emit a bulk field (a member list) without building a [`Json`]
+/// node per element.  The bytes equal those of the equivalent [`Json::Obj`].
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`; the caller appends the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A field holding any JSON value.
+    pub fn value(&mut self, key: &str, value: &Json) {
+        value.write_to(self.key(key));
+    }
+
+    /// A number field, printed exactly as `Json::Num(n)` would be.
+    pub fn num(&mut self, key: &str, n: f64) {
+        write_num(self.key(key), n);
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &str, s: &str) {
+        write_escaped(self.key(key), s);
+    }
+
+    /// An array-of-integers field written straight from the slice: the same
+    /// bytes as a `Json::Arr` of `Json::Num(v as f64)`, since every `u32` is
+    /// exact in `f64`.
+    pub fn u32s(&mut self, key: &str, items: &[u32]) {
+        write_u32_list(self.key(key), items);
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+/// 2^53: below it every integer is exact in `f64`.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Appends a number.  Finite integers below 2^53 in magnitude (other than
+/// `-0`) take the integer writer; anything else prints through `f64`'s
+/// `Display`, which for those integers yields the same digits.  JSON has no
+/// Infinity/NaN, so non-finite values become `null`, like serde_json's lossy
+/// modes, rather than invalid output.
+fn write_num(out: &mut String, n: f64) {
+    if n.fract() == 0.0 && n.abs() < EXACT_INTEGER_LIMIT && !(n == 0.0 && n.is_sign_negative()) {
+        if n < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, n.abs() as u64);
+    } else if n.is_finite() {
+        write!(out, "{n}").expect("writing to a String cannot fail");
     } else {
-        // JSON has no Infinity/NaN; serialise as null like serde_json's lossy
-        // modes rather than emitting invalid output.
-        f.write_str("null")
+        out.push_str("null");
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
+/// `"00" "01" ... "99"`: two digits per division by 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `n`.
+fn write_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    let len = decimal_len(n);
+    put_digits(n, &mut buf[..len]);
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits"));
+}
+
+/// Appends `[a,b,...]`.  The text is staged in a stack buffer and appended a
+/// chunk at a time, so each member costs a few stores rather than a checked
+/// `String` append.
+fn write_u32_list(out: &mut String, items: &[u32]) {
+    const CHUNK: usize = 1024;
+    let mut chunk = [0u8; CHUNK];
+    chunk[0] = b'[';
+    let mut len = 1;
+    for (i, &item) in items.iter().enumerate() {
+        // A separator and ten digits always fit after a flush.
+        if len + 11 > CHUNK {
+            out.push_str(std::str::from_utf8(&chunk[..len]).expect("ASCII digits"));
+            len = 0;
         }
+        if i > 0 {
+            chunk[len] = b',';
+            len += 1;
+        }
+        let n = u64::from(item);
+        let end = len + decimal_len(n);
+        put_digits(n, &mut chunk[len..end]);
+        len = end;
     }
-    f.write_str("\"")
+    out.push_str(std::str::from_utf8(&chunk[..len]).expect("ASCII digits"));
+    out.push(']');
 }
 
-use std::fmt::Write as _;
+/// Number of decimal digits of `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Fills `buf`, which is `decimal_len(n)` bytes long, with the digits of
+/// `n`, two per division from the right.
+fn put_digits(mut n: u64, buf: &mut [u8]) {
+    let mut pos = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        pos -= 2;
+        buf[pos] = DIGIT_PAIRS[pair];
+        buf[pos + 1] = DIGIT_PAIRS[pair + 1];
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        buf[pos - 2] = DIGIT_PAIRS[pair];
+        buf[pos - 1] = DIGIT_PAIRS[pair + 1];
+    } else {
+        buf[pos - 1] = b'0' + n as u8;
+    }
+}
+
+/// Appends `s` as a JSON string literal: `"` and `\\` escaped, `\n` `\r`
+/// `\t` by name, other control characters as `\u00xx`; everything else,
+/// non-ASCII included, verbatim.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        // Only ASCII bytes are escaped, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// How many arrays and objects may enclose one another.  Protocol documents
+/// nest at most three levels; the cap keeps the recursive descent (and the
+/// recursive drop of the tree it builds) far from the end of a thread's
+/// stack on hostile input such as a body of 100k `[`.
+pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -228,12 +404,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] of them at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -381,6 +572,7 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_and_reserialises_round_trip() {
@@ -449,5 +641,252 @@ mod tests {
         assert_eq!(s, "\"line1\\nline2\\t\\\"quoted\\\"\\u0001\"");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(obj(vec![("k", Json::Num(2.0))]).to_string(), "{\"k\":2}");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, mixed with arrays.
+        let mixed = format!("{}1{}", r#"{"a":["#.repeat(64), "]}".repeat(64));
+        assert!(Json::parse(&mixed).is_ok());
+        let deeper = format!("[{mixed}]");
+        assert!(Json::parse(&deeper).is_err());
+        // A hostile unterminated prefix fails at the cap, not on the stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+    }
+
+    /// Text as `write_to` produces it.
+    fn written(value: &Json) -> String {
+        let mut out = String::new();
+        value.write_to(&mut out);
+        out
+    }
+
+    /// The formatter `write_to` replaced, kept as the oracle its bytes must
+    /// match: `Display` of `f64` for finite numbers, `null` otherwise, and
+    /// one `write!` per escaped character.
+    fn oracle(value: &Json) -> String {
+        match value {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => format!("{b}"),
+            Json::Num(n) if n.is_finite() => format!("{n}"),
+            Json::Num(_) => "null".to_string(),
+            Json::Str(s) => oracle_escaped(s),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(oracle).collect();
+                format!("[{}]", items.join(","))
+            }
+            Json::Obj(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}:{}", oracle_escaped(k), oracle(v)))
+                    .collect();
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    fn oracle_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn assert_num_as_before(n: f64) -> Result<(), TestCaseError> {
+        prop_assert_eq!(written(&Json::Num(n)), oracle(&Json::Num(n)), "{:?}", n);
+        Ok(())
+    }
+
+    #[test]
+    fn boundary_numbers_print_as_before() {
+        let exact = 9_007_199_254_740_992.0_f64; // 2^53
+        for n in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            u32::MAX as f64,
+            exact - 1.0,
+            exact,
+            exact + 2.0, // 2^53 + 1 rounds to 2^53 or 2^53 + 2
+            -(exact - 1.0),
+            -exact,
+            1e15,
+            1e16,
+            1e17,
+            u64::MAX as f64,
+            1e300,
+            0.5,
+            -0.5,
+            1.25,
+            0.1,
+            -2.5e-7,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_num_as_before(n).unwrap();
+        }
+        assert_eq!(written(&Json::Num(-0.0)), "-0");
+        assert_eq!(written(&Json::Num(f64::NEG_INFINITY)), "null");
+    }
+
+    /// A deterministic random tree of depth at most `depth`, drawn from
+    /// `state` (xorshift64), with finite numbers only so it round-trips.
+    fn random_tree(state: &mut u64, depth: usize) -> Json {
+        let mut next = || {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state
+        };
+        let pick = next() % if depth == 0 { 4 } else { 6 };
+        match pick {
+            0 => Json::Null,
+            1 => Json::Bool(next() % 2 == 0),
+            2 => {
+                let bits = next();
+                Json::Num(match bits % 4 {
+                    0 => (bits >> 11) as f64,
+                    1 => -((bits >> 20) as f64),
+                    2 => f64::from_bits(bits >> 2) * if bits % 8 == 2 { 1.0 } else { -1.0 },
+                    _ => (bits >> 12) as f64 / 1024.0,
+                })
+            }
+            3 => Json::Str(random_string(next())),
+            4 => {
+                let len = (next() % 5) as usize;
+                Json::Arr((0..len).map(|_| random_tree(state, depth - 1)).collect())
+            }
+            _ => {
+                let len = (next() % 5) as usize;
+                Json::Obj(
+                    (0..len)
+                        .map(|i| (random_string(i as u64), random_tree(state, depth - 1)))
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    /// Printable ASCII, the escaped characters, other control characters and
+    /// multi-byte scalars, chosen by the bits of `seed`.
+    fn random_string(mut seed: u64) -> String {
+        const ALPHABET: [char; 16] = [
+            'a',
+            'Z',
+            '7',
+            ' ',
+            '"',
+            '\\',
+            '\n',
+            '\r',
+            '\t',
+            '\u{1}',
+            '\u{1f}',
+            '\u{7f}',
+            'π',
+            '\u{2028}',
+            '\u{1f600}',
+            '/',
+        ];
+        let len = (seed % 9) as usize;
+        seed /= 9;
+        (0..len)
+            .map(|_| {
+                let c = ALPHABET[(seed % 16) as usize];
+                seed = seed.rotate_right(4) ^ 0x9e37_79b9;
+                c
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn integers_below_two_to_the_53_print_as_before(n in 0u64..(1u64 << 53)) {
+            assert_num_as_before(n as f64)?;
+        }
+
+        #[test]
+        fn negative_integers_print_as_before(n in 1i64..(1i64 << 53)) {
+            assert_num_as_before(-(n as f64))?;
+        }
+
+        #[test]
+        fn large_integers_print_as_before(n in 1_000_000_000_000_000u64..100_000_000_000_000_000u64) {
+            assert_num_as_before(n as f64)?;
+        }
+
+        #[test]
+        fn fractions_print_as_before(x in -1.0e9f64..1.0e9f64) {
+            assert_num_as_before(x)?;
+            assert_num_as_before(x / 1e12)?;
+        }
+
+        #[test]
+        fn any_bit_pattern_prints_as_before(bits in 0u64..u64::MAX) {
+            // Every sign, exponent and mantissa: subnormals, NaNs, infinities.
+            assert_num_as_before(f64::from_bits(bits))?;
+            assert_num_as_before(f64::from_bits(bits & 0x800f_ffff_ffff_ffff))?;
+        }
+
+        #[test]
+        fn trees_print_as_before_and_round_trip(seed in 1u64..u64::MAX) {
+            let mut state = seed;
+            let tree = random_tree(&mut state, 4);
+            let text = written(&tree);
+            prop_assert_eq!(&text, &oracle(&tree));
+            prop_assert_eq!(Json::parse(&text).unwrap(), tree);
+        }
+
+        #[test]
+        fn member_lists_print_as_their_trees(
+            members in proptest::collection::vec(0u32..=u32::MAX, 0..1500),
+            key in 0u64..u64::MAX,
+        ) {
+            // Long lists span several of the writer's 1 KiB staging chunks.
+            let key = random_string(key);
+            let mut out = String::new();
+            let mut object = ObjectWriter::new(&mut out);
+            object.u32s(&key, &members);
+            object.finish();
+            let tree = Json::Obj(vec![(
+                key,
+                Json::Arr(members.iter().map(|&v| Json::Num(f64::from(v))).collect()),
+            )]);
+            prop_assert_eq!(out, oracle(&tree));
+        }
+
+        #[test]
+        fn strings_escape_as_before(seed in 0u64..u64::MAX) {
+            let s = random_string(seed);
+            prop_assert_eq!(written(&Json::Str(s.clone())), oracle_escaped(&s));
+        }
     }
 }

@@ -9,8 +9,9 @@
 //! * [`ProtoRequest`] / [`ProtoResponse`] — typed request/response enums
 //!   covering queries, batches, structural lookups, live updates and admin
 //!   commands;
-//! * [`json`] — the dependency-free JSON tree parser/serialiser the codecs
-//!   are built on (the build environment has no `serde`);
+//! * [`json`] — the dependency-free JSON parser and writer the codecs are
+//!   built on (the build environment has no `serde`); replies are written
+//!   straight into one `String`, member lists without a JSON node per member;
 //! * the **LDJSON codec** — [`ProtoRequest::parse_line`] and
 //!   [`ProtoResponse::encode_line`], shared by *every* transport: the
 //!   `sac-serve` stdin/stdout loop and the `sac-http` HTTP/1.1 front end are

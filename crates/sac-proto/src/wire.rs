@@ -6,7 +6,7 @@
 //! touch engine types directly, so the two front ends cannot drift apart (an
 //! integration test asserts their payloads are byte-identical).
 
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, ObjectWriter};
 use sac_engine::{
     EngineStats, EventBatch, LatencyStats, SacRequest, SacResponse, SlowQueryRecord, TraceNode,
 };
@@ -515,68 +515,84 @@ impl QueryReply {
         }
     }
 
-    fn to_json(&self, options: EncodeOptions) -> Json {
-        let mut fields = vec![
-            (
-                "ok",
-                Json::Bool(!matches!(self.result, QueryResult::Error(_))),
-            ),
-            ("id", Json::Num(self.id as f64)),
-            ("q", Json::Num(self.q as f64)),
-            ("k", Json::Num(self.k as f64)),
-            ("plan", Json::Str(self.plan.clone())),
-        ];
+    /// Appends the reply object to `out`.  The member list is written
+    /// straight from its `u32`s; every other field prints as its `Json`
+    /// value would.
+    fn write_to(&self, options: EncodeOptions, out: &mut String) {
+        let mut object = ObjectWriter::new(out);
+        object.bool("ok", !matches!(self.result, QueryResult::Error(_)));
+        object.num("id", self.id as f64);
+        object.num("q", self.q as f64);
+        object.num("k", self.k as f64);
+        object.str("plan", &self.plan);
         match &self.result {
-            QueryResult::Error(message) => {
-                fields.push(("error", Json::Str(message.clone())));
-            }
-            QueryResult::Infeasible => {
-                fields.push(("feasible", Json::Bool(false)));
-            }
+            QueryResult::Error(message) => object.str("error", message),
+            QueryResult::Infeasible => object.bool("feasible", false),
             QueryResult::Community {
                 size,
                 radius,
                 center,
                 members,
             } => {
-                fields.push(("feasible", Json::Bool(true)));
-                fields.push(("size", Json::Num(*size as f64)));
-                fields.push(("radius", Json::Num(*radius)));
-                fields.push((
+                object.bool("feasible", true);
+                object.num("size", *size as f64);
+                object.num("radius", *radius);
+                object.value(
                     "center",
-                    Json::Arr(vec![Json::Num(center.0), Json::Num(center.1)]),
-                ));
+                    &Json::Arr(vec![Json::Num(center.0), Json::Num(center.1)]),
+                );
                 if let Some(members) = members {
-                    fields.push((
-                        "members",
-                        Json::Arr(members.iter().map(|&v| Json::Num(v as f64)).collect()),
-                    ));
+                    object.u32s("members", members);
                 }
             }
         }
         if options.timing {
             if let Some(query_id) = self.query_id {
-                fields.push(("query_id", Json::Num(query_id as f64)));
+                object.num("query_id", query_id as f64);
             }
             if let Some(micros) = self.micros {
-                fields.push(("micros", Json::Num(micros as f64)));
+                object.num("micros", micros as f64);
             }
         }
-        fields.push(("cache_hit", Json::Bool(self.cache_hit)));
-        fields.push(("epoch", Json::Num(self.epoch as f64)));
-        fields.push(("probes", Json::Num(self.probes as f64)));
-        fields.push(("candidates", Json::Num(self.candidates as f64)));
+        object.bool("cache_hit", self.cache_hit);
+        object.num("epoch", self.epoch as f64);
+        object.num("probes", self.probes as f64);
+        object.num("candidates", self.candidates as f64);
         if let Some(ratio) = self.ratio {
-            fields.push(("ratio", Json::Num(ratio)));
+            object.num("ratio", ratio);
         }
         if options.timing {
             if let Some(trace) = &self.trace {
-                fields.push(("trace", trace_node_to_json(trace)));
+                object.value("trace", &trace_node_to_json(trace));
             }
         }
-        obj(fields)
+        object.finish();
+    }
+
+    /// Bytes to reserve for this reply: its member list plus
+    /// [`REPLY_FIELDS_LEN`].
+    fn encoded_len_hint(&self) -> usize {
+        REPLY_FIELDS_LEN
+            + match &self.result {
+                QueryResult::Community {
+                    members: Some(members),
+                    ..
+                } => members_len_hint(members),
+                _ => 0,
+            }
     }
 }
+
+/// Encoded length of a sorted member list, separators included: no member
+/// has more digits than the last.
+fn members_len_hint(members: &[u32]) -> usize {
+    members.last().map_or(0, |&max| {
+        members.len() * (max.checked_ilog10().unwrap_or(0) as usize + 2)
+    })
+}
+
+/// Room for everything in a reply but its member lists.
+const REPLY_FIELDS_LEN: usize = 384;
 
 /// One labelled latency summary of a `stats` reply (per latency tier or per
 /// algorithm), extracted from the engine's lock-free histograms.
@@ -1145,12 +1161,41 @@ impl ProtoResponse {
         }
     }
 
-    /// Encodes the response as a JSON document, honouring `options`.
-    pub fn to_json(&self, options: EncodeOptions) -> Json {
-        match self {
-            ProtoResponse::Query(reply) => reply.to_json(options),
+    /// Appends the response document to `out`, honouring `options`.  Query,
+    /// batch and `core` replies are written field by field, their member
+    /// lists straight from the `u32`s; the small replies go through a
+    /// [`Json`] tree.
+    fn write_to(&self, options: EncodeOptions, out: &mut String) {
+        let json = match self {
+            ProtoResponse::Query(reply) => return reply.write_to(options, out),
             ProtoResponse::Batch(replies) => {
-                Json::Arr(replies.iter().map(|r| r.to_json(options)).collect())
+                out.push('[');
+                for (i, reply) in replies.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reply.write_to(options, out);
+                }
+                out.push(']');
+                return;
+            }
+            ProtoResponse::Core {
+                reply,
+                include_members,
+            } => {
+                let mut object = ObjectWriter::new(out);
+                object.bool("ok", true);
+                match &reply.members {
+                    None => object.bool("feasible", false),
+                    Some(members) => {
+                        object.bool("feasible", true);
+                        object.num("size", members.len() as f64);
+                        if *include_members {
+                            object.u32s("members", members);
+                        }
+                    }
+                }
+                return object.finish();
             }
             ProtoResponse::Stats(stats) => stats.to_json(options),
             ProtoResponse::Metrics { text } => obj(vec![
@@ -1215,29 +1260,6 @@ impl ProtoResponse {
                 ("ok", Json::Bool(true)),
                 ("warmed", Json::Num(*count as f64)),
             ]),
-            ProtoResponse::Core {
-                reply,
-                include_members,
-            } => match &reply.members {
-                None => obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("feasible", Json::Bool(false)),
-                ]),
-                Some(members) => {
-                    let mut fields = vec![
-                        ("ok", Json::Bool(true)),
-                        ("feasible", Json::Bool(true)),
-                        ("size", Json::Num(members.len() as f64)),
-                    ];
-                    if *include_members {
-                        fields.push((
-                            "members",
-                            Json::Arr(members.iter().map(|&v| Json::Num(v as f64)).collect()),
-                        ));
-                    }
-                    obj(fields)
-                }
-            },
             ProtoResponse::Error { message } => obj(vec![
                 ("ok", Json::Bool(false)),
                 ("error", Json::Str(message.clone())),
@@ -1247,12 +1269,27 @@ impl ProtoResponse {
                 ("error", Json::Str(message.clone())),
                 ("redirect_to", Json::Str(primary.clone())),
             ]),
-        }
+        };
+        json.write_to(out);
     }
 
-    /// Encodes the response as one LDJSON line (no trailing newline).
+    /// Encodes the response as one LDJSON line (no trailing newline), into
+    /// one buffer sized up front from the member lists it carries.
     pub fn encode_line(&self, options: EncodeOptions) -> String {
-        self.to_json(options).to_string()
+        let capacity = match self {
+            ProtoResponse::Query(reply) => reply.encoded_len_hint(),
+            ProtoResponse::Batch(replies) => replies.iter().map(QueryReply::encoded_len_hint).sum(),
+            ProtoResponse::Core {
+                reply: CoreReply {
+                    members: Some(members),
+                },
+                include_members: true,
+            } => REPLY_FIELDS_LEN + members_len_hint(members),
+            _ => REPLY_FIELDS_LEN,
+        };
+        let mut out = String::with_capacity(capacity);
+        self.write_to(options, &mut out);
+        out
     }
 }
 
@@ -1404,6 +1441,85 @@ mod tests {
         assert_eq!(
             redirect,
             r#"{"ok":false,"error":"read-only replica","redirect_to":"10.0.0.1:7878"}"#
+        );
+    }
+
+    /// A community reply exercising every number shape the encoder meets:
+    /// one- to ten-digit members (up to `u32::MAX`), a request id right
+    /// below 2^53, a query id right above it (printed as its nearest `f64`),
+    /// and a fractional radius and centre.
+    fn golden_reply() -> QueryReply {
+        QueryReply {
+            id: (1 << 53) - 1,
+            q: 4_294_967_295,
+            k: 3,
+            plan: "app_acc".to_string(),
+            result: QueryResult::Community {
+                size: 6,
+                radius: 0.123_456_789_012_345_68,
+                center: (0.1, -2.5e-7),
+                members: Some(vec![0, 9, 10, 99, 100, 4_294_967_295]),
+            },
+            query_id: Some((1 << 53) + 1),
+            micros: Some(1_234_567),
+            cache_hit: false,
+            epoch: 12,
+            probes: 100,
+            candidates: 99_999,
+            ratio: Some(1.5),
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn golden_query_core_and_batch_replies() {
+        let timing = EncodeOptions::default();
+        let no_timing = EncodeOptions {
+            members: true,
+            timing: false,
+        };
+        let reply = golden_reply();
+        assert_eq!(
+            ProtoResponse::Query(reply.clone()).encode_line(timing),
+            r#"{"ok":true,"id":9007199254740991,"q":4294967295,"k":3,"plan":"app_acc","feasible":true,"size":6,"radius":0.12345678901234568,"center":[0.1,-0.00000025],"members":[0,9,10,99,100,4294967295],"query_id":9007199254740992,"micros":1234567,"cache_hit":false,"epoch":12,"probes":100,"candidates":99999,"ratio":1.5}"#
+        );
+        assert_eq!(
+            ProtoResponse::Query(reply.clone()).encode_line(no_timing),
+            r#"{"ok":true,"id":9007199254740991,"q":4294967295,"k":3,"plan":"app_acc","feasible":true,"size":6,"radius":0.12345678901234568,"center":[0.1,-0.00000025],"members":[0,9,10,99,100,4294967295],"cache_hit":false,"epoch":12,"probes":100,"candidates":99999,"ratio":1.5}"#
+        );
+        // Under `members: false` the service builds the reply without its
+        // member list (`QueryReply::from_response`); `size` stays.
+        let mut stripped = reply.clone();
+        if let QueryResult::Community { members, .. } = &mut stripped.result {
+            *members = None;
+        }
+        assert_eq!(
+            ProtoResponse::Query(stripped).encode_line(EncodeOptions {
+                members: false,
+                timing: false,
+            }),
+            r#"{"ok":true,"id":9007199254740991,"q":4294967295,"k":3,"plan":"app_acc","feasible":true,"size":6,"radius":0.12345678901234568,"center":[0.1,-0.00000025],"cache_hit":false,"epoch":12,"probes":100,"candidates":99999,"ratio":1.5}"#
+        );
+
+        let core = CoreReply {
+            members: Some(vec![0, 9, 10, 99, 100, 4_294_967_295]),
+        };
+        assert_eq!(
+            ProtoResponse::Core {
+                reply: core,
+                include_members: true,
+            }
+            .encode_line(timing),
+            r#"{"ok":true,"feasible":true,"size":6,"members":[0,9,10,99,100,4294967295]}"#
+        );
+
+        let mut second = reply;
+        second.id = 1;
+        second.result = QueryResult::Infeasible;
+        second.ratio = None;
+        assert_eq!(
+            ProtoResponse::Batch(vec![golden_reply(), second]).encode_line(no_timing),
+            r#"[{"ok":true,"id":9007199254740991,"q":4294967295,"k":3,"plan":"app_acc","feasible":true,"size":6,"radius":0.12345678901234568,"center":[0.1,-0.00000025],"members":[0,9,10,99,100,4294967295],"cache_hit":false,"epoch":12,"probes":100,"candidates":99999,"ratio":1.5},{"ok":true,"id":1,"q":4294967295,"k":3,"plan":"app_acc","feasible":false,"cache_hit":false,"epoch":12,"probes":100,"candidates":99999}]"#
         );
     }
 

@@ -2,6 +2,7 @@
 # Paired end-to-end benchmark of a base revision against the working tree:
 #
 #   bash scripts/bench_pairs.sh <base-rev> <workload> [pairs=10] [seconds=15]
+#   bash scripts/bench_pairs.sh <base-rev> all [pairs=10] [seconds=15]
 #   bash scripts/bench_pairs.sh --self-test
 #
 # Builds <base-rev> in a temporary git worktree and the working tree in
@@ -11,6 +12,12 @@
 # whose verdicts follow the bounds in BENCHMARK.json (`improved` needs at
 # least ten pairs), and exits with compare's status.  Every run keeps its
 # results under .bench_pairs/<workload>/{base,change}-<i>/.
+#
+# With the workload `all`, each run is `sac-bench run` without
+# `--workload`: every workload of the benchmark runs in each pair, and the
+# one compare table covers them all, so a single invocation checks the
+# workload a change claims and the ones that must not move.  A pair then
+# takes about four times as long as one `interactive_large` pair.
 #
 # --self-test checks the plumbing, not performance: the working tree
 # against itself (one build), one pair of 2-second runs on `theta`.  It
@@ -26,7 +33,7 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 state="$root/.bench_pairs"
 
 usage() {
-  echo "usage: bash scripts/bench_pairs.sh <base-rev> <workload> [pairs=10] [seconds=15]" >&2
+  echo "usage: bash scripts/bench_pairs.sh <base-rev> <workload|all> [pairs=10] [seconds=15]" >&2
   echo "       bash scripts/bench_pairs.sh --self-test" >&2
   exit 2
 }
@@ -45,13 +52,15 @@ build() {
     --manifest-path "$src/sacbench/Cargo.toml"
 }
 
-# Runs `pairs` pairs of `seconds` each on `workload`, alternating which
-# side goes first, and writes compare's table to $out/compare.txt; returns
-# compare's exit status.
+# Runs `pairs` pairs of `seconds` each on `workload` (every workload for
+# `all`), alternating which side goes first, and writes compare's table to
+# $out/compare.txt; returns compare's exit status.
 run_pairs() {
   local base_bin=$1 change_bin=$2 workload=$3 pairs=$4 seconds=$5 out=$6
   rm -rf "$out"
   mkdir -p "$out"
+  local select=(--workload "$workload")
+  [ "$workload" = all ] && select=()
   local i side bin order
   for i in $(seq 1 "$pairs"); do
     order="base change"
@@ -60,7 +69,7 @@ run_pairs() {
       bin=$base_bin
       [ "$side" = change ] && bin=$change_bin
       echo "bench_pairs: pair $i/$pairs, $side" >&2
-      "$bin" run --workload "$workload" --seed "$i" --seconds "$seconds" \
+      "$bin" run "${select[@]}" --seed "$i" --seconds "$seconds" \
         --trace 0 --out "$out/$side-$i" >"$out/$side-$i.log" 2>&1 || {
         echo "bench_pairs: $side run $i failed (log: $out/$side-$i.log)" >&2
         tail -5 "$out/$side-$i.log" >&2

@@ -12,12 +12,16 @@ use sackit::engine::EngineConfig;
 use sackit::fixtures::{figure3, figure3_graph};
 use sackit::live::{http, ldjson};
 use sackit::proto::EncodeOptions;
-use sackit::{SacEngine, SacService, ServiceConfig};
+use sackit::{GraphBuilder, Point, SacEngine, SacService, ServiceConfig, SpatialGraph};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 fn service() -> SacService {
+    service_on(figure3_graph())
+}
+
+fn service_on(graph: SpatialGraph) -> SacService {
     // Disable the small-core exact upgrade so the tiny fixture still
     // exercises every algorithm family.
     let config = EngineConfig {
@@ -25,7 +29,7 @@ fn service() -> SacService {
         ..EngineConfig::default()
     };
     SacService::new(
-        Arc::new(SacEngine::with_config(Arc::new(figure3_graph()), config)),
+        Arc::new(SacEngine::with_config(Arc::new(graph), config)),
         ServiceConfig {
             threads: 2,
             encode: EncodeOptions {
@@ -77,8 +81,7 @@ fn request_stream() -> Vec<String> {
 
 /// Runs the stream through the LDJSON transport loop (what `sac-serve`
 /// drives) and returns one reply line per request.
-fn ldjson_replies(stream: &[String]) -> Vec<String> {
-    let service = service();
+fn ldjson_replies(service: SacService, stream: &[String]) -> Vec<String> {
     let input = stream.join("\n");
     let mut output = Vec::new();
     ldjson::serve(&service, input.as_bytes(), &mut output).unwrap();
@@ -92,8 +95,8 @@ fn ldjson_replies(stream: &[String]) -> Vec<String> {
 /// Runs the stream through a live HTTP server (what `sac-http` serves), one
 /// `POST /api` per request on a keep-alive connection, and returns the
 /// response bodies (sans trailing newline, to mirror `lines()`).
-fn http_replies(stream: &[String]) -> Vec<String> {
-    let service = Arc::new(service());
+fn http_replies(service: SacService, stream: &[String]) -> Vec<String> {
+    let service = Arc::new(service);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = Arc::clone(&service);
@@ -141,8 +144,8 @@ fn http_replies(stream: &[String]) -> Vec<String> {
 #[test]
 fn ldjson_and_http_transports_are_byte_identical() {
     let stream = request_stream();
-    let ldjson = ldjson_replies(&stream);
-    let http = http_replies(&stream);
+    let ldjson = ldjson_replies(service(), &stream);
+    let http = http_replies(service(), &stream);
     assert_eq!(
         ldjson.len(),
         stream.len(),
@@ -190,6 +193,60 @@ fn ldjson_and_http_transports_are_byte_identical() {
         assert!(!line.contains("micros"), "timing leaked into: {line}");
         assert!(!line.contains(r#""trace""#), "trace leaked into: {line}");
     }
+}
+
+/// Vertices of [`ring`].
+const RING: u32 = 1_200;
+
+/// A cycle of [`RING`] vertices evenly spaced on a circle.  A cycle has no
+/// proper subgraph of minimum degree 2, so every `k = 2` answer is the whole
+/// ring: replies with 1,200 members, ids of one to four digits.
+fn ring() -> SpatialGraph {
+    let mut builder = GraphBuilder::new();
+    builder.add_edges((0..RING).map(|v| (v, (v + 1) % RING)));
+    let positions = (0..RING)
+        .map(|v| {
+            let angle = f64::from(v) * std::f64::consts::TAU / f64::from(RING);
+            Point::new(0.5 + 0.4 * angle.cos(), 0.5 + 0.4 * angle.sin())
+        })
+        .collect();
+    SpatialGraph::new(builder.build(), positions).unwrap()
+}
+
+#[test]
+fn large_member_lists_are_byte_identical_across_transports() {
+    let stream = vec![
+        r#"{"cmd":"warm","ks":[2]}"#.to_string(),
+        r#"{"id":1,"q":0,"k":2}"#.to_string(),
+        r#"{"id":2,"q":617,"k":2,"ratio":2.5,"tier":"interactive"}"#.to_string(),
+        r#"{"cmd":"core","q":999,"k":2}"#.to_string(),
+        r#"[{"q":5,"k":2,"tier":"interactive"},{"q":6,"k":3},{"q":1199,"k":2,"theta":2}]"#
+            .to_string(),
+    ];
+    let ldjson = ldjson_replies(service_on(ring()), &stream);
+    let http = http_replies(service_on(ring()), &stream);
+    assert_eq!(ldjson.len(), stream.len());
+    assert_eq!(http.len(), stream.len());
+    for (i, (a, b)) in ldjson.iter().zip(&http).enumerate() {
+        assert_eq!(a, b, "transport divergence on request {i}: {}", stream[i]);
+    }
+    let whole_ring = format!(
+        r#""members":[{}]"#,
+        (0..RING)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    for (i, members) in [(1, 1), (2, 1), (3, 1), (4, 2)] {
+        assert_eq!(
+            ldjson[i].matches(&whole_ring).count(),
+            members,
+            "reply {i}: {}",
+            ldjson[i].replace(&whole_ring, r#""members":[..]"#)
+        );
+        assert!(ldjson[i].contains(r#""size":1200"#), "reply {i}");
+    }
+    assert!(ldjson[4].contains(r#""feasible":false"#)); // k = 3 on a cycle
 }
 
 /// The observability surfaces agree: `GET /metrics` (Prometheus text) and
