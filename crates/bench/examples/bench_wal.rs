@@ -3,11 +3,13 @@
 //!
 //! The same seeded mutation/commit stream runs four ways — no WAL at all,
 //! then WAL with each sync policy (`never`, `every 8 commits`, `always`) —
-//! and the mean commit latency is compared.  The log written by the `never`
-//! run (no clean-shutdown marker: a simulated crash) is then recovered and
-//! timed, and the recovered engine is checked **bit-identical** to the
-//! still-running original: epoch, core numbers, position bits and a sample
-//! of query answers.
+//! and the mean commit latency is compared.  Each row also reports the mean
+//! latency of one mutation call, which is the write front's incremental core
+//! repair (the WAL append happens at commit).  The log written by the
+//! `never` run (no clean-shutdown marker: a simulated crash) is then
+//! recovered and timed, and the recovered engine is checked
+//! **bit-identical** to the still-running original: epoch, core numbers,
+//! position bits and a sample of query answers.
 //!
 //! Run with: `cargo run --release -p sac-bench --example bench_wal`
 //!
@@ -42,14 +44,23 @@ const MUTATIONS_PER_COMMIT: usize = 4;
 /// the no-WAL baseline.
 const MAX_EVERY_N_OVERHEAD: f64 = 1.25;
 
+/// Mean latencies of one [`run_stream`], in microseconds.
+struct StreamTimes {
+    commit: f64,
+    mutation: f64,
+}
+
 /// Replays the identical seeded stream of edge/vertex/move mutations,
-/// committing every [`MUTATIONS_PER_COMMIT`] ops; returns the mean commit
-/// latency in microseconds.
-fn run_stream(live: &LiveEngine, n: u32) -> f64 {
+/// committing every [`MUTATIONS_PER_COMMIT`] ops, and times both the
+/// mutation calls and the commits.
+fn run_stream(live: &LiveEngine, n: u32) -> StreamTimes {
     let mut rng = StdRng::seed_from_u64(0x5AC_3A1);
-    let mut total_micros = 0u128;
+    let mut commit_micros = 0u128;
+    let mut mutation_nanos = 0u128;
+    let mut mutations = 0u32;
     for _ in 0..COMMITS {
         for _ in 0..MUTATIONS_PER_COMMIT {
+            let start = Instant::now();
             match rng.gen_range(0u32..10) {
                 8 => {
                     let v = rng.gen_range(0..n);
@@ -67,12 +78,17 @@ fn run_stream(live: &LiveEngine, n: u32) -> f64 {
                     }
                 }
             }
+            mutation_nanos += start.elapsed().as_nanos();
+            mutations += 1;
         }
         let start = Instant::now();
         live.commit().unwrap();
-        total_micros += start.elapsed().as_micros();
+        commit_micros += start.elapsed().as_micros();
     }
-    total_micros as f64 / COMMITS as f64
+    StreamTimes {
+        commit: commit_micros as f64 / COMMITS as f64,
+        mutation: mutation_nanos as f64 / 1e3 / f64::from(mutations),
+    }
 }
 
 fn durability(dir: &Path, sync: SyncPolicy) -> Durability {
@@ -100,11 +116,16 @@ fn main() {
 
     // Baseline: the same stream with no WAL attached.
     let baseline = LiveEngine::new(engine_for());
-    let no_wal_micros = run_stream(&baseline, n);
-    println!("no-wal   mean commit = {no_wal_micros:>8.1}us");
+    let no_wal = run_stream(&baseline, n);
+    let no_wal_micros = no_wal.commit;
+    println!(
+        "no-wal   mean commit = {no_wal_micros:>8.1}us, mean mutation = {:.1}us",
+        no_wal.mutation
+    );
 
     let mut rows = vec![format!(
-        r#"{{"bench":"wal_commit","policy":"none","mean_commit_micros":{no_wal_micros:.1}}}"#
+        r#"{{"bench":"wal_commit","policy":"none","mean_commit_micros":{no_wal_micros:.1},"mean_mutation_micros":{:.1}}}"#,
+        no_wal.mutation
     )];
     let mut overhead_every_n = 0.0;
     let mut never_dir = None;
@@ -118,17 +139,18 @@ fn main() {
         let engine = engine_for();
         let live =
             LiveEngine::with_durability(Arc::clone(&engine), durability(&dir, sync)).unwrap();
-        let micros = run_stream(&live, n);
+        let times = run_stream(&live, n);
+        let micros = times.commit;
         let overhead = micros / no_wal_micros;
         let stats = live.wal_stats().expect("durability enabled");
         println!(
             "{label:<8} mean commit = {micros:>8.1}us ({overhead:.3}x), \
-             {} records / {} log bytes",
-            stats.appended_records, stats.log_bytes
+             mean mutation = {:.1}us, {} records / {} log bytes",
+            times.mutation, stats.appended_records, stats.log_bytes
         );
         rows.push(format!(
-            r#"{{"bench":"wal_commit","policy":"{label}","mean_commit_micros":{micros:.1},"overhead_vs_none":{overhead:.4},"appended_records":{},"log_bytes":{}}}"#,
-            stats.appended_records, stats.log_bytes
+            r#"{{"bench":"wal_commit","policy":"{label}","mean_commit_micros":{micros:.1},"mean_mutation_micros":{:.1},"overhead_vs_none":{overhead:.4},"appended_records":{},"log_bytes":{}}}"#,
+            times.mutation, stats.appended_records, stats.log_bytes
         ));
         if label == "every_8" {
             overhead_every_n = overhead;

@@ -66,8 +66,8 @@ pub fn fig13(config: &ExperimentConfig) -> Vec<Table> {
         pending.push((checkin.user, checkin.position));
         let flush = pending.len() >= batch || idx + 1 == records.len();
         if flush {
-            graph
-                .apply_position_updates(&pending)
+            graph = graph
+                .with_updated_positions(&pending)
                 .expect("check-in positions are valid");
             pending.clear();
         }

@@ -92,11 +92,6 @@ impl Circle {
         Circle::circumscribing(a, b, c).unwrap_or_else(|| Circle::from_diameter(a, b))
     }
 
-    /// The minimum covering circle of one or two points.
-    pub fn mcc_of_two(a: Point, b: Point) -> Self {
-        Circle::from_diameter(a, b)
-    }
-
     /// The squared inclusion threshold of [`Circle::contains`]: a point `p` is
     /// inside the circle exactly when `center.distance_sq(p)` is at most this
     /// value.

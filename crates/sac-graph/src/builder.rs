@@ -51,11 +51,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of (possibly duplicated) edges recorded so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the CSR graph, deduplicating edges.
     pub fn build(mut self) -> Graph {
         let n = self.max_vertex.map_or(0, |m| m as usize + 1);

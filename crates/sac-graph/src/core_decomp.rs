@@ -1,4 +1,8 @@
 //! k-core decomposition (Batagelj–Zaversnik, O(m)).
+//!
+//! [`core_decomposition`] is the one full peel.  It runs once per static
+//! graph or restored snapshot; afterwards [`crate::DynamicGraph`] keeps the
+//! core numbers exact edge by edge, without peeling again.
 
 use crate::{Graph, VertexId};
 
@@ -70,27 +74,13 @@ impl CoreDecomposition {
 /// order of (current) degree; when a vertex is removed its remaining neighbours'
 /// effective degrees drop by one and they move down one bucket.
 pub fn core_decomposition(graph: &Graph) -> CoreDecomposition {
-    let core_numbers = peel_core_numbers(graph.num_vertices(), |v| graph.neighbors(v));
-    CoreDecomposition::from_core_numbers(core_numbers)
-}
-
-/// The Batagelj–Zaversnik bucket peel over any adjacency representation:
-/// `neighbors(v)` returns `v`'s neighbour list.  Shared by
-/// [`core_decomposition`] (CSR adjacency) and [`crate::DynamicGraph`]'s bulk
-/// delta repair (`Vec<Vec<_>>` adjacency), so the bucket-boundary
-/// bookkeeping lives in exactly one place.
-pub(crate) fn peel_core_numbers<'a>(
-    n: usize,
-    neighbors: impl Fn(VertexId) -> &'a [VertexId],
-) -> Vec<u32> {
+    let n = graph.num_vertices();
     if n == 0 {
-        return Vec::new();
+        return CoreDecomposition::from_core_numbers(Vec::new());
     }
 
     // degree[v] starts at deg_G(v) and decreases as neighbours are peeled.
-    let mut degree: Vec<u32> = (0..n)
-        .map(|v| neighbors(v as VertexId).len() as u32)
-        .collect();
+    let mut degree: Vec<u32> = (0..n).map(|v| graph.degree(v as VertexId) as u32).collect();
     let max_degree = *degree.iter().max().unwrap() as usize;
 
     // bin[d] = index in `order` of the first vertex with current degree d.
@@ -119,7 +109,7 @@ pub(crate) fn peel_core_numbers<'a>(
         let v = order[i];
         let dv = degree[v as usize];
         core[v as usize] = dv;
-        for &u in neighbors(v) {
+        for &u in graph.neighbors(v) {
             let du = degree[u as usize];
             if du > dv {
                 // Move u to the front of its bucket and shift the bucket boundary,
@@ -139,7 +129,7 @@ pub(crate) fn peel_core_numbers<'a>(
         }
     }
 
-    core
+    CoreDecomposition::from_core_numbers(core)
 }
 
 #[cfg(test)]

@@ -33,6 +33,11 @@
 //! Each mutation reports an [`EdgeChange`] carrying the information a snapshot
 //! cache needs for *selective* invalidation: the largest `k` whose k-core
 //! (membership or component structure) may have changed.
+//!
+//! The graph changes one edge or vertex at a time, as in the paper's dynamic
+//! setting; there is no bulk path.  In the serving stack the only caller
+//! that mutates a [`DynamicGraph`] is `sac-live`'s write front, which live
+//! writes, crash recovery and replica replay all go through.
 
 use crate::{core_decomposition, CoreDecomposition, Graph, VertexId};
 
@@ -54,62 +59,6 @@ pub struct EdgeChange {
     /// rise lands exactly there); for a removal it is the same minimum
     /// *before* the update.
     pub dirty_up_to: u32,
-}
-
-/// One edge mutation of a bulk delta (see [`DynamicGraph::apply_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Insert the undirected edge `{u, v}`.
-    Insert(VertexId, VertexId),
-    /// Remove the undirected edge `{u, v}`.
-    Remove(VertexId, VertexId),
-}
-
-impl BatchOp {
-    /// The endpoints of the mutation.
-    #[inline]
-    pub fn endpoints(&self) -> (VertexId, VertexId) {
-        match *self {
-            BatchOp::Insert(u, v) | BatchOp::Remove(u, v) => (u, v),
-        }
-    }
-}
-
-/// How [`DynamicGraph::apply_batch_with`] repairs core numbers for a delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchStrategy {
-    /// Pick per delta size: one shared peel for heavy deltas, per-edge
-    /// cascades for small ones.
-    #[default]
-    Auto,
-    /// Run the incremental subcore cascade once per applied edge.
-    PerEdge,
-    /// Apply all edges structurally, then repair with one shared `O(n + m)`
-    /// peel over the whole adjacency.
-    Recompute,
-}
-
-/// The effect of one bulk delta on the core decomposition (the batch
-/// counterpart of [`EdgeChange`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchChange {
-    /// The ops that changed the graph, in application order (no-ops dropped).
-    pub applied: Vec<BatchOp>,
-    /// Vertices whose core number differs between the batch boundaries,
-    /// sorted by id.
-    pub changed: Vec<VertexId>,
-    /// Upper bound on the `k` values whose k-core (membership or component
-    /// structure) may differ between the state before and after the batch;
-    /// `0` when nothing applied.
-    pub dirty_up_to: u32,
-    /// Whether the shared-peel strategy ran (`false` = per-edge cascades).
-    pub recomputed: bool,
-    /// Microseconds spent repairing core numbers: the one shared peel on the
-    /// recompute path, or the per-edge cascade loop (structural application
-    /// included — the cascades interleave with the adjacency edits) on the
-    /// per-edge path.  The commit pipeline's observability spans feed on
-    /// this, so "peel" vs "delta apply" time stays attributable per batch.
-    pub repair_micros: u64,
 }
 
 /// A mutable graph that maintains exact core numbers under edge insertions,
@@ -471,170 +420,6 @@ impl DynamicGraph {
         })
     }
 
-    /// Applies a whole batch of edge mutations with the automatically chosen
-    /// repair strategy (see [`DynamicGraph::apply_batch_with`] and
-    /// [`BatchStrategy::Auto`]).
-    pub fn apply_batch(&mut self, ops: &[BatchOp]) -> Result<BatchChange, crate::GraphError> {
-        self.apply_batch_with(ops, BatchStrategy::Auto)
-    }
-
-    /// Applies a batch of edge mutations and repairs the core numbers once
-    /// for the whole delta.
-    ///
-    /// Endpoints of **every** op are validated before anything mutates, so a
-    /// bad batch is all-or-nothing.  Ops apply in order with the usual no-op
-    /// semantics (self-loops, duplicate inserts, absent removals are skipped)
-    /// — a batch may legitimately toggle the same edge several times.
-    ///
-    /// Two repair strategies produce bit-identical core numbers:
-    ///
-    /// * [`BatchStrategy::PerEdge`] runs the incremental subcore cascade per
-    ///   applied edge — optimal for small deltas.
-    /// * [`BatchStrategy::Recompute`] applies all edges structurally first and
-    ///   then runs **one shared peel** over the adjacency (`O(n + m)`),
-    ///   amortising the repair across the whole delta — for heavy-churn
-    ///   deltas this beats paying a cascade per edge (the `bench_bulk_apply`
-    ///   runner gates the win).
-    /// * [`BatchStrategy::Auto`] picks `Recompute` when the delta is large
-    ///   relative to the graph, `PerEdge` otherwise.
-    ///
-    /// The returned [`BatchChange`] reports the applied ops (in application
-    /// order), the vertices whose core number changed between the batch
-    /// boundaries, and a `dirty_up_to` bound valid for the old-epoch →
-    /// new-epoch transition (intermediate states are never published).
-    pub fn apply_batch_with(
-        &mut self,
-        ops: &[BatchOp],
-        strategy: BatchStrategy,
-    ) -> Result<BatchChange, crate::GraphError> {
-        for op in ops {
-            let (u, v) = op.endpoints();
-            self.check_endpoints(u, v)?;
-        }
-        let per_edge = match strategy {
-            BatchStrategy::PerEdge => true,
-            BatchStrategy::Recompute => false,
-            // Heuristic crossover: one shared `O(n + m)` peel amortises once
-            // the delta stops being tiny relative to the graph; below that,
-            // per-edge subcore cascades are cheaper.
-            BatchStrategy::Auto => ops.len() < 8 || ops.len() * 12 < self.num_edges().max(1),
-        };
-        if per_edge {
-            return Ok(self.apply_batch_per_edge(ops));
-        }
-
-        // Shared-repair path: snapshot the old cores, apply every op
-        // structurally, recompute the decomposition with one peel.
-        let old_core = self.core.clone();
-        let mut applied: Vec<BatchOp> = Vec::new();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            if u == v {
-                continue;
-            }
-            match op {
-                BatchOp::Insert(..) => {
-                    if self.has_edge(u, v) {
-                        continue;
-                    }
-                    for (a, b) in [(u, v), (v, u)] {
-                        let list = &mut self.adj[a as usize];
-                        let pos = list.binary_search(&b).unwrap_err();
-                        list.insert(pos, b);
-                    }
-                    self.num_edges += 1;
-                }
-                BatchOp::Remove(..) => {
-                    if !self.has_edge(u, v) {
-                        continue;
-                    }
-                    for (a, b) in [(u, v), (v, u)] {
-                        let list = &mut self.adj[a as usize];
-                        let pos = list.binary_search(&b).expect("edge exists");
-                        list.remove(pos);
-                    }
-                    self.num_edges -= 1;
-                }
-            }
-            applied.push(*op);
-        }
-        let repair_start = std::time::Instant::now();
-        self.recompute_cores();
-        let repair_micros = repair_start.elapsed().as_micros() as u64;
-
-        // Dirty bound for cache invalidation across the epoch boundary: an
-        // inserted edge lives in the *new* k-cores up to min(new core of its
-        // endpoints); a removed edge lived in the *old* k-cores up to
-        // min(old core); a vertex whose core moved changes membership of
-        // every k-core up to max(old, new).  (Conservative for edges toggled
-        // back and forth within the batch.)
-        let mut dirty_up_to = 0u32;
-        for op in &applied {
-            let (u, v) = op.endpoints();
-            let bound = match op {
-                BatchOp::Insert(..) => self.core[u as usize].min(self.core[v as usize]),
-                BatchOp::Remove(..) => old_core[u as usize].min(old_core[v as usize]),
-            };
-            dirty_up_to = dirty_up_to.max(bound);
-        }
-        let mut changed: Vec<VertexId> = (0..self.core.len() as VertexId)
-            .filter(|&v| self.core[v as usize] != old_core[v as usize])
-            .collect();
-        for &v in &changed {
-            dirty_up_to = dirty_up_to.max(self.core[v as usize].max(old_core[v as usize]));
-        }
-        changed.sort_unstable();
-        Ok(BatchChange {
-            applied,
-            changed,
-            dirty_up_to,
-            recomputed: true,
-            repair_micros,
-        })
-    }
-
-    /// The per-edge strategy: the existing incremental cascades, one per
-    /// applied op, with the dirty bounds and core changes accumulated.
-    fn apply_batch_per_edge(&mut self, ops: &[BatchOp]) -> BatchChange {
-        let old_core = self.core.clone();
-        let mut applied = Vec::new();
-        let mut dirty_up_to = 0u32;
-        let repair_start = std::time::Instant::now();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            let change = match op {
-                BatchOp::Insert(..) => self.insert_edge(u, v),
-                BatchOp::Remove(..) => self.remove_edge(u, v),
-            }
-            .expect("endpoints validated up front");
-            if change.applied {
-                applied.push(*op);
-                dirty_up_to = dirty_up_to.max(change.dirty_up_to);
-            }
-        }
-        let repair_micros = repair_start.elapsed().as_micros() as u64;
-        let mut changed: Vec<VertexId> = (0..self.core.len() as VertexId)
-            .filter(|&v| self.core[v as usize] != old_core[v as usize])
-            .collect();
-        changed.sort_unstable();
-        BatchChange {
-            applied,
-            changed,
-            dirty_up_to,
-            recomputed: false,
-            repair_micros,
-        }
-    }
-
-    /// One shared peel over the mutable adjacency — the batch counterpart of
-    /// [`crate::core_decomposition`], sharing its Batagelj–Zaversnik
-    /// implementation while avoiding a CSR round trip.
-    fn recompute_cores(&mut self) {
-        self.core = crate::core_decomp::peel_core_numbers(self.adj.len(), |v| {
-            self.adj[v as usize].as_slice()
-        });
-    }
-
     /// Builds the immutable CSR [`Graph`] for the current state (the per-epoch
     /// rebuild of the publish path).
     pub fn to_graph(&self) -> Graph {
@@ -826,114 +611,6 @@ mod tests {
             );
         }
         assert!(d.num_edges() > 0);
-    }
-
-    #[test]
-    fn batch_apply_matches_sequential_per_edge() {
-        // Deterministic pseudo-random batches over 50 vertices: both batch
-        // strategies must land on the same cores as applying the ops one by
-        // one, and the recompute path must agree with the cascade path.
-        let mut x: u64 = 0xBA7C;
-        let mut rand = move |m: u64| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) % m
-        };
-        let mut reference = DynamicGraph::from_graph(&Graph::empty(50));
-        let mut per_edge = reference.clone();
-        let mut recompute = reference.clone();
-        for round in 0..12 {
-            let mut ops = Vec::new();
-            for _ in 0..(4 + rand(40)) {
-                let u = rand(50) as VertexId;
-                let v = rand(50) as VertexId;
-                // Toggle against the reference's *current* state interleaved
-                // with the batch being built, so batches contain genuine
-                // insert/remove mixes and repeated toggles of one edge.
-                if rand(2) == 0 {
-                    ops.push(BatchOp::Insert(u, v));
-                } else {
-                    ops.push(BatchOp::Remove(u, v));
-                }
-            }
-            // Reference: sequential application through the single-edge API.
-            let mut ref_applied = 0usize;
-            for op in &ops {
-                let (u, v) = op.endpoints();
-                let change = match op {
-                    BatchOp::Insert(..) => reference.insert_edge(u, v).unwrap(),
-                    BatchOp::Remove(..) => reference.remove_edge(u, v).unwrap(),
-                };
-                if change.applied {
-                    ref_applied += 1;
-                }
-            }
-            let a = per_edge
-                .apply_batch_with(&ops, BatchStrategy::PerEdge)
-                .unwrap();
-            let b = recompute
-                .apply_batch_with(&ops, BatchStrategy::Recompute)
-                .unwrap();
-            assert!(!a.recomputed && b.recomputed);
-            assert_eq!(a.applied.len(), ref_applied, "round {round}");
-            assert_eq!(a.applied, b.applied);
-            assert_eq!(a.changed, b.changed, "round {round}");
-            assert_eq!(per_edge.core_numbers(), reference.core_numbers());
-            assert_eq!(recompute.core_numbers(), reference.core_numbers());
-            assert_eq!(per_edge.num_edges(), recompute.num_edges());
-            // The recompute dirty bound covers the per-edge one for k-core
-            // membership purposes: every k above either bound has identical
-            // vertex membership across the batch.
-            let max_core = recompute.max_core();
-            for k in (b.dirty_up_to + 1)..=max_core {
-                // No vertex crossing k means k-core membership unchanged.
-                assert!(
-                    b.changed
-                        .iter()
-                        .all(|&v| (recompute.core_number(v) >= k) == (per_edge.core_number(v) >= k)),
-                    "round {round}, k {k}"
-                );
-            }
-            assert_cores_match(&recompute);
-        }
-        assert!(reference.num_edges() > 0);
-    }
-
-    #[test]
-    fn batch_apply_validates_and_reports() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let mut d = DynamicGraph::from_graph(&g);
-        // One bad endpoint poisons the whole batch, atomically.
-        let before = d.core_numbers().to_vec();
-        assert!(d
-            .apply_batch(&[BatchOp::Insert(0, 3), BatchOp::Insert(0, 99)])
-            .is_err());
-        assert_eq!(d.core_numbers(), before.as_slice());
-        assert!(!d.has_edge(0, 3));
-
-        // No-ops are dropped; a closing batch lifts the pendant into the
-        // 2-core with the right dirty bound.
-        let change = d
-            .apply_batch_with(
-                &[
-                    BatchOp::Insert(0, 0), // self-loop: no-op
-                    BatchOp::Remove(0, 3), // absent: no-op
-                    BatchOp::Insert(1, 3), // closes triangle {1, 2, 3}
-                    BatchOp::Insert(1, 3), // duplicate: no-op
-                ],
-                BatchStrategy::Recompute,
-            )
-            .unwrap();
-        assert_eq!(change.applied, vec![BatchOp::Insert(1, 3)]);
-        assert_eq!(change.changed, vec![3]);
-        assert_eq!(change.dirty_up_to, 2);
-        assert_eq!(d.core_numbers(), &[2, 2, 2, 2]);
-
-        // An empty batch is a no-op.
-        let change = d.apply_batch(&[]).unwrap();
-        assert!(change.applied.is_empty() && change.changed.is_empty());
-        assert_eq!(change.dirty_up_to, 0);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Graph {
         Ok(Graph { offsets, neighbors })
     }
 
-    /// Borrows the raw CSR arrays (snapshot-codec hook).
-    pub fn csr(&self) -> (&[u64], &[VertexId]) {
-        (&self.offsets, &self.neighbors)
-    }
-
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         Graph {

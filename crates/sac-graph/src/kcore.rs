@@ -297,18 +297,6 @@ impl KCoreSolver {
         component.sort_unstable();
         Some(component)
     }
-
-    /// Convenience wrapper: returns `true` when `G[subset]` contains a connected
-    /// k-core that includes `q`.
-    pub fn contains_kcore(
-        &mut self,
-        graph: &Graph,
-        subset: &[VertexId],
-        q: VertexId,
-        k: u32,
-    ) -> bool {
-        self.kcore_containing(graph, subset, q, k).is_some()
-    }
 }
 
 #[cfg(test)]

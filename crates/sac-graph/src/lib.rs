@@ -63,7 +63,7 @@ mod traversal;
 
 pub use builder::GraphBuilder;
 pub use core_decomp::{core_decomposition, CoreDecomposition};
-pub use dynamic::{BatchChange, BatchOp, BatchStrategy, DynamicGraph, EdgeChange};
+pub use dynamic::{DynamicGraph, EdgeChange};
 pub use error::GraphError;
 pub use graph::{Graph, VertexId};
 pub use kcore::{connected_kcore, KCoreComponents, KCoreSolver};

@@ -173,29 +173,6 @@ impl SpatialGraph {
         }
         SpatialGraph::new(self.graph.clone(), positions)
     }
-
-    /// Replaces vertex positions and rebuilds the spatial index.
-    ///
-    /// Prefer this over [`SpatialGraph::with_updated_positions`] when the graph does
-    /// not need to be kept immutable; it avoids cloning the adjacency arrays.  On an
-    /// invalid update nothing changes.
-    pub fn apply_position_updates(
-        &mut self,
-        updates: &[(VertexId, Point)],
-    ) -> Result<(), GraphError> {
-        let mut positions = self.positions().to_vec();
-        for &(v, p) in updates {
-            if (v as usize) >= positions.len() {
-                return Err(GraphError::VertexOutOfRange(v));
-            }
-            if !p.is_finite() {
-                return Err(GraphError::InvalidPosition(v));
-            }
-            positions[v as usize] = p;
-        }
-        self.index = GridIndex::build(positions, 8).expect("non-empty positions");
-        Ok(())
-    }
 }
 
 // Shared read-only serving contract: `sac-engine` hands one snapshot to many
@@ -317,9 +294,10 @@ mod tests {
         // Original untouched.
         assert_eq!(sg.position(0), Point::new(0.0, 0.0));
 
-        // In-place variant.
+        // A caller that owns its graph rebinds it to the moved copy.
         let mut sg2 = grid_graph();
-        sg2.apply_position_updates(&[(8, Point::new(-5.0, -5.0))])
+        sg2 = sg2
+            .with_updated_positions(&[(8, Point::new(-5.0, -5.0))])
             .unwrap();
         assert_eq!(sg2.position(8), Point::new(-5.0, -5.0));
         assert!(sg2

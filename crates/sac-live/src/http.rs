@@ -250,11 +250,6 @@ impl<W: Write> Replier<'_, W> {
     }
 }
 
-/// Serves one connection with the default [`HttpConfig`].
-pub fn handle_connection(service: &SacService, stream: TcpStream) -> std::io::Result<()> {
-    handle_connection_with(service, stream, &HttpConfig::default())
-}
-
 /// Serves one connection until it closes, an IO error occurs, the client
 /// sends `{"cmd":"quit"}`, or a transport limit trips (oversize body →
 /// `413`, stalled read → `408`; the typed refusals of

@@ -25,10 +25,9 @@
 //!   is *selectively* invalidated: only the `k` entries whose cores the delta
 //!   touched are dropped, the rest carry over (observable via
 //!   `EngineStats::components_carried`).
-//! * **Bulk delta apply** — [`LiveEngine::apply_batch`] repairs core
-//!   numbers once per delta (shared peel for heavy batches), and
-//!   [`LiveEngine::move_vertex`] publishes grid-only epochs for position
-//!   updates.
+//! * **Moves** — [`LiveEngine::move_vertex`] is a position-only update:
+//!   its commit publishes a grid-only epoch that carries every per-`k`
+//!   index.
 //! * **The protocol service and its transports** — [`SacService`] executes
 //!   typed `sac-proto` requests (queries, batches, live updates, admin
 //!   commands) against the engine + write front; the `sac-serve` (LDJSON
@@ -36,13 +35,13 @@
 //!   over `std::net::TcpListener`, [`http`]) binaries are thin shells over
 //!   it, speaking byte-identical payloads.
 //! * **Observability end to end** — the commit pipeline
-//!   (`sac_commit_micros`, snapshot-build/publish stage spans,
-//!   batch-strategy counters) and both transports (decode/handle/encode
-//!   stage spans, socket IO spans, per-status-code counters) record into the
-//!   engine's shared `sac-obs` registry, so `GET /metrics` (Prometheus text)
-//!   and the `{"cmd":"metrics"}` / `{"cmd":"slowlog"}` protocol commands
-//!   expose the whole serving stack; `GET /stats` and `/healthz` report
-//!   epoch, process uptime and durability state.
+//!   (`sac_commit_micros`, snapshot-build/publish stage spans) and both
+//!   transports (decode/handle/encode stage spans, socket IO spans,
+//!   per-status-code counters) record into the engine's shared `sac-obs`
+//!   registry, so `GET /metrics` (Prometheus text) and the
+//!   `{"cmd":"metrics"}` / `{"cmd":"slowlog"}` protocol commands expose the
+//!   whole serving stack; `GET /stats` and `/healthz` report epoch, process
+//!   uptime and durability state.
 //! * **Durability** — with a [`Durability`] config every commit appends its
 //!   delta record to a `sac-wal` write-ahead log *before* the epoch swap,
 //!   checkpoints serialize the current epoch and truncate older segments,
@@ -107,7 +106,7 @@ mod service;
 pub use durability::{CheckpointReport, CommitError, Durability, RecoveryReport, WalStats};
 pub use failover::{FailoverConfig, FailoverHandle};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
-pub use live::{BatchApplyReport, CommitReport, LiveEngine};
+pub use live::{CommitReport, LiveEngine};
 pub use replication::{
     probe, spawn_shipper, Replica, ReplicaConfig, ReplicaError, ReplicaStatus, ShipConfig,
     ShipHandle,

@@ -5,10 +5,7 @@ use crate::durability::{
 };
 use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
-use sac_graph::{
-    core_decomposition, BatchChange, BatchOp, DynamicGraph, EdgeChange, GraphError, SpatialGraph,
-    VertexId,
-};
+use sac_graph::{core_decomposition, DynamicGraph, EdgeChange, GraphError, SpatialGraph, VertexId};
 use sac_obs::{Counter, Histogram, Span};
 use sac_wal::{DeltaRecord, SnapshotImage, WalError, WalOp, WalWriter};
 use std::path::PathBuf;
@@ -31,12 +28,6 @@ struct LiveObs {
     /// rebuild time (the engine itself records the downstream
     /// `epoch_build`/`epoch_swap` publish stages).
     snapshot_build: Arc<Histogram>,
-    /// `sac_batch_applies_total{strategy=…}` per repair strategy chosen.
-    shared_peel_applies: Arc<Counter>,
-    per_edge_applies: Arc<Counter>,
-    /// `sac_batch_repair_micros{strategy=…}` — core-repair time per strategy.
-    shared_peel_repair: Arc<Histogram>,
-    per_edge_repair: Arc<Histogram>,
 }
 
 impl LiveObs {
@@ -54,26 +45,6 @@ impl LiveObs {
                 "sac_commit_stage_micros",
                 "Commit pipeline stage latency, microseconds",
                 &[("stage", "snapshot_build")],
-            ),
-            shared_peel_applies: registry.counter(
-                "sac_batch_applies_total",
-                "Bulk delta applies by chosen core-repair strategy",
-                &[("strategy", "shared_peel")],
-            ),
-            per_edge_applies: registry.counter(
-                "sac_batch_applies_total",
-                "Bulk delta applies by chosen core-repair strategy",
-                &[("strategy", "per_edge")],
-            ),
-            shared_peel_repair: registry.histogram(
-                "sac_batch_repair_micros",
-                "Core-repair time of bulk delta applies, microseconds",
-                &[("strategy", "shared_peel")],
-            ),
-            per_edge_repair: registry.histogram(
-                "sac_batch_repair_micros",
-                "Core-repair time of bulk delta applies, microseconds",
-                &[("strategy", "per_edge")],
             ),
         }
     }
@@ -114,26 +85,6 @@ pub struct CommitReport {
     pub rebuild_micros: u64,
     /// Epoch-pointer swap share of the engine-side publish.
     pub swap_micros: u64,
-}
-
-/// What one [`LiveEngine::apply_batch`] did (the bulk counterpart of the
-/// per-mutation [`sac_graph::EdgeChange`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchApplyReport {
-    /// Ops submitted.
-    pub ops: usize,
-    /// Ops that changed the graph (no-ops dropped).
-    pub applied: usize,
-    /// Vertices whose core number changed across the batch.
-    pub cores_changed: usize,
-    /// Dirty bound the batch contributed to the pending delta.
-    pub dirty_up_to: u32,
-    /// Whether the shared-peel strategy repaired the cores (`false` =
-    /// per-edge cascades).
-    pub recomputed: bool,
-    /// Wall-clock cost of the core repair (the shared peel, or the per-edge
-    /// cascade loop), in microseconds.
-    pub repair_micros: u64,
 }
 
 /// Mutable state between two epochs: the maintained dynamic graph, the vertex
@@ -228,16 +179,10 @@ impl WriteFront {
         };
         if change.applied {
             self.ops.push(op);
-            self.note(change.dirty_up_to, change.changed.len());
+            self.dirty_up_to = self.dirty_up_to.max(change.dirty_up_to);
+            self.cores_changed += change.changed.len() as u64;
         }
         Ok(change)
-    }
-
-    /// Folds one repair's dirty bound and core changes into the pending
-    /// commit.
-    fn note(&mut self, dirty_up_to: u32, cores_changed: usize) {
-        self.dirty_up_to = self.dirty_up_to.max(dirty_up_to);
-        self.cores_changed += cores_changed as u64;
     }
 
     /// The immutable snapshot of the front: CSR adjacency plus grid index.
@@ -652,53 +597,6 @@ impl LiveEngine {
         self.lock_front().apply(WalOp::RemoveEdge(u, v))
     }
 
-    /// Applies a whole batch of edge mutations in one pass: the core numbers
-    /// are repaired once for the delta (shared `O(n + m)` peel for heavy
-    /// batches) instead of once per edge — see
-    /// [`sac_graph::DynamicGraph::apply_batch_with`].  The applied ops join
-    /// the pending ops exactly as the equivalent single-edge calls would.
-    pub fn apply_batch(&self, ops: &[BatchOp]) -> Result<BatchApplyReport, GraphError> {
-        let mut front = self.lock_front();
-        let change: BatchChange = front.dynamic.apply_batch(ops)?;
-        front.ops.extend(change.applied.iter().map(|op| match *op {
-            BatchOp::Insert(u, v) => WalOp::InsertEdge(u, v),
-            BatchOp::Remove(u, v) => WalOp::RemoveEdge(u, v),
-        }));
-        front.note(change.dirty_up_to, change.changed.len());
-        if self.obs.enabled {
-            let (applies, repair) = if change.recomputed {
-                (&self.obs.shared_peel_applies, &self.obs.shared_peel_repair)
-            } else {
-                (&self.obs.per_edge_applies, &self.obs.per_edge_repair)
-            };
-            applies.inc();
-            repair.record(change.repair_micros);
-            let strategy = if change.recomputed {
-                "shared_peel"
-            } else {
-                "per_edge"
-            };
-            self.engine.events().publish(
-                "batch_apply",
-                format!(
-                    "strategy={} ops={} applied={} cores_changed={}",
-                    strategy,
-                    ops.len(),
-                    change.applied.len(),
-                    change.changed.len()
-                ),
-            );
-        }
-        Ok(BatchApplyReport {
-            ops: ops.len(),
-            applied: change.applied.len(),
-            cores_changed: change.changed.len(),
-            dirty_up_to: change.dirty_up_to,
-            recomputed: change.recomputed,
-            repair_micros: change.repair_micros,
-        })
-    }
-
     /// Adds a new vertex at `position` (core number 0 until edges attach it)
     /// and returns its id.
     pub fn add_vertex(&self, position: Point) -> Result<VertexId, GraphError> {
@@ -938,61 +836,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_flows_into_the_delta() {
-        use sac_graph::{connected_kcore, BatchOp};
-
-        let live = live();
-        let engine = Arc::clone(live.engine());
-        let report = live
-            .apply_batch(&[
-                BatchOp::Insert(figure3::I, figure3::F), // closes a 2-core for I
-                BatchOp::Insert(figure3::I, figure3::F), // duplicate: no-op
-                BatchOp::Remove(figure3::Q, 999),        // would be an error
-            ])
-            .unwrap_err();
-        // One bad endpoint poisons the whole batch, atomically.
-        let _ = report;
-        assert_eq!(live.pending(), 0);
-
-        let report = live
-            .apply_batch(&[
-                BatchOp::Insert(figure3::I, figure3::F),
-                BatchOp::Insert(figure3::I, figure3::F),
-            ])
-            .unwrap();
-        assert_eq!(report.ops, 2);
-        assert_eq!(report.applied, 1);
-        assert!(report.cores_changed >= 1);
-        assert_eq!(live.pending(), 1);
-        let commit = live.commit().unwrap();
-        assert_eq!(commit.edges_inserted, 1);
-        // The published epoch answers like a fresh build.
-        let snapshot = engine.snapshot();
-        assert_eq!(
-            engine.connected_core(figure3::I, 2),
-            connected_kcore(snapshot.graph(), figure3::I, 2)
-        );
-    }
-
-    #[test]
     fn commit_pipeline_records_into_the_shared_registry() {
-        use sac_graph::BatchOp;
-
         let live = live();
-        let report = live
-            .apply_batch(&[BatchOp::Insert(figure3::I, figure3::F)])
-            .unwrap();
-        assert!(!report.recomputed, "tiny batches repair per edge");
+        assert!(live.add_edge(figure3::I, figure3::F).unwrap().applied);
         live.commit().unwrap();
-        // Commit + batch series land in the engine's registry, so one
-        // exposition covers the whole serving stack.
+        // Commit series land in the engine's registry, so one exposition
+        // covers the whole serving stack.
         let text = live.engine().metrics_text();
         for needle in [
             "sac_commits_total 1",
             "sac_commit_micros_count 1",
             "sac_commit_stage_micros_count{stage=\"snapshot_build\"} 1",
-            "sac_batch_applies_total{strategy=\"per_edge\"} 1",
-            "sac_batch_repair_micros_count{strategy=\"per_edge\"} 1",
             // The engine's own publish stages fired under this commit.
             "sac_publish_stage_micros_count{stage=\"epoch_build\"} 1",
             "sac_publish_stage_micros_count{stage=\"epoch_swap\"} 1",

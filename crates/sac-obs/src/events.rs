@@ -33,7 +33,7 @@ pub struct EventRecord {
     /// Microseconds since the log was created (volatile — timing-gated on
     /// the wire).
     pub at_micros: u64,
-    /// Stable event kind, e.g. `epoch_swap`, `checkpoint`, `batch_apply`.
+    /// Stable event kind, e.g. `epoch_swap`, `checkpoint`.
     pub kind: &'static str,
     /// Deterministic `key=value` detail text (no timings, so deterministic
     /// transports stay byte-comparable).

@@ -422,8 +422,17 @@ impl ReplFrame {
                         format!("implausible replication payload length {len}"),
                     ));
                 }
-                let mut payload = vec![0u8; len as usize];
-                r.read_exact(&mut payload)?;
+                // Grow the buffer with the bytes that actually arrive: a
+                // header claiming a large `len` followed by EOF must not
+                // cost `len` bytes of memory first.
+                let mut payload = Vec::with_capacity((len as usize).min(1 << 16));
+                r.take(u64::from(len)).read_to_end(&mut payload)?;
+                if payload.len() != len as usize {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "replication record payload truncated",
+                    ));
+                }
                 Ok(ReplFrame::Record {
                     segment,
                     end_offset,
@@ -438,7 +447,9 @@ impl ReplFrame {
                 let term = read_u64(r)?;
                 let lease_ms = read_u64(r)?;
                 let count = read_u16(r)?;
-                let mut roster = Vec::with_capacity(count as usize);
+                // Entries are pushed as they arrive, so a claimed count
+                // reserves nothing the stream does not deliver.
+                let mut roster = Vec::new();
                 for _ in 0..count {
                     let id = read_u64(r)?;
                     let alen = read_u16(r)?;
@@ -585,7 +596,8 @@ mod tests {
                 segment: 2,
                 end_offset: 77,
                 crc: 0xDEAD_BEEF,
-                payload: vec![1, 2, 3, 4, 5],
+                // Longer than the reader's first 64 KiB reservation.
+                payload: (0..=255).cycle().take(100_000).collect(),
             },
             ReplFrame::Heartbeat {
                 epoch: 12,
@@ -616,12 +628,14 @@ mod tests {
         for f in &frames {
             assert_eq!(&ReplFrame::read_from(&mut r).unwrap(), f);
         }
-        // A truncated stream surfaces as UnexpectedEof, not garbage.
-        let mut short = &wire[..10];
-        assert_eq!(
-            ReplFrame::read_from(&mut short).unwrap_err().kind(),
-            std::io::ErrorKind::UnexpectedEof
-        );
+        // A stream truncated in a header or in a payload surfaces as
+        // UnexpectedEof, not garbage.
+        for cut in [10, frames[0].encode().len() - 1] {
+            assert_eq!(
+                ReplFrame::read_from(&mut &wire[..cut]).unwrap_err().kind(),
+                std::io::ErrorKind::UnexpectedEof
+            );
+        }
         let mut bad = [9u8].as_slice();
         assert_eq!(
             ReplFrame::read_from(&mut bad).unwrap_err().kind(),

@@ -198,7 +198,10 @@ impl DeltaRecord {
         let count = c
             .u32()
             .ok_or_else(|| corrupt("payload too short for op count"))? as usize;
-        let mut ops = Vec::with_capacity(count.min(1 << 20));
+        // Reserve no more ops than the payload can hold (the smallest op,
+        // an edge insert or removal, takes 9 bytes), so a hostile count
+        // costs nothing before the loop runs out of bytes.
+        let mut ops = Vec::with_capacity(count.min(c.remaining() / 9));
         for _ in 0..count {
             let tag = c
                 .u8()

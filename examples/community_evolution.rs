@@ -53,8 +53,8 @@ fn main() {
     // Replay the stream; whenever the tracked user checks in, recompute her SAC.
     let mut observed: Vec<(f64, Vec<VertexId>)> = Vec::new();
     for checkin in stream.records() {
-        graph
-            .apply_position_updates(&[(checkin.user, checkin.position)])
+        graph = graph
+            .with_updated_positions(&[(checkin.user, checkin.position)])
             .expect("valid update");
         if checkin.user != user {
             continue;

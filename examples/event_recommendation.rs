@@ -68,8 +68,8 @@ fn main() {
     // 4. The user travels to the opposite corner of the map; her SAC — and hence
     //    the recommendations — follow her.
     let new_home = Point::new(1.0 - home.x, 1.0 - home.y);
-    graph
-        .apply_position_updates(&[(user, new_home)])
+    graph = graph
+        .with_updated_positions(&[(user, new_home)])
         .expect("valid position update");
     let moved_sac = app_acc(&graph, user, k, 0.5).unwrap();
     match moved_sac {

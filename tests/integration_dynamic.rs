@@ -37,8 +37,8 @@ fn communities_stay_valid_as_locations_change() {
         tracked.iter().map(|&u| (u, Vec::new())).collect();
 
     for checkin in stream.records() {
-        graph
-            .apply_position_updates(&[(checkin.user, checkin.position)])
+        graph = graph
+            .with_updated_positions(&[(checkin.user, checkin.position)])
             .unwrap();
         if !tracked.contains(&checkin.user) {
             continue;
