@@ -104,15 +104,15 @@ pub mod radius_probe {
         radii
     }
 
-    /// The probe context of one query: the k-ĉore universe and radius bound
-    /// `AppFast` would binary-search over.
+    /// The probe context of one query: the k-ĉore and radius bound `AppFast`
+    /// would binary-search over.
     pub struct ProbeCase {
         /// The query vertex.
         pub q: VertexId,
         /// Minimum-degree constraint.
         pub k: u32,
-        /// Membership bitmap of the k-ĉore containing `q`.
-        pub universe: Vec<bool>,
+        /// The k-ĉore containing `q`, sorted by id.
+        pub members: Vec<VertexId>,
         /// Largest probe radius (distance of the farthest k-ĉore vertex).
         pub r_max: f64,
     }
@@ -120,18 +120,16 @@ pub mod radius_probe {
     /// Builds the probe case for `(q, k)`; `None` when `q` is in no k-core.
     pub fn probe_case(g: &SpatialGraph, q: VertexId, k: u32) -> Option<ProbeCase> {
         let ctx = SearchContext::new(g, q, k).ok()?;
-        let x = ctx.global_kcore_of_q()?;
+        let members = ctx.global_kcore_of_q()?;
         let q_pos = g.position(q);
-        let mut universe = vec![false; g.num_vertices()];
-        let mut r_max = 0.0f64;
-        for &v in &x {
-            universe[v as usize] = true;
-            r_max = r_max.max(g.position(v).distance(q_pos));
-        }
+        let r_max = members
+            .iter()
+            .map(|&v| g.position(v).distance(q_pos))
+            .fold(0.0f64, f64::max);
         Some(ProbeCase {
             q,
             k,
-            universe,
+            members,
             r_max,
         })
     }

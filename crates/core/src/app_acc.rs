@@ -1,7 +1,7 @@
 //! `AppAcc`: the anchor-point (1+εA)-approximation algorithm (Algorithm 4).
 
 use crate::app_fast::app_fast_with_ctx;
-use crate::common::{knn_lower_bound, membership_bitmap, trivial_small_k, SearchContext};
+use crate::common::{knn_lower_bound, trivial_small_k, SearchContext};
 use crate::{Community, SacError};
 use sac_geom::{AnchorCell, Circle, Point};
 use sac_graph::{SpatialGraph, VertexId};
@@ -126,7 +126,7 @@ pub(crate) fn app_acc_detailed_with_ctx(
 
     // Line 3: S = vertices of the k-ĉore containing q inside O(q, 2γ); the optimal
     // community is contained in it (Corollary 2).
-    let s = match ctx.feasible_in_circle(&Circle::new(q_pos, 2.0 * gamma), None) {
+    let s = match ctx.feasible_in_circle(&Circle::new(q_pos, 2.0 * gamma)) {
         Some(s) => s,
         None => {
             // Φ itself lies in O(q, 2γ), so this cannot happen; defensively fall
@@ -144,11 +144,9 @@ pub(crate) fn app_acc_detailed_with_ctx(
             }));
         }
     };
-    let in_s = membership_bitmap(g.num_vertices(), &s);
-
     // A safe lower bound for every anchor's binary search: r_p ≥ r_opt ≥ l0 / 2,
     // where l0 is the Eq. (1) KNN lower bound.
-    let binary_lower = knn_lower_bound(g, q, k, &in_s)
+    let binary_lower = knn_lower_bound(g, q, k, &s)
         .map(|l0| 0.5 * l0)
         .unwrap_or(0.0);
 
@@ -188,10 +186,10 @@ pub(crate) fn app_acc_detailed_with_ctx(
             //
             // The initial probe and the whole binary search below are
             // concentric circles around `p`, so one sweep per anchor serves
-            // them all from a single range query; an anchor pruned by this
+            // them all from a single pass over S; an anchor pruned by this
             // first probe never orders its candidates at all.
             let probe_radius = r_cur + half_diag;
-            ctx.begin_sweep(p, probe_radius, Some(&in_s));
+            ctx.begin_sweep(p, probe_radius, &s);
             let initial = ctx.probe(probe_radius);
             let largest_infeasible: Option<f64>;
             match initial {

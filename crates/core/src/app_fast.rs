@@ -1,6 +1,6 @@
 //! `AppFast`: the binary-search (2+εF)-approximation algorithm (Algorithm 3).
 
-use crate::common::{knn_lower_bound, membership_bitmap, trivial_small_k, SearchContext};
+use crate::common::{knn_lower_bound, trivial_small_k, SearchContext};
 use crate::{Community, SacError};
 use sac_graph::{SpatialGraph, VertexId};
 
@@ -82,11 +82,10 @@ pub(crate) fn app_fast_with_ctx(
         Some(x) => x,
         None => return Ok(None),
     };
-    let in_x = membership_bitmap(g.num_vertices(), &x);
     let q_pos = ctx.q_pos();
 
     // Eq. (1): initial bounds for the binary search.
-    let mut l = match knn_lower_bound(g, q, k, &in_x) {
+    let mut l = match knn_lower_bound(g, q, k, &x) {
         Some(l) => l,
         None => return Ok(None),
     };
@@ -95,10 +94,10 @@ pub(crate) fn app_fast_with_ctx(
         .map(|&v| g.position(v).distance(q_pos))
         .fold(0.0f64, f64::max);
 
-    // Every probe is a q-centred circle of radius ≤ u: one sweep serves the
-    // whole binary search (candidate view = X, each probe a prefix that the
-    // sweep partitions out of it on demand).
-    ctx.begin_sweep(q_pos, u, Some(&in_x));
+    // Every probe is a q-centred circle of radius ≤ u: one sweep over X's
+    // member list serves the whole binary search (each probe a prefix that
+    // the sweep partitions out of it on demand).
+    ctx.begin_sweep(q_pos, u, &x);
 
     // Λ starts as the whole k-ĉore (always feasible).
     let mut best = x.clone();

@@ -23,13 +23,14 @@ use std::sync::Arc;
 ///
 /// Algorithms ask "is there a connected k-core containing `q` inside circle
 /// `O(c, r)`?" over monotone nested circle families.  The sweep API amortises
-/// that loop: [`SearchContext::begin_sweep`] pays one grid query, after which
-/// every [`SearchContext::probe`] at `r ≤ r_max` is answered from a prefix of
-/// the lazily partitioned candidate array (each probe partitions only the one
-/// unordered bucket its radius falls in) with an incremental peel (see
-/// [`sac_graph::RadiusSweepSolver`]).  [`SearchContext::feasible_in_circle`]
-/// is the from-scratch single-probe path, kept as the reference the property
-/// suite pins the sweep against.
+/// that loop: [`SearchContext::begin_sweep`] makes one pass over the member
+/// list the algorithm searches (the k-ĉore `X`, or `AppAcc`'s `S ⊆ X`), after
+/// which every [`SearchContext::probe`] at `r ≤ r_max` is answered from a
+/// prefix of the lazily partitioned candidate array (each probe partitions
+/// only the one unordered bucket its radius falls in) with an incremental
+/// peel (see [`sac_graph::RadiusSweepSolver`]).
+/// [`SearchContext::feasible_in_circle`] is the from-scratch single-probe
+/// path, kept as the reference the property suite pins the sweep against.
 pub struct SearchContext<'g> {
     pub(crate) g: &'g SpatialGraph,
     pub(crate) q: VertexId,
@@ -38,7 +39,6 @@ pub struct SearchContext<'g> {
     sweep: RadiusSweepSolver,
     step1: Step1,
     circle_buf: Vec<VertexId>,
-    subset_buf: Vec<VertexId>,
 }
 
 /// Where [`SearchContext::global_kcore_of_q`] reads Step 1 from.
@@ -112,7 +112,6 @@ impl<'g> SearchContext<'g> {
             sweep: RadiusSweepSolver::new(g.num_vertices()),
             step1,
             circle_buf: Vec::new(),
-            subset_buf: Vec::new(),
         })
     }
 
@@ -165,46 +164,34 @@ impl<'g> SearchContext<'g> {
     }
 
     /// Returns the connected k-core containing `q` induced by the vertices inside
-    /// `circle`, optionally restricted to a universe bitmap (`universe[v] == true`
-    /// means `v` may participate).  `None` when no feasible community exists.
+    /// `circle`.  `None` when no feasible community exists.
     ///
     /// This is the from-scratch path (one grid query + one full subset peel).
     /// Probe loops over nested circles should use [`SearchContext::begin_sweep`]
     /// / [`SearchContext::probe`] instead, which answer the same question
     /// bit-identically at amortised cost.
-    pub fn feasible_in_circle(
-        &mut self,
-        circle: &Circle,
-        universe: Option<&[bool]>,
-    ) -> Option<Vec<VertexId>> {
+    pub fn feasible_in_circle(&mut self, circle: &Circle) -> Option<Vec<VertexId>> {
         self.g.vertices_in_circle_into(circle, &mut self.circle_buf);
-        self.subset_buf.clear();
-        match universe {
-            Some(mask) => self.subset_buf.extend(
-                self.circle_buf
-                    .iter()
-                    .copied()
-                    .filter(|&v| mask[v as usize]),
-            ),
-            None => self.subset_buf.extend_from_slice(&self.circle_buf),
-        }
         self.solver
-            .kcore_containing(self.g.graph(), &self.subset_buf, self.q, self.k)
+            .kcore_containing(self.g.graph(), &self.circle_buf, self.q, self.k)
     }
 
     /// Starts an incremental radius sweep centred at `center` covering every
-    /// probe radius up to `r_max`, optionally restricted to a `universe`
-    /// bitmap: one grid query, after which [`SearchContext::probe`] answers
-    /// any `O(center, r)` with `r ≤ r_max` without touching the spatial index.
-    pub fn begin_sweep(&mut self, center: Point, r_max: f64, universe: Option<&[bool]>) {
+    /// probe radius up to `r_max`, restricted to `members` (distinct vertices
+    /// in any order, e.g. the k-ĉore containing `q`): one pass over them,
+    /// after which [`SearchContext::probe`] answers any `O(center, r)` with
+    /// `r ≤ r_max` without a spatial query.
+    pub fn begin_sweep(&mut self, center: Point, r_max: f64, members: &[VertexId]) {
         self.sweep
-            .begin(self.g, center, r_max, self.q, self.k, universe);
+            .begin(self.g, center, r_max, self.q, self.k, members);
     }
 
-    /// Sweep probe: exactly [`SearchContext::feasible_in_circle`] for
-    /// `O(center, r)` with the sweep's universe, served incrementally from
-    /// the current sweep (shrinks continue the deletion cascade; grows
-    /// re-seed from the maintained pre-peel state).
+    /// Sweep probe: the connected k-core containing `q` among the sweep's
+    /// members inside `O(center, r)`, served incrementally from the current
+    /// sweep (shrinks continue the deletion cascade; grows re-seed from the
+    /// maintained pre-peel state).  With the k-ĉore containing `q` as the
+    /// members this is exactly [`SearchContext::feasible_in_circle`]: every
+    /// connected k-core containing `q` lies inside that k-ĉore.
     pub fn probe(&mut self, r: f64) -> Option<Vec<VertexId>> {
         self.sweep.probe_radius(self.g.graph(), r)
     }
@@ -223,9 +210,9 @@ impl<'g> SearchContext<'g> {
             return None;
         }
         self.sweep
-            .candidates_in_circle_into(self.g, circle, &mut self.subset_buf);
+            .candidates_in_circle_into(self.g, circle, &mut self.circle_buf);
         self.solver
-            .kcore_containing(self.g.graph(), &self.subset_buf, self.q, self.k)
+            .kcore_containing(self.g.graph(), &self.circle_buf, self.q, self.k)
     }
 
     /// Starts a *collected* sweep (empty candidate list): `AppInc` grows the
@@ -275,15 +262,6 @@ pub(crate) fn sweep_cover_radius(r: f64) -> f64 {
     diameter + sac_geom::EPS * (8.0 + 8.0 * diameter)
 }
 
-/// Builds a membership bitmap of size `n` for the given vertex list.
-pub(crate) fn membership_bitmap(n: usize, vertices: &[VertexId]) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    for &v in vertices {
-        mask[v as usize] = true;
-    }
-    mask
-}
-
 /// Handles the trivial degree parameters the paper dispenses with up front
 /// (Section 4.1): for `k = 0` the query vertex alone is an optimal SAC, and for
 /// `k = 1` the optimal SAC is `q` together with its spatially nearest graph
@@ -306,7 +284,7 @@ pub(crate) fn trivial_small_k(g: &SpatialGraph, q: VertexId, k: u32) -> Option<O
 }
 
 /// The lower bound `l` of Eq. (1): the distance from `q` to its k-th nearest
-/// neighbour among `candidates ∩ nb(q)` (candidate list given as a bitmap).
+/// neighbour among `candidates ∩ nb(q)` (`candidates` sorted by id).
 ///
 /// Every feasible solution gives `q` at least `k` neighbours inside the solution's
 /// MCC, so the minimal q-centred radius δ is at least this value... the paper uses
@@ -316,14 +294,15 @@ pub(crate) fn knn_lower_bound(
     g: &SpatialGraph,
     q: VertexId,
     k: u32,
-    candidate_mask: &[bool],
+    candidates: &[VertexId],
 ) -> Option<f64> {
+    debug_assert!(candidates.is_sorted(), "candidates must be sorted by id");
     let qp = g.position(q);
     let mut dists: Vec<f64> = g
         .neighbors(q)
         .iter()
         .copied()
-        .filter(|&v| candidate_mask[v as usize])
+        .filter(|v| candidates.binary_search(v).is_ok())
         .map(|v| g.position(v).distance(qp))
         .collect();
     if dists.len() < k as usize {
@@ -413,16 +392,11 @@ mod tests {
         let mut ctx = SearchContext::new(&g, figure3::Q, 2).unwrap();
         // A large circle around Q covers the whole left 2-ĉore.
         let big = Circle::new(ctx.q_pos(), 10.0);
-        let community = ctx.feasible_in_circle(&big, None).unwrap();
+        let community = ctx.feasible_in_circle(&big).unwrap();
         assert_eq!(community, vec![0, 1, 2, 3, 4, 5]);
         // A tight circle around Q covers nothing feasible.
         let tiny = Circle::new(ctx.q_pos(), 0.5);
-        assert!(ctx.feasible_in_circle(&tiny, None).is_none());
-
-        // Restricting the universe to {Q, C, D} finds exactly that triangle.
-        let mask = membership_bitmap(g.num_vertices(), &[figure3::Q, figure3::C, figure3::D]);
-        let community = ctx.feasible_in_circle(&big, Some(&mask)).unwrap();
-        assert_eq!(community, vec![figure3::Q, figure3::C, figure3::D]);
+        assert!(ctx.feasible_in_circle(&tiny).is_none());
     }
 
     #[test]
@@ -431,25 +405,33 @@ mod tests {
         let mut ctx = SearchContext::new(&g, figure3::Q, 2).unwrap();
         let mut reference = SearchContext::new(&g, figure3::Q, 2).unwrap();
         let center = ctx.q_pos();
-        ctx.begin_sweep(center, 10.0, None);
+        let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        ctx.begin_sweep(center, 10.0, &all);
         for r in [10.0, 1.0, 4.0, 0.2, 2.5, 0.0, 10.0] {
             assert_eq!(
                 ctx.probe(r),
-                reference.feasible_in_circle(&Circle::new(center, r), None),
+                reference.feasible_in_circle(&Circle::new(center, r)),
                 "radius {r}"
             );
         }
         // Arbitrary (non-concentric) circles through the same sweep.
-        ctx.begin_sweep(center, sweep_cover_radius(10.0), None);
+        ctx.begin_sweep(center, sweep_cover_radius(10.0), &all);
         for (cx, cy, r) in [(1.0, 0.5, 2.0), (3.0, 3.0, 1.0), (0.0, 0.0, 0.5)] {
             let circle = Circle::new(sac_geom::Point::new(cx, cy), r);
             assert_eq!(
                 ctx.probe_circle(&circle),
-                reference.feasible_in_circle(&circle, None),
+                reference.feasible_in_circle(&circle),
                 "circle ({cx}, {cy}) r={r}"
             );
         }
         assert!(ctx.sweep_stats().probes >= 10);
+        // Restricting the members to {Q, C, D} finds exactly that triangle.
+        let triangle = [figure3::D, figure3::Q, figure3::C];
+        ctx.begin_sweep(center, 10.0, &triangle);
+        assert_eq!(
+            ctx.probe(10.0),
+            Some(vec![figure3::Q, figure3::C, figure3::D])
+        );
     }
 
     #[test]
@@ -473,15 +455,15 @@ mod tests {
     #[test]
     fn knn_lower_bound_matches_sorted_distances() {
         let g = figure3_graph();
-        let mask = vec![true; g.num_vertices()];
-        let l1 = knn_lower_bound(&g, figure3::Q, 1, &mask).unwrap();
-        let l2 = knn_lower_bound(&g, figure3::Q, 2, &mask).unwrap();
-        let l4 = knn_lower_bound(&g, figure3::Q, 4, &mask).unwrap();
+        let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        let l1 = knn_lower_bound(&g, figure3::Q, 1, &all).unwrap();
+        let l2 = knn_lower_bound(&g, figure3::Q, 2, &all).unwrap();
+        let l4 = knn_lower_bound(&g, figure3::Q, 4, &all).unwrap();
         assert!(l1 <= l2 && l2 <= l4);
         // Q has 4 neighbours, so k = 5 is impossible.
-        assert!(knn_lower_bound(&g, figure3::Q, 5, &mask).is_none());
-        // Restricting the mask shrinks the candidate set.
-        let only_cd = membership_bitmap(g.num_vertices(), &[figure3::C, figure3::D]);
+        assert!(knn_lower_bound(&g, figure3::Q, 5, &all).is_none());
+        // Restricting the candidates shrinks the eligible neighbours.
+        let only_cd = [figure3::C, figure3::D];
         assert!(knn_lower_bound(&g, figure3::Q, 3, &only_cd).is_none());
     }
 }

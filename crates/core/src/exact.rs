@@ -1,6 +1,6 @@
 //! `Exact`: the basic exact algorithm (Algorithm 1).
 
-use crate::common::{membership_bitmap, sweep_cover_radius, trivial_small_k, SearchContext};
+use crate::common::{sweep_cover_radius, trivial_small_k, SearchContext};
 use crate::{Community, SacError};
 use sac_geom::Circle;
 use sac_graph::{SpatialGraph, VertexId};
@@ -48,7 +48,6 @@ pub(crate) fn exact_with_ctx(ctx: &mut SearchContext<'_>) -> Result<Option<Commu
             .partial_cmp(&g.position(b).distance(q_pos))
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let in_x = membership_bitmap(g.num_vertices(), &x);
     let dist_q: Vec<f64> = x.iter().map(|&v| g.position(v).distance(q_pos)).collect();
 
     // The whole k-ĉore is always feasible; start from it so that even degenerate
@@ -59,9 +58,9 @@ pub(crate) fn exact_with_ctx(ctx: &mut SearchContext<'_>) -> Result<Option<Commu
 
     // Every evaluated circle has radius < best_radius and must contain q to be
     // feasible, so its members lie within 2·best_radius of q (Lemma 1): one
-    // q-centred candidate view covers the whole triple enumeration, replacing
-    // the per-circle grid range queries.
-    ctx.begin_sweep(q_pos, sweep_cover_radius(best_radius), Some(&in_x));
+    // q-centred candidate view over X covers the whole triple enumeration,
+    // replacing the per-circle grid range queries.
+    ctx.begin_sweep(q_pos, sweep_cover_radius(best_radius), &x);
 
     // Enumerate triples {X_i, X_j, X_h} with j < h < i, i being the farthest of the
     // three from q, exactly as Algorithm 1 does.

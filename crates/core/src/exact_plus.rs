@@ -1,7 +1,7 @@
 //! `Exact+`: the advanced exact algorithm (Algorithm 5).
 
 use crate::app_acc::{app_acc_detailed_with_ctx, validate_eps_a};
-use crate::common::{membership_bitmap, sweep_cover_radius, trivial_small_k, SearchContext};
+use crate::common::{sweep_cover_radius, trivial_small_k, SearchContext};
 use crate::{Community, SacError};
 use sac_geom::Circle;
 use sac_graph::{SpatialGraph, VertexId};
@@ -80,8 +80,7 @@ pub(crate) fn exact_plus_detailed_with_ctx(
     };
     let r_gamma = detail.radius;
     let beta = detail.final_cell_width;
-    let s = detail.candidate_vertices.clone();
-    let in_s = membership_bitmap(g.num_vertices(), &s);
+    let s = &detail.candidate_vertices;
 
     // Degenerate optimum: a zero-radius community cannot be improved.
     if r_gamma <= f64::EPSILON {
@@ -97,27 +96,20 @@ pub(crate) fn exact_plus_detailed_with_ctx(
     let half_diag = std::f64::consts::FRAC_1_SQRT_2 * beta;
     let r_plus = r_gamma + half_diag;
     let r_minus = (r_gamma / (1.0 + eps_a) - half_diag).max(0.0);
-    let mut f1: Vec<VertexId> = if detail.active_cells.is_empty() {
-        // Fallback (e.g. every cell was pruned because the AppAcc seed is already
-        // optimal): consider every candidate vertex as a potential fixed vertex.
-        s.clone()
-    } else {
-        let mut in_f1 = vec![false; g.num_vertices()];
-        for cell in &detail.active_cells {
-            for &v in &s {
-                if in_f1[v as usize] {
-                    continue;
-                }
-                let d = g.position(v).distance(cell.center);
-                if d >= r_minus && d <= r_plus {
-                    in_f1[v as usize] = true;
-                }
-            }
-        }
-        s.iter().copied().filter(|&v| in_f1[v as usize]).collect()
-    };
-    f1.sort_unstable();
-    f1.dedup();
+    // S is sorted by id and duplicate-free, so F1 is too.  Fallback (e.g.
+    // every cell was pruned because the AppAcc seed is already optimal):
+    // every candidate vertex is a potential fixed vertex.
+    let f1: Vec<VertexId> = s
+        .iter()
+        .copied()
+        .filter(|&v| {
+            detail.active_cells.is_empty()
+                || detail.active_cells.iter().any(|cell| {
+                    let d = g.position(v).distance(cell.center);
+                    d >= r_minus && d <= r_plus
+                })
+        })
+        .collect();
 
     let r_opt_lower = r_gamma / (1.0 + eps_a);
     let mut best_members = detail.community.members().to_vec();
@@ -128,7 +120,7 @@ pub(crate) fn exact_plus_detailed_with_ctx(
     // q to be feasible, so its members lie within 2·r_Γ of q: one q-centred
     // candidate view over S serves the diametral-pair and triple loops
     // without further grid range queries.
-    ctx.begin_sweep(ctx.q_pos(), sweep_cover_radius(r_gamma), Some(&in_s));
+    ctx.begin_sweep(ctx.q_pos(), sweep_cover_radius(r_gamma), s);
 
     // Helper evaluating one candidate circle.
     let consider = |circle: &Circle,

@@ -35,7 +35,7 @@ pub fn theta_sac(
         }));
     }
     let circle = Circle::new(ctx.q_pos(), theta);
-    let members = ctx.feasible_in_circle(&circle, None);
+    let members = ctx.feasible_in_circle(&circle);
     Ok(members.map(|m| Community::new(g, m)))
 }
 

@@ -4,10 +4,11 @@
 //! probes from a lazily partitioned candidate prefix with an incremental peel
 //! (in-place shrinks, checkpoint restores, pre-peel re-seeds).  These tests
 //! pin the contract the migrated algorithms rely on: every probe — over
-//! random graphs, random query vertices, random universes and random
-//! **monotone and non-monotone** radius schedules — is bit-identical to the
-//! from-scratch `feasible_in_circle` path (grid range query + full subset
-//! peel), and the collected-sweep path is bit-identical to the subset solver.
+//! random graphs, random query vertices, random member lists (passed in id
+//! order and shuffled) and random **monotone and non-monotone** radius
+//! schedules — is bit-identical to the from-scratch path (grid range query,
+//! filtered by the members, plus a full subset peel), and the collected-sweep
+//! path is bit-identical to the subset solver.
 //! Lattice-coordinate graphs add exact distance ties and duplicate points,
 //! so a prefix must hold every tie at its bound whatever order the
 //! partitions left the candidates in.
@@ -15,7 +16,7 @@
 use proptest::prelude::*;
 use sac_core::SearchContext;
 use sac_geom::{Circle, Point};
-use sac_graph::{GraphBuilder, KCoreSolver, SpatialGraph};
+use sac_graph::{GraphBuilder, KCoreSolver, SpatialGraph, VertexId};
 
 /// A random small spatial graph: `n` vertices in the unit square, random edges.
 fn arb_spatial_graph() -> impl Strategy<Value = SpatialGraph> {
@@ -69,21 +70,52 @@ fn arb_radius() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Universe bitmap keeping ~70% of the vertices; `q` itself may be excluded
-/// (every probe is then infeasible on both paths).
-fn universe_of(g: &SpatialGraph, mask_bits: &[u32]) -> Vec<bool> {
-    (0..g.num_vertices()).map(|v| mask_bits[v] >= 3).collect()
+/// Every vertex, in id order.
+fn all_vertices(g: &SpatialGraph) -> Vec<VertexId> {
+    (0..g.num_vertices() as VertexId).collect()
 }
 
-/// Sweep probes equal from-scratch circle queries on arbitrary radius
-/// schedules: raw (non-monotone, exercising the re-seed fallback),
-/// descending (the incremental-shrink fast path) and ascending.
+/// A member list keeping ~70% of the vertices, in id order; `q` itself may
+/// be excluded (every probe is then infeasible on both paths).
+fn universe_of(g: &SpatialGraph, mask_bits: &[u32]) -> Vec<VertexId> {
+    (0..g.num_vertices() as VertexId)
+        .filter(|&v| mask_bits[v as usize] >= 3)
+        .collect()
+}
+
+/// The same members twice: in id order, then reordered by `keys` (ties by
+/// id), as `Exact` passes its distance-sorted k-ĉore.
+fn both_orders(members: Vec<VertexId>, keys: &[u32]) -> [Vec<VertexId>; 2] {
+    let mut shuffled = members.clone();
+    shuffled.sort_by_key(|&v| (keys[v as usize], v));
+    [members, shuffled]
+}
+
+/// The from-scratch reference restricted to `members` (id-sorted): the grid
+/// range query filtered by them, then one full subset peel.
+fn restricted_scratch(
+    g: &SpatialGraph,
+    solver: &mut KCoreSolver,
+    circle: &Circle,
+    q: VertexId,
+    k: u32,
+    members: &[VertexId],
+) -> Option<Vec<VertexId>> {
+    let mut subset = g.vertices_in_circle(circle);
+    subset.retain(|v| members.binary_search(v).is_ok());
+    solver.kcore_containing(g.graph(), &subset, q, k)
+}
+
+/// Sweep probes over every vertex equal from-scratch circle queries on
+/// arbitrary radius schedules: raw (non-monotone, exercising the re-seed
+/// fallback), descending (the incremental-shrink fast path) and ascending.
 fn check_sweep_probes(
     g: &SpatialGraph,
     q_raw: u32,
     k: u32,
     mut radii: Vec<f64>,
     schedule: usize,
+    keys: &[u32],
 ) -> Result<(), TestCaseError> {
     let q = q_raw % g.num_vertices() as u32;
     match schedule {
@@ -92,19 +124,21 @@ fn check_sweep_probes(
         _ => {}                                               // non-monotone
     }
     let center = g.position(q);
-    let mut ctx = SearchContext::new(g, q, k).unwrap();
-    let mut reference = SearchContext::new(g, q, k).unwrap();
-    ctx.begin_sweep(center, 1.6, None);
-    for &r in &radii {
-        let via_sweep = ctx.probe(r);
-        let scratch = reference.feasible_in_circle(&Circle::new(center, r), None);
-        prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+    for members in both_orders(all_vertices(g), keys) {
+        let mut ctx = SearchContext::new(g, q, k).unwrap();
+        let mut reference = SearchContext::new(g, q, k).unwrap();
+        ctx.begin_sweep(center, 1.6, &members);
+        for &r in &radii {
+            let via_sweep = ctx.probe(r);
+            let scratch = reference.feasible_in_circle(&Circle::new(center, r));
+            prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+        }
     }
     Ok(())
 }
 
-/// Same equivalence with a restricting universe and a sweep centre that is
-/// not the query vertex (the `AppAcc` anchor pattern).
+/// Same equivalence with a restricting member list and a sweep centre that
+/// is not the query vertex (the `AppAcc` anchor pattern).
 fn check_off_centre_sweep(
     g: &SpatialGraph,
     q_raw: u32,
@@ -112,75 +146,83 @@ fn check_off_centre_sweep(
     center: Point,
     mask_bits: &[u32],
     radii: &[f64],
+    keys: &[u32],
 ) -> Result<(), TestCaseError> {
     let q = q_raw % g.num_vertices() as u32;
     let universe = universe_of(g, mask_bits);
-    let mut ctx = SearchContext::new(g, q, k).unwrap();
-    let mut reference = SearchContext::new(g, q, k).unwrap();
-    ctx.begin_sweep(center, 2.0, Some(&universe));
-    for &r in radii {
-        let via_sweep = ctx.probe(r);
-        let scratch = reference.feasible_in_circle(&Circle::new(center, r), Some(&universe));
-        prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+    let mut solver = KCoreSolver::new(g.num_vertices());
+    for members in both_orders(universe.clone(), keys) {
+        let mut ctx = SearchContext::new(g, q, k).unwrap();
+        ctx.begin_sweep(center, 2.0, &members);
+        for &r in radii {
+            let via_sweep = ctx.probe(r);
+            let circle = Circle::new(center, r);
+            let scratch = restricted_scratch(g, &mut solver, &circle, q, k, &universe);
+            prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
+        }
     }
     Ok(())
 }
 
-/// One sweep with a universe serving radius probes, next-distance advances
-/// and arbitrary circles in random order — the interleaving `AppFast` and
-/// `Exact`/`Exact+` rely on.  `op` picks the call: 0 = `probe(r)`,
-/// 1 = `next_candidate_distance_above(r)`, 2 = `probe_circle`.
+/// One sweep over a member list serving radius probes, next-distance
+/// advances and arbitrary circles in random order — the interleaving
+/// `AppFast` and `Exact`/`Exact+` rely on.  `op` picks the call:
+/// 0 = `probe(r)`, 1 = `next_candidate_distance_above(r)`, 2 = `probe_circle`.
 fn check_interleaved_calls(
     g: &SpatialGraph,
     q_raw: u32,
     k: u32,
     mask_bits: &[u32],
     ops: &[(u32, f64, (f64, f64))],
+    keys: &[u32],
 ) -> Result<(), TestCaseError> {
     let q = q_raw % g.num_vertices() as u32;
     let universe = universe_of(g, mask_bits);
     let center = g.position(q);
-    let mut ctx = SearchContext::new(g, q, k).unwrap();
-    let mut reference = SearchContext::new(g, q, k).unwrap();
+    let mut solver = KCoreSolver::new(g.num_vertices());
     // Unit-square data, radii below 1.6: r_max = 4 covers every probe circle
     // and every arbitrary circle's members as seen from q.
     let r_max = 4.0;
-    ctx.begin_sweep(center, r_max, Some(&universe));
-    for &(op, r, (cx, cy)) in ops {
-        match op {
-            0 => {
-                let scratch =
-                    reference.feasible_in_circle(&Circle::new(center, r), Some(&universe));
-                prop_assert_eq!(ctx.probe(r), scratch, "probe q={} k={} r={}", q, k, r);
-            }
-            1 => {
-                let cover = Circle::new(center, r_max);
-                let expected = (0..g.num_vertices() as u32)
-                    .filter(|&v| universe[v as usize] && cover.contains(g.position(v)))
-                    .map(|v| g.position(v).distance(center))
-                    .filter(|&d| d > r)
-                    .fold(f64::INFINITY, f64::min);
-                prop_assert_eq!(
-                    ctx.next_candidate_distance_above(r).to_bits(),
-                    expected.to_bits(),
-                    "next distance q={} r={}",
-                    q,
-                    r
-                );
-            }
-            _ => {
-                let circle = Circle::new(Point::new(cx, cy), r);
-                let scratch = reference.feasible_in_circle(&circle, Some(&universe));
-                prop_assert_eq!(
-                    ctx.probe_circle(&circle),
-                    scratch,
-                    "circle q={} k={} ({}, {}) r={}",
-                    q,
-                    k,
-                    cx,
-                    cy,
-                    r
-                );
+    for members in both_orders(universe.clone(), keys) {
+        let mut ctx = SearchContext::new(g, q, k).unwrap();
+        ctx.begin_sweep(center, r_max, &members);
+        for &(op, r, (cx, cy)) in ops {
+            match op {
+                0 => {
+                    let circle = Circle::new(center, r);
+                    let scratch = restricted_scratch(g, &mut solver, &circle, q, k, &universe);
+                    prop_assert_eq!(ctx.probe(r), scratch, "probe q={} k={} r={}", q, k, r);
+                }
+                1 => {
+                    let cover = Circle::new(center, r_max);
+                    let expected = universe
+                        .iter()
+                        .filter(|&&v| cover.contains(g.position(v)))
+                        .map(|&v| g.position(v).distance(center))
+                        .filter(|&d| d > r)
+                        .fold(f64::INFINITY, f64::min);
+                    prop_assert_eq!(
+                        ctx.next_candidate_distance_above(r).to_bits(),
+                        expected.to_bits(),
+                        "next distance q={} r={}",
+                        q,
+                        r
+                    );
+                }
+                _ => {
+                    let circle = Circle::new(Point::new(cx, cy), r);
+                    let scratch = restricted_scratch(g, &mut solver, &circle, q, k, &universe);
+                    prop_assert_eq!(
+                        ctx.probe_circle(&circle),
+                        scratch,
+                        "circle q={} k={} ({}, {}) r={}",
+                        q,
+                        k,
+                        cx,
+                        cy,
+                        r
+                    );
+                }
             }
         }
     }
@@ -197,8 +239,9 @@ proptest! {
         k in 0u32..5,
         radii in proptest::collection::vec(0.0f64..1.6, 1..32),
         schedule in 0usize..3,
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
-        check_sweep_probes(&g, q_raw, k, radii, schedule)?;
+        check_sweep_probes(&g, q_raw, k, radii, schedule, &keys)?;
     }
 
     #[test]
@@ -208,8 +251,9 @@ proptest! {
         k in 0u32..5,
         radii in proptest::collection::vec(arb_radius(), 1..32),
         schedule in 0usize..3,
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
-        check_sweep_probes(&g, q_raw, k, radii, schedule)?;
+        check_sweep_probes(&g, q_raw, k, radii, schedule, &keys)?;
     }
 
     #[test]
@@ -220,8 +264,9 @@ proptest! {
         (cx, cy) in (0.0f64..1.0, 0.0f64..1.0),
         mask_bits in proptest::collection::vec(0u32..10, 18),
         radii in proptest::collection::vec(0.0f64..2.0, 1..24),
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
-        check_off_centre_sweep(&g, q_raw, k, Point::new(cx, cy), &mask_bits, &radii)?;
+        check_off_centre_sweep(&g, q_raw, k, Point::new(cx, cy), &mask_bits, &radii, &keys)?;
     }
 
     /// Off-centre sweeps on the lattice, centred on a lattice point.
@@ -233,8 +278,9 @@ proptest! {
         (cx, cy) in (0u32..5, 0u32..5),
         mask_bits in proptest::collection::vec(0u32..10, 18),
         radii in proptest::collection::vec(arb_radius(), 1..24),
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
-        check_off_centre_sweep(&g, q_raw, k, lattice_point(cx, cy), &mask_bits, &radii)?;
+        check_off_centre_sweep(&g, q_raw, k, lattice_point(cx, cy), &mask_bits, &radii, &keys)?;
     }
 
     #[test]
@@ -244,8 +290,9 @@ proptest! {
         k in 0u32..4,
         mask_bits in proptest::collection::vec(0u32..10, 18),
         ops in proptest::collection::vec((0u32..3, 0.0f64..1.6, (0.0f64..1.0, 0.0f64..1.0)), 1..32),
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
-        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops)?;
+        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops, &keys)?;
     }
 
     /// The same interleaving on the lattice, where radii and circle centres
@@ -257,6 +304,7 @@ proptest! {
         k in 0u32..4,
         mask_bits in proptest::collection::vec(0u32..10, 18),
         ops in proptest::collection::vec((0u32..3, arb_radius(), (0u32..5, 0u32..5)), 1..32),
+        keys in proptest::collection::vec(0u32..1000, 18),
     ) {
         let ops: Vec<(u32, f64, (f64, f64))> = ops
             .iter()
@@ -265,7 +313,7 @@ proptest! {
                 (op, r, (c.x, c.y))
             })
             .collect();
-        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops)?;
+        check_interleaved_calls(&g, q_raw, k, &mask_bits, &ops, &keys)?;
     }
 
     /// Arbitrary (non-concentric) circles through the candidate view — the
@@ -283,11 +331,11 @@ proptest! {
         let mut reference = SearchContext::new(&g, q, k).unwrap();
         // Unit-square data, circle radii ≤ 1: r_max = 4 covers every circle's
         // members as seen from q (|v, q| ≤ |v, c| + |c, q| ≤ (1 + tol) + √2).
-        ctx.begin_sweep(g.position(q), 4.0, None);
+        ctx.begin_sweep(g.position(q), 4.0, &all_vertices(&g));
         for &((cx, cy), r) in &circles {
             let circle = Circle::new(Point::new(cx, cy), r);
             let via_sweep = ctx.probe_circle(&circle);
-            let scratch = reference.feasible_in_circle(&circle, None);
+            let scratch = reference.feasible_in_circle(&circle);
             prop_assert_eq!(via_sweep, scratch, "q={} k={} circle=({}, {}) r={}", q, k, cx, cy, r);
         }
     }
@@ -327,7 +375,7 @@ proptest! {
     }
 
     /// Back-to-back sweeps on one context never leak state: a second sweep
-    /// (different centre, universe and radius) still matches from-scratch.
+    /// (different centre and radii) still matches from-scratch.
     #[test]
     fn sweep_reuse_across_begins_is_clean(
         g in arb_spatial_graph(),
@@ -340,16 +388,17 @@ proptest! {
         let q = q_raw % g.num_vertices() as u32;
         let mut ctx = SearchContext::new(&g, q, k).unwrap();
         let mut reference = SearchContext::new(&g, q, k).unwrap();
-        ctx.begin_sweep(g.position(q), 1.6, None);
+        let all = all_vertices(&g);
+        ctx.begin_sweep(g.position(q), 1.6, &all);
         for &r in &radii_a {
             ctx.probe(r);
         }
         let center = Point::new(cx, cy);
-        ctx.begin_sweep(center, 1.6, None);
+        ctx.begin_sweep(center, 1.6, &all);
         for &r in &radii_b {
             prop_assert_eq!(
                 ctx.probe(r),
-                reference.feasible_in_circle(&Circle::new(center, r), None),
+                reference.feasible_in_circle(&Circle::new(center, r)),
                 "second sweep r={}", r
             );
         }

@@ -103,11 +103,6 @@ impl GridIndex {
         self.points.is_empty()
     }
 
-    /// The grid resolution as `(columns, rows)`.
-    pub fn dimensions(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     /// The position of an indexed point.
     pub fn point(&self, idx: u32) -> Point {
         self.points[idx as usize]
@@ -153,10 +148,12 @@ impl GridIndex {
     pub fn query_circle_into(&self, circle: &Circle, out: &mut Vec<u32>) {
         out.clear();
         let c = circle.center;
-        let r = circle.radius;
-        let (cx_lo, cx_hi) = self.col_span(c.x - r, c.x + r);
-        let (cy_lo, cy_hi) = self.row_span(c.y - r, c.y + r);
+        // Span the cells by the inclusion reach, not the bare radius: a point
+        // in the tolerance band just past a cell boundary is still inside.
+        let reach = circle.contains_bound();
         let r_tol_sq = circle.contains_bound_sq();
+        let (cx_lo, cx_hi) = self.col_span(c.x - reach, c.x + reach);
+        let (cy_lo, cy_hi) = self.row_span(c.y - reach, c.y + reach);
         for cy in cy_lo..=cy_hi {
             for cx in cx_lo..=cx_hi {
                 for e in self.cell_range(cx, cy).clone() {
@@ -167,45 +164,6 @@ impl GridIndex {
                 }
             }
         }
-    }
-
-    /// Counts the points inside `circle` without materialising them.
-    pub fn count_in_circle(&self, circle: &Circle) -> usize {
-        let c = circle.center;
-        let r = circle.radius;
-        let (cx_lo, cx_hi) = self.col_span(c.x - r, c.x + r);
-        let (cy_lo, cy_hi) = self.row_span(c.y - r, c.y + r);
-        let r_sq = r * r;
-        let mut count = 0usize;
-        for cy in cy_lo..=cy_hi {
-            for cx in cx_lo..=cx_hi {
-                for e in self.cell_range(cx, cy).clone() {
-                    let idx = self.entries[e];
-                    if self.points[idx as usize].distance_sq(c) <= r_sq {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
-    }
-
-    /// Returns the indices of all points inside the rectangle `rect`.
-    pub fn query_rect(&self, rect: &Rect) -> Vec<u32> {
-        let mut out = Vec::new();
-        let (cx_lo, cx_hi) = self.col_span(rect.min.x, rect.max.x);
-        let (cy_lo, cy_hi) = self.row_span(rect.min.y, rect.max.y);
-        for cy in cy_lo..=cy_hi {
-            for cx in cx_lo..=cx_hi {
-                for e in self.cell_range(cx, cy).clone() {
-                    let idx = self.entries[e];
-                    if rect.contains(self.points[idx as usize]) {
-                        out.push(idx);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Returns the `k` points nearest to `query` as `(index, distance)` pairs sorted
@@ -306,24 +264,6 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(got, expected);
-        assert_eq!(grid.count_in_circle(&circle), expected.len());
-    }
-
-    #[test]
-    fn rect_query_matches_linear_scan() {
-        let pts = sample_points();
-        let grid = GridIndex::build(pts.clone(), 4).unwrap();
-        let rect = Rect::new(Point::new(0.12, 0.33), Point::new(0.61, 0.74));
-        let mut got = grid.query_rect(&rect);
-        got.sort_unstable();
-        let mut expected: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| rect.contains(**p))
-            .map(|(i, _)| i as u32)
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -357,6 +297,36 @@ mod tests {
         let got = grid.k_nearest(Point::new(0.1, 0.1), 10);
         assert_eq!(got.len(), 2);
         assert_eq!(grid.k_nearest(Point::new(0.1, 0.1), 0).len(), 0);
+    }
+
+    #[test]
+    fn circle_query_keeps_the_tolerance_band_past_cell_boundaries() {
+        // An 11×11 integer lattice, padded with repeats to 200 points, gets
+        // 10×10 cells of width ≈1, so lattice points sit on cell boundaries.
+        // Each radius stops just short of a lattice point, inside the EPS
+        // band `contains` still accepts.
+        let lattice: Vec<Point> = (0..121)
+            .map(|i| Point::new((i % 11) as f64, (i / 11) as f64))
+            .collect();
+        let pts: Vec<Point> = (0..200).map(|i| lattice[i % 121]).collect();
+        let grid = GridIndex::build(pts.clone(), 2).unwrap();
+        let mut got = Vec::new();
+        for &c in &lattice {
+            for &p in &lattice {
+                let d = c.distance(p);
+                if d == 0.0 {
+                    continue;
+                }
+                let circle = Circle::new(c, d - 0.5 * crate::EPS * (1.0 + d));
+                assert!(circle.contains(p));
+                grid.query_circle_into(&circle, &mut got);
+                got.sort_unstable();
+                let expected: Vec<u32> = (0..pts.len() as u32)
+                    .filter(|&i| circle.contains(pts[i as usize]))
+                    .collect();
+                assert_eq!(got, expected, "circle at {c:?} r = {}", circle.radius);
+            }
+        }
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl Point {
         Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
     }
 
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(&self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
     /// Dot product, treating both points as vectors from the origin.
     #[inline]
     pub fn dot(&self, other: Point) -> f64 {
@@ -70,12 +61,6 @@ impl Point {
     #[inline]
     pub fn cross(&self, other: Point) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Euclidean norm of the vector from the origin to `self`.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.dot(*self).sqrt()
     }
 
     /// Returns `true` when both coordinates are finite (not NaN or infinite).
@@ -164,13 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_lerp_agree() {
+    fn midpoint_halves_the_segment() {
         let a = Point::new(2.0, 2.0);
         let b = Point::new(4.0, 6.0);
         assert_eq!(a.midpoint(b), Point::new(3.0, 4.0));
-        assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl SpatialGraph {
         self.index.query_circle_into(circle, out);
     }
 
-    /// Number of vertices inside `circle`.
-    pub fn count_in_circle(&self, circle: &Circle) -> usize {
-        self.index.count_in_circle(circle)
-    }
-
     /// The eager, fully sorted view of the ball `O(center, r_max)`: one grid
     /// range query plus one sort, appended to `out` (cleared first) as
     /// `(vertex, distance² from center)` in ascending distance order, ties
@@ -237,10 +232,6 @@ mod tests {
         let mut got = sg.vertices_in_circle(&Circle::new(Point::new(1.0, 1.0), 1.0));
         got.sort_unstable();
         assert_eq!(got, vec![1, 3, 4, 5, 7]);
-        assert_eq!(
-            sg.count_in_circle(&Circle::new(Point::new(1.0, 1.0), 1.0)),
-            5
-        );
 
         let mut buf = Vec::new();
         sg.vertices_in_circle_into(&Circle::new(Point::new(0.0, 0.0), 0.5), &mut buf);

@@ -6,13 +6,15 @@
 //! range query plus a complete subset peel per probe.  [`RadiusSweepSolver`]
 //! amortises both across the whole loop:
 //!
-//! * **Candidate view** — one grid query at [`RadiusSweepSolver::begin`]
-//!   collects every vertex within the largest probe radius as unsorted
-//!   `(distance², vertex)` pairs.  Because the grid query and
-//!   [`sac_geom::Circle::contains`] share one inclusion bound
-//!   ([`sac_geom::Circle::contains_bound_sq`], monotone in the radius), the
-//!   vertex set of *any* probe radius `r ≤ r_max` is a distance² down-set of
-//!   that array — no further spatial queries are needed.  The view is kept
+//! * **Candidate view** — one pass over the vertices the search may use
+//!   (the k-ĉore containing `q`, or a subset of it) at
+//!   [`RadiusSweepSolver::begin`] keeps every member within the largest
+//!   probe radius as unsorted `(distance², vertex)` pairs.  Membership is
+//!   decided by [`sac_geom::Circle::contains_bound_sq`], the inclusion bound
+//!   of [`sac_geom::Circle::contains`] and of the grid index, which is
+//!   monotone in the radius; so the vertex set of *any* probe radius
+//!   `r ≤ r_max` is a distance² down-set of that array, and no spatial
+//!   query is needed at all.  The view is kept
 //!   *lazily partitioned*: each probe makes its down-set a prefix by
 //!   partitioning, in place, only the one bucket between the two nearest
 //!   known split points (incremental quickselect).  Earlier splits never
@@ -159,8 +161,9 @@ impl PeelSnapshot {
 }
 
 /// A sweep-capable connected-k-core solver over a lazily partitioned
-/// candidate view: one spatial query per sweep, incremental peels per probe
-/// (see the module docs above for the probe model).
+/// candidate view: one pass over the search's member list per sweep,
+/// incremental peels per probe (see the module docs above for the probe
+/// model).
 ///
 /// ```
 /// use sac_graph::{GraphBuilder, RadiusSweepSolver, SpatialGraph};
@@ -177,7 +180,7 @@ impl PeelSnapshot {
 /// let sg = SpatialGraph::new(g, positions).unwrap();
 ///
 /// let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
-/// sweep.begin(&sg, Point::new(0.0, 0.0), 20.0, 0, 2, None);
+/// sweep.begin(&sg, Point::new(0.0, 0.0), 20.0, 0, 2, &[0, 1, 2, 3]);
 /// // Probes at any radius ≤ 20 reuse the one candidate view.
 /// assert_eq!(sweep.probe_radius(sg.graph(), 2.0).unwrap(), vec![0, 1, 2]);
 /// assert!(sweep.probe_radius(sg.graph(), 0.5).is_none());
@@ -202,8 +205,6 @@ pub struct RadiusSweepSolver {
     /// `cand[i..]` beyond it.  Between two adjacent splits (or the array
     /// ends) lies one unordered bucket.
     splits: Vec<(f64, usize)>,
-    /// Scratch for the grid range query of `begin`.
-    grid_buf: Vec<VertexId>,
     // Pre-peel state: prefix membership + prefix-restricted degrees,
     // maintained incrementally (annulus updates only).
     in_prefix: Vec<u64>,
@@ -253,7 +254,6 @@ impl RadiusSweepSolver {
             by_distance: false,
             cand: Vec::new(),
             splits: Vec::new(),
-            grid_buf: Vec::new(),
             in_prefix: vec![0; words],
             predeg: vec![0; n],
             prefix_len: 0,
@@ -306,12 +306,13 @@ impl RadiusSweepSolver {
         self.q_idx = None;
     }
 
-    /// Starts a sweep: one grid range query at the largest probe radius
-    /// `r_max`, kept as unsorted `(distance², vertex)` candidates.  Subsequent
+    /// Starts a sweep over `members` (distinct vertices, in any order): one
+    /// pass keeps those inside the cover circle `O(center, r_max)` as unsorted
+    /// `(distance², vertex)` candidates.  Subsequent
     /// [`RadiusSweepSolver::probe_radius`] calls at any `r ≤ r_max` answer the
-    /// exact circle query `O(center, r)` (optionally restricted to a
-    /// `universe` bitmap) without touching the spatial index again; each
-    /// orders only as much of the view as its own radius needs.
+    /// exact circle query `O(center, r)` restricted to `members`, without any
+    /// spatial query; each orders only as much of the view as its own radius
+    /// needs.
     pub fn begin(
         &mut self,
         g: &SpatialGraph,
@@ -319,7 +320,7 @@ impl RadiusSweepSolver {
         r_max: f64,
         q: VertexId,
         k: u32,
-        universe: Option<&[bool]>,
+        members: &[VertexId],
     ) {
         self.ensure_capacity(g.num_vertices());
         self.reset_sweep();
@@ -327,21 +328,20 @@ impl RadiusSweepSolver {
         self.k = k;
         self.center = center;
         self.by_distance = true;
-        let cover = Circle::new(center, r_max.max(0.0));
-        g.vertices_in_circle_into(&cover, &mut self.grid_buf);
-        for &v in &self.grid_buf {
-            if universe.is_none_or(|mask| mask[v as usize]) {
+        let bound_sq = Circle::new(center, r_max.max(0.0)).contains_bound_sq();
+        for &v in members {
+            let d2 = g.position(v).distance_sq(center);
+            if d2 <= bound_sq {
                 if v == q {
                     self.q_idx = Some(self.cand.len());
                 }
-                self.cand.push((g.position(v).distance_sq(center), v));
+                self.cand.push((d2, v));
             }
         }
-        // The grid query admitted exactly the candidates within the cover
-        // circle's inclusion bound, so the whole view is the first split: a
-        // probe at `r_max` itself partitions nothing.
-        self.splits
-            .push((cover.contains_bound_sq(), self.cand.len()));
+        // The view holds exactly the members within the cover circle's
+        // inclusion bound, so the whole view is the first split: a probe at
+        // `r_max` itself partitions nothing.
+        self.splits.push((bound_sq, self.cand.len()));
         self.stats.sweeps += 1;
         self.stats.candidates += self.cand.len() as u64;
     }
@@ -427,10 +427,10 @@ impl RadiusSweepSolver {
 
     /// The candidates inside an arbitrary `circle`, appended to `out`
     /// (cleared first).  The caller must guarantee the sweep's candidate view
-    /// covers the circle (every vertex of `circle ∩ universe` lies within the
-    /// sweep's `r_max` of its centre); membership uses the same
+    /// covers the circle (every member of the sweep inside `circle` lies
+    /// within the sweep's `r_max` of its centre); membership uses the same
     /// [`Circle::contains`] bound as the spatial index, so the result equals
-    /// the from-scratch grid query filtered by the universe.
+    /// the from-scratch grid query filtered by the sweep's members.
     pub fn candidates_in_circle_into(
         &mut self,
         g: &SpatialGraph,
@@ -847,6 +847,10 @@ mod tests {
         SpatialGraph::new(g, positions).unwrap()
     }
 
+    fn all_vertices(sg: &SpatialGraph) -> Vec<VertexId> {
+        (0..sg.num_vertices() as VertexId).collect()
+    }
+
     fn from_scratch(
         sg: &SpatialGraph,
         solver: &mut KCoreSolver,
@@ -865,7 +869,7 @@ mod tests {
         let center = sg.position(0);
         let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
         let mut reference = KCoreSolver::new(sg.num_vertices());
-        sweep.begin(&sg, center, 10.0, 0, 2, None);
+        sweep.begin(&sg, center, 10.0, 0, 2, &all_vertices(&sg));
         // Shrinks, grows, repeats — every answer must match the scratch path.
         for r in [
             10.0, 2.0, 0.7, 1.5, 0.2, 9.0, 0.55, 0.55, 3.0, 0.0, 10.0, 1.0,
@@ -898,7 +902,7 @@ mod tests {
             (6, &[10.0, 6.0, 0.6, 8.0, 0.3][..]),
         ] {
             let center = sg.position(q);
-            sweep.begin(&sg, center, 10.0, q, 2, None);
+            sweep.begin(&sg, center, 10.0, q, 2, &all_vertices(&sg));
             for &r in radii {
                 assert_eq!(
                     sweep.probe_radius(g, r),
@@ -919,24 +923,21 @@ mod tests {
     }
 
     #[test]
-    fn universe_restriction_and_recentred_sweeps() {
+    fn restricted_members_and_recentred_sweeps() {
         let sg = figure3();
         let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
         // Restrict to the triangle {0, 1, 2}.
-        let mut universe = vec![false; sg.num_vertices()];
-        for v in [0u32, 1, 2] {
-            universe[v as usize] = true;
-        }
-        sweep.begin(&sg, sg.position(0), 10.0, 0, 2, Some(&universe));
+        let triangle = [2u32, 0, 1];
+        sweep.begin(&sg, sg.position(0), 10.0, 0, 2, &triangle);
         assert_eq!(sweep.probe_radius(sg.graph(), 10.0).unwrap(), vec![0, 1, 2]);
         assert!(sweep.probe_radius(sg.graph(), 0.1).is_none());
         // A second sweep on the same solver, centred elsewhere: stale bits
         // from the first sweep must not leak.
-        sweep.begin(&sg, sg.position(6), 2.0, 6, 2, None);
+        sweep.begin(&sg, sg.position(6), 2.0, 6, 2, &all_vertices(&sg));
         assert_eq!(sweep.probe_radius(sg.graph(), 1.0).unwrap(), vec![6, 7, 8]);
         assert!(sweep.probe_radius(sg.graph(), 0.3).is_none());
-        // q outside the universe: every probe is infeasible.
-        sweep.begin(&sg, sg.position(0), 10.0, 3, 2, Some(&universe));
+        // q outside the members: every probe is infeasible.
+        sweep.begin(&sg, sg.position(0), 10.0, 3, 2, &triangle);
         assert!(sweep.probe_radius(sg.graph(), 10.0).is_none());
     }
 
@@ -963,7 +964,7 @@ mod tests {
     fn candidate_view_answers_arbitrary_circles() {
         let sg = figure3();
         let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
-        sweep.begin(&sg, sg.position(0), 20.0, 0, 2, None);
+        sweep.begin(&sg, sg.position(0), 20.0, 0, 2, &all_vertices(&sg));
         let mut got = Vec::new();
         for (center, r) in [
             (Point::new(1.2, 0.5), 0.9),
@@ -984,7 +985,7 @@ mod tests {
         let sg = figure3();
         let center = sg.position(0);
         let mut sweep = RadiusSweepSolver::new(sg.num_vertices());
-        sweep.begin(&sg, center, 100.0, 0, 2, None);
+        sweep.begin(&sg, center, 100.0, 0, 2, &all_vertices(&sg));
         for r in [0.0, 0.5, 1.0, 3.0, 7.7, 100.0] {
             let expected = (0..sg.num_vertices() as u32)
                 .map(|v| sg.position(v).distance(center))
@@ -1006,9 +1007,9 @@ mod tests {
             // later prefix grows annulus by annulus).
             let mut direct = RadiusSweepSolver::new(sg.num_vertices());
             let mut stepwise = RadiusSweepSolver::new(sg.num_vertices());
-            stepwise.begin(&sg, center, 10.0, 0, k, None);
+            stepwise.begin(&sg, center, 10.0, 0, k, &all_vertices(&sg));
             for &r in &steps {
-                direct.begin(&sg, center, 10.0, 0, k, None);
+                direct.begin(&sg, center, 10.0, 0, k, &all_vertices(&sg));
                 assert_eq!(
                     direct.probe_radius(g, r),
                     stepwise.probe_radius(g, r),
@@ -1019,7 +1020,7 @@ mod tests {
             // prefix equals the one grown a candidate at a time.
             let len = stepwise.prefix_within(Circle::new(center, 2.0).contains_bound_sq());
             stepwise.adjust_prefix(g, 0);
-            direct.begin(&sg, center, 10.0, 0, k, None);
+            direct.begin(&sg, center, 10.0, 0, k, &all_vertices(&sg));
             let direct_len = direct.prefix_within(Circle::new(center, 2.0).contains_bound_sq());
             assert_eq!(direct_len, len);
             direct.adjust_prefix(g, len);
@@ -1040,7 +1041,7 @@ mod tests {
     fn k_zero_and_growing_graphs() {
         let sg = figure3();
         let mut sweep = RadiusSweepSolver::new(2); // deliberately undersized
-        sweep.begin(&sg, sg.position(0), 10.0, 0, 0, None);
+        sweep.begin(&sg, sg.position(0), 10.0, 0, 0, &all_vertices(&sg));
         // k = 0: the probe answer is the connected reachable set inside r.
         assert_eq!(sweep.probe_radius(sg.graph(), 0.0).unwrap(), vec![0]);
         assert_eq!(

@@ -237,6 +237,59 @@ fn figure3_engine_answers_match_direct_calls() {
     assert!(engine.stats().infeasible_fast_path > 0);
 }
 
+/// 64-bit FNV-1a: a fixed byte-level hash, so a pinned digest means the same
+/// on every toolchain and platform (unlike `std`'s `DefaultHasher`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Seeded queries on the Brightkite 0.02 surrogate under the default,
+/// interactive and ratio-1 (`exact_plus`) budgets answer bit-identically to
+/// the pinned digest of plan label, members, radius bits, probe count and
+/// candidate count.  Search refactors must leave it unchanged; a change to
+/// the dataset generator moves every answer and re-pins the constant.
+#[test]
+fn seeded_engine_answers_match_the_pinned_digest() {
+    let graph = DatasetSpec::scaled(DatasetKind::Brightkite, 0.02).generate();
+    let engine = SacEngine::new(graph);
+    let snapshot = engine.snapshot();
+    let mut rng = StdRng::seed_from_u64(0x5AC_D16E);
+    let mut queries = select_query_vertices(snapshot.graph(), 12, 4, &mut rng);
+    queries.extend((0..4).map(|_| rng.gen_range(0..snapshot.num_vertices() as u32)));
+    let budgets = [
+        (QueryBudget::default(), 16),
+        (QueryBudget::interactive(), 16),
+        (QueryBudget::exact(), 4),
+    ];
+    let (mut bytes, mut id) = (Vec::new(), 0u64);
+    for (budget, count) in budgets {
+        for (&q, k) in queries[..count].iter().flat_map(|q| [(q, 3u32), (q, 4)]) {
+            id += 1;
+            let request = SacRequest::builder(q, k).id(id).budget(budget).build();
+            let response = engine.execute(&request.unwrap());
+            let community = response.outcome.expect("valid request");
+            let members = community.as_ref().map_or(&[][..], |c| c.members());
+            let radius = community.as_ref().map_or(f64::NAN, |c| c.radius());
+            let trace = [response.trace.probe_count, response.trace.candidate_count];
+            bytes.extend(response.plan.label().bytes());
+            for x in [members.len() as u64, radius.to_bits()]
+                .into_iter()
+                .chain(trace)
+                .chain(members.iter().map(|&v| u64::from(v)))
+            {
+                bytes.extend(x.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(&bytes),
+        5_417_157_178_920_587_270,
+        "answer digest moved"
+    );
+}
+
 /// The cache-served structural query agrees with the library's
 /// `connected_kcore`.
 #[test]
