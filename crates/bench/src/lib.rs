@@ -69,13 +69,15 @@ pub mod radius_probe {
     /// Probe counts benchmarked per query.
     pub const PROBE_COUNTS: [usize; 3] = [10, 100, 1000];
 
-    /// A deterministic schedule of `n` radii in `(0, r_max)` emulating the
-    /// paper's probe pattern: successive feasibility **binary searches**
-    /// (`AppFast` runs one per query, `AppAcc` one per anchor cell), each
-    /// homing in on a different low-discrepancy target radius.  Probes within
-    /// a search are non-monotone (roughly half move the radius upward) but
-    /// converge geometrically — exactly the access pattern the incremental
-    /// sweep amortises.
+    /// A deterministic schedule of `n` radii in `(0, r_max)` built from the
+    /// paper's probe pattern: feasibility **binary searches** (`AppFast` runs
+    /// one per query, `AppAcc` one per anchor cell), each homing in on a
+    /// different low-discrepancy target radius.  Probes within a search are
+    /// non-monotone (roughly half move the radius upward) but converge
+    /// geometrically.  Unlike the algorithms, the schedule chains its
+    /// searches on one sweep (each `AppAcc` anchor begins its own), so every
+    /// new search re-ascends from a low radius to `r_max / 2` — a harder
+    /// pattern for the incremental peel than any production probe loop.
     pub fn search_schedule(r_max: f64, n: usize) -> Vec<f64> {
         let mut radii = Vec::with_capacity(n);
         if r_max.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {

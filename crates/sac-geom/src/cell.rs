@@ -84,22 +84,6 @@ impl AnchorCell {
     }
 }
 
-/// Enumerates all anchor cells at a given depth below a root square.
-///
-/// Mainly useful for tests and for analysing how many anchor points `AppAcc`
-/// would visit without pruning (`(2γ/β)²` in the paper's complexity analysis).
-pub fn cells_at_depth(root: AnchorCell, depth: u32) -> Vec<AnchorCell> {
-    let mut current = vec![root];
-    for _ in 0..depth {
-        let mut next = Vec::with_capacity(current.len() * 4);
-        for cell in &current {
-            next.extend_from_slice(&cell.children());
-        }
-        current = next;
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,19 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn cells_at_depth_counts() {
-        let root = AnchorCell::root(Point::new(0.5, 0.5), 1.0);
-        assert_eq!(cells_at_depth(root, 0).len(), 1);
-        assert_eq!(cells_at_depth(root, 1).len(), 4);
-        assert_eq!(cells_at_depth(root, 3).len(), 64);
-        let leaves = cells_at_depth(root, 3);
-        assert!(leaves.iter().all(|c| (c.width - 0.125).abs() < 1e-12));
-    }
-
-    #[test]
     fn every_point_of_root_is_in_some_leaf() {
         let root = AnchorCell::root(Point::new(0.0, 0.0), 4.0);
-        let leaves = cells_at_depth(root, 2);
+        let leaves: Vec<AnchorCell> = root.children().iter().flat_map(|c| c.children()).collect();
         for &p in &[
             Point::new(-1.9, -1.9),
             Point::new(0.0, 0.0),

@@ -135,18 +135,6 @@ impl Circle {
         std::f64::consts::PI * self.radius * self.radius
     }
 
-    /// Diameter of the circle.
-    #[inline]
-    pub fn diameter(&self) -> f64 {
-        2.0 * self.radius
-    }
-
-    /// Returns `true` when the two circles overlap (boundary touching counts).
-    #[inline]
-    pub fn intersects(&self, other: &Circle) -> bool {
-        self.center.distance(other.center) <= self.radius + other.radius + EPS
-    }
-
     /// Area of the intersection of two circular disks.
     ///
     /// Used by the *community area overlap* (CAO) metric of the paper's dynamic

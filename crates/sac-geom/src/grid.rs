@@ -1,5 +1,5 @@
-//! Uniform-grid spatial index for circular range queries and k-nearest-neighbour
-//! queries over a fixed point set.
+//! Uniform-grid spatial index for circular range queries over a fixed point
+//! set.
 //!
 //! SAC search issues a large number of "which vertices lie inside circle `O(c, r)`"
 //! queries (`AppFast` binary search, `AppAcc` anchor search, `θ-SAC`).  A uniform
@@ -9,8 +9,8 @@
 
 use crate::{Circle, GeomError, Point, Rect};
 
-/// A uniform grid over a fixed set of points, supporting circular range queries and
-/// k-nearest-neighbour search.
+/// A uniform grid over a fixed set of points, supporting circular range
+/// queries.
 ///
 /// Point identities are the indices into the point vector the grid was built from
 /// (and owns), which in `sac-graph` coincide with vertex ids.
@@ -165,68 +165,6 @@ impl GridIndex {
             }
         }
     }
-
-    /// Returns the `k` points nearest to `query` as `(index, distance)` pairs sorted
-    /// by ascending distance.  Returns fewer than `k` entries when the index holds
-    /// fewer points.
-    ///
-    /// Implemented as an expanding ring search over grid cells; each ring widens the
-    /// search radius by one cell until the k-th best distance is guaranteed correct.
-    pub fn k_nearest(&self, query: Point, k: usize) -> Vec<(u32, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let k = k.min(self.points.len());
-        let qcx = (((query.x - self.bounds.min.x) / self.cell_size).floor() as isize)
-            .clamp(0, self.cols as isize - 1) as usize;
-        let qcy = (((query.y - self.bounds.min.y) / self.cell_size).floor() as isize)
-            .clamp(0, self.rows as isize - 1) as usize;
-
-        let mut best: Vec<(u32, f64)> = Vec::with_capacity(k + 1);
-        let push = |idx: u32, d: f64, best: &mut Vec<(u32, f64)>| {
-            let pos = best.partition_point(|&(_, bd)| bd <= d);
-            best.insert(pos, (idx, d));
-            if best.len() > k {
-                best.pop();
-            }
-        };
-
-        let max_ring = self.cols.max(self.rows);
-        for ring in 0..=max_ring {
-            // Scan cells whose Chebyshev distance from the query cell equals `ring`.
-            let x_lo = qcx.saturating_sub(ring);
-            let x_hi = (qcx + ring).min(self.cols - 1);
-            let y_lo = qcy.saturating_sub(ring);
-            let y_hi = (qcy + ring).min(self.rows - 1);
-            for cy in y_lo..=y_hi {
-                for cx in x_lo..=x_hi {
-                    let cheb = (cx as isize - qcx as isize)
-                        .unsigned_abs()
-                        .max((cy as isize - qcy as isize).unsigned_abs());
-                    if cheb != ring {
-                        continue;
-                    }
-                    for e in self.cell_range(cx, cy).clone() {
-                        let idx = self.entries[e];
-                        let d = self.points[idx as usize].distance(query);
-                        if best.len() < k || d < best[best.len() - 1].1 {
-                            push(idx, d, &mut best);
-                        }
-                    }
-                }
-            }
-            // Stop once the k-th best distance cannot be beaten by points in cells
-            // further than the current ring: every unscanned point is at least
-            // `ring * cell_size` away from the query.
-            if best.len() == k {
-                let guaranteed = ring as f64 * self.cell_size;
-                if best[k - 1].1 <= guaranteed {
-                    break;
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -264,39 +202,6 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn knn_matches_linear_scan() {
-        let pts = sample_points();
-        let grid = GridIndex::build(pts.clone(), 8).unwrap();
-        let query = Point::new(0.52, 0.48);
-        let k = 7;
-        let got = grid.k_nearest(query, k);
-        assert_eq!(got.len(), k);
-        let mut expected: Vec<(u32, f64)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u32, p.distance(query)))
-            .collect();
-        expected.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        for i in 0..k {
-            assert!(
-                (got[i].1 - expected[i].1).abs() < 1e-12,
-                "rank {i} distance mismatch"
-            );
-        }
-        // Distances must be non-decreasing.
-        assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn knn_with_k_larger_than_point_count() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
-        let grid = GridIndex::build(pts, 4).unwrap();
-        let got = grid.k_nearest(Point::new(0.1, 0.1), 10);
-        assert_eq!(got.len(), 2);
-        assert_eq!(grid.k_nearest(Point::new(0.1, 0.1), 0).len(), 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   (Welzl's algorithm, [`minimum_enclosing_circle`]),
 //! * axis-aligned rectangles and the region-quadtree cells used by the `AppAcc`
 //!   anchor-point search ([`Rect`], [`AnchorCell`]),
-//! * a spatial index for circular range queries and nearest-neighbour queries over
-//!   large vertex sets ([`GridIndex`]),
+//! * a spatial index for circular range queries over large vertex sets
+//!   ([`GridIndex`]),
 //! * the circle–circle intersection area used by the *community area overlap* (CAO)
 //!   metric ([`Circle::intersection_area`]).
 //!
@@ -48,7 +48,7 @@ mod mec;
 mod point;
 mod rect;
 
-pub use cell::{cells_at_depth, AnchorCell};
+pub use cell::AnchorCell;
 pub use circle::Circle;
 pub use error::GeomError;
 pub use grid::GridIndex;

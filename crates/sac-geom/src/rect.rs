@@ -72,25 +72,10 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Centre point of the rectangle.
-    #[inline]
-    pub fn center(&self) -> Point {
-        self.min.midpoint(self.max)
-    }
-
     /// Returns `true` when `p` lies inside the rectangle (boundary inclusive).
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Returns `true` when the two rectangles overlap (boundary touching counts).
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
     }
 
     /// Expands the rectangle by `margin` on every side.
@@ -125,7 +110,8 @@ mod tests {
     #[test]
     fn square_is_centred() {
         let r = Rect::square(Point::new(1.0, 1.0), 4.0);
-        assert_eq!(r.center(), Point::new(1.0, 1.0));
+        assert_eq!(r.min, Point::new(-1.0, -1.0));
+        assert_eq!(r.max, Point::new(3.0, 3.0));
         assert_eq!(r.width(), 4.0);
         assert_eq!(r.height(), 4.0);
     }
@@ -144,16 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_intersection() {
+    fn containment() {
         let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
         assert!(r.contains(Point::new(1.0, 1.0)));
         assert!(r.contains(Point::new(0.0, 2.0)));
         assert!(!r.contains(Point::new(2.1, 1.0)));
-
-        let other = Rect::new(Point::new(1.5, 1.5), Point::new(3.0, 3.0));
-        assert!(r.intersects(&other));
-        let disjoint = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert!(!r.intersects(&disjoint));
     }
 
     #[test]

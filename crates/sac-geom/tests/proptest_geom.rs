@@ -88,19 +88,4 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
     }
-
-    /// Grid k-nearest-neighbour distances agree with a sorted linear scan.
-    #[test]
-    fn grid_knn_is_exact(pts in arb_points(150), q in arb_point(), k in 1usize..12) {
-        let grid = GridIndex::build(pts.clone(), 6).unwrap();
-        let got = grid.k_nearest(q, k);
-        let mut expected: Vec<f64> = pts.iter().map(|p| p.distance(q)).collect();
-        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let want = k.min(pts.len());
-        prop_assert_eq!(got.len(), want);
-        for i in 0..want {
-            prop_assert!((got[i].1 - expected[i]).abs() < 1e-9,
-                "rank {} mismatch: {} vs {}", i, got[i].1, expected[i]);
-        }
-    }
 }

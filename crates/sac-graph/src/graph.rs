@@ -157,11 +157,6 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
-
-    /// Returns `true` when the graph has no edges.
-    pub fn is_edgeless(&self) -> bool {
-        self.neighbors.is_empty()
-    }
 }
 
 impl fmt::Display for Graph {
@@ -231,7 +226,6 @@ mod tests {
         let g = Graph::empty(5);
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
-        assert!(g.is_edgeless());
         assert_eq!(g.degree(4), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(Graph::empty(0).average_degree(), 0.0);

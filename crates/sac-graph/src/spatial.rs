@@ -135,12 +135,6 @@ impl SpatialGraph {
         });
     }
 
-    /// The `k` vertices spatially nearest to `point`, as `(vertex, distance)` pairs
-    /// in ascending distance order.
-    pub fn k_nearest(&self, point: Point, k: usize) -> Vec<(VertexId, f64)> {
-        self.index.k_nearest(point, k)
-    }
-
     /// The positions of a vertex subset (e.g. a community) in subset order.
     pub fn positions_of(&self, subset: &[VertexId]) -> Vec<Point> {
         subset.iter().map(|&v| self.position(v)).collect()
@@ -262,14 +256,6 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, expected, "r = {r}");
         }
-    }
-
-    #[test]
-    fn knn_queries() {
-        let sg = grid_graph();
-        let nearest = sg.k_nearest(Point::new(0.1, 0.1), 3);
-        assert_eq!(nearest.len(), 3);
-        assert_eq!(nearest[0].0, 0);
     }
 
     #[test]

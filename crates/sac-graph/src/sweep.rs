@@ -30,10 +30,11 @@
 //!   current peeled state and continues the existing deletion cascade (the
 //!   k-core of a subset is contained in the k-core of its superset, so no
 //!   re-peel is needed); growing the radius re-seeds from the saved pre-peel
-//!   state, skipping the per-probe degree recomputation entirely.  A
-//!   checkpoint of the most recent feasible probe makes the shrink path
-//!   available even after an infeasible probe wrecked the working state —
-//!   exactly the access pattern of the paper's binary searches.
+//!   state, skipping the per-probe degree recomputation entirely.  One
+//!   checkpoint of the most recent changed feasible probe makes the shrink
+//!   path available even after an infeasible probe wrecked the working
+//!   state — exactly the access pattern of the paper's binary searches,
+//!   which only ever probe below the last feasible radius.
 //! * **Component collection** — a probe whose peel changed re-collects the
 //!   component of `q` with one bitset of unreached vertices: seeded with the
 //!   alive candidates of the prefix, cleared bit by bit as the BFS reaches
@@ -47,10 +48,10 @@
 //! `O(Σdeg(S) + Σdeg(changed rings))`.
 
 use crate::{bits, Graph, SpatialGraph, VertexId};
-use sac_geom::{Circle, Point, EPS};
+use sac_geom::{Circle, Point};
 
-/// Cumulative counters of one [`RadiusSweepSolver`] (exposed per query as
-/// `QueryTrace::probe_count`/`candidate_count` by the serving engine).
+/// Cumulative counters of one [`RadiusSweepSolver`] (the serving engine
+/// reports `probes` and `candidates` in each query's trace).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Sweeps started (`begin`/`begin_collect` calls).
@@ -65,10 +66,11 @@ pub struct SweepStats {
     pub incremental: u64,
 }
 
-/// A saved peel: the alive bitset and restricted degrees of the first `len`
-/// candidates of a sweep, plus the member list the probe answered with.
-/// Bits are set only for candidates below `len`, which keeps saves, restores
-/// and resets sparse (they iterate candidate ranges, never whole bitsets).
+/// A saved peel (the sweep's checkpoint): the alive bitset and restricted
+/// degrees of the first `len` candidates of a sweep, plus the member list the
+/// probe answered with.  Bits are set only for candidates below `len`, which
+/// keeps saves, restores and resets sparse (they iterate candidate ranges,
+/// never whole bitsets).
 #[derive(Debug, Clone)]
 struct PeelSnapshot {
     alive: Vec<u64>,
@@ -162,8 +164,9 @@ impl PeelSnapshot {
 
 /// A sweep-capable connected-k-core solver over a lazily partitioned
 /// candidate view: one pass over the search's member list per sweep,
-/// incremental peels per probe (see the module docs above for the probe
-/// model).
+/// incremental peels per probe from the working peel or the one checkpoint
+/// of the last changed feasible probe (see the module docs above for the
+/// probe model).
 ///
 /// ```
 /// use sac_graph::{GraphBuilder, RadiusSweepSolver, SpatialGraph};
@@ -220,14 +223,9 @@ pub struct RadiusSweepSolver {
     work_valid: bool,
     // Snapshot of the most recent changed feasible probe — restoring it also
     // restores the member list, so unchanged peels answer without re-walking
-    // the graph.
+    // the graph.  A binary search probes only below its last feasible
+    // radius, so no feasible peel larger than this one is needed again.
     ckpt: PeelSnapshot,
-    // "Roof" snapshot: the feasible peel with the largest prefix seen this
-    // sweep.  Binary searches restart high after converging low (`AppFast`
-    // re-probes near its upper bound, `AppAcc` starts every anchor at the
-    // pruning radius); the roof serves those re-ascents incrementally where
-    // the recency checkpoint has already moved far down.
-    roof: PeelSnapshot,
     /// The member list of the current working peel (valid ⇔ `work_valid`).
     cached_members: Vec<VertexId>,
     /// Largest prefix length known to be infeasible this sweep.  Probe
@@ -262,7 +260,6 @@ impl RadiusSweepSolver {
             work_len: 0,
             work_valid: false,
             ckpt: PeelSnapshot::new(n),
-            roof: PeelSnapshot::new(n),
             cached_members: Vec::new(),
             max_infeasible_len: 0,
             unreached: vec![0; words],
@@ -282,7 +279,6 @@ impl RadiusSweepSolver {
             self.deg.resize(n, 0);
         }
         self.ckpt.ensure_capacity(n);
-        self.roof.ensure_capacity(n);
     }
 
     /// Clears every bit the previous sweep may have set (sparse: iterates the
@@ -295,7 +291,6 @@ impl RadiusSweepSolver {
             bits::clear(&mut self.alive, self.cand[i].1);
         }
         self.ckpt.reset(&self.cand);
-        self.roof.reset(&self.cand);
         self.prefix_len = 0;
         self.work_len = 0;
         self.work_valid = false;
@@ -387,11 +382,6 @@ impl RadiusSweepSolver {
         self.stats
     }
 
-    /// Number of candidates in the current sweep.
-    pub fn candidate_count(&self) -> usize {
-        self.cand.len()
-    }
-
     /// The smallest candidate distance strictly greater than `r`
     /// (`f64::INFINITY` when every candidate is within `r`).  Distances are
     /// computed as `Point::distance` does, so the value matches a linear scan
@@ -426,30 +416,30 @@ impl RadiusSweepSolver {
     }
 
     /// The candidates inside an arbitrary `circle`, appended to `out`
-    /// (cleared first).  The caller must guarantee the sweep's candidate view
-    /// covers the circle (every member of the sweep inside `circle` lies
-    /// within the sweep's `r_max` of its centre); membership uses the same
-    /// [`Circle::contains`] bound as the spatial index, so the result equals
-    /// the from-scratch grid query filtered by the sweep's members.
+    /// (cleared first).  Radius sweeps only.  The caller must guarantee the
+    /// sweep's candidate view covers the circle (every member of the sweep
+    /// inside `circle` lies within the sweep's `r_max` of its centre);
+    /// membership uses the same [`Circle::contains`] bound as the spatial
+    /// index, so the result equals the from-scratch grid query filtered by the
+    /// sweep's members.
     pub fn candidates_in_circle_into(
         &mut self,
         g: &SpatialGraph,
         circle: &Circle,
         out: &mut Vec<VertexId>,
     ) {
+        debug_assert!(
+            self.by_distance,
+            "candidates_in_circle_into on a collected sweep"
+        );
         out.clear();
-        // Conservative prefix cut: members lie within |center, circle.center|
-        // + the circle's inclusion radius of the sweep centre; the EPS slack
-        // dwarfs floating-point error, and exact membership is decided by
-        // `contains` below.
+        // Conservative prefix cut: a member inside `circle` lies within its
+        // inclusion bound of `circle.center`, hence within the inclusion bound
+        // of the sweep-centred circle of radius |center, circle.center| +
+        // `circle.radius` (the bound grows faster than the radius); exact
+        // membership is decided by `contains` below.
         let reach = self.center.distance(circle.center) + circle.radius;
-        let bound = reach + EPS * (1.0 + reach);
-        let bound_sq = bound * bound;
-        let cut = if self.by_distance {
-            self.prefix_within(bound_sq)
-        } else {
-            self.cand.len()
-        };
+        let cut = self.prefix_within(Circle::new(self.center, reach).contains_bound_sq());
         for &(_, v) in &self.cand[..cut] {
             if circle.contains(g.position(v)) {
                 out.push(v);
@@ -550,33 +540,22 @@ impl RadiusSweepSolver {
         // re-seed touches the target prefix itself — when every ring
         // outweighs the prefix, rebuilding from the maintained pre-peel
         // degrees is the cheaper route.  Sources in preference order: the
-        // in-place working peel (no restore copy), the recency checkpoint,
-        // the roof (largest feasible peel — serves the re-ascents binary
-        // searches make after converging low).
+        // in-place working peel (no restore copy), then the checkpoint.
         let shrink_from_work =
             self.work_valid && self.work_len >= len && self.work_len - len <= len;
         let shrink_from_ckpt =
             self.ckpt.valid && self.ckpt.len >= len && self.ckpt.len - len <= len;
-        let shrink_from_roof =
-            self.roof.valid && self.roof.len >= len && self.roof.len - len <= len;
         // `Some(changed)`: q survives, `changed` says whether the alive set
         // differs from the state `cached_members` was collected for; `None`:
         // q was peeled.
-        let outcome = if self.work_valid && self.work_len == len {
-            // Same prefix as the previous (feasible) probe: answer directly.
-            Some(false)
-        } else if shrink_from_work {
-            // Monotone shrink: remove the annulus ring, continue the cascade.
+        let outcome = if shrink_from_work {
+            // Monotone shrink: remove the annulus ring (empty at the same
+            // prefix, answering `Some(false)`), continue the cascade.
             self.stats.incremental += 1;
             self.shrink(g, len)
-        } else if shrink_from_ckpt || shrink_from_roof {
+        } else if shrink_from_ckpt {
             self.stats.incremental += 1;
-            let snapshot = if shrink_from_ckpt {
-                &self.ckpt
-            } else {
-                &self.roof
-            };
-            self.work_len = snapshot.restore(
+            self.work_len = self.ckpt.restore(
                 &self.cand,
                 &mut self.alive,
                 &mut self.deg,
@@ -590,8 +569,8 @@ impl RadiusSweepSolver {
                 Some(false)
             }
         } else {
-            // Growing past every saved peel (or shrinking far below them
-            // all): re-seed from the pre-peel state — prefix degrees are
+            // Growing past the working peel and the checkpoint (or shrinking
+            // far below both): re-seed from the pre-peel state — prefix degrees are
             // maintained, so no degree recomputation.
             self.stats.reseeds += 1;
             self.reseed(g, len)
@@ -605,7 +584,7 @@ impl RadiusSweepSolver {
         self.work_len = len;
         if changed {
             // The alive set moved: re-collect the component and re-anchor the
-            // snapshots.  Unchanged probes keep the (larger) saved peels —
+            // checkpoint.  Unchanged probes keep the (larger) saved peel —
             // same alive set, wider restore coverage, no copying.
             self.cached_members = self.collect_component(g);
             self.ckpt.save(
@@ -615,15 +594,6 @@ impl RadiusSweepSolver {
                 len,
                 &self.cached_members,
             );
-            if !self.roof.valid || len >= self.roof.len {
-                self.roof.save(
-                    &self.cand,
-                    &self.alive,
-                    &self.deg,
-                    len,
-                    &self.cached_members,
-                );
-            }
         }
         Some(self.cached_members.clone())
     }

@@ -95,15 +95,6 @@ impl FaultPlan {
             }
         }
     }
-
-    /// Whether any fault has a non-zero probability.
-    pub fn is_active(&self) -> bool {
-        self.drop > 0.0
-            || self.delay > 0.0
-            || self.duplicate > 0.0
-            || self.corrupt > 0.0
-            || self.truncate > 0.0
-    }
 }
 
 /// What the injector decided to do with one frame.
@@ -194,8 +185,6 @@ mod tests {
         assert_eq!(plan.truncate, 0.02);
         assert_eq!(plan.delay, 0.3);
         assert_eq!(plan.delay_ms, 12);
-        assert!(plan.is_active());
-        assert!(!FaultPlan::parse("seed=9").unwrap().is_active());
         assert!(FaultPlan::parse("drop=1.5").is_err());
         assert!(FaultPlan::parse("nope=1").is_err());
         assert!(FaultPlan::parse("drop").is_err());

@@ -39,12 +39,12 @@ pub struct SlowQueryRecord {
 /// configurable latency threshold (0 disables capture). When full, the
 /// oldest entry is evicted and counted in [`SlowQueryLog::dropped`].
 ///
-/// The threshold check is one relaxed atomic load, so a disabled (or
-/// rarely-tripped) slow log costs nothing on the dispatch path; only actual
-/// slow queries take the ring's mutex.
+/// The threshold is fixed at construction and its check is one integer
+/// compare, so a disabled (or rarely-tripped) slow log costs nothing on the
+/// dispatch path; only actual slow queries take the ring's mutex.
 #[derive(Debug)]
 pub struct SlowQueryLog {
-    threshold_micros: AtomicU64,
+    threshold_micros: u64,
     capacity: usize,
     dropped: AtomicU64,
     ring: Mutex<VecDeque<SlowQueryRecord>>,
@@ -55,7 +55,7 @@ impl SlowQueryLog {
     /// threshold `threshold_micros` (0 = disabled).
     pub fn new(capacity: usize, threshold_micros: u64) -> Self {
         SlowQueryLog {
-            threshold_micros: AtomicU64::new(threshold_micros),
+            threshold_micros,
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
@@ -64,12 +64,7 @@ impl SlowQueryLog {
 
     /// Current capture threshold in microseconds (0 = disabled).
     pub fn threshold_micros(&self) -> u64 {
-        self.threshold_micros.load(Ordering::Relaxed)
-    }
-
-    /// Re-arms the capture threshold at runtime (0 disables).
-    pub fn set_threshold_micros(&self, micros: u64) {
-        self.threshold_micros.store(micros, Ordering::Relaxed);
+        self.threshold_micros
     }
 
     /// Number of entries evicted because the ring was full.
@@ -78,7 +73,7 @@ impl SlowQueryLog {
     }
 
     /// Captures `record` if `total_micros` meets the threshold. The record
-    /// is built lazily so fast queries pay only the atomic threshold load.
+    /// is built lazily so fast queries pay only the threshold compare.
     pub fn observe<F: FnOnce() -> SlowQueryRecord>(&self, total_micros: u64, record: F) {
         let threshold = self.threshold_micros();
         if threshold == 0 || total_micros < threshold {
@@ -152,9 +147,6 @@ mod tests {
         let log = SlowQueryLog::new(4, 0);
         log.observe(u64::MAX, || panic!("record must not be built"));
         assert!(log.is_empty());
-        log.set_threshold_micros(1);
-        log.observe(2, || rec(1, 2));
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

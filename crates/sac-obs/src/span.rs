@@ -63,13 +63,6 @@ impl<'a> Span<'a> {
         }
         micros
     }
-
-    /// Stops the span *without* recording (e.g. an error path that should
-    /// not pollute the latency distribution). Returns the measurement.
-    pub fn cancel(mut self) -> u64 {
-        self.hist = None;
-        self.elapsed_micros()
-    }
 }
 
 impl Drop for Span<'_> {
@@ -94,13 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_records_cancel_does_not() {
+    fn drop_records_disabled_does_not() {
         let h = Histogram::new();
         {
             let _span = Span::start(&h);
         }
-        assert_eq!(h.snapshot().count(), 1);
-        let _ = Span::start(&h).cancel();
         assert_eq!(h.snapshot().count(), 1);
         let _ = Span::disabled().finish();
         assert_eq!(h.snapshot().count(), 1);

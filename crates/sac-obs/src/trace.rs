@@ -48,11 +48,6 @@ impl TraceNode {
         self
     }
 
-    /// Appends a child span in place.
-    pub fn push_child(&mut self, child: TraceNode) {
-        self.children.push(child);
-    }
-
     /// Total number of nodes in the tree (including this one).
     pub fn node_count(&self) -> usize {
         1 + self
@@ -104,9 +99,6 @@ mod tests {
             tree.render(),
             "query:100us[plan:10us,exec:90us[context:44us,search:46us]]"
         );
-        let mut manual = TraceNode::new("query", 0, 100);
-        manual.push_child(TraceNode::new("plan", 0, 10));
-        assert_eq!(manual.children.len(), 1);
         assert_eq!(TraceNode::new("leaf", 5, 7).render(), "leaf:7us");
     }
 }

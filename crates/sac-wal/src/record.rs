@@ -161,20 +161,6 @@ impl DeltaRecord {
         out
     }
 
-    /// Number of bytes [`DeltaRecord::encode`] produces.
-    pub fn encoded_len(&self) -> usize {
-        let ops: usize = self
-            .ops
-            .iter()
-            .map(|op| match op {
-                WalOp::InsertEdge(..) | WalOp::RemoveEdge(..) => 9,
-                WalOp::AddVertex(..) => 17,
-                WalOp::MoveVertex(..) => 21,
-            })
-            .sum();
-        FRAME_HEADER_BYTES + 20 + ops
-    }
-
     /// Decodes a CRC-verified payload.  `segment` and `offset` name the
     /// source location for error messages (pass 0 for frames that did not
     /// come from a local segment file, e.g. replication wire frames).
@@ -272,7 +258,10 @@ mod tests {
     fn roundtrip() {
         let rec = sample();
         let frame = rec.encode();
-        assert_eq!(frame.len(), rec.encoded_len());
+        // Header, epoch + term + op count, then 9 bytes per edge op, 17 per
+        // added vertex and 21 per moved vertex (the decoder's capacity bound
+        // relies on 9 being the smallest op).
+        assert_eq!(frame.len(), FRAME_HEADER_BYTES + 20 + 9 + 9 + 17 + 21);
         let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
         let payload = &frame[8..];

@@ -8,8 +8,10 @@ use sackit::core::{app_acc, app_fast, app_inc, exact_plus, theta_sac};
 use sackit::data::{select_query_vertices, DatasetKind, DatasetSpec};
 use sackit::engine::{EngineConfig, LatencyTier, Plan, SacEngine};
 use sackit::fixtures::{figure3, figure3_graph};
-use sackit::graph::{is_connected_subset, min_degree_in_subset};
-use sackit::{Community, QueryBudget, SacRequest, SpatialGraph};
+use sackit::graph::{
+    core_decomposition, is_connected_subset, min_degree_in_subset, KCoreComponents, SweepStats,
+};
+use sackit::{Algorithm, Community, QueryBudget, SacRequest, SearchContext, SpatialGraph};
 use std::sync::Arc;
 
 fn surrogate() -> SpatialGraph {
@@ -245,48 +247,98 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Seeded queries on the Brightkite 0.02 surrogate under the default,
-/// interactive and ratio-1 (`exact_plus`) budgets answer bit-identically to
-/// the pinned digest of plan label, members, radius bits, probe count and
-/// candidate count.  Search refactors must leave it unchanged; a change to
-/// the dataset generator moves every answer and re-pins the constant.
-#[test]
-fn seeded_engine_answers_match_the_pinned_digest() {
+/// The Brightkite 0.02 surrogate and the 72 seeded requests on it: 16 query
+/// vertices (12 drawn from the 4-core, 4 uniform) at k = 3 and 4 under the
+/// default and interactive budgets, and the first 4 of them under the
+/// ratio-1 (`exact_plus`) budget.
+fn pinned_workload() -> (SpatialGraph, Vec<SacRequest>) {
     let graph = DatasetSpec::scaled(DatasetKind::Brightkite, 0.02).generate();
-    let engine = SacEngine::new(graph);
-    let snapshot = engine.snapshot();
     let mut rng = StdRng::seed_from_u64(0x5AC_D16E);
-    let mut queries = select_query_vertices(snapshot.graph(), 12, 4, &mut rng);
-    queries.extend((0..4).map(|_| rng.gen_range(0..snapshot.num_vertices() as u32)));
+    let mut queries = select_query_vertices(graph.graph(), 12, 4, &mut rng);
+    queries.extend((0..4).map(|_| rng.gen_range(0..graph.num_vertices() as u32)));
     let budgets = [
         (QueryBudget::default(), 16),
         (QueryBudget::interactive(), 16),
         (QueryBudget::exact(), 4),
     ];
-    let (mut bytes, mut id) = (Vec::new(), 0u64);
+    let mut requests = Vec::new();
     for (budget, count) in budgets {
         for (&q, k) in queries[..count].iter().flat_map(|q| [(q, 3u32), (q, 4)]) {
-            id += 1;
+            let id = requests.len() as u64 + 1;
             let request = SacRequest::builder(q, k).id(id).budget(budget).build();
-            let response = engine.execute(&request.unwrap());
-            let community = response.outcome.expect("valid request");
-            let members = community.as_ref().map_or(&[][..], |c| c.members());
-            let radius = community.as_ref().map_or(f64::NAN, |c| c.radius());
-            let trace = [response.trace.probe_count, response.trace.candidate_count];
-            bytes.extend(response.plan.label().bytes());
-            for x in [members.len() as u64, radius.to_bits()]
-                .into_iter()
-                .chain(trace)
-                .chain(members.iter().map(|&v| u64::from(v)))
-            {
-                bytes.extend(x.to_le_bytes());
-            }
+            requests.push(request.unwrap());
+        }
+    }
+    (graph, requests)
+}
+
+/// The pinned workload answers bit-identically to the pinned digest of plan
+/// label, members, radius bits, probe count and candidate count.  Search
+/// refactors must leave it unchanged; a change to the dataset generator
+/// moves every answer and re-pins the constant.
+#[test]
+fn seeded_engine_answers_match_the_pinned_digest() {
+    let (graph, requests) = pinned_workload();
+    let engine = SacEngine::new(graph);
+    let mut bytes = Vec::new();
+    for request in &requests {
+        let response = engine.execute(request);
+        let community = response.outcome.expect("valid request");
+        let members = community.as_ref().map_or(&[][..], |c| c.members());
+        let radius = community.as_ref().map_or(f64::NAN, |c| c.radius());
+        let trace = [response.trace.probe_count, response.trace.candidate_count];
+        bytes.extend(response.plan.label().bytes());
+        for x in [members.len() as u64, radius.to_bits()]
+            .into_iter()
+            .chain(trace)
+            .chain(members.iter().map(|&v| u64::from(v)))
+        {
+            bytes.extend(x.to_le_bytes());
         }
     }
     assert_eq!(
         fnv1a(&bytes),
         5_417_157_178_920_587_270,
         "answer digest moved"
+    );
+}
+
+/// The pinned workload's planned queries, each run through a context over
+/// the shared k-core index as the engine dispatches them, take the pinned
+/// sweep path mix: how many sweeps, probes, candidates and pre-peel reseeds
+/// they cost in total.  A probe that moves from an incremental path to a
+/// reseed (or a sweep that materialises more candidates) moves these sums
+/// even when every answer stays the same.
+#[test]
+fn seeded_queries_take_the_pinned_sweep_path_mix() {
+    let (graph, requests) = pinned_workload();
+    let engine = SacEngine::new(graph.clone());
+    let decomposition = core_decomposition(graph.graph());
+    let mut total = SweepStats::default();
+    for request in &requests {
+        let response = engine.execute(request);
+        let Plan::Execute(planned) = response.plan else {
+            continue;
+        };
+        let (q, k) = (request.q, request.k);
+        let components = Arc::new(KCoreComponents::build(graph.graph(), &decomposition, k));
+        let mut ctx = SearchContext::with_components(&graph, q, k, components).unwrap();
+        let outcome = Algorithm::from_name(planned.algorithm)
+            .expect("the planner plans only Algorithm names")
+            .run(&mut ctx, &planned.query)
+            .unwrap();
+        assert_eq!(outcome.community, response.outcome.unwrap(), "q={q} k={k}");
+        let stats = ctx.sweep_stats();
+        assert_eq!(stats.probes, response.trace.probe_count, "q={q} k={k}");
+        total.sweeps += stats.sweeps;
+        total.probes += stats.probes;
+        total.candidates += stats.candidates;
+        total.reseeds += stats.reseeds;
+    }
+    assert_eq!(
+        [total.sweeps, total.probes, total.candidates, total.reseeds],
+        [12_947, 80_500, 3_121_289, 13_701],
+        "sweep path mix moved"
     );
 }
 
