@@ -1,13 +1,12 @@
 //! Machine-readable radius-sweep bench runner.
 //!
-//! Times the probe loops of one query two ways (from-scratch
-//! `feasible_in_circle` vs incremental `begin_sweep`/`probe` over the
-//! k-ĉore's members, on the shared dyadic schedule; both give the same
-//! answers, as every connected k-core containing `q` lies in its k-ĉore)
-//! with plain `Instant` timers, alternating the two sides rep by rep, sums
-//! them over every bench query vertex, and writes the results to
-//! `BENCH_radius_sweep.json`
-//! in the current directory — one JSON document per run, so CI can track the
+//! Times the probe loops of one query two ways over the k-ĉore's members,
+//! on the shared dyadic schedule: from-scratch `feasible_in_circle` (one
+//! pass over the members plus one subset peel per probe) vs incremental
+//! `begin_sweep`/`probe`.  Both give the same answers.  It times them with
+//! plain `Instant` timers, alternating the two sides rep by rep, sums them
+//! over every bench query vertex, and writes the results to
+//! `BENCH_radius_sweep.json` in the current directory — one JSON document per run, so CI can track the
 //! perf trajectory without parsing human-oriented bench output.
 //!
 //! Run with: `cargo run --release -p sac-bench --example bench_radius_sweep`
@@ -42,7 +41,9 @@ fn time_case(g: &SpatialGraph, case: &ProbeCase, schedule: &[f64]) -> (f64, f64)
     for _ in 0..REPS {
         let start = Instant::now();
         for &r in schedule {
-            std::hint::black_box(scratch_ctx.feasible_in_circle(&Circle::new(q_pos, r)));
+            std::hint::black_box(
+                scratch_ctx.feasible_in_circle(&Circle::new(q_pos, r), &case.members),
+            );
         }
         scratch = scratch.min(start.elapsed().as_secs_f64());
 

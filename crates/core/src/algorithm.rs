@@ -15,6 +15,7 @@
 use crate::app_acc::validate_eps_a;
 use crate::app_fast::{app_fast_with_ctx, validate_eps_f};
 use crate::common::SearchContext;
+use crate::theta::validate_theta;
 use crate::{Community, SacError, DEFAULT_EPS_A, DEFAULT_EPS_F, EXACT_PLUS_EPS_A};
 use sac_graph::VertexId;
 
@@ -270,6 +271,7 @@ impl Algorithm {
             Algorithm::ExactPlus
                 | Algorithm::AppAcc
                 | Algorithm::AppFast
+                | Algorithm::ThetaSac
                 | Algorithm::Exact
                 | Algorithm::Global
                 | Algorithm::Local
@@ -314,7 +316,8 @@ impl Algorithm {
                     name: "theta",
                     message: "theta_sac requires a theta radius constraint".to_string(),
                 })?;
-                crate::theta_sac(ctx.g, query.q, query.k, theta)?
+                validate_theta(theta)?;
+                crate::theta::theta_sac_with_ctx(ctx, theta)
             }
             Algorithm::Exact => crate::exact::exact_with_ctx(ctx)?,
             Algorithm::Global => crate::baselines::global_search_with_ctx(ctx),
@@ -417,6 +420,7 @@ mod tests {
                 "exact_plus",
                 "app_acc",
                 "app_fast",
+                "theta_sac",
                 "exact",
                 "global",
                 "local"

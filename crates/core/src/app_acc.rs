@@ -1,6 +1,6 @@
 //! `AppAcc`: the anchor-point (1+εA)-approximation algorithm (Algorithm 4).
 
-use crate::app_fast::app_fast_with_ctx;
+use crate::app_fast::app_fast_in_kcore;
 use crate::common::{knn_lower_bound, trivial_small_k, SearchContext};
 use crate::{Community, SacError};
 use sac_geom::{AnchorCell, Circle, Point};
@@ -77,9 +77,9 @@ pub(crate) fn validate_eps_a(eps_a: f64) -> Result<(), SacError> {
 
 /// `AppAcc` over an existing [`SearchContext`] (assumes `eps_a` validated).
 ///
-/// A context carrying a shared k-core index accelerates the embedded
-/// `AppFast(εF = 0)` bootstrap — its Step 1 reads the k-ĉore from the index
-/// instead of peeling the graph.
+/// A context carrying a shared k-core index accelerates Step 1 — the k-ĉore
+/// `X` that the embedded `AppFast(εF = 0)` bootstrap and line 3 search is
+/// read from the index instead of peeling the graph.
 pub(crate) fn app_acc_detailed_with_ctx(
     ctx: &mut SearchContext<'_>,
     eps_a: f64,
@@ -98,9 +98,15 @@ pub(crate) fn app_acc_detailed_with_ctx(
         }));
     }
 
-    // Line 2: run AppFast with εF = 0 to obtain Φ, δ and γ (sharing this
-    // context's scratch state and, when present, its shared k-core index).
-    let seed = match app_fast_with_ctx(ctx, 0.0)? {
+    // Step 1: the k-ĉore X containing q (from the context's shared k-core
+    // index when present).  Line 2 and line 3 both search inside it.
+    let x = match ctx.global_kcore_of_q() {
+        Some(x) => x,
+        None => return Ok(None),
+    };
+    // Line 2: run AppFast with εF = 0 on X to obtain Φ, δ and γ (sharing
+    // this context's scratch state).
+    let seed = match app_fast_in_kcore(ctx, &x, 0.0) {
         Some(seed) => seed,
         None => return Ok(None),
     };
@@ -124,9 +130,9 @@ pub(crate) fn app_acc_detailed_with_ctx(
         }));
     }
 
-    // Line 3: S = vertices of the k-ĉore containing q inside O(q, 2γ); the optimal
-    // community is contained in it (Corollary 2).
-    let s = match ctx.feasible_in_circle(&Circle::new(q_pos, 2.0 * gamma)) {
+    // Line 3: S = the connected k-core containing q among the vertices of X
+    // inside O(q, 2γ); the optimal community is contained in it (Corollary 2).
+    let s = match ctx.feasible_in_circle(&Circle::new(q_pos, 2.0 * gamma), &x) {
         Some(s) => s,
         None => {
             // Φ itself lies in O(q, 2γ), so this cannot happen; defensively fall

@@ -60,9 +60,9 @@ pub(crate) fn validate_eps_f(eps_f: f64) -> Result<(), SacError> {
 
 /// `AppFast` over an existing [`SearchContext`] (assumes `eps_f` validated).
 ///
-/// This is the single implementation behind [`app_fast`], the batch session
-/// and the `AppAcc`/`Exact+` bootstrap: when the context carries a shared
-/// k-core index, the k-ĉore extraction skips the `O(m)` peel.
+/// This is the single implementation behind [`app_fast`] and the engine's
+/// `app_fast` arm: when the context carries a shared k-core index, the
+/// k-ĉore extraction skips the `O(m)` peel.
 pub(crate) fn app_fast_with_ctx(
     ctx: &mut SearchContext<'_>,
     eps_f: f64,
@@ -76,19 +76,26 @@ pub(crate) fn app_fast_with_ctx(
             iterations: 0,
         }));
     }
-
     // Step 1 of the two-step framework: the k-ĉore X containing q.
-    let x = match ctx.global_kcore_of_q() {
-        Some(x) => x,
-        None => return Ok(None),
-    };
+    Ok(ctx
+        .global_kcore_of_q()
+        .and_then(|x| app_fast_in_kcore(ctx, &x, eps_f)))
+}
+
+/// Step 2 of `AppFast` for `k ≥ 2` over `x`, the k-ĉore containing `q`
+/// (sorted by id).  `AppAcc` (and through it `Exact+`) calls it with
+/// `εF = 0` on the `X` it keeps for its line 3, so Step 1 runs once per
+/// query.
+pub(crate) fn app_fast_in_kcore(
+    ctx: &mut SearchContext<'_>,
+    x: &[VertexId],
+    eps_f: f64,
+) -> Option<AppFastOutcome> {
+    let (g, q, k) = (ctx.g, ctx.q, ctx.k);
     let q_pos = ctx.q_pos();
 
     // Eq. (1): initial bounds for the binary search.
-    let mut l = match knn_lower_bound(g, q, k, &x) {
-        Some(l) => l,
-        None => return Ok(None),
-    };
+    let mut l = knn_lower_bound(g, q, k, x)?;
     let mut u = x
         .iter()
         .map(|&v| g.position(v).distance(q_pos))
@@ -97,10 +104,10 @@ pub(crate) fn app_fast_with_ctx(
     // Every probe is a q-centred circle of radius ≤ u: one sweep over X's
     // member list serves the whole binary search (each probe a prefix that
     // the sweep partitions out of it on demand).
-    ctx.begin_sweep(q_pos, u, &x);
+    ctx.begin_sweep(q_pos, u, x);
 
     // Λ starts as the whole k-ĉore (always feasible).
-    let mut best = x.clone();
+    let mut best = x.to_vec();
     let mut best_radius_bound = u;
     let mut iterations = 0usize;
     // Hard cap: the interval endpoints always move to actual vertex distances, so
@@ -148,12 +155,12 @@ pub(crate) fn app_fast_with_ctx(
 
     let community = Community::new(g, best);
     let gamma = community.radius();
-    Ok(Some(AppFastOutcome {
+    Some(AppFastOutcome {
         delta: best_radius_bound,
         gamma,
         community,
         iterations,
-    }))
+    })
 }
 
 #[cfg(test)]

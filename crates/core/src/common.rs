@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 /// Per-query scratch state shared by all algorithms: the validated query, a
 /// reusable subset-k-core solver, an incremental radius-sweep solver, a
-/// reusable circular-range-query buffer and — when the caller already has
-/// one — a shared k-core index that lets the structural phase (Step 1) skip
-/// its `O(m)` peel.
+/// reusable in-circle member buffer and — when the caller already has one —
+/// a shared k-core index that lets the structural phase (Step 1) skip its
+/// `O(m)` peel.
 ///
 /// A context is the execution environment [`Algorithm::run`](crate::Algorithm::run)
 /// runs in: the serving engine builds one per query (threading its cached
@@ -30,7 +30,9 @@ use std::sync::Arc;
 /// only the one unordered bucket its radius falls in) with an incremental
 /// peel (see [`sac_graph::RadiusSweepSolver`]).
 /// [`SearchContext::feasible_in_circle`] is the from-scratch single-probe
-/// path, kept as the reference the property suite pins the sweep against.
+/// path over the same kind of member list (`AppAcc`'s line 3, `θ-SAC`).
+/// No probe reads a spatial index: every connected k-core containing `q`
+/// lies in `X`, so filtering `X` by the circle is the whole range query.
 pub struct SearchContext<'g> {
     pub(crate) g: &'g SpatialGraph,
     pub(crate) q: VertexId,
@@ -163,17 +165,44 @@ impl<'g> SearchContext<'g> {
         self.g.position(v).distance(self.q_pos())
     }
 
-    /// Returns the connected k-core containing `q` induced by the vertices inside
-    /// `circle`.  `None` when no feasible community exists.
+    /// Returns the connected k-core containing `q` induced by the vertices of
+    /// `members` (distinct vertices in any order) inside `circle`.  `None`
+    /// when no feasible community exists.
     ///
-    /// This is the from-scratch path (one grid query + one full subset peel).
-    /// Probe loops over nested circles should use [`SearchContext::begin_sweep`]
-    /// / [`SearchContext::probe`] instead, which answer the same question
+    /// With the k-ĉore containing `q` as the members this is the answer over
+    /// the whole graph: every connected k-core containing `q` lies in it.
+    /// This is the from-scratch path (one pass over `members` with the
+    /// [`Circle::contains`] bound, then one full subset peel).  Probe loops
+    /// over nested circles should use [`SearchContext::begin_sweep`] /
+    /// [`SearchContext::probe`] instead, which answer the same question
     /// bit-identically at amortised cost.
-    pub fn feasible_in_circle(&mut self, circle: &Circle) -> Option<Vec<VertexId>> {
-        self.g.vertices_in_circle_into(circle, &mut self.circle_buf);
+    pub fn feasible_in_circle(
+        &mut self,
+        circle: &Circle,
+        members: &[VertexId],
+    ) -> Option<Vec<VertexId>> {
+        let (g, bound) = (self.g, circle.contains_bound_sq());
+        let inside = |&v: &VertexId| circle.center.distance_sq(g.position(v)) <= bound;
+        self.circle_buf.clear();
+        self.circle_buf
+            .extend(members.iter().copied().filter(inside));
         self.solver
             .kcore_containing(self.g.graph(), &self.circle_buf, self.q, self.k)
+    }
+
+    /// Runs `f` on [`SearchContext::global_kcore_of_q`]'s k-ĉore, borrowing
+    /// a shared component index's member slice instead of copying it;
+    /// `None` when `q` is in no k-core.
+    pub(crate) fn with_kcore_of_q<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &[VertexId]) -> R,
+    ) -> Option<R> {
+        if let Step1::Components(index) = &self.step1 {
+            let index = Arc::clone(index);
+            return index.core_of(self.q).map(|x| f(self, x));
+        }
+        let x = self.global_kcore_of_q()?;
+        Some(f(self, &x))
     }
 
     /// Starts an incremental radius sweep centred at `center` covering every
@@ -189,17 +218,16 @@ impl<'g> SearchContext<'g> {
     /// Sweep probe: the connected k-core containing `q` among the sweep's
     /// members inside `O(center, r)`, served incrementally from the current
     /// sweep (shrinks continue the deletion cascade; grows re-seed from the
-    /// maintained pre-peel state).  With the k-ĉore containing `q` as the
-    /// members this is exactly [`SearchContext::feasible_in_circle`]: every
-    /// connected k-core containing `q` lies inside that k-ĉore.
+    /// maintained pre-peel state); the same answer as
+    /// [`SearchContext::feasible_in_circle`] over the sweep's members.
     pub fn probe(&mut self, r: f64) -> Option<Vec<VertexId>> {
         self.sweep.probe_radius(self.g.graph(), r)
     }
 
     /// Sweep probe for an **arbitrary** circle (the triple-enumeration loops
     /// of `Exact`/`Exact+`, whose circles are not concentric): the candidate
-    /// view replaces the grid range query, the flat-bitset subset solver does
-    /// the peel.  The current sweep's candidate view must cover the circle
+    /// view replaces the pass over the members, the flat-bitset subset solver
+    /// does the peel.  The current sweep's candidate view must cover the circle
     /// (`Exact`/`Exact+` begin their sweep at `q` with `r_max` past twice the
     /// current best radius, which Lemma 1 guarantees is enough).
     pub fn probe_circle(&mut self, circle: &Circle) -> Option<Vec<VertexId>> {
@@ -390,13 +418,17 @@ mod tests {
     fn feasible_in_circle_finds_triangles() {
         let g = figure3_graph();
         let mut ctx = SearchContext::new(&g, figure3::Q, 2).unwrap();
+        let x = ctx.global_kcore_of_q().unwrap();
         // A large circle around Q covers the whole left 2-ĉore.
         let big = Circle::new(ctx.q_pos(), 10.0);
-        let community = ctx.feasible_in_circle(&big).unwrap();
+        let community = ctx.feasible_in_circle(&big, &x).unwrap();
         assert_eq!(community, vec![0, 1, 2, 3, 4, 5]);
+        // Every vertex as the members: the same answer.
+        let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        assert_eq!(ctx.feasible_in_circle(&big, &all), Some(community));
         // A tight circle around Q covers nothing feasible.
         let tiny = Circle::new(ctx.q_pos(), 0.5);
-        assert!(ctx.feasible_in_circle(&tiny).is_none());
+        assert!(ctx.feasible_in_circle(&tiny, &x).is_none());
     }
 
     #[test]
@@ -410,7 +442,7 @@ mod tests {
         for r in [10.0, 1.0, 4.0, 0.2, 2.5, 0.0, 10.0] {
             assert_eq!(
                 ctx.probe(r),
-                reference.feasible_in_circle(&Circle::new(center, r)),
+                reference.feasible_in_circle(&Circle::new(center, r), &all),
                 "radius {r}"
             );
         }
@@ -420,7 +452,7 @@ mod tests {
             let circle = Circle::new(sac_geom::Point::new(cx, cy), r);
             assert_eq!(
                 ctx.probe_circle(&circle),
-                reference.feasible_in_circle(&circle),
+                reference.feasible_in_circle(&circle, &all),
                 "circle ({cx}, {cy}) r={r}"
             );
         }

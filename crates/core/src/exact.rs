@@ -59,7 +59,7 @@ pub(crate) fn exact_with_ctx(ctx: &mut SearchContext<'_>) -> Result<Option<Commu
     // Every evaluated circle has radius < best_radius and must contain q to be
     // feasible, so its members lie within 2·best_radius of q (Lemma 1): one
     // q-centred candidate view over X covers the whole triple enumeration,
-    // replacing the per-circle grid range queries.
+    // with no per-circle pass over X.
     ctx.begin_sweep(q_pos, sweep_cover_radius(best_radius), &x);
 
     // Enumerate triples {X_i, X_j, X_h} with j < h < i, i being the farthest of the

@@ -119,7 +119,7 @@ pub(crate) fn exact_plus_detailed_with_ctx(
     // Every candidate circle below has radius < r_cur ≤ r_Γ and must contain
     // q to be feasible, so its members lie within 2·r_Γ of q: one q-centred
     // candidate view over S serves the diametral-pair and triple loops
-    // without further grid range queries.
+    // with no per-circle pass over S.
     ctx.begin_sweep(ctx.q_pos(), sweep_cover_radius(r_gamma), s);
 
     // Helper evaluating one candidate circle.

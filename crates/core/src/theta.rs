@@ -9,64 +9,68 @@ use sac_graph::{SpatialGraph, VertexId};
 /// `θ-SAC` search: the variant of `Global` that restricts the community to the
 /// user-supplied circle `O(q, θ)`.
 ///
-/// The algorithm performs a BFS from `q` over the vertices located inside
-/// `O(q, θ)` and returns the connected k-core containing `q` of the subgraph they
-/// induce, or `Ok(None)` when no such community exists (for instance when θ is too
-/// small — the sensitivity the paper studies in Figure 11).
+/// The algorithm keeps the vertices of the k-ĉore containing `q` that lie
+/// inside `O(q, θ)` and returns the connected k-core containing `q` of the
+/// subgraph they induce, or `Ok(None)` when no such community exists (for
+/// instance when θ is too small — the sensitivity the paper studies in
+/// Figure 11).  Every connected k-core containing `q` lies in that k-ĉore,
+/// so the answer is the one over every vertex inside the circle.
 pub fn theta_sac(
     g: &SpatialGraph,
     q: VertexId,
     k: u32,
     theta: f64,
 ) -> Result<Option<Community>, SacError> {
+    validate_theta(theta)?;
+    let mut ctx = SearchContext::new(g, q, k)?;
+    Ok(theta_sac_with_ctx(&mut ctx, theta))
+}
+
+/// Validates the `θ` parameter shared by [`theta_sac`] and [`range_only`].
+pub(crate) fn validate_theta(theta: f64) -> Result<(), SacError> {
     if !theta.is_finite() || theta < 0.0 {
         return Err(SacError::InvalidParameter {
             name: "theta",
             message: format!("must be a finite non-negative number, got {theta}"),
         });
     }
-    let mut ctx = SearchContext::new(g, q, k)?;
+    Ok(())
+}
+
+/// `θ-SAC` over an existing [`SearchContext`] (assumes `theta` validated):
+/// when the context carries a shared k-core index, Step 1 reads the k-ĉore
+/// from it without a peel or a copy.
+pub(crate) fn theta_sac_with_ctx(ctx: &mut SearchContext<'_>, theta: f64) -> Option<Community> {
+    let (g, q, k) = (ctx.g, ctx.q, ctx.k);
+    let circle = Circle::new(ctx.q_pos(), theta);
     if let Some(trivial) = trivial_small_k(g, q, k) {
         // Even the trivial communities must respect the θ constraint.
-        return Ok(trivial.filter(|c| {
-            c.members()
-                .iter()
-                .all(|&v| g.distance(q, v) <= theta + 1e-12)
-        }));
+        return trivial.filter(|c| c.members().iter().all(|&v| circle.contains(g.position(v))));
     }
-    let circle = Circle::new(ctx.q_pos(), theta);
-    let members = ctx.feasible_in_circle(&circle);
-    Ok(members.map(|m| Community::new(g, m)))
+    ctx.with_kcore_of_q(|ctx, x| ctx.feasible_in_circle(&circle, x))
+        .flatten()
+        .map(|members| Community::new(g, members))
 }
 
 /// The structure-free community used in Section 5.2.2 (item 3): simply every vertex
 /// located inside `O(q, θ)`, with no connectivity or degree requirement.
 ///
 /// The paper uses it to show that location alone is not enough — the average degree
-/// of such "communities" is far below `k`.  Returns `Ok(None)` if the circle is
-/// empty of vertices (impossible in practice since it always contains `q`).
+/// of such "communities" is far below `k`.  The circle always contains `q`
+/// itself, so a valid query always returns `Ok(Some(_))`.
 pub fn range_only(
     g: &SpatialGraph,
     q: VertexId,
     theta: f64,
 ) -> Result<Option<Community>, SacError> {
-    if !theta.is_finite() || theta < 0.0 {
-        return Err(SacError::InvalidParameter {
-            name: "theta",
-            message: format!("must be a finite non-negative number, got {theta}"),
-        });
-    }
+    validate_theta(theta)?;
     if (q as usize) >= g.num_vertices() {
         return Err(SacError::QueryVertexOutOfRange(q));
     }
     let circle = Circle::new(g.position(q), theta);
-    let mut members = g.vertices_in_circle(&circle);
-    if !members.contains(&q) {
-        members.push(q);
-    }
-    if members.is_empty() {
-        return Ok(None);
-    }
+    let members = (0..g.num_vertices() as VertexId)
+        .filter(|&v| circle.contains(g.position(v)))
+        .collect();
     Ok(Some(Community::new(g, members)))
 }
 
@@ -133,6 +137,26 @@ mod tests {
                 .members(),
             &[figure3::Q]
         );
+    }
+
+    #[test]
+    fn trivial_k_uses_the_circle_inclusion_bound() {
+        // A triangle whose two neighbours of Q sit just past θ = 1, inside
+        // the `Circle::contains` tolerance band (1 + 2e-9 at θ = 1).
+        let mut b = sac_graph::GraphBuilder::new();
+        b.add_edges([(0, 1), (1, 2), (0, 2)]);
+        let positions = vec![
+            sac_geom::Point::new(0.0, 0.0),
+            sac_geom::Point::new(1.0 + 1e-9, 0.0),
+            sac_geom::Point::new(0.0, 1.0 + 1.5e-9),
+        ];
+        let g = SpatialGraph::new(b.build(), positions).unwrap();
+        let k2 = theta_sac(&g, 0, 2, 1.0).unwrap().unwrap();
+        assert_eq!(k2.members(), &[0, 1, 2]);
+        // k = 1 keeps the nearest neighbour under the same bound as k = 2.
+        let k1 = theta_sac(&g, 0, 1, 1.0).unwrap().unwrap();
+        assert_eq!(k1.members(), &[0, 1]);
+        assert!(theta_sac(&g, 0, 1, 0.999).unwrap().is_none());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! pin the contract the migrated algorithms rely on: every probe — over
 //! random graphs, random query vertices, random member lists (passed in id
 //! order and shuffled) and random **monotone and non-monotone** radius
-//! schedules — is bit-identical to the from-scratch path (grid range query,
-//! filtered by the members, plus a full subset peel), and the collected-sweep
-//! path is bit-identical to the subset solver.
+//! schedules — is bit-identical to an independent from-scratch oracle (a
+//! brute-force `Circle::contains` scan of every position, filtered by the
+//! members, plus a full subset peel), and the collected-sweep path is
+//! bit-identical to the subset solver.
 //! Lattice-coordinate graphs add exact distance ties and duplicate points,
 //! so a prefix must hold every tie at its bound whatever order the
 //! partitions left the candidates in.
@@ -91,8 +92,9 @@ fn both_orders(members: Vec<VertexId>, keys: &[u32]) -> [Vec<VertexId>; 2] {
     [members, shuffled]
 }
 
-/// The from-scratch reference restricted to `members` (id-sorted): the grid
-/// range query filtered by them, then one full subset peel.
+/// The from-scratch oracle restricted to `members` (id-sorted): a
+/// brute-force scan of every position inside `circle`, filtered by them,
+/// then one full subset peel.
 fn restricted_scratch(
     g: &SpatialGraph,
     solver: &mut KCoreSolver,
@@ -101,8 +103,10 @@ fn restricted_scratch(
     k: u32,
     members: &[VertexId],
 ) -> Option<Vec<VertexId>> {
-    let mut subset = g.vertices_in_circle(circle);
-    subset.retain(|v| members.binary_search(v).is_ok());
+    let subset: Vec<VertexId> = all_vertices(g)
+        .into_iter()
+        .filter(|&v| circle.contains(g.position(v)) && members.binary_search(&v).is_ok())
+        .collect();
     solver.kcore_containing(g.graph(), &subset, q, k)
 }
 
@@ -124,13 +128,15 @@ fn check_sweep_probes(
         _ => {}                                               // non-monotone
     }
     let center = g.position(q);
-    for members in both_orders(all_vertices(g), keys) {
+    let all = all_vertices(g);
+    let mut solver = KCoreSolver::new(g.num_vertices());
+    for members in both_orders(all.clone(), keys) {
         let mut ctx = SearchContext::new(g, q, k).unwrap();
-        let mut reference = SearchContext::new(g, q, k).unwrap();
         ctx.begin_sweep(center, 1.6, &members);
         for &r in &radii {
             let via_sweep = ctx.probe(r);
-            let scratch = reference.feasible_in_circle(&Circle::new(center, r));
+            let circle = Circle::new(center, r);
+            let scratch = restricted_scratch(g, &mut solver, &circle, q, k, &all);
             prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
         }
     }
@@ -153,11 +159,15 @@ fn check_off_centre_sweep(
     let mut solver = KCoreSolver::new(g.num_vertices());
     for members in both_orders(universe.clone(), keys) {
         let mut ctx = SearchContext::new(g, q, k).unwrap();
+        let mut reference = SearchContext::new(g, q, k).unwrap();
         ctx.begin_sweep(center, 2.0, &members);
         for &r in radii {
             let via_sweep = ctx.probe(r);
             let circle = Circle::new(center, r);
             let scratch = restricted_scratch(g, &mut solver, &circle, q, k, &universe);
+            // The single-probe path over the same members agrees too.
+            let filtered = reference.feasible_in_circle(&circle, &members);
+            prop_assert_eq!(&filtered, &scratch, "filter q={} k={} r={}", q, k, r);
             prop_assert_eq!(via_sweep, scratch, "q={} k={} r={}", q, k, r);
         }
     }
@@ -328,14 +338,15 @@ proptest! {
     ) {
         let q = q_raw % g.num_vertices() as u32;
         let mut ctx = SearchContext::new(&g, q, k).unwrap();
-        let mut reference = SearchContext::new(&g, q, k).unwrap();
+        let mut solver = KCoreSolver::new(g.num_vertices());
+        let all = all_vertices(&g);
         // Unit-square data, circle radii ≤ 1: r_max = 4 covers every circle's
         // members as seen from q (|v, q| ≤ |v, c| + |c, q| ≤ (1 + tol) + √2).
-        ctx.begin_sweep(g.position(q), 4.0, &all_vertices(&g));
+        ctx.begin_sweep(g.position(q), 4.0, &all);
         for &((cx, cy), r) in &circles {
             let circle = Circle::new(Point::new(cx, cy), r);
             let via_sweep = ctx.probe_circle(&circle);
-            let scratch = reference.feasible_in_circle(&circle);
+            let scratch = restricted_scratch(&g, &mut solver, &circle, q, k, &all);
             prop_assert_eq!(via_sweep, scratch, "q={} k={} circle=({}, {}) r={}", q, k, cx, cy, r);
         }
     }
@@ -387,7 +398,7 @@ proptest! {
     ) {
         let q = q_raw % g.num_vertices() as u32;
         let mut ctx = SearchContext::new(&g, q, k).unwrap();
-        let mut reference = SearchContext::new(&g, q, k).unwrap();
+        let mut solver = KCoreSolver::new(g.num_vertices());
         let all = all_vertices(&g);
         ctx.begin_sweep(g.position(q), 1.6, &all);
         for &r in &radii_a {
@@ -398,7 +409,7 @@ proptest! {
         for &r in &radii_b {
             prop_assert_eq!(
                 ctx.probe(r),
-                reference.feasible_in_circle(&Circle::new(center, r)),
+                restricted_scratch(&g, &mut solver, &Circle::new(center, r), q, k, &all),
                 "second sweep r={}", r
             );
         }

@@ -226,8 +226,8 @@ pub struct QueryTrace {
     /// probes); 0 for cache-answered or rejected queries.
     pub probe_count: u64,
     /// Spatial candidates materialised by the algorithm's sweep begins — the
-    /// amortisation denominator: from-scratch probing would pay a range query
-    /// *per probe*, the sweep pays one candidate view per sweep.
+    /// amortisation denominator: from-scratch probing would pay a pass over
+    /// the members *per probe*, the sweep pays one candidate view per sweep.
     pub candidate_count: u64,
     /// Full span tree (`query → {plan, exec}`),
     /// present when the request asked for one ([`SacRequest::trace`]) or the
@@ -892,8 +892,8 @@ impl SacEngine {
     /// point a direct caller would use, so engine answers are bit-identical
     /// to library answers (the equivalence suite asserts this); the
     /// [`SearchContext`] carries the epoch's per-`k` component index, so
-    /// k-ĉore-extracting algorithms read Step 1 as a slice copy instead of
-    /// peeling the graph.
+    /// k-ĉore-extracting algorithms read Step 1 from its member slice
+    /// instead of peeling the graph.
     fn dispatch(
         &self,
         epoch: &EngineEpoch,
@@ -908,8 +908,8 @@ impl SacEngine {
             .expect("the planner plans only Algorithm names");
         let graph: &SpatialGraph = &epoch.graph;
         // Only the Step-1 readers consume the shared index; the rest
-        // (theta_sac, app_inc) must not force an index build on a cold cache
-        // for nothing.  For a planned `k >= 2`, `plan_context` has already
+        // (app_inc) must not force an index build on a cold cache for
+        // nothing.  For a planned `k >= 2`, `plan_context` has already
         // built it (an explicit override builds it here, once per epoch and
         // `k`; an absurd `k` gets the uncached empty index).  Below `k = 2`
         // the SAC algorithms answer without Step 1, and the baselines peel
@@ -1457,8 +1457,8 @@ mod tests {
     fn non_core_extracting_algorithms_skip_the_decomposition() {
         let engine = engine();
         // θ query with k = 0: the planner's feasibility check skips the
-        // decomposition (k < 2) and theta_sac declares it does not consume
-        // one — so a cold engine must not pay the O(m) peel for it.
+        // decomposition (k < 2) and theta_sac answers k < 2 without Step 1
+        // — so a cold engine must not pay the O(m) peel for it.
         let response = engine.execute(
             &SacRequest::builder(figure3::Q, 0)
                 .id(1)

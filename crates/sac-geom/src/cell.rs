@@ -102,8 +102,8 @@ mod tests {
             assert!(pr.contains(kr.min) && pr.contains(kr.max));
         }
         // The four children cover the same total area as the parent.
-        let total: f64 = kids.iter().map(|k| k.rect().area()).sum();
-        assert!((total - root.rect().area()).abs() < 1e-12);
+        let total: f64 = kids.iter().map(|k| k.width * k.width).sum();
+        assert!((total - root.width * root.width).abs() < 1e-12);
     }
 
     #[test]

@@ -92,28 +92,20 @@ impl Circle {
         Circle::circumscribing(a, b, c).unwrap_or_else(|| Circle::from_diameter(a, b))
     }
 
-    /// The inclusion reach of [`Circle::contains`]: the radius plus a small
-    /// tolerance proportional to it.  Grid range queries span their cells by
-    /// this reach, so a point in the tolerance band just past a cell boundary
-    /// is still visited.
-    #[inline]
-    pub fn contains_bound(&self) -> f64 {
-        self.radius + EPS * (1.0 + self.radius)
-    }
-
     /// The squared inclusion threshold of [`Circle::contains`]: a point `p` is
     /// inside the circle exactly when `center.distance_sq(p)` is at most this
-    /// value, the square of [`Circle::contains_bound`].
+    /// value, the square of the radius plus a small tolerance proportional
+    /// to it.
     ///
-    /// Every inclusion test in the workspace (point containment, grid range
-    /// queries, the radius-sweep candidate view in `sac-graph`) compares
-    /// against this one bound, so the different query paths agree bit-for-bit
-    /// on boundary vertices.  The bound is monotone in the radius, which is
-    /// what lets a distance-sorted candidate array answer any smaller-radius
-    /// query as a prefix.
+    /// Every inclusion test in the workspace (point containment, the circle
+    /// filter over a k-ĉore's members, the radius-sweep candidate view in
+    /// `sac-graph`) compares against this one bound, so the different query
+    /// paths agree bit-for-bit on boundary vertices.  The bound is monotone
+    /// in the radius, which is what lets a distance-sorted candidate array
+    /// answer any smaller-radius query as a prefix.
     #[inline]
     pub fn contains_bound_sq(&self) -> f64 {
-        let t = self.contains_bound();
+        let t = self.radius + EPS * (1.0 + self.radius);
         t * t
     }
 

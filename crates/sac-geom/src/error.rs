@@ -11,9 +11,6 @@ pub enum GeomError {
     /// The input was numerically degenerate (e.g. collinear points where a proper
     /// circumcircle was required).
     Degenerate,
-    /// A parameter was outside its valid range (e.g. a negative radius or a
-    /// non-positive grid cell size).
-    InvalidParameter(&'static str),
 }
 
 impl fmt::Display for GeomError {
@@ -21,7 +18,6 @@ impl fmt::Display for GeomError {
         match self {
             GeomError::EmptyPointSet => write!(f, "operation requires a non-empty point set"),
             GeomError::Degenerate => write!(f, "degenerate geometric configuration"),
-            GeomError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
         }
     }
 }
@@ -36,9 +32,6 @@ mod tests {
     fn display_messages_are_informative() {
         assert!(GeomError::EmptyPointSet.to_string().contains("non-empty"));
         assert!(GeomError::Degenerate.to_string().contains("degenerate"));
-        assert!(GeomError::InvalidParameter("cell size")
-            .to_string()
-            .contains("cell size"));
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   (Welzl's algorithm, [`minimum_enclosing_circle`]),
 //! * axis-aligned rectangles and the region-quadtree cells used by the `AppAcc`
 //!   anchor-point search ([`Rect`], [`AnchorCell`]),
-//! * a spatial index for circular range queries over large vertex sets
-//!   ([`GridIndex`]),
 //! * the circle–circle intersection area used by the *community area overlap* (CAO)
 //!   metric ([`Circle::intersection_area`]).
 //!
@@ -43,7 +41,6 @@
 mod cell;
 mod circle;
 mod error;
-mod grid;
 mod mec;
 mod point;
 mod rect;
@@ -51,7 +48,6 @@ mod rect;
 pub use cell::AnchorCell;
 pub use circle::Circle;
 pub use error::GeomError;
-pub use grid::GridIndex;
 pub use mec::{minimum_enclosing_circle, minimum_enclosing_circle_naive};
 pub use point::Point;
 pub use rect::Rect;

@@ -1,11 +1,10 @@
 //! Axis-aligned rectangles.
 
 use crate::Point;
-use std::fmt;
 
 /// An axis-aligned rectangle described by its minimum and maximum corners.
 ///
-/// Rectangles are used as bounding boxes for spatial indexes and as the square
+/// Rectangles are used as bounding boxes of point sets and as the square
 /// cells of the region quadtree traversed by the `AppAcc` algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
@@ -16,14 +15,6 @@ pub struct Rect {
 }
 
 impl Rect {
-    /// Creates a rectangle from two corner points, normalising the corner order.
-    pub fn new(a: Point, b: Point) -> Self {
-        Rect {
-            min: Point::new(a.x.min(b.x), a.y.min(b.y)),
-            max: Point::new(a.x.max(b.x), a.y.max(b.y)),
-        }
-    }
-
     /// Creates the square of side `width` centred at `center`.
     ///
     /// This is the shape of the region-quadtree root used by `AppAcc`: a square of
@@ -54,42 +45,10 @@ impl Rect {
         Some(r)
     }
 
-    /// Width along the x-axis.
-    #[inline]
-    pub fn width(&self) -> f64 {
-        self.max.x - self.min.x
-    }
-
-    /// Height along the y-axis.
-    #[inline]
-    pub fn height(&self) -> f64 {
-        self.max.y - self.min.y
-    }
-
-    /// Area of the rectangle.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Returns `true` when `p` lies inside the rectangle (boundary inclusive).
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Expands the rectangle by `margin` on every side.
-    pub fn expanded(&self, margin: f64) -> Rect {
-        Rect {
-            min: Point::new(self.min.x - margin, self.min.y - margin),
-            max: Point::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
-}
-
-impl fmt::Display for Rect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} .. {}]", self.min, self.max)
     }
 }
 
@@ -98,22 +57,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_normalises_corners() {
-        let r = Rect::new(Point::new(2.0, 3.0), Point::new(0.0, 1.0));
-        assert_eq!(r.min, Point::new(0.0, 1.0));
-        assert_eq!(r.max, Point::new(2.0, 3.0));
-        assert_eq!(r.width(), 2.0);
-        assert_eq!(r.height(), 2.0);
-        assert_eq!(r.area(), 4.0);
-    }
-
-    #[test]
     fn square_is_centred() {
         let r = Rect::square(Point::new(1.0, 1.0), 4.0);
         assert_eq!(r.min, Point::new(-1.0, -1.0));
         assert_eq!(r.max, Point::new(3.0, 3.0));
-        assert_eq!(r.width(), 4.0);
-        assert_eq!(r.height(), 4.0);
     }
 
     #[test]
@@ -131,16 +78,9 @@ mod tests {
 
     #[test]
     fn containment() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
+        let r = Rect::square(Point::new(1.0, 1.0), 2.0);
         assert!(r.contains(Point::new(1.0, 1.0)));
         assert!(r.contains(Point::new(0.0, 2.0)));
         assert!(!r.contains(Point::new(2.1, 1.0)));
-    }
-
-    #[test]
-    fn expanded_grows_every_side() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).expanded(0.5);
-        assert_eq!(r.min, Point::new(-0.5, -0.5));
-        assert_eq!(r.max, Point::new(1.5, 1.5));
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use sac_geom::{
-    minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, GridIndex, Point, Rect,
-};
+use sac_geom::{minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, Point, Rect};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (0.0f64..1.0, 0.0f64..1.0).prop_map(|(x, y)| Point::new(x, y))
@@ -72,20 +70,5 @@ proptest! {
         prop_assert!(i1 <= a.area().min(b.area()) + 1e-9);
         let j = a.area_jaccard(&b);
         prop_assert!((0.0..=1.0).contains(&j));
-    }
-
-    /// Grid index circular range queries agree with a linear scan.
-    #[test]
-    fn grid_circle_query_is_exact(pts in arb_points(200), center in arb_point(), r in 0.0f64..0.7) {
-        let grid = GridIndex::build(pts.clone(), 8).unwrap();
-        let circle = Circle::new(center, r);
-        let mut got = grid.query_circle(&circle);
-        got.sort_unstable();
-        let mut expected: Vec<u32> = pts.iter().enumerate()
-            .filter(|(_, p)| circle.contains(**p))
-            .map(|(i, _)| i as u32)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
     }
 }

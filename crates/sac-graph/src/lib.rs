@@ -8,8 +8,7 @@
 //!
 //! * a compact CSR (compressed sparse row) adjacency representation ([`Graph`]) and
 //!   a builder that deduplicates edges and drops self-loops ([`GraphBuilder`]),
-//! * the spatial view pairing the graph with vertex locations and a grid index for
-//!   circular range queries ([`SpatialGraph`]),
+//! * the spatial view pairing the graph with vertex locations ([`SpatialGraph`]),
 //! * the O(m) k-core decomposition of Batagelj & Zaversnik ([`core_decomposition`])
 //!   and the connected-k-core ("k-ĉore") queries the paper's algorithms use
 //!   ([`connected_kcore`], [`KCoreComponents`], [`KCoreSolver`]),

@@ -1,22 +1,22 @@
-//! The spatial view of a graph: vertices with locations plus a spatial index.
+//! The spatial view of a graph: vertices with locations.
 
 use crate::{Graph, GraphError, VertexId};
-use sac_geom::{Circle, GridIndex, Point};
+use sac_geom::{Circle, Point};
 
 /// A geo-social graph: an undirected [`Graph`] in which every vertex has a
-/// two-dimensional location, plus a grid index for fast spatial queries.
+/// two-dimensional location.
 ///
 /// This is the paper's data model (`G(V, E)` with `(v.x, v.y)` per vertex).  All SAC
-/// search algorithms take a `&SpatialGraph`.
+/// search algorithms take a `&SpatialGraph`.  There is no spatial index: the
+/// search runs inside the k-ĉore `X` containing the query vertex, so its
+/// circle queries filter `X`'s member list by position instead.
 #[derive(Debug, Clone)]
 pub struct SpatialGraph {
     // NOTE: keep this type free of interior mutability.  `sac-engine` serves
     // immutable `Arc<SpatialGraph>` snapshots across threads; the static
     // assertion at the bottom of this file enforces `Send + Sync`.
     graph: Graph,
-    /// The grid owns the vertex positions; [`SpatialGraph::positions`]
-    /// reads through it, so each snapshot stores them once.
-    index: GridIndex,
+    positions: Vec<Point>,
 }
 
 impl SpatialGraph {
@@ -37,8 +37,7 @@ impl SpatialGraph {
         if let Some(i) = positions.iter().position(|p| !p.is_finite()) {
             return Err(GraphError::InvalidPosition(i as VertexId));
         }
-        let index = GridIndex::build(positions, 8).expect("non-empty positions");
-        Ok(SpatialGraph { graph, index })
+        Ok(SpatialGraph { graph, positions })
     }
 
     /// The underlying graph topology.
@@ -62,13 +61,13 @@ impl SpatialGraph {
     /// Location of vertex `v`.
     #[inline]
     pub fn position(&self, v: VertexId) -> Point {
-        self.index.point(v)
+        self.positions[v as usize]
     }
 
     /// All vertex positions, indexed by vertex id.
     #[inline]
     pub fn positions(&self) -> &[Point] {
-        self.index.points()
+        &self.positions
     }
 
     /// Euclidean distance between the locations of two vertices (the paper's
@@ -90,43 +89,30 @@ impl SpatialGraph {
         self.graph.degree(v)
     }
 
-    /// All vertices whose location lies inside `circle`.
-    pub fn vertices_in_circle(&self, circle: &Circle) -> Vec<VertexId> {
-        self.index.query_circle(circle)
-    }
-
-    /// Appends the vertices inside `circle` to `out` (cleared first); avoids
-    /// allocation in tight loops.
-    pub fn vertices_in_circle_into(&self, circle: &Circle, out: &mut Vec<VertexId>) {
-        self.index.query_circle_into(circle, out);
-    }
-
-    /// The eager, fully sorted view of the ball `O(center, r_max)`: one grid
-    /// range query plus one sort, appended to `out` (cleared first) as
+    /// The eager, fully sorted view of the ball `O(center, r_max)`: one scan
+    /// of every position plus one sort, appended to `out` (cleared first) as
     /// `(vertex, distance² from center)` in ascending distance order, ties
-    /// broken by vertex id.
+    /// broken by vertex id.  `_scratch` is unused.
     ///
-    /// Because the grid query shares its inclusion bound with
-    /// [`Circle::contains`] (see [`sac_geom::Circle::contains_bound_sq`]) and
-    /// that bound is monotone in the radius, the vertex set of **any** circle
-    /// `O(center, r)` with `r ≤ r_max` is exactly a prefix of this array.
-    /// It is a reference view: the radius sweep
-    /// ([`crate::RadiusSweepSolver`]) partitions its candidates lazily
-    /// instead of sorting them.
+    /// Membership uses the [`Circle::contains`] bound (see
+    /// [`sac_geom::Circle::contains_bound_sq`]), which is monotone in the
+    /// radius, so the vertex set of **any** circle `O(center, r)` with
+    /// `r ≤ r_max` is exactly a prefix of this array.  It is a reference
+    /// view: the radius sweep ([`crate::RadiusSweepSolver`]) partitions its
+    /// candidates lazily instead of sorting them.
     pub fn vertices_by_distance_into(
         &self,
         center: Point,
         r_max: f64,
-        scratch: &mut Vec<VertexId>,
+        _scratch: &mut Vec<VertexId>,
         out: &mut Vec<(VertexId, f64)>,
     ) {
+        let bound = Circle::new(center, r_max.max(0.0)).contains_bound_sq();
         out.clear();
-        self.index
-            .query_circle_into(&Circle::new(center, r_max.max(0.0)), scratch);
         out.extend(
-            scratch
-                .iter()
-                .map(|&v| (v, self.position(v).distance_sq(center))),
+            (0..self.num_vertices() as VertexId)
+                .map(|v| (v, self.position(v).distance_sq(center)))
+                .filter(|&(_, d2)| d2 <= bound),
         );
         out.sort_unstable_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -140,12 +126,11 @@ impl SpatialGraph {
         subset.iter().map(|&v| self.position(v)).collect()
     }
 
-    /// Returns a copy of this spatial graph with some vertex positions replaced and
-    /// the spatial index rebuilt.
+    /// Returns a copy of this spatial graph with some vertex positions replaced.
     ///
     /// Used by the dynamic-location experiment (Section 5.2.3): each check-in
-    /// updates the position of one user.  Updates are applied in batch and the grid
-    /// index is rebuilt once, which keeps the amortised cost low.
+    /// updates the position of one user.  Updates are applied in batch, so one
+    /// copy of the graph and positions serves the whole batch.
     pub fn with_updated_positions(
         &self,
         updates: &[(VertexId, Point)],
@@ -220,16 +205,24 @@ mod tests {
         );
     }
 
+    /// The vertices within `circle`, by a brute-force scan of every position.
+    fn in_circle(sg: &SpatialGraph, circle: &Circle) -> Vec<VertexId> {
+        (0..sg.num_vertices() as VertexId)
+            .filter(|&v| circle.contains(sg.position(v)))
+            .collect()
+    }
+
     #[test]
     fn circle_queries() {
         let sg = grid_graph();
-        let mut got = sg.vertices_in_circle(&Circle::new(Point::new(1.0, 1.0), 1.0));
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 3, 4, 5, 7]);
+        let mut view = Vec::new();
+        sg.vertices_by_distance_into(Point::new(1.0, 1.0), 1.0, &mut Vec::new(), &mut view);
+        let got: Vec<VertexId> = view.iter().map(|&(v, _)| v).collect();
+        // The centre first, then its four unit-distance neighbours by id.
+        assert_eq!(got, vec![4, 1, 3, 5, 7]);
 
-        let mut buf = Vec::new();
-        sg.vertices_in_circle_into(&Circle::new(Point::new(0.0, 0.0), 0.5), &mut buf);
-        assert_eq!(buf, vec![0]);
+        sg.vertices_by_distance_into(Point::new(0.0, 0.0), 0.5, &mut Vec::new(), &mut view);
+        assert_eq!(view, vec![(0, 0.0)]);
     }
 
     #[test]
@@ -242,7 +235,7 @@ mod tests {
         for w in view.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        // Any smaller radius is a prefix of the view and equals the grid query.
+        // Any smaller radius is a prefix of the view and equals a scan.
         for r in [0.0, 0.5, 1.0, 1.4] {
             let bound = Circle::new(center, r).contains_bound_sq();
             let prefix: Vec<u32> = view
@@ -250,8 +243,7 @@ mod tests {
                 .take_while(|&&(_, d2)| d2 <= bound)
                 .map(|&(v, _)| v)
                 .collect();
-            let mut expected = sg.vertices_in_circle(&Circle::new(center, r));
-            expected.sort_unstable();
+            let expected = in_circle(&sg, &Circle::new(center, r));
             let mut got = prefix;
             got.sort_unstable();
             assert_eq!(got, expected, "r = {r}");
@@ -265,9 +257,10 @@ mod tests {
             .with_updated_positions(&[(0, Point::new(10.0, 10.0))])
             .unwrap();
         assert_eq!(moved.position(0), Point::new(10.0, 10.0));
-        assert!(moved
-            .vertices_in_circle(&Circle::new(Point::new(10.0, 10.0), 0.5))
-            .contains(&0));
+        assert_eq!(
+            in_circle(&moved, &Circle::new(Point::new(10.0, 10.0), 0.5)),
+            vec![0]
+        );
         // Original untouched.
         assert_eq!(sg.position(0), Point::new(0.0, 0.0));
 
@@ -277,9 +270,7 @@ mod tests {
             .with_updated_positions(&[(8, Point::new(-5.0, -5.0))])
             .unwrap();
         assert_eq!(sg2.position(8), Point::new(-5.0, -5.0));
-        assert!(sg2
-            .vertices_in_circle(&Circle::new(Point::new(-5.0, -5.0), 0.1))
-            .contains(&8));
+        assert_eq!(sg2.positions()[8], Point::new(-5.0, -5.0));
 
         // Invalid updates are rejected.
         assert!(sg.with_updated_positions(&[(99, Point::ORIGIN)]).is_err());

@@ -5,7 +5,7 @@
 //!
 //! The paper's incremental variant (`AppInc`) exists because real geo-social
 //! graphs mutate continuously; serving them from one frozen snapshot means a
-//! full rebuild — graph, spatial index, core decomposition, every per-`k`
+//! full rebuild — graph, core decomposition, every per-`k`
 //! k-core index — on every edge change.  This crate closes that gap:
 //!
 //! * **Write front** — [`LiveEngine`] accepts edge insertions/removals,
@@ -18,15 +18,15 @@
 //!   logged ops through the same apply path.
 //! * **Commits** — applied mutations buffer as the next WAL record's
 //!   [`sac_wal::WalOp`]s; [`LiveEngine::commit`] rebuilds the immutable
-//!   CSR + grid index once per epoch and publishes through the engine's
-//!   atomic epoch pointer.
+//!   CSR adjacency and copies the positions once per epoch, then publishes
+//!   through the engine's atomic epoch pointer.
 //! * **Epoch snapshots** — in-flight queries finish on the snapshot they
 //!   loaded; new queries see the new epoch.  The engine's k-core index cache
 //!   is *selectively* invalidated: only the `k` entries whose cores the delta
 //!   touched are dropped, the rest carry over (observable via
 //!   `EngineStats::components_carried`).
 //! * **Moves** — [`LiveEngine::move_vertex`] is a position-only update:
-//!   its commit publishes a grid-only epoch that carries every per-`k`
+//!   its commit publishes a position-only epoch that carries every per-`k`
 //!   index.
 //! * **The protocol service and its transports** — [`SacService`] executes
 //!   typed `sac-proto` requests (queries, batches, live updates, admin

@@ -24,8 +24,8 @@ struct LiveObs {
     commits: Arc<Counter>,
     /// `sac_commit_micros` — end-to-end commit latency.
     commit_micros: Arc<Histogram>,
-    /// `sac_commit_stage_micros{stage="snapshot_build"}` — CSR + grid
-    /// rebuild time (the engine itself records the downstream
+    /// `sac_commit_stage_micros{stage="snapshot_build"}` — CSR rebuild
+    /// and positions copy time (the engine itself records the downstream
     /// `epoch_build`/`epoch_swap` publish stages).
     snapshot_build: Arc<Histogram>,
 }
@@ -75,10 +75,10 @@ pub struct CommitReport {
     pub components_carried: u64,
     /// Per-`k` component indexes invalidated by the swap.
     pub components_invalidated: u64,
-    /// Wall-clock cost of the commit (CSR + spatial-index rebuild + publish),
-    /// in microseconds.
+    /// Wall-clock cost of the commit (snapshot build + publish), in
+    /// microseconds.
     pub micros: u64,
-    /// CSR + spatial-grid rebuild share of `micros`.
+    /// Snapshot build (CSR rebuild + positions copy) share of `micros`.
     pub snapshot_build_micros: u64,
     /// Next-epoch build share of the engine-side publish (component
     /// carry-over + cache seeding).
@@ -185,7 +185,8 @@ impl WriteFront {
         Ok(change)
     }
 
-    /// The immutable snapshot of the front: CSR adjacency plus grid index.
+    /// The immutable snapshot of the front: CSR adjacency plus a copy of the
+    /// positions.
     fn snapshot(&self) -> Result<SpatialGraph, GraphError> {
         SpatialGraph::new(self.dynamic.to_graph(), self.positions.clone())
     }
@@ -198,8 +199,8 @@ impl WriteFront {
 /// insertions/removals, vertex additions and moves are applied to the front
 /// immediately — each one repairs the core numbers by walking only the
 /// affected subcore — and are buffered as the next WAL record's [`WalOp`]s
-/// until [`LiveEngine::commit`] rebuilds the immutable snapshot (CSR + grid
-/// index) once and publishes it as the engine's next epoch.  Queries running
+/// until [`LiveEngine::commit`] rebuilds the immutable snapshot (CSR +
+/// positions) once and publishes it as the engine's next epoch.  Queries running
 /// against the engine never see the front: they finish on the epoch they
 /// loaded, and the k-core index cache carries over every `k` entry the
 /// commit did not touch.
@@ -606,8 +607,8 @@ impl LiveEngine {
     }
 
     /// Moves an existing vertex to `position` — a **position-only** update:
-    /// core numbers are untouched, so the commit publishing it is grid-only
-    /// (`dirty_up_to` stays 0 and every per-`k` index carries over).
+    /// core numbers are untouched, so the commit publishing it is
+    /// position-only (`dirty_up_to` stays 0 and every per-`k` index carries over).
     ///
     /// Moving a vertex to its current position is a no-op (`Ok(false)`).
     pub fn move_vertex(&self, v: VertexId, position: Point) -> Result<bool, GraphError> {
@@ -620,8 +621,8 @@ impl LiveEngine {
     /// Rebuilds the immutable snapshot from the write front and publishes it
     /// as the engine's next epoch.
     ///
-    /// The CSR adjacency and the spatial grid index are rebuilt once per
-    /// commit (`O(n + m)`), but the core decomposition is **not** recomputed —
+    /// The CSR adjacency is rebuilt and the positions copied once per commit
+    /// (`O(n + m)`), but the core decomposition is **not** recomputed —
     /// the incrementally maintained numbers are published as-is, and the
     /// engine carries over every cached per-`k` component index the delta did
     /// not touch.  An empty delta publishes nothing and reports the current
@@ -819,15 +820,14 @@ mod tests {
         assert_eq!(report.vertices_moved, 1);
         assert_eq!(report.dirty_up_to, 0);
         assert_eq!(report.cores_changed, 0);
-        // Grid-only: every warmed per-k index carried across.
+        // Position-only: every warmed per-k index carried across.
         assert_eq!(report.components_carried, 2);
         assert_eq!(report.components_invalidated, 0);
-        // The new position is live in the snapshot and its spatial index.
+        // The new position is live in the snapshot, and only Q moved.
         let snapshot = engine.snapshot();
-        assert_eq!(snapshot.position(figure3::Q), Point::new(10.0, 10.0));
-        assert!(snapshot
-            .vertices_in_circle(&sac_geom::Circle::new(Point::new(10.0, 10.0), 0.1))
-            .contains(&figure3::Q));
+        let mut expected = figure3_graph().positions().to_vec();
+        expected[figure3::Q as usize] = Point::new(10.0, 10.0);
+        assert_eq!(snapshot.positions(), &expected[..]);
         // Invalid moves are typed errors.
         assert!(live.move_vertex(999, Point::ORIGIN).is_err());
         assert!(live

@@ -659,7 +659,7 @@ mod tests {
         assert!(line.contains(r#""cores_changed":0"#));
         let commit = service.handle_line(r#"{"cmd":"commit"}"#).unwrap();
         assert!(commit.contains(r#""vertices_moved":1"#), "got: {commit}");
-        assert!(commit.contains(r#""dirty_up_to":0"#), "grid-only epoch");
+        assert!(commit.contains(r#""dirty_up_to":0"#), "position-only epoch");
         // Out-of-range moves are error replies, not panics.
         let err = service
             .handle_line(r#"{"cmd":"move_vertex","v":999,"x":0,"y":0}"#)

@@ -221,7 +221,7 @@ pub enum ProtoRequest {
         y: f64,
     },
     /// Live update: move vertex `v` to `(x, y)` (position-only; commits
-    /// publishing it are grid-only epochs with no core maintenance).
+    /// publishing it are position-only epochs with no core maintenance).
     MoveVertex {
         /// The vertex to move.
         v: u32,

@@ -11,7 +11,7 @@
 //! single crate:
 //!
 //! * [`geom`] — geometry substrate (points, circles, minimum covering circles,
-//!   spatial indexes);
+//!   quadtree anchor cells);
 //! * [`graph`] — spatial-graph substrate (CSR graphs, k-cores, traversal, IO);
 //! * [`core`] — the SAC search algorithms, baselines and quality metrics;
 //! * [`data`] — synthetic dataset and workload generators;
