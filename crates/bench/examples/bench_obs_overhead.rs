@@ -30,6 +30,7 @@ use rand::SeedableRng;
 use sac_bench::bench_dataset_scaled;
 use sac_data::{select_query_vertices, DatasetKind};
 use sac_engine::{EngineConfig, QueryBudget, SacEngine, SacRequest};
+use sac_geom::Point;
 use sac_graph::{SpatialGraph, VertexId};
 use sac_obs::Histogram;
 use std::sync::Arc;
@@ -75,8 +76,15 @@ fn requests(queries: &[VertexId], budget: QueryBudget) -> Vec<SacRequest> {
 
 /// Diagonal of the data bounding box (the scale θ-radii are expressed in).
 fn data_diagonal(graph: &SpatialGraph) -> f64 {
-    let rect = sac_geom::Rect::bounding(graph.positions()).expect("non-empty graph");
-    rect.min.distance(rect.max)
+    let positions = graph.positions();
+    let first = *positions.first().expect("non-empty graph");
+    let (min, max) = positions.iter().fold((first, first), |(lo, hi), p| {
+        (
+            Point::new(lo.x.min(p.x), lo.y.min(p.y)),
+            Point::new(hi.x.max(p.x), hi.y.max(p.y)),
+        )
+    });
+    min.distance(max)
 }
 
 /// Wall time of `rounds` passes over the sequential workload on `engine`,

@@ -13,8 +13,8 @@
 //! same labelling to the query's `SearchContext`, so Step 1 is a slice copy.
 
 use sac_graph::{core_decomposition, CoreDecomposition, Graph, KCoreComponents};
+use sac_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Hit/miss counters of one cache layer.
@@ -35,27 +35,78 @@ pub struct CacheStats {
     pub components: CacheLayerStats,
 }
 
+/// The cache's hit/miss counters.  An engine registers one set in its
+/// metric registry and hands it to every epoch's cache, so the counts are
+/// cumulative across epoch swaps with nothing to fold.
+#[derive(Debug, Clone, Default)]
+pub struct CacheCounters {
+    decomp_hits: Arc<Counter>,
+    decomp_misses: Arc<Counter>,
+    comp_hits: Arc<Counter>,
+    comp_misses: Arc<Counter>,
+}
+
+impl CacheCounters {
+    /// The `sac_cache_*_total` counters of `registry`.
+    pub fn register(registry: &MetricsRegistry) -> Self {
+        let counter = |name, help| registry.counter(name, help, &[]);
+        CacheCounters {
+            decomp_hits: counter(
+                "sac_cache_decomposition_hits_total",
+                "Core-decomposition cache hits",
+            ),
+            decomp_misses: counter(
+                "sac_cache_decomposition_misses_total",
+                "Core-decomposition cache misses",
+            ),
+            comp_hits: counter(
+                "sac_cache_components_hits_total",
+                "Per-k component index cache hits",
+            ),
+            comp_misses: counter(
+                "sac_cache_components_misses_total",
+                "Per-k component index cache misses",
+            ),
+        }
+    }
+
+    /// Current hit/miss counts.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            decomposition: CacheLayerStats {
+                hits: self.decomp_hits.get(),
+                misses: self.decomp_misses.get(),
+            },
+            components: CacheLayerStats {
+                hits: self.comp_hits.get(),
+                misses: self.comp_misses.get(),
+            },
+        }
+    }
+}
+
 /// Thread-safe memoisation of the k-core machinery for one graph snapshot.
 ///
 /// The decomposition layer uses a `OnceLock`, so after the first computation a
 /// hit is a single atomic load.  The per-`k` layer is a `RwLock`ed map of
 /// `Arc`s: hits take the read lock only, and the returned `Arc` keeps the
 /// index alive independent of the cache, so handed-out references never block
-/// later insertions.
+/// later insertions.  Lookups count into the [`CacheCounters`] the cache
+/// was built with.
 #[derive(Debug, Default)]
 pub struct KCoreCache {
     decomposition: OnceLock<Arc<CoreDecomposition>>,
     components: RwLock<HashMap<u32, Arc<KCoreComponents>>>,
-    decomp_hits: AtomicU64,
-    decomp_misses: AtomicU64,
-    comp_hits: AtomicU64,
-    comp_misses: AtomicU64,
+    counters: CacheCounters,
 }
 
 impl KCoreCache {
-    /// An empty (cold) cache.
-    pub fn new() -> Self {
-        KCoreCache::default()
+    /// An empty (cold) cache counting into `counters`.
+    pub fn new(counters: CacheCounters) -> Self {
+        KCoreCache {
+            counters,
+            ..KCoreCache::default()
+        }
     }
 
     /// A cache pre-seeded for a new epoch: the decomposition is already
@@ -66,10 +117,11 @@ impl KCoreCache {
     /// Carried entries are real cache contents: lookups against them count as
     /// hits, which is how cross-epoch carry-over shows up in [`CacheStats`].
     pub fn seeded(
+        counters: CacheCounters,
         decomposition: Arc<CoreDecomposition>,
         carried: impl IntoIterator<Item = Arc<KCoreComponents>>,
     ) -> Self {
-        let cache = KCoreCache::default();
+        let cache = KCoreCache::new(counters);
         cache
             .decomposition
             .set(decomposition)
@@ -102,7 +154,7 @@ impl KCoreCache {
     /// The memoised core decomposition of `graph`, computing it on first use.
     pub fn decomposition(&self, graph: &Graph) -> Arc<CoreDecomposition> {
         if let Some(d) = self.decomposition.get() {
-            self.decomp_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.decomp_hits.inc();
             return Arc::clone(d);
         }
         // `get_or_init` runs the closure on one thread only; threads that
@@ -114,11 +166,11 @@ impl KCoreCache {
             Arc::new(core_decomposition(graph))
         });
         let counter = if computed {
-            &self.decomp_misses
+            &self.counters.decomp_misses
         } else {
-            &self.decomp_hits
+            &self.counters.decomp_hits
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
         Arc::clone(decomposition)
     }
 
@@ -130,34 +182,20 @@ impl KCoreCache {
     /// `O(n)` builds) without bound.
     pub fn components(&self, graph: &Graph, k: u32) -> Arc<KCoreComponents> {
         if let Some(c) = self.components.read().expect("cache lock poisoned").get(&k) {
-            self.comp_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.comp_hits.inc();
             return Arc::clone(c);
         }
         let decomposition = self.decomposition(graph);
         if k > decomposition.max_core() {
-            self.comp_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.comp_hits.inc();
             return Arc::new(KCoreComponents::empty(k));
         }
-        self.comp_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.comp_misses.inc();
         let built = Arc::new(KCoreComponents::build(graph, &decomposition, k));
         let mut map = self.components.write().expect("cache lock poisoned");
         // A racing thread may have inserted meanwhile; keep the first so every
         // caller shares one index.
         Arc::clone(map.entry(k).or_insert(built))
-    }
-
-    /// Current hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            decomposition: CacheLayerStats {
-                hits: self.decomp_hits.load(Ordering::Relaxed),
-                misses: self.decomp_misses.load(Ordering::Relaxed),
-            },
-            components: CacheLayerStats {
-                hits: self.comp_hits.load(Ordering::Relaxed),
-                misses: self.comp_misses.load(Ordering::Relaxed),
-            },
-        }
     }
 }
 
@@ -184,7 +222,8 @@ mod tests {
     #[test]
     fn cache_hits_after_first_use() {
         let g = two_triangles();
-        let cache = KCoreCache::new();
+        let counters = CacheCounters::default();
+        let cache = KCoreCache::new(counters.clone());
         assert!(!cache.is_warm());
         let d1 = cache.decomposition(&g);
         assert!(cache.is_warm());
@@ -200,7 +239,7 @@ mod tests {
         assert_eq!(c3.num_components(), 0);
         assert!(c3.component_of(0).is_none());
 
-        let stats = cache.stats();
+        let stats = counters.stats();
         assert_eq!(stats.decomposition.misses, 1);
         // One explicit hit plus one per components() call below.
         assert_eq!(stats.decomposition.hits, 3);
@@ -211,7 +250,8 @@ mod tests {
     #[test]
     fn cache_is_safe_under_concurrent_use() {
         let g = two_triangles();
-        let cache = KCoreCache::new();
+        let counters = CacheCounters::default();
+        let cache = KCoreCache::new(counters.clone());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -225,7 +265,7 @@ mod tests {
                 });
             }
         });
-        let stats = cache.stats();
+        let stats = counters.stats();
         assert_eq!(stats.components.hits + stats.components.misses, 24);
     }
 }

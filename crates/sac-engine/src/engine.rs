@@ -1,17 +1,17 @@
 //! The serving engine: epoch-published immutable graph snapshots, the shared
 //! k-core cache, the planner, and a concurrent batch executor.
 
-use crate::cache::{CacheLayerStats, CacheStats, KCoreCache};
+use crate::cache::{CacheCounters, CacheStats, KCoreCache};
 use crate::epoch::EpochCell;
 use crate::planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};
 use sac_core::{Algorithm, AlgorithmRegistry, Community, SacError, SearchContext};
 use sac_graph::{CoreDecomposition, KCoreComponents, SpatialGraph, SweepStats, VertexId};
 use sac_obs::{
-    EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord, Span,
-    TraceNode, WindowedHistogram,
+    Counter, EventLog, Histogram, LatencySummary, MetricsRegistry, SlowQueryLog, SlowQueryRecord,
+    Span, TraceNode, WindowedHistogram,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Tunables of a [`SacEngine`].
@@ -21,11 +21,15 @@ pub struct EngineConfig {
     /// unconstrained budget to `Exact+` (the candidate set is so small that an
     /// exact answer costs no more than an approximate one).
     pub small_exact_threshold: usize,
-    /// Whether the engine records latency histograms and stage spans (see
-    /// [`SacEngine::metrics`]).  On by default — recording is a handful of
-    /// relaxed atomic adds per query (the bench gate pins the dispatch
-    /// overhead at ≤1.05x) — but the overhead benchmark itself, and any
-    /// caller that wants the absolute minimum hot path, can switch it off.
+    /// Whether the engine keeps timings and traces: latency histograms and
+    /// stage spans (see [`SacEngine::metrics`]), head-sampled trace trees,
+    /// the slow-query log and the event ring.  On by default — recording is
+    /// a handful of relaxed atomic adds per query (the bench gate pins the
+    /// dispatch overhead at ≤1.05x) — but the overhead benchmark itself, and
+    /// any caller that wants the absolute minimum hot path, can switch it
+    /// off.  Counters always count: `stats`, `/healthz` and `/metrics` read
+    /// the same values either way.  Read once, when the engine builds its
+    /// registry, slow log, event ring and trace sampler.
     pub observe: bool,
     /// Queries slower than this many microseconds end-to-end are captured in
     /// the slow-query ring buffer ([`SacEngine::slow_log`]); `0` disables
@@ -271,8 +275,8 @@ pub struct EngineStats {
     pub infeasible_fast_path: u64,
     /// Queries that returned a per-query error.
     pub errors: u64,
-    /// Cache counters, cumulative across all epochs (retired epochs' counters
-    /// are folded in when a new snapshot is published).
+    /// Cache counters, cumulative across all epochs (every epoch's cache
+    /// counts into the same registry counters).
     pub cache: CacheStats,
     /// Number of the currently served epoch (1 for a freshly built engine).
     pub epoch: u64,
@@ -327,8 +331,7 @@ pub struct PublishReport {
     /// Microseconds spent building the next epoch: carrying the surviving
     /// component indexes over and seeding its k-core cache.
     pub rebuild_micros: u64,
-    /// Microseconds spent swapping the epoch pointer (and folding the
-    /// retired epoch's cache counters).
+    /// Microseconds spent swapping the epoch pointer.
     pub swap_micros: u64,
 }
 
@@ -341,14 +344,21 @@ struct EngineEpoch {
 }
 
 /// The engine's observability surface: the metric registry shared with the
-/// serving layers above, pre-bound instrument handles for the dispatch hot
-/// path (no registry lock is ever taken per query), the slow-query ring and
-/// the query-id source.
+/// serving layers above, which holds the serving counters and carries the
+/// timings switch; pre-bound instrument handles for the dispatch hot path
+/// (no registry lock is ever taken per query); the slow-query ring, the
+/// event ring and the query-id source.
 #[derive(Debug)]
 struct EngineObs {
-    /// Whether the hot path records at all ([`EngineConfig::observe`]).
-    enabled: bool,
     registry: Arc<MetricsRegistry>,
+    queries: Arc<Counter>,
+    errors: Arc<Counter>,
+    infeasible_fast_path: Arc<Counter>,
+    epochs_published: Arc<Counter>,
+    /// Shared by every epoch's [`KCoreCache`].
+    cache: CacheCounters,
+    components_carried: Arc<Counter>,
+    components_invalidated: Arc<Counter>,
     /// End-to-end latency per tier, indexed by [`LatencyTier::index`].
     tier_latency: [Arc<Histogram>; 3],
     /// Windowed ("last 10s") end-to-end latency per tier, same indexing.
@@ -361,11 +371,10 @@ struct EngineObs {
     /// Execution sub-span (the dispatched algorithm itself).
     exec_stage: Arc<Histogram>,
     /// Publish-pipeline sub-spans: building the next epoch (component
-    /// carry-over + cache seeding) and the epoch pointer swap (+
-    /// retired-counter fold).
+    /// carry-over + cache seeding) and the epoch pointer swap.
     publish_rebuild: Arc<Histogram>,
     publish_swap: Arc<Histogram>,
-    slow_log: SlowQueryLog,
+    slow_log: Arc<SlowQueryLog>,
     /// Sequence-numbered control-plane events (epoch swaps).
     events: Arc<EventLog>,
     /// Head-sampling rate for trace trees (0 = sampling off).
@@ -374,8 +383,79 @@ struct EngineObs {
 }
 
 impl EngineObs {
+    /// The one place [`EngineConfig::observe`] is read: without it the
+    /// registry hands out silent histograms, and the slow log, the event
+    /// ring and the trace sampler are built switched off.
     fn new(config: &EngineConfig) -> Self {
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = Arc::new(MetricsRegistry::with_timings(config.observe));
+        let (slow_query_micros, event_capacity, trace_sample_every) = if config.observe {
+            (
+                config.slow_query_micros,
+                EVENT_LOG_CAPACITY,
+                config.trace_sample_every,
+            )
+        } else {
+            (0, 0, 0)
+        };
+        let slow_log = Arc::new(SlowQueryLog::new(
+            config.slowlog_capacity,
+            slow_query_micros,
+        ));
+        let events = Arc::new(EventLog::new(event_capacity));
+
+        let counter = |name, help| registry.counter(name, help, &[]);
+        let queries = counter("sac_queries_total", "Queries answered (including errors)");
+        let errors = counter(
+            "sac_query_errors_total",
+            "Queries that returned a per-query error",
+        );
+        let infeasible_fast_path = counter(
+            "sac_infeasible_fast_path_total",
+            "Queries short-circuited by the cache feasibility check",
+        );
+        let epochs_published = counter(
+            "sac_epochs_published_total",
+            "Snapshots published over the engine lifetime",
+        );
+        let cache = CacheCounters::register(&registry);
+        let components_carried = counter(
+            "sac_components_carried_total",
+            "Per-k component indexes carried across epoch swaps",
+        );
+        let components_invalidated = counter(
+            "sac_components_invalidated_total",
+            "Per-k component indexes dropped at epoch swaps",
+        );
+        // Ring-owned values are read from the ring at scrape time.
+        let log = Arc::clone(&slow_log);
+        registry.counter_fn(
+            "sac_slow_queries_dropped_total",
+            "Slow-query records evicted from the ring buffer",
+            &[],
+            move || log.dropped(),
+        );
+        let ring = Arc::clone(&events);
+        registry.counter_fn(
+            "sac_events_total",
+            "Control-plane events published over the engine lifetime",
+            &[],
+            move || ring.next_seq(),
+        );
+        let log = Arc::clone(&slow_log);
+        registry.gauge_fn(
+            "sac_slow_queries",
+            "Slow-query records currently in the ring buffer",
+            &[],
+            move || log.len() as u64,
+        );
+        let ring = Arc::clone(&events);
+        registry.gauge_fn(
+            "sac_events_retained",
+            "Control-plane events currently in the event ring",
+            &[],
+            move || ring.len() as u64,
+        );
+
         const TIER_HELP: &str = "End-to-end query latency per latency tier";
         const ALGO_HELP: &str = "End-to-end query latency per dispatched algorithm";
         const STAGE_HELP: &str = "Query dispatch stage latency";
@@ -414,7 +494,13 @@ impl EngineObs {
             )
         };
         EngineObs {
-            enabled: config.observe,
+            queries,
+            errors,
+            infeasible_fast_path,
+            epochs_published,
+            cache,
+            components_carried,
+            components_invalidated,
             tier_latency,
             tier_window,
             algo_latency,
@@ -422,16 +508,9 @@ impl EngineObs {
             exec_stage: stage("exec"),
             publish_rebuild: publish("epoch_build"),
             publish_swap: publish("epoch_swap"),
-            slow_log: SlowQueryLog::new(
-                config.slowlog_capacity,
-                if config.observe {
-                    config.slow_query_micros
-                } else {
-                    0
-                },
-            ),
-            events: Arc::new(EventLog::new(EVENT_LOG_CAPACITY)),
-            trace_sample_every: config.trace_sample_every,
+            slow_log,
+            events,
+            trace_sample_every,
             query_ids: AtomicU64::new(0),
             registry,
         }
@@ -461,17 +540,9 @@ impl EngineObs {
 /// ```
 #[derive(Debug)]
 pub struct SacEngine {
-    epoch: EpochCell<EngineEpoch>,
+    /// Shared with the registry's `sac_epoch` reader.
+    epoch: Arc<EpochCell<EngineEpoch>>,
     planner: Planner,
-    queries: AtomicU64,
-    infeasible_fast_path: AtomicU64,
-    errors: AtomicU64,
-    epochs_published: AtomicU64,
-    components_carried: AtomicU64,
-    components_invalidated: AtomicU64,
-    /// Cache counters of retired epochs, folded in at publish time so
-    /// [`EngineStats::cache`] stays cumulative across swaps.
-    retired_cache: Mutex<CacheStats>,
     /// Leadership term (failover fencing): plain state the failover layer
     /// stamps, carried here so every WAL record and stats reply can read it
     /// off the engine handle.
@@ -492,7 +563,7 @@ impl SacEngine {
 
     /// An engine with custom tunables.
     pub fn with_config(graph: Arc<SpatialGraph>, config: EngineConfig) -> Self {
-        SacEngine::assemble(graph, KCoreCache::new(), config, 1)
+        SacEngine::assemble(graph, None, config, 1)
     }
 
     /// An engine rebuilt from recovered state: serves `graph` as epoch
@@ -515,31 +586,36 @@ impl SacEngine {
             graph.num_vertices(),
             "decomposition does not match the restored graph"
         );
-        let cache = KCoreCache::seeded(Arc::new(decomposition), Vec::new());
-        SacEngine::assemble(graph, cache, config, epoch.max(1))
+        SacEngine::assemble(graph, Some(decomposition), config, epoch.max(1))
     }
 
     fn assemble(
         graph: Arc<SpatialGraph>,
-        cache: KCoreCache,
+        decomposition: Option<CoreDecomposition>,
         config: EngineConfig,
-        epoch: u64,
+        number: u64,
     ) -> Self {
         let obs = EngineObs::new(&config);
+        let counters = obs.cache.clone();
+        let cache = match decomposition {
+            Some(d) => KCoreCache::seeded(counters, Arc::new(d), Vec::new()),
+            None => KCoreCache::new(counters),
+        };
+        let epoch = Arc::new(EpochCell::new(Arc::new(EngineEpoch {
+            number,
+            graph,
+            cache,
+        })));
+        let served = Arc::clone(&epoch);
+        obs.registry.gauge_fn(
+            "sac_epoch",
+            "Currently served epoch number",
+            &[],
+            move || served.load().number,
+        );
         SacEngine {
-            epoch: EpochCell::new(Arc::new(EngineEpoch {
-                number: epoch,
-                graph,
-                cache,
-            })),
+            epoch,
             planner: Planner::new(config.small_exact_threshold),
-            queries: AtomicU64::new(0),
-            infeasible_fast_path: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            epochs_published: AtomicU64::new(0),
-            components_carried: AtomicU64::new(0),
-            components_invalidated: AtomicU64::new(0),
-            retired_cache: Mutex::new(CacheStats::default()),
             term: AtomicU64::new(0),
             obs,
         }
@@ -627,11 +703,7 @@ impl SacEngine {
             "decomposition does not match the published graph"
         );
         let previous = self.epoch.load();
-        let rebuild_span = if self.obs.enabled {
-            Span::start(&self.obs.publish_rebuild)
-        } else {
-            Span::disabled()
-        };
+        let rebuild_span = Span::start(&self.obs.publish_rebuild);
         let mut carried = 0u64;
         let mut invalidated = 0u64;
         let surviving: Vec<Arc<KCoreComponents>> = previous
@@ -657,38 +729,19 @@ impl SacEngine {
         let next = EngineEpoch {
             number: next_number,
             graph,
-            cache: KCoreCache::seeded(Arc::new(decomposition), surviving),
+            cache: KCoreCache::seeded(self.obs.cache.clone(), Arc::new(decomposition), surviving),
         };
         let rebuild_micros = rebuild_span.finish();
-        let swap_span = if self.obs.enabled {
-            Span::start(&self.obs.publish_swap)
-        } else {
-            Span::disabled()
-        };
-        // Swap and fold the retired epoch's cache counters under the same
-        // lock `stats()` takes, so a concurrent reader never sees the retired
-        // epoch both folded into the total and still live (double-counted).
-        // A poisoned lock is recovered, not propagated: the accumulator is a
-        // plain `Copy` value that is never left half-written, and wedging
-        // every future publish (and the stats/metrics endpoints) on a dead
-        // worker's panic would turn one bad query into a stuck server.
-        {
-            let mut acc = self.retired_cache.lock().unwrap_or_else(|e| e.into_inner());
-            let retired = self.epoch.swap(Arc::new(next));
-            *acc = add_cache_stats(*acc, retired.cache.stats());
-        }
+        let swap_span = Span::start(&self.obs.publish_swap);
+        self.epoch.swap(Arc::new(next));
         let swap_micros = swap_span.finish();
-        self.epochs_published.fetch_add(1, Ordering::Relaxed);
-        self.components_carried
-            .fetch_add(carried, Ordering::Relaxed);
-        self.components_invalidated
-            .fetch_add(invalidated, Ordering::Relaxed);
-        if self.obs.enabled {
-            self.obs.events.publish(
-                "epoch_swap",
-                format!("epoch={next_number} carried={carried} invalidated={invalidated}"),
-            );
-        }
+        self.obs.epochs_published.inc();
+        self.obs.components_carried.add(carried);
+        self.obs.components_invalidated.add(invalidated);
+        self.obs.events.publish(
+            "epoch_swap",
+            format!("epoch={next_number} carried={carried} invalidated={invalidated}"),
+        );
         PublishReport {
             epoch: next_number,
             components_carried: carried,
@@ -806,11 +859,9 @@ impl SacEngine {
         let cache_hit = epoch.cache.is_warm();
         let plan_result = self.plan_on(epoch, request);
         let plan_micros = start.elapsed().as_micros() as u64;
-        if self.obs.enabled {
-            self.obs.plan_stage.record(plan_micros);
-        }
+        self.obs.plan_stage.record(plan_micros);
         let exec_start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.obs.queries.inc();
         let (plan, outcome, sweep) = match plan_result {
             Err(e) => (Plan::Rejected, Err(e), SweepStats::default()),
             Ok(plan) => {
@@ -819,12 +870,8 @@ impl SacEngine {
             }
         };
         match &outcome {
-            Err(_) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(_) if plan == Plan::Infeasible => {
-                self.infeasible_fast_path.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.obs.errors.inc(),
+            Ok(_) if plan == Plan::Infeasible => self.obs.infeasible_fast_path.inc(),
             Ok(_) => {}
         }
         let exec_micros = exec_start.elapsed().as_micros() as u64;
@@ -840,33 +887,31 @@ impl SacEngine {
                 .with_child(TraceNode::new("exec", plan_micros, exec_micros))
         };
         let sample_every = self.obs.trace_sample_every;
-        let sampled = self.obs.enabled && sample_every > 0 && query_id.is_multiple_of(sample_every);
+        let sampled = sample_every > 0 && query_id.is_multiple_of(sample_every);
         let tree = if request.trace || sampled {
             Some(build_tree())
         } else {
             None
         };
-        if self.obs.enabled {
-            self.obs.exec_stage.record(exec_micros);
-            self.obs.tier_latency[request.budget.tier.index()].record(total_micros);
-            self.obs.tier_window[request.budget.tier.index()].record(total_micros);
-            if let Some(algorithm) = plan.algorithm().and_then(Algorithm::from_name) {
-                self.obs.algo_latency[algorithm as usize].record(total_micros);
-            }
-            self.obs.slow_log.observe(total_micros, || SlowQueryRecord {
-                query_id,
-                total_micros,
-                plan: plan.label(),
-                tier: request.budget.tier.as_str().to_string(),
-                epoch: epoch.number,
-                plan_micros,
-                exec_micros,
-                cache_hit,
-                probe_count: sweep.probes,
-                candidate_count: sweep.candidates,
-                trace: Some(tree.clone().unwrap_or_else(&build_tree)),
-            });
+        self.obs.exec_stage.record(exec_micros);
+        self.obs.tier_latency[request.budget.tier.index()].record(total_micros);
+        self.obs.tier_window[request.budget.tier.index()].record(total_micros);
+        if let Some(algorithm) = plan.algorithm().and_then(Algorithm::from_name) {
+            self.obs.algo_latency[algorithm as usize].record(total_micros);
         }
+        self.obs.slow_log.observe(total_micros, || SlowQueryRecord {
+            query_id,
+            total_micros,
+            plan: plan.label(),
+            tier: request.budget.tier.as_str().to_string(),
+            epoch: epoch.number,
+            plan_micros,
+            exec_micros,
+            cache_hit,
+            probe_count: sweep.probes,
+            candidate_count: sweep.candidates,
+            trace: Some(tree.clone().unwrap_or_else(&build_tree)),
+        });
         SacResponse {
             id: request.id,
             q: request.q,
@@ -976,92 +1021,60 @@ impl SacEngine {
             .collect()
     }
 
-    /// Current serving counters (cache counters cumulative across epochs).
+    /// Current serving counters (cache counters cumulative across epochs):
+    /// the values [`SacEngine::metrics_text`] renders under the same names.
+    /// The latency summaries are empty when the registry keeps no timings
+    /// ([`EngineConfig::observe`] off).
     pub fn stats(&self) -> EngineStats {
-        // Read the accumulator and the live epoch under the accumulator's
-        // lock (publish folds + swaps under the same lock), so an epoch's
-        // counters are never counted both as retired and as live.  Recover a
-        // poisoned lock (see `publish_at`): stats and metrics endpoints
-        // must keep answering after a worker panic.
-        let (retired, epoch) = {
-            let acc = self.retired_cache.lock().unwrap_or_else(|e| e.into_inner());
-            (*acc, self.epoch.load())
+        let obs = &self.obs;
+        let mut stats = EngineStats {
+            queries: obs.queries.get(),
+            infeasible_fast_path: obs.infeasible_fast_path.get(),
+            errors: obs.errors.get(),
+            cache: obs.cache.stats(),
+            epoch: self.epoch(),
+            term: self.term(),
+            epochs_published: obs.epochs_published.get(),
+            components_carried: obs.components_carried.get(),
+            components_invalidated: obs.components_invalidated.get(),
+            ..EngineStats::default()
         };
-        EngineStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            infeasible_fast_path: self.infeasible_fast_path.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            cache: add_cache_stats(retired, epoch.cache.stats()),
-            epoch: epoch.number,
-            term: self.term.load(Ordering::Acquire),
-            epochs_published: self.epochs_published.load(Ordering::Relaxed),
-            components_carried: self.components_carried.load(Ordering::Relaxed),
-            components_invalidated: self.components_invalidated.load(Ordering::Relaxed),
-            tier_latency: if self.obs.enabled {
-                LatencyTier::ALL
-                    .iter()
-                    .map(|tier| LatencyStats {
-                        label: tier.as_str(),
-                        summary: LatencySummary::from_snapshot(
-                            &self.obs.tier_latency[tier.index()].snapshot(),
-                        ),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            algorithm_latency: if self.obs.enabled {
-                Algorithm::ALL
-                    .iter()
-                    .map(|&algorithm| LatencyStats {
-                        label: algorithm.name(),
-                        summary: LatencySummary::from_snapshot(
-                            &self.obs.algo_latency[algorithm as usize].snapshot(),
-                        ),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            windowed_tier_latency: if self.obs.enabled {
-                LatencyTier::ALL
-                    .iter()
-                    .map(|tier| LatencyStats {
-                        label: tier.as_str(),
-                        summary: self.obs.tier_window[tier.index()].snapshot().summary(),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            window_span_micros: if self.obs.enabled {
-                // All three rings share a geometry; report the widest span so
-                // `count / span` never overstates the rate.
-                self.obs
-                    .tier_window
-                    .iter()
-                    .map(|w| w.snapshot().span_micros)
-                    .max()
-                    .unwrap_or(0)
-            } else {
-                0
-            },
+        if !obs.registry.timings() {
+            return stats;
         }
+        let summary = |label, hist: &Histogram| LatencyStats {
+            label,
+            summary: LatencySummary::from_snapshot(&hist.snapshot()),
+        };
+        stats.tier_latency = LatencyTier::ALL
+            .iter()
+            .map(|tier| summary(tier.as_str(), &obs.tier_latency[tier.index()]))
+            .collect();
+        stats.algorithm_latency = Algorithm::ALL
+            .iter()
+            .map(|&algorithm| summary(algorithm.name(), &obs.algo_latency[algorithm as usize]))
+            .collect();
+        let windows: Vec<_> = obs.tier_window.iter().map(|w| w.snapshot()).collect();
+        stats.windowed_tier_latency = LatencyTier::ALL
+            .iter()
+            .map(|tier| LatencyStats {
+                label: tier.as_str(),
+                summary: windows[tier.index()].summary(),
+            })
+            .collect();
+        // All three rings share a geometry; report the widest span so
+        // `count / span` never overstates the rate.
+        stats.window_span_micros = windows.iter().map(|w| w.span_micros).max().unwrap_or(0);
+        stats
     }
 
     /// The metric registry the engine (and, by shared registration, the
-    /// serving layers above) records into: per-tier and per-algorithm
-    /// latency histograms, dispatch stage spans and publish-pipeline spans.
-    /// Present — but silent — when observation is disabled.
+    /// serving layers above) records into: the serving counters, per-tier
+    /// and per-algorithm latency histograms, dispatch stage spans and
+    /// publish-pipeline spans.  Its histograms are silent when
+    /// [`EngineConfig::observe`] is off; its counters always count.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.obs.registry
-    }
-
-    /// Whether the engine records into its metric registry
-    /// ([`EngineConfig::observe`]); layers registering their own series
-    /// should honour this too.
-    pub fn observing(&self) -> bool {
-        self.obs.enabled
     }
 
     /// The slow-query ring buffer (threshold
@@ -1075,112 +1088,19 @@ impl SacEngine {
     /// cursor ([`EventLog::since`]).  Layers above (the live-update front,
     /// the serving transports) publish their own events — commits, batch
     /// strategy choices — into the same ring.
-    /// Present — but silent — when observation is disabled.
+    /// Switched off (keeps nothing) when observation is disabled.
     pub fn events(&self) -> &Arc<EventLog> {
         &self.obs.events
     }
 
-    /// Prometheus text exposition of everything the engine knows: the
-    /// `EngineStats` counters/gauges plus every series of [`SacEngine::metrics`]
-    /// — the payload of the HTTP `GET /metrics` endpoint.
+    /// Prometheus text exposition of everything the engine's registry holds
+    /// — the payload of the HTTP `GET /metrics` endpoint.  Every series is
+    /// the one value [`SacEngine::stats`] (or the layer above that
+    /// registered it) reports: counters are the registry's own, and values
+    /// another owner keeps — the served epoch, the slow-log and event-ring
+    /// lengths — are read from that owner while rendering.
     pub fn metrics_text(&self) -> String {
-        use std::fmt::Write as _;
-        let stats = self.stats();
-        let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "sac_queries_total",
-            "Queries answered (including errors)",
-            stats.queries,
-        );
-        counter(
-            "sac_query_errors_total",
-            "Queries that returned a per-query error",
-            stats.errors,
-        );
-        counter(
-            "sac_infeasible_fast_path_total",
-            "Queries short-circuited by the cache feasibility check",
-            stats.infeasible_fast_path,
-        );
-        counter(
-            "sac_epochs_published_total",
-            "Snapshots published over the engine lifetime",
-            stats.epochs_published,
-        );
-        counter(
-            "sac_cache_decomposition_hits_total",
-            "Core-decomposition cache hits",
-            stats.cache.decomposition.hits,
-        );
-        counter(
-            "sac_cache_decomposition_misses_total",
-            "Core-decomposition cache misses",
-            stats.cache.decomposition.misses,
-        );
-        counter(
-            "sac_cache_components_hits_total",
-            "Per-k component index cache hits",
-            stats.cache.components.hits,
-        );
-        counter(
-            "sac_cache_components_misses_total",
-            "Per-k component index cache misses",
-            stats.cache.components.misses,
-        );
-        counter(
-            "sac_components_carried_total",
-            "Per-k component indexes carried across epoch swaps",
-            stats.components_carried,
-        );
-        counter(
-            "sac_components_invalidated_total",
-            "Per-k component indexes dropped at epoch swaps",
-            stats.components_invalidated,
-        );
-        counter(
-            "sac_slow_queries_dropped_total",
-            "Slow-query records evicted from the ring buffer",
-            self.obs.slow_log.dropped(),
-        );
-        counter(
-            "sac_events_total",
-            "Control-plane events published over the engine lifetime",
-            self.obs.events.next_seq(),
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge("sac_epoch", "Currently served epoch number", stats.epoch);
-        gauge(
-            "sac_slow_queries",
-            "Slow-query records currently in the ring buffer",
-            self.obs.slow_log.len() as u64,
-        );
-        gauge(
-            "sac_events_retained",
-            "Control-plane events currently in the event ring",
-            self.obs.events.len() as u64,
-        );
-        out.push_str(&self.obs.registry.render_prometheus());
-        out
-    }
-}
-
-fn add_cache_stats(a: CacheStats, b: CacheStats) -> CacheStats {
-    fn add_layer(a: CacheLayerStats, b: CacheLayerStats) -> CacheLayerStats {
-        CacheLayerStats {
-            hits: a.hits + b.hits,
-            misses: a.misses + b.misses,
-        }
-    }
-    CacheStats {
-        decomposition: add_layer(a.decomposition, b.decomposition),
-        components: add_layer(a.components, b.components),
+        self.obs.registry.render_prometheus()
     }
 }
 
@@ -1739,6 +1659,33 @@ mod tests {
         assert!(dark.slow_log().is_empty());
         assert!(dark.stats().tier_latency.is_empty());
         assert!(dark.stats().algorithm_latency.is_empty());
+    }
+
+    #[test]
+    fn dark_engines_count_but_keep_no_timings() {
+        let dark = SacEngine::with_config(
+            Arc::new(figure3_graph()),
+            EngineConfig {
+                observe: false,
+                trace_sample_every: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let response = dark.execute(&SacRequest::builder(figure3::Q, 2).id(1).build().unwrap());
+        assert!(response.trace.tree.is_none(), "the sampler is off");
+        let snapshot = dark.snapshot();
+        let decomposition = sac_graph::core_decomposition(snapshot.graph());
+        dark.publish(snapshot, decomposition, u32::MAX);
+        let stats = dark.stats();
+        assert_eq!((stats.queries, stats.epochs_published), (1, 1));
+        let text = dark.metrics_text();
+        assert!(text.contains("sac_queries_total 1\n"));
+        assert!(text.contains("sac_epochs_published_total 1\n"));
+        assert!(text.contains("sac_epoch 2\n"));
+        assert!(text.contains("sac_query_latency_micros_count{tier=\"standard\"} 0\n"));
+        assert!(text.contains("sac_query_latency_window_micros_count{tier=\"standard\"} 0\n"));
+        assert!(text.contains("sac_publish_stage_micros_count{stage=\"epoch_swap\"} 0\n"));
+        assert!(text.contains("sac_events_total 0\n"));
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod engine;
 mod epoch;
 mod planner;
 
-pub use cache::{CacheLayerStats, CacheStats, KCoreCache};
+pub use cache::{CacheCounters, CacheLayerStats, CacheStats, KCoreCache};
 pub use engine::{
     EngineConfig, EngineStats, LatencyStats, PublishReport, QueryTrace, SacEngine, SacRequest,
     SacRequestBuilder, SacResponse,
@@ -80,5 +80,5 @@ pub use sac_graph::KCoreComponents;
 // coherent API (the engine owns the registry the whole stack records into).
 pub use sac_obs::{
     EventBatch, EventLog, EventRecord, LatencySummary, MetricsRegistry, SlowQueryLog,
-    SlowQueryRecord, Span as ObsSpan, TraceNode, WindowedHistogram, WindowedSnapshot,
+    SlowQueryRecord, TraceNode,
 };

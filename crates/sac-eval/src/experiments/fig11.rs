@@ -3,7 +3,9 @@
 
 use crate::runner::{load_dataset, mean};
 use crate::{ExperimentConfig, Table};
-use sac_core::{exact_plus, metrics, range_only, theta_sac};
+use sac_core::{metrics, range_only, Algorithm, Community, SacQuery, SearchContext};
+use sac_graph::{core_decomposition, KCoreComponents};
+use std::sync::Arc;
 
 /// Reproduces Figure 11: for every θ, (a) the percentage of queries for which
 /// `θ-SAC` returns a non-empty community and (b) the mean MCC radius of those
@@ -13,6 +15,9 @@ use sac_core::{exact_plus, metrics, range_only, theta_sac};
 /// The shape to reproduce: small θ answers few queries, the radius of θ-SAC
 /// results is several times larger than `Exact+`'s, and range-only communities have
 /// an average degree far below `k`.
+///
+/// The k-core is peeled once per dataset: every `Exact+` and `θ-SAC` run
+/// reads Step 1 from one shared component index of the k-core.
 pub fn fig11(config: &ExperimentConfig) -> Vec<Table> {
     let k = config.default_k;
     let mut tables = Vec::new();
@@ -20,16 +25,24 @@ pub fn fig11(config: &ExperimentConfig) -> Vec<Table> {
     for &kind in &config.datasets {
         let bundle = load_dataset(kind, config);
         let g = &bundle.graph;
+        let components = Arc::new(KCoreComponents::build(
+            g.graph(),
+            &core_decomposition(g.graph()),
+            k,
+        ));
+        let run = |algorithm: Algorithm, query: SacQuery| -> Option<Community> {
+            let mut ctx =
+                SearchContext::with_components(g, query.q, k, Arc::clone(&components)).ok()?;
+            algorithm.run(&mut ctx, &query).ok()?.community
+        };
 
         // Optimal radii for the ratio column.
         let optima: Vec<(u32, f64)> = bundle
             .queries
             .iter()
             .filter_map(|&q| {
-                exact_plus(g, q, k, config.exact_plus_eps_a)
-                    .ok()
-                    .flatten()
-                    .map(|c| (q, c.radius()))
+                let query = SacQuery::new(q, k).with_eps_a(config.exact_plus_eps_a);
+                run(Algorithm::ExactPlus, query).map(|c| (q, c.radius()))
             })
             .collect();
 
@@ -52,7 +65,7 @@ pub fn fig11(config: &ExperimentConfig) -> Vec<Table> {
             let mut ratios = Vec::new();
             let mut range_degrees = Vec::new();
             for &q in &bundle.queries {
-                if let Ok(Some(c)) = theta_sac(g, q, k, theta) {
+                if let Some(c) = run(Algorithm::ThetaSac, SacQuery::new(q, k).with_theta(theta)) {
                     answered += 1;
                     radii.push(c.radius());
                     if let Some(&(_, r_opt)) = optima.iter().find(|(qq, _)| *qq == q) {

@@ -7,7 +7,7 @@
 //! a square identified by its centre and width, with child enumeration and the
 //! geometric predicates the pruning rules need.
 
-use crate::{Point, Rect};
+use crate::Point;
 
 /// A square cell of the region quadtree, identified by its centre and width.
 ///
@@ -64,11 +64,6 @@ impl AnchorCell {
         ]
     }
 
-    /// The rectangle covered by this cell.
-    pub fn rect(&self) -> Rect {
-        Rect::square(self.center, self.width)
-    }
-
     /// Half of the cell diagonal: the maximum distance from the anchor point to any
     /// location inside the cell, `√2/2 · width`.
     ///
@@ -77,16 +72,18 @@ impl AnchorCell {
     pub fn half_diagonal(&self) -> f64 {
         std::f64::consts::FRAC_1_SQRT_2 * self.width
     }
-
-    /// Returns `true` when `p` lies inside this cell (boundary inclusive).
-    pub fn contains(&self, p: Point) -> bool {
-        self.rect().contains(p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `p` lies in the square `cell` covers (boundary inclusive),
+    /// from its centre and width.
+    fn covers(cell: &AnchorCell, p: Point) -> bool {
+        let h = cell.width * 0.5;
+        (p.x - cell.center.x).abs() <= h && (p.y - cell.center.y).abs() <= h
+    }
 
     #[test]
     fn children_tile_the_parent() {
@@ -96,10 +93,12 @@ mod tests {
         for k in &kids {
             assert!((k.width - 1.0).abs() < 1e-12);
             assert_eq!(k.depth, 1);
-            // Child rect must be inside the parent rect.
-            let pr = root.rect();
-            let kr = k.rect();
-            assert!(pr.contains(kr.min) && pr.contains(kr.max));
+            // The child's corners must lie inside the parent.
+            let h = k.width * 0.5;
+            for (dx, dy) in [(-h, -h), (h, -h), (-h, h), (h, h)] {
+                let corner = Point::new(k.center.x + dx, k.center.y + dy);
+                assert!(covers(&root, corner), "corner {corner} outside the parent");
+            }
         }
         // The four children cover the same total area as the parent.
         let total: f64 = kids.iter().map(|k| k.width * k.width).sum();
@@ -110,7 +109,7 @@ mod tests {
     fn half_diagonal_bounds_distance_to_anchor() {
         let cell = AnchorCell::root(Point::new(0.0, 0.0), 2.0);
         let corner = Point::new(1.0, 1.0);
-        assert!(cell.contains(corner));
+        assert!(covers(&cell, corner));
         assert!(cell.center.distance(corner) <= cell.half_diagonal() + 1e-12);
     }
 
@@ -124,10 +123,7 @@ mod tests {
             Point::new(1.3, -0.7),
             Point::new(1.99, 1.99),
         ] {
-            assert!(
-                leaves.iter().any(|c| c.contains(p)),
-                "point {p} not covered"
-            );
+            assert!(leaves.iter().any(|c| covers(c, p)), "point {p} not covered");
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   ([`Circle`]),
 //! * the minimum enclosing circle of an arbitrary point set in expected linear time
 //!   (Welzl's algorithm, [`minimum_enclosing_circle`]),
-//! * axis-aligned rectangles and the region-quadtree cells used by the `AppAcc`
-//!   anchor-point search ([`Rect`], [`AnchorCell`]),
+//! * the region-quadtree cells used by the `AppAcc` anchor-point search
+//!   ([`AnchorCell`]),
 //! * the circle–circle intersection area used by the *community area overlap* (CAO)
 //!   metric ([`Circle::intersection_area`]).
 //!
@@ -43,14 +43,12 @@ mod circle;
 mod error;
 mod mec;
 mod point;
-mod rect;
 
 pub use cell::AnchorCell;
 pub use circle::Circle;
 pub use error::GeomError;
 pub use mec::{minimum_enclosing_circle, minimum_enclosing_circle_naive};
 pub use point::Point;
-pub use rect::Rect;
 
 /// Absolute tolerance used by geometric predicates throughout the crate.
 ///

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use sac_geom::{minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, Point, Rect};
+use sac_geom::{minimum_enclosing_circle, minimum_enclosing_circle_naive, Circle, Point};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (0.0f64..1.0, 0.0f64..1.0).prop_map(|(x, y)| Point::new(x, y))
@@ -35,8 +35,9 @@ proptest! {
     #[test]
     fn mec_radius_bounds(pts in arb_points(48)) {
         let c = minimum_enclosing_circle(&pts).unwrap();
-        let bbox = Rect::bounding(&pts).unwrap();
-        let diag = bbox.min.distance(bbox.max);
+        let min = pts.iter().fold(pts[0], |m, p| Point::new(m.x.min(p.x), m.y.min(p.y)));
+        let max = pts.iter().fold(pts[0], |m, p| Point::new(m.x.max(p.x), m.y.max(p.y)));
+        let diag = min.distance(max);
         prop_assert!(c.radius <= diag / 2.0 * (1.0 + 1e-9) + 1e-12);
         let max_pair = pts
             .iter()

@@ -145,24 +145,26 @@ pub struct WalStats {
     pub tail_offset: u64,
 }
 
-/// Pre-bound WAL instruments in the engine's shared registry.
+/// Pre-bound WAL instruments in the engine's shared registry; [`WalStats`]
+/// reads its record count and checkpoint epoch from them.
 #[derive(Debug)]
 pub(crate) struct WalObs {
-    enabled: bool,
     appended_bytes: Arc<Counter>,
-    appends: Arc<Counter>,
+    pub(crate) appends: Arc<Counter>,
     fsync_micros: Arc<Histogram>,
     segments: Arc<Gauge>,
     checkpoints: Arc<Counter>,
     checkpoint_micros: Arc<Histogram>,
-    last_checkpoint_epoch: Arc<Gauge>,
+    pub(crate) last_checkpoint_epoch: Arc<Gauge>,
 }
 
 impl WalObs {
-    pub(crate) fn new(engine: &SacEngine) -> WalObs {
+    /// Registers the WAL series, starting from the log as opened:
+    /// `checkpoint_epoch` is the epoch of its snapshot (0 for a fresh
+    /// directory), `segments` its live segment count.
+    pub(crate) fn new(engine: &SacEngine, checkpoint_epoch: u64, segments: u64) -> WalObs {
         let registry = engine.metrics();
-        WalObs {
-            enabled: engine.observing(),
+        let obs = WalObs {
             appended_bytes: registry.counter(
                 "sac_wal_appended_bytes_total",
                 "Record bytes appended to the write-ahead log",
@@ -194,7 +196,10 @@ impl WalObs {
                 "Epoch captured by the newest snapshot checkpoint",
                 &[],
             ),
-        }
+        };
+        obs.last_checkpoint_epoch.set(checkpoint_epoch as i64);
+        obs.segments.set(segments as i64);
+        obs
     }
 }
 
@@ -207,39 +212,29 @@ pub(crate) struct WalState {
     pub(crate) config: Durability,
     pub(crate) obs: WalObs,
     pub(crate) commits_since_checkpoint: u64,
-    pub(crate) last_checkpoint_epoch: u64,
-    pub(crate) appended_records: u64,
-    pub(crate) appended_bytes: u64,
     /// Oldest live segment id (checkpoints advance it), so the segment gauge
     /// needs no directory scan on the commit path.
     pub(crate) first_live_segment: u64,
 }
 
 impl WalState {
-    /// Folds one append's facts into counters and metrics.
+    /// Folds one append's facts into the metrics.
     pub(crate) fn note_append(&mut self, info: &AppendInfo) {
-        self.appended_records += 1;
-        self.appended_bytes += info.bytes;
-        if self.obs.enabled {
-            self.obs.appends.inc();
-            self.obs.appended_bytes.add(info.bytes);
-            if info.synced {
-                self.obs.fsync_micros.record(info.sync_micros);
-            }
-            let live = info.segment.saturating_sub(self.first_live_segment) + 1;
-            self.obs.segments.set(live as i64);
+        self.obs.appends.inc();
+        self.obs.appended_bytes.add(info.bytes);
+        if info.synced {
+            self.obs.fsync_micros.record(info.sync_micros);
         }
+        let live = info.segment.saturating_sub(self.first_live_segment) + 1;
+        self.obs.segments.set(live as i64);
     }
 
     /// Records a finished checkpoint into metrics and resets the cadence.
     pub(crate) fn note_checkpoint(&mut self, report: &CheckpointReport, segments_now: u64) {
         self.commits_since_checkpoint = 0;
-        self.last_checkpoint_epoch = report.epoch;
-        if self.obs.enabled {
-            self.obs.checkpoints.inc();
-            self.obs.checkpoint_micros.record(report.micros);
-            self.obs.last_checkpoint_epoch.set(report.epoch as i64);
-            self.obs.segments.set(segments_now as i64);
-        }
+        self.obs.checkpoints.inc();
+        self.obs.checkpoint_micros.record(report.micros);
+        self.obs.last_checkpoint_epoch.set(report.epoch as i64);
+        self.obs.segments.set(segments_now as i64);
     }
 }

@@ -23,6 +23,7 @@
 //! transport would emit.
 
 use crate::SacService;
+use sac_obs::Span;
 use sac_proto::{ProtoRequest, ProtoResponse, TransportError};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -230,7 +231,7 @@ impl<W: Write> Replier<'_, W> {
         keep_alive: bool,
     ) -> std::io::Result<()> {
         let obs = self.service.obs();
-        let span = obs.span(&obs.http_write);
+        let span = Span::start(&obs.http_write);
         let result = write_response_typed(
             &mut self.writer,
             &mut self.buf,
@@ -273,7 +274,7 @@ pub fn handle_connection_with(
     let encode = service.encode_options();
     loop {
         let obs = service.obs();
-        let read_span = obs.span(&obs.http_read);
+        let read_span = Span::start(&obs.http_read);
         let read = read_request(&mut reader, config);
         read_span.finish();
         let request = match read {

@@ -2,6 +2,7 @@
 //! one reply line per request — a thin shell over [`SacService`].
 
 use crate::SacService;
+use sac_obs::Span;
 use std::io::{BufRead, Write};
 
 /// Serves LDJSON requests from `input` to `output` until EOF or a `quit`
@@ -19,7 +20,7 @@ pub fn serve<R: BufRead, W: Write>(
 ) -> std::io::Result<()> {
     let obs = service.obs();
     loop {
-        let read_span = obs.span(&obs.ldjson_read);
+        let read_span = Span::start(&obs.ldjson_read);
         let mut line = String::new();
         let n = input.read_line(&mut line)?;
         read_span.finish();
@@ -31,7 +32,7 @@ pub fn serve<R: BufRead, W: Write>(
         }
         match service.handle_line(line.trim_end_matches(['\r', '\n'])) {
             Some(mut reply) => {
-                let write_span = obs.span(&obs.ldjson_write);
+                let write_span = Span::start(&obs.ldjson_write);
                 // One write per reply line: on an unbuffered socket a
                 // separate newline write could wait on a delayed ACK.
                 reply.push('\n');

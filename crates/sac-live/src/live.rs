@@ -18,8 +18,6 @@ use std::time::Instant;
 /// whole serving stack shares one `/metrics` exposition.
 #[derive(Debug)]
 struct LiveObs {
-    /// Whether the engine runs with observability enabled.
-    enabled: bool,
     /// `sac_commits_total` — non-empty commits published.
     commits: Arc<Counter>,
     /// `sac_commit_micros` — end-to-end commit latency.
@@ -34,7 +32,6 @@ impl LiveObs {
     fn new(engine: &SacEngine) -> LiveObs {
         let registry = engine.metrics();
         LiveObs {
-            enabled: engine.observing(),
             commits: registry.counter("sac_commits_total", "Non-empty commits published", &[]),
             commit_micros: registry.histogram(
                 "sac_commit_micros",
@@ -418,20 +415,18 @@ impl LiveEngine {
             clean_shutdown: clean_epoch.is_some(),
             micros: start.elapsed().as_micros() as u64,
         };
-        if live.engine.observing() {
-            live.engine.events().publish(
-                "recovery",
-                format!(
-                    "snapshot_epoch={} epoch={} records={} mutations={} truncated_bytes={} clean={}",
-                    report.snapshot_epoch,
-                    report.epoch,
-                    report.records_replayed,
-                    report.mutations_replayed,
-                    report.truncated_bytes,
-                    report.clean_shutdown
-                ),
-            );
-        }
+        live.engine.events().publish(
+            "recovery",
+            format!(
+                "snapshot_epoch={} epoch={} records={} mutations={} truncated_bytes={} clean={}",
+                report.snapshot_epoch,
+                report.epoch,
+                report.records_replayed,
+                report.mutations_replayed,
+                report.truncated_bytes,
+                report.clean_shutdown
+            ),
+        );
         Ok((live, report))
     }
 
@@ -452,14 +447,12 @@ impl LiveEngine {
             .copied()
             .unwrap_or_else(|| writer.segment());
         let fresh = restored_from.is_none() && sac_wal::latest_snapshot(&config.dir)?.is_none();
+        let segments = writer.segment().saturating_sub(first_live_segment) + 1;
         let state = WalState {
+            obs: WalObs::new(&self.engine, restored_from.unwrap_or(0), segments),
             writer,
             config,
-            obs: WalObs::new(&self.engine),
             commits_since_checkpoint: 0,
-            last_checkpoint_epoch: restored_from.unwrap_or(0),
-            appended_records: 0,
-            appended_bytes: 0,
             first_live_segment,
         };
         let mut guard = self.wal.lock().expect("wal state poisoned");
@@ -510,15 +503,13 @@ impl LiveEngine {
             micros: start.elapsed().as_micros() as u64,
         };
         wal.note_checkpoint(&report, 1);
-        if self.engine.observing() {
-            self.engine.events().publish(
-                "checkpoint",
-                format!(
-                    "epoch={} bytes={} segments_removed={}",
-                    report.epoch, report.snapshot_bytes, report.segments_removed
-                ),
-            );
-        }
+        self.engine.events().publish(
+            "checkpoint",
+            format!(
+                "epoch={} bytes={} segments_removed={}",
+                report.epoch, report.snapshot_bytes, report.segments_removed
+            ),
+        );
         Ok(report)
     }
 
@@ -567,8 +558,8 @@ impl LiveEngine {
             segments: dir.segments,
             log_bytes: dir.log_bytes,
             snapshot_bytes: dir.snapshot_bytes,
-            last_checkpoint_epoch: wal.last_checkpoint_epoch,
-            appended_records: wal.appended_records,
+            last_checkpoint_epoch: wal.obs.last_checkpoint_epoch.get() as u64,
+            appended_records: wal.obs.appends.get(),
             last_applied_epoch: self.engine.epoch(),
             tail_segment: wal.writer.segment(),
             tail_offset: wal.writer.segment_offset(),
@@ -646,11 +637,7 @@ impl LiveEngine {
             });
         }
         let start = Instant::now();
-        let build_span = if self.obs.enabled {
-            Span::start(&self.obs.snapshot_build)
-        } else {
-            Span::disabled()
-        };
+        let build_span = Span::start(&self.obs.snapshot_build);
         let snapshot = front.snapshot()?;
         let decomposition = front.dynamic.decomposition();
         let snapshot_build_micros = build_span.finish();
@@ -679,12 +666,10 @@ impl LiveEngine {
         let ops = std::mem::take(&mut front.ops);
         let cores_changed = std::mem::take(&mut front.cores_changed);
         front.dirty_up_to = 0;
-        if self.obs.enabled {
-            self.obs.commits.inc();
-            self.obs
-                .commit_micros
-                .record(start.elapsed().as_micros() as u64);
-        }
+        self.obs.commits.inc();
+        self.obs
+            .commit_micros
+            .record(start.elapsed().as_micros() as u64);
         if let Some(wal) = wal_guard.as_mut() {
             wal.commits_since_checkpoint += 1;
             if wal.config.checkpoint_every > 0

@@ -60,7 +60,7 @@ use crate::fault::{FaultAction, FaultInjector, FaultPlan};
 use crate::retry::RetryPolicy;
 use crate::LiveEngine;
 use sac_engine::{EngineConfig, SacEngine};
-use sac_obs::{Counter, Gauge};
+use sac_obs::MetricsRegistry;
 use sac_proto::replication::{
     ProbeReply, ProbeRequest, ReplFrame, ReplicateHello, ReplicateRequest,
 };
@@ -689,61 +689,53 @@ impl ReplicaStatus {
     }
 }
 
-/// Pre-bound replication instruments in the engine's shared registry.
-#[derive(Debug)]
-struct ReplicationObs {
-    enabled: bool,
-    connected: Arc<Gauge>,
-    applied_epoch: Arc<Gauge>,
-    primary_epoch: Arc<Gauge>,
-    lag: Arc<Gauge>,
-    records: Arc<Counter>,
-    reconnects: Arc<Counter>,
-    bootstraps: Arc<Counter>,
-}
-
-impl ReplicationObs {
-    fn new(engine: &SacEngine) -> ReplicationObs {
-        let registry = engine.metrics();
-        ReplicationObs {
-            enabled: engine.observing(),
-            connected: registry.gauge(
-                "sac_replication_connected",
-                "Whether the replication link is established (0/1)",
-                &[],
-            ),
-            applied_epoch: registry.gauge(
-                "sac_replication_last_applied_epoch",
-                "Epoch of the replica's applied state",
-                &[],
-            ),
-            primary_epoch: registry.gauge(
-                "sac_replication_primary_epoch",
-                "Primary epoch as of the last heartbeat",
-                &[],
-            ),
-            lag: registry.gauge(
-                "sac_replication_lag_epochs",
-                "Epochs the replica trails the primary",
-                &[],
-            ),
-            records: registry.counter(
-                "sac_replication_records_applied_total",
-                "WAL records applied from the replication stream",
-                &[],
-            ),
-            reconnects: registry.counter(
-                "sac_replication_reconnects_total",
-                "Replication link reconnect attempts",
-                &[],
-            ),
-            bootstraps: registry.counter(
-                "sac_replication_snapshot_bootstraps_total",
-                "Snapshot re-bootstraps after checkpoint truncation",
-                &[],
-            ),
-        }
-    }
+/// Registers the replication series in `registry` as readers of `status`,
+/// so `/metrics`, `stats` and `/healthz` show the same values, the lag
+/// included.
+fn register_replication_metrics(registry: &MetricsRegistry, status: &Arc<ReplicaStatus>) {
+    let gauge = |name, help, read: fn(&ReplicaStatus) -> u64| {
+        let status = Arc::clone(status);
+        registry.gauge_fn(name, help, &[], move || read(&status));
+    };
+    gauge(
+        "sac_replication_connected",
+        "Whether the replication link is established (0/1)",
+        |s| s.connected() as u64,
+    );
+    gauge(
+        "sac_replication_last_applied_epoch",
+        "Epoch of the replica's applied state",
+        ReplicaStatus::applied_epoch,
+    );
+    gauge(
+        "sac_replication_primary_epoch",
+        "Primary epoch as of the last heartbeat",
+        ReplicaStatus::primary_epoch,
+    );
+    gauge(
+        "sac_replication_lag_epochs",
+        "Epochs the replica trails the primary",
+        ReplicaStatus::lag_epochs,
+    );
+    let counter = |name, help, read: fn(&ReplicaStatus) -> u64| {
+        let status = Arc::clone(status);
+        registry.counter_fn(name, help, &[], move || read(&status));
+    };
+    counter(
+        "sac_replication_records_applied_total",
+        "WAL records applied from the replication stream",
+        ReplicaStatus::records_applied,
+    );
+    counter(
+        "sac_replication_reconnects_total",
+        "Replication link reconnect attempts",
+        ReplicaStatus::reconnects,
+    );
+    counter(
+        "sac_replication_snapshot_bootstraps_total",
+        "Snapshot re-bootstraps after checkpoint truncation",
+        ReplicaStatus::snapshot_bootstraps,
+    );
 }
 
 /// A running read replica: a write front without a WAL plus the tailer
@@ -781,16 +773,10 @@ impl Replica {
         status.primary_epoch.store(applied, Ordering::Relaxed);
         status.touch();
         let stop = Arc::new(AtomicBool::new(false));
-        let obs = ReplicationObs::new(live.engine());
-        if obs.enabled {
-            obs.connected.set(1);
-            obs.applied_epoch.set(applied as i64);
-            obs.primary_epoch.set(applied as i64);
-        }
+        register_replication_metrics(live.engine().metrics(), &status);
         let ctx = TailerCtx {
             live: Arc::clone(&live),
             status: Arc::clone(&status),
-            obs,
             config,
             stop: Arc::clone(&stop),
         };
@@ -857,7 +843,6 @@ type LogPos = (u64, u64);
 struct TailerCtx {
     live: Arc<LiveEngine>,
     status: Arc<ReplicaStatus>,
-    obs: ReplicationObs,
     config: ReplicaConfig,
     stop: Arc<AtomicBool>,
 }
@@ -992,9 +977,6 @@ fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut pos: LogPos)
             StreamEnd::Reconnect => false,
         };
         ctx.status.connected.store(false, Ordering::Relaxed);
-        if ctx.obs.enabled {
-            ctx.obs.connected.set(0);
-        }
         let mut attempt = 0u32;
         loop {
             if ctx.stop.load(Ordering::SeqCst) {
@@ -1008,17 +990,11 @@ fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut pos: LogPos)
             attempt += 1;
             conn += 1;
             ctx.status.reconnects.fetch_add(1, Ordering::Relaxed);
-            if ctx.obs.enabled {
-                ctx.obs.reconnects.inc();
-            }
             match reconnect(&ctx, &mut pos, want_snapshot) {
                 Ok(new_reader) => {
                     reader = new_reader;
                     ctx.status.connected.store(true, Ordering::Relaxed);
                     ctx.status.touch();
-                    if ctx.obs.enabled {
-                        ctx.obs.connected.set(1);
-                    }
                     continue 'serve;
                 }
                 Err(ReconnectFail::NeedSnapshot) => want_snapshot = true,
@@ -1107,17 +1083,10 @@ fn reconnect(
                 ctx.status
                     .snapshot_bootstraps
                     .fetch_add(1, Ordering::Relaxed);
-                if ctx.obs.enabled {
-                    ctx.obs.applied_epoch.set(epoch as i64);
-                    ctx.obs.bootstraps.inc();
-                }
-                let engine = ctx.live.engine();
-                if engine.observing() {
-                    engine.events().publish(
-                        "replication",
-                        format!("snapshot_bootstrap epoch={epoch} segment={segment}"),
-                    );
-                }
+                ctx.live.engine().events().publish(
+                    "replication",
+                    format!("snapshot_bootstrap epoch={epoch} segment={segment}"),
+                );
             }
             // A snapshot at or below our applied epoch carries nothing new:
             // keep the richer local state and just resume the stream —
@@ -1256,11 +1225,6 @@ fn process_frame(
                         .applied_epoch
                         .store(record.epoch, Ordering::Relaxed);
                     ctx.status.records_applied.fetch_add(1, Ordering::Relaxed);
-                    if ctx.obs.enabled {
-                        ctx.obs.applied_epoch.set(record.epoch as i64);
-                        ctx.obs.records.inc();
-                        ctx.obs.lag.set(ctx.status.lag_epochs() as i64);
-                    }
                     FrameVerdict::Continue
                 }
                 // The shipped ops do not fit our front (or changed nothing):
@@ -1289,10 +1253,6 @@ fn process_frame(
                 ctx.status.set_roster(roster);
             }
             ctx.status.primary_epoch.store(epoch, Ordering::Relaxed);
-            if ctx.obs.enabled {
-                ctx.obs.primary_epoch.set(epoch as i64);
-                ctx.obs.lag.set(ctx.status.lag_epochs() as i64);
-            }
             if (segment, offset) > *pos {
                 // The primary's tail is ahead of us yet no record arrived:
                 // after a few of these in a row the records were lost on
@@ -1308,5 +1268,27 @@ fn process_frame(
             FrameVerdict::Continue
         }
         ReplFrame::SnapshotRequired => FrameVerdict::End(StreamEnd::SnapshotRequired),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replication_series_read_the_status_at_scrape_time() {
+        let registry = MetricsRegistry::new();
+        let status = Arc::new(ReplicaStatus::new(
+            "127.0.0.1:1".to_string(),
+            Duration::from_secs(3),
+        ));
+        register_replication_metrics(&registry, &status);
+        // A snapshot re-bootstrap moves the applied epoch without a record
+        // or a heartbeat; the lag must follow it at once.
+        status.primary_epoch.store(9, Ordering::Relaxed);
+        status.applied_epoch.store(4, Ordering::Relaxed);
+        let text = registry.render_prometheus();
+        assert!(text.contains("sac_replication_last_applied_epoch 4\n"));
+        assert!(text.contains("sac_replication_lag_epochs 5\n"));
     }
 }

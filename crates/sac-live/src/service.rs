@@ -82,7 +82,6 @@ impl Default for ServiceConfig {
 /// [`crate::ldjson`].
 #[derive(Debug)]
 pub(crate) struct ServiceObs {
-    enabled: bool,
     decode: Arc<Histogram>,
     handle: Arc<Histogram>,
     encode: Arc<Histogram>,
@@ -115,7 +114,6 @@ impl ServiceObs {
         };
         const STATUSES: [&str; 8] = ["200", "400", "404", "405", "408", "413", "501", "other"];
         ServiceObs {
-            enabled: engine.observing(),
             decode: stage("decode"),
             handle: stage("handle"),
             encode: stage("encode"),
@@ -139,21 +137,8 @@ impl ServiceObs {
         }
     }
 
-    /// A span over `hist`, or a disabled (record-nowhere) span when
-    /// observation is off.
-    pub(crate) fn span<'a>(&self, hist: &'a Histogram) -> Span<'a> {
-        if self.enabled {
-            Span::start(hist)
-        } else {
-            Span::disabled()
-        }
-    }
-
     /// Counts one HTTP response by its status line (e.g. `"200 OK"`).
     pub(crate) fn count_status(&self, status_line: &str) {
-        if !self.enabled {
-            return;
-        }
         let code = status_line.split_whitespace().next().unwrap_or("other");
         let counter = self
             .statuses
@@ -507,19 +492,19 @@ impl SacService {
     /// `sac_request_stage_micros{stage="decode"|"handle"|"encode"}` (shared
     /// by both transports — they run this same codec).
     pub fn handle_line(&self, line: &str) -> Option<String> {
-        let decode_span = self.obs.span(&self.obs.decode);
+        let decode_span = Span::start(&self.obs.decode);
         let request = ProtoRequest::parse_line(line);
         decode_span.finish();
         let response = match request {
             Err(e) => ProtoResponse::error(e.to_string()),
             Ok(request) => {
-                let handle_span = self.obs.span(&self.obs.handle);
+                let handle_span = Span::start(&self.obs.handle);
                 let response = self.handle(&request);
                 handle_span.finish();
                 response?
             }
         };
-        let encode_span = self.obs.span(&self.obs.encode);
+        let encode_span = Span::start(&self.obs.encode);
         let line = response.encode_line(self.config.encode);
         encode_span.finish();
         Some(line)
@@ -760,6 +745,79 @@ mod tests {
             stats.contains(r#""last_checkpoint_epoch":2"#),
             "got: {stats}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_exposition_one_value() {
+        let dir = std::env::temp_dir().join(format!(
+            "sac-service-one-value-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = LiveEngine::with_durability(
+            Arc::new(SacEngine::new(figure3_graph())),
+            crate::Durability::new(&dir),
+        )
+        .unwrap();
+        let service = SacService::with_live(live, ServiceConfig::default());
+        let query = format!(r#"{{"q":{},"k":2}}"#, figure3::Q);
+        // A planned query, an infeasible one (k above every core number)
+        // and an out-of-range vertex; then a commit, a query on the new
+        // epoch and a checkpoint.
+        for line in [&query, r#"{"q":0,"k":9}"#, r#"{"q":999,"k":2}"#] {
+            service.handle_line(line).unwrap();
+        }
+        service
+            .handle(&ProtoRequest::AddEdge {
+                u: figure3::I,
+                v: figure3::F,
+            })
+            .unwrap();
+        service.handle_line(r#"{"cmd":"commit"}"#).unwrap();
+        service.handle_line(&query).unwrap();
+        service.handle_line(r#"{"cmd":"checkpoint"}"#).unwrap();
+
+        let text = service.metrics_text();
+        let mut types: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .map(|rest| rest.split(' ').next().unwrap())
+            .collect();
+        let names = types.len();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), names, "a metric name has two TYPE lines");
+        let series = |name: &str| -> u64 {
+            let prefix = format!("{name} ");
+            let line = text.lines().find(|l| l.starts_with(&prefix)).unwrap();
+            line[prefix.len()..].parse().unwrap()
+        };
+        let (s, wal) = (
+            service.engine().stats(),
+            service.live().wal_stats().unwrap(),
+        );
+        assert_eq!((s.queries, s.errors, s.infeasible_fast_path), (4, 1, 1));
+        assert_eq!((wal.appended_records, wal.last_checkpoint_epoch), (1, 2));
+        let (d, c) = (s.cache.decomposition, s.cache.components);
+        for (name, value) in [
+            ("sac_queries_total", s.queries),
+            ("sac_query_errors_total", s.errors),
+            ("sac_infeasible_fast_path_total", s.infeasible_fast_path),
+            ("sac_epochs_published_total", s.epochs_published),
+            ("sac_components_carried_total", s.components_carried),
+            ("sac_components_invalidated_total", s.components_invalidated),
+            ("sac_cache_decomposition_hits_total", d.hits),
+            ("sac_cache_decomposition_misses_total", d.misses),
+            ("sac_cache_components_hits_total", c.hits),
+            ("sac_cache_components_misses_total", c.misses),
+            ("sac_epoch", s.epoch),
+            ("sac_wal_appends_total", wal.appended_records),
+            ("sac_wal_last_checkpoint_epoch", wal.last_checkpoint_epoch),
+        ] {
+            assert_eq!(series(name), value, "{name}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -249,6 +249,29 @@ fn clean_shutdown_marker_round_trips() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A recovered log's WAL series start where `wal_stats` does: at the
+/// snapshot's epoch and the live segment count, not at zero.
+#[test]
+fn recovered_wal_series_match_wal_stats() {
+    let dir = temp_dir("series");
+    let engine = Arc::new(SacEngine::new(spatial(&[(0, 1), (1, 2)], N)));
+    let live = LiveEngine::with_durability(engine, durability(&dir)).unwrap();
+    live.add_edge(3, 4).unwrap();
+    live.commit().unwrap();
+    live.checkpoint().unwrap();
+    live.add_edge(4, 5).unwrap();
+    live.commit().unwrap();
+    drop(live);
+
+    let (recovered, _) = LiveEngine::recover(durability(&dir), EngineConfig::default()).unwrap();
+    let wal = recovered.wal_stats().unwrap();
+    assert_eq!((wal.last_checkpoint_epoch, wal.segments), (2, 1));
+    let text = recovered.engine().metrics_text();
+    assert!(text.contains("sac_wal_last_checkpoint_epoch 2\n"), "{text}");
+    assert!(text.contains("sac_wal_segments 1\n"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A snapshot that passes its CRC but stores core numbers its graph does
 /// not have is refused: recovery peels the snapshot's graph once and every
 /// later incremental repair would build on the stored numbers.

@@ -67,11 +67,11 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Creates a log keeping the most recent `capacity` events (clamped to
-    /// ≥ 1).
+    /// Creates a log keeping the most recent `capacity` events. A log of
+    /// capacity 0 is switched off: it keeps nothing and numbers nothing.
     pub fn new(capacity: usize) -> Self {
         EventLog {
-            capacity: capacity.max(1),
+            capacity,
             origin: Instant::now(),
             state: Mutex::new(EventLogState::default()),
         }
@@ -82,14 +82,13 @@ impl EventLog {
     }
 
     /// Publishes an event stamped with the current wall-clock offset;
-    /// returns its sequence number.
+    /// returns its sequence number (0 on a switched-off log, which numbers
+    /// nothing).
     pub fn publish(&self, kind: &'static str, detail: String) -> u64 {
-        self.publish_at(self.origin.elapsed().as_micros() as u64, kind, detail)
-    }
-
-    /// Publishes an event with an explicit timestamp (microseconds since the
-    /// log's origin) — the deterministic entry point tests drive.
-    pub fn publish_at(&self, at_micros: u64, kind: &'static str, detail: String) -> u64 {
+        if self.capacity == 0 {
+            return 0;
+        }
+        let at_micros = self.origin.elapsed().as_micros() as u64;
         let mut state = self.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
@@ -154,7 +153,7 @@ mod tests {
 
     fn fill(log: &EventLog, n: u64) {
         for i in 0..n {
-            log.publish_at(i * 10, "test", format!("n={i}"));
+            log.publish("test", format!("n={i}"));
         }
     }
 
@@ -162,8 +161,8 @@ mod tests {
     fn sequences_are_dense_and_cursor_tails() {
         let log = EventLog::new(8);
         assert!(log.is_empty());
-        assert_eq!(log.publish_at(1, "a", "x=1".into()), 0);
-        assert_eq!(log.publish_at(2, "b", "x=2".into()), 1);
+        assert_eq!(log.publish("a", "x=1".into()), 0);
+        assert_eq!(log.publish("b", "x=2".into()), 1);
         let batch = log.since(0);
         assert_eq!(batch.events.len(), 2);
         assert_eq!(batch.events[0].seq, 0);
@@ -171,7 +170,7 @@ mod tests {
         assert_eq!(batch.next_seq, 2);
         assert_eq!(batch.missed, 0);
         // Tailing from the returned cursor sees only what came after.
-        assert_eq!(log.publish_at(3, "c", "x=3".into()), 2);
+        assert_eq!(log.publish("c", "x=3".into()), 2);
         let tail = log.since(batch.next_seq);
         assert_eq!(tail.events.len(), 1);
         assert_eq!(tail.events[0].detail, "x=3");
@@ -207,7 +206,7 @@ mod tests {
         assert_eq!(batch.next_seq, 3);
         assert_eq!(batch.missed, 0);
         // Polling with the corrected cursor then behaves normally.
-        log.publish_at(50, "late", "x=1".into());
+        log.publish("late", "x=1".into());
         let batch = log.since(batch.next_seq);
         assert_eq!(batch.events.len(), 1);
         assert_eq!(batch.events[0].seq, 3);

@@ -109,6 +109,8 @@ pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
+    /// `false` for a silent histogram, whose `record` is a no-op.
+    recording: bool,
 }
 
 impl Default for Histogram {
@@ -120,17 +122,28 @@ impl Default for Histogram {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
+        Histogram::with_recording(true)
+    }
+
+    /// An empty histogram; with `recording == false` it is silent (records
+    /// nothing), as a registry built without timings hands out
+    /// ([`crate::MetricsRegistry::with_timings`]).
+    pub(crate) fn with_recording(recording: bool) -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
+            recording,
         }
     }
 
-    /// Records one observation in microseconds. Wait-free; safe from any
-    /// number of threads.
+    /// Records one observation in microseconds (a no-op on a silent
+    /// histogram). Wait-free; safe from any number of threads.
     pub fn record(&self, micros: u64) {
+        if !self.recording {
+            return;
+        }
         self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(micros, Ordering::Relaxed);

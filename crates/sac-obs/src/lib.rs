@@ -15,8 +15,10 @@
 //!   10×1s) whose merged [`WindowedSnapshot`] answers "p50/p99/qps over the
 //!   last N seconds" alongside the cumulative series;
 //! * [`MetricsRegistry`] — named counters, gauges, histograms and windowed
-//!   histograms with label sets, rendered as Prometheus text exposition
-//!   ([`MetricsRegistry::render_prometheus`]);
+//!   histograms with label sets, plus readers of values their owners keep,
+//!   rendered as Prometheus text exposition
+//!   ([`MetricsRegistry::render_prometheus`]); it carries the timings
+//!   switch ([`MetricsRegistry::with_timings`]);
 //! * [`Span`] — a lightweight stage timer that records elapsed microseconds
 //!   into a histogram when finished (or dropped);
 //! * [`TraceNode`] — a nested per-query span tree (query→{plan, exec};

@@ -5,6 +5,11 @@
 //! the handle with plain atomic ops — the lock is never on the hot path.
 //! Re-registering the same `(name, labels)` returns the existing instrument,
 //! so independent components can share a series.
+//!
+//! A value its owner already keeps (a ring's length, the served epoch, a
+//! replica's applied epoch) is registered as a *reader*
+//! (`counter_fn`/`gauge_fn`) and read from the owner at render time, so
+//! every series has exactly one value behind it.
 
 use crate::histogram::Histogram;
 use crate::window::WindowedHistogram;
@@ -51,20 +56,20 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
+/// Reads a series' value from its owner at render time.
+type Reader = dyn Fn() -> u64 + Send + Sync;
+
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
+    /// A `"counter"` or `"gauge"` read from its owner.
+    Read(&'static str, Arc<Reader>),
     Histogram(Arc<Histogram>),
     Windowed(Arc<WindowedHistogram>),
 }
@@ -84,6 +89,10 @@ struct Entry {
 /// returns the same underlying instrument. Names should follow Prometheus
 /// conventions (`snake_case`, unit suffix such as `_micros` or `_total`).
 ///
+/// The registry carries the timings switch: one built
+/// [`MetricsRegistry::with_timings`]`(false)` hands out silent histograms,
+/// while its counters and gauges count as usual.
+///
 /// ```
 /// use sac_obs::MetricsRegistry;
 ///
@@ -95,9 +104,16 @@ struct Entry {
 /// assert!(text.contains("# TYPE cache_hits_total counter"));
 /// assert!(text.contains("cache_hits_total{kind=\"exact\"} 42"));
 /// ```
-#[derive(Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<Entry>>,
+    /// Whether the histograms handed out record.
+    timings: bool,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry::with_timings(true)
+    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -135,9 +151,25 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
+    /// Creates an empty registry whose histograms record.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty registry; with `timings == false` every histogram
+    /// and windowed histogram it hands out is silent (recording is a no-op,
+    /// so [`crate::Span`]s over them only time), while counters and gauges
+    /// count as usual.
+    pub fn with_timings(timings: bool) -> Self {
+        MetricsRegistry {
+            entries: Mutex::new(Vec::new()),
+            timings,
+        }
+    }
+
+    /// Whether the histograms this registry hands out record.
+    pub fn timings(&self) -> bool {
+        self.timings
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Entry>> {
@@ -146,7 +178,7 @@ impl MetricsRegistry {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get_or_insert<T, F: FnOnce() -> Instrument, G: Fn(&Instrument) -> Option<Arc<T>>>(
+    fn get_or_insert<T: ?Sized, F: FnOnce() -> Instrument, G: Fn(&Instrument) -> Option<Arc<T>>>(
         &self,
         name: &'static str,
         help: &'static str,
@@ -214,7 +246,53 @@ impl MetricsRegistry {
         )
     }
 
-    /// Returns (registering on first use) the histogram `name{labels}`.
+    /// Registers the counter `name{labels}` whose value `read` returns from
+    /// its owner at render time; the first registration of a series wins.
+    /// `read` runs under the registry lock, so it must not register.
+    pub fn counter_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        self.reader("counter", name, help, labels, Arc::new(read));
+    }
+
+    /// Registers the gauge `name{labels}` whose value `read` returns from
+    /// its owner at render time (see [`MetricsRegistry::counter_fn`]).
+    pub fn gauge_fn(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        self.reader("gauge", name, help, labels, Arc::new(read));
+    }
+
+    fn reader(
+        &self,
+        kind: &'static str,
+        name: &'static str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        read: Arc<Reader>,
+    ) {
+        self.get_or_insert(
+            name,
+            help,
+            labels,
+            || Instrument::Read(kind, read),
+            |i| match i {
+                Instrument::Read(k, f) if *k == kind => Some(Arc::clone(f)),
+                _ => None,
+            },
+        );
+    }
+
+    /// Returns (registering on first use) the histogram `name{labels}`
+    /// (silent when the registry was built without timings).
     pub fn histogram(
         &self,
         name: &'static str,
@@ -225,7 +303,7 @@ impl MetricsRegistry {
             name,
             help,
             labels,
-            || Instrument::Histogram(Arc::new(Histogram::new())),
+            || Instrument::Histogram(Arc::new(Histogram::with_recording(self.timings))),
             |i| match i {
                 Instrument::Histogram(h) => Some(Arc::clone(h)),
                 _ => None,
@@ -238,7 +316,8 @@ impl MetricsRegistry {
     /// whose merged recent view is rendered as a Prometheus `summary`
     /// (`quantile` label series plus `_sum`/`_count`, and the non-standard
     /// `_max` and `_qps` helpers). The window geometry of an already
-    /// registered series wins; later geometries are ignored.
+    /// registered series wins; later geometries are ignored. Silent when
+    /// the registry was built without timings.
     pub fn windowed_histogram(
         &self,
         name: &'static str,
@@ -251,7 +330,13 @@ impl MetricsRegistry {
             name,
             help,
             labels,
-            || Instrument::Windowed(Arc::new(WindowedHistogram::new(windows, width_micros))),
+            || {
+                Instrument::Windowed(Arc::new(WindowedHistogram::with_recording(
+                    windows,
+                    width_micros,
+                    self.timings,
+                )))
+            },
             |i| match i {
                 Instrument::Windowed(w) => Some(Arc::clone(w)),
                 _ => None,
@@ -274,6 +359,7 @@ impl MetricsRegistry {
                 let kind = match entry.instrument {
                     Instrument::Counter(_) => "counter",
                     Instrument::Gauge(_) => "gauge",
+                    Instrument::Read(kind, _) => kind,
                     Instrument::Histogram(_) => "histogram",
                     Instrument::Windowed(_) => "summary",
                 };
@@ -286,6 +372,9 @@ impl MetricsRegistry {
                 }
                 Instrument::Gauge(g) => {
                     let _ = writeln!(out, "{}{} {}", entry.name, entry.labels, g.get());
+                }
+                Instrument::Read(_, read) => {
+                    let _ = writeln!(out, "{}{} {}", entry.name, entry.labels, read());
                 }
                 Instrument::Histogram(h) => {
                     let snap = h.snapshot();

@@ -72,18 +72,14 @@ impl SlowQueryLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Captures `record` if `total_micros` meets the threshold. The record
-    /// is built lazily so fast queries pay only the threshold compare.
+    /// Captures `record` if `total_micros` meets the threshold, evicting
+    /// the oldest entry when full. The record is built lazily so fast
+    /// queries pay only the threshold compare.
     pub fn observe<F: FnOnce() -> SlowQueryRecord>(&self, total_micros: u64, record: F) {
-        let threshold = self.threshold_micros();
-        if threshold == 0 || total_micros < threshold {
+        if self.threshold_micros == 0 || total_micros < self.threshold_micros {
             return;
         }
-        self.push(record());
-    }
-
-    /// Unconditionally appends a record (evicting the oldest when full).
-    pub fn push(&self, record: SlowQueryRecord) {
+        let record = record();
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -106,11 +102,6 @@ impl SlowQueryLog {
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Discards all entries (the drop counter is preserved).
-    pub fn clear(&self) {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
@@ -157,9 +148,6 @@ mod tests {
         }
         let ids: Vec<u64> = log.snapshot().iter().map(|r| r.query_id).collect();
         assert_eq!(ids, vec![4, 5]);
-        assert_eq!(log.dropped(), 3);
-        log.clear();
-        assert!(log.is_empty());
         assert_eq!(log.dropped(), 3);
     }
 }

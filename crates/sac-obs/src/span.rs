@@ -9,7 +9,11 @@ use std::time::Instant;
 /// drop, so early returns and `?` still get recorded.
 ///
 /// A span borrows its histogram, so the usual shape is a pre-registered
-/// `Arc<Histogram>` handle held by the component being instrumented:
+/// `Arc<Histogram>` handle held by the component being instrumented.
+/// Switching timings off needs no branch at the call site: over a silent
+/// histogram (from a [`crate::MetricsRegistry::with_timings`]`(false)`
+/// registry) a span still measures and returns its elapsed time, and
+/// records nothing.
 ///
 /// ```
 /// use sac_obs::{Histogram, Span};
@@ -40,24 +44,10 @@ impl<'a> Span<'a> {
         }
     }
 
-    /// A span that times but records nowhere — the disabled-instrumentation
-    /// arm, so call sites don't need their own `if observe` branches.
-    pub fn disabled() -> Self {
-        Span {
-            hist: None,
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed microseconds so far, without stopping the span.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
     /// Stops the span, records the measurement, and returns it in
     /// microseconds.
     pub fn finish(mut self) -> u64 {
-        let micros = self.elapsed_micros();
+        let micros = self.start.elapsed().as_micros() as u64;
         if let Some(h) = self.hist.take() {
             h.record(micros);
         }
@@ -87,13 +77,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_records_disabled_does_not() {
+    fn drop_records_silent_does_not() {
         let h = Histogram::new();
         {
             let _span = Span::start(&h);
         }
         assert_eq!(h.snapshot().count(), 1);
-        let _ = Span::disabled().finish();
-        assert_eq!(h.snapshot().count(), 1);
+        let silent = Histogram::with_recording(false);
+        let _ = Span::start(&silent).finish();
+        assert_eq!(silent.snapshot().count(), 0);
     }
 }

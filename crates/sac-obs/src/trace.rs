@@ -48,15 +48,6 @@ impl TraceNode {
         self
     }
 
-    /// Total number of nodes in the tree (including this one).
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(TraceNode::node_count)
-            .sum::<usize>()
-    }
-
     /// Compact single-line rendering, `name:Nus[child:Nus,…]` — the shape
     /// used in log lines and event details.
     pub fn render(&self) -> String {
@@ -94,7 +85,6 @@ mod tests {
                     .with_child(TraceNode::new("context", 10, 44))
                     .with_child(TraceNode::new("search", 54, 46)),
             );
-        assert_eq!(tree.node_count(), 5);
         assert_eq!(
             tree.render(),
             "query:100us[plan:10us,exec:90us[context:44us,search:46us]]"

@@ -20,7 +20,7 @@
 //! use sac_obs::WindowedHistogram;
 //!
 //! // 4 windows of 1s each: summaries cover at most the last 4 seconds.
-//! let w = WindowedHistogram::with_clock(4, 1_000_000);
+//! let w = WindowedHistogram::new(4, 1_000_000);
 //! w.record_at(100, 700);
 //! w.record_at(1_200_000, 900); // next window
 //! let snap = w.snapshot_at(1_500_000);
@@ -58,6 +58,8 @@ pub struct WindowedHistogram {
     rotate: Mutex<()>,
     /// Origin for the wall-clock convenience methods.
     origin: Instant,
+    /// `false` for a silent ring, whose `record` is a no-op.
+    recording: bool,
 }
 
 /// The merged view of a [`WindowedHistogram`]'s live windows: a mergeable
@@ -84,15 +86,6 @@ impl WindowedSnapshot {
     pub fn summary(&self) -> LatencySummary {
         LatencySummary::from_snapshot(&self.histogram)
     }
-
-    /// Folds another windowed snapshot into this one (e.g. merging per-shard
-    /// or partially-filled rings). Distributions add; the covered span is
-    /// the larger of the two, since concurrent rings overlap in time rather
-    /// than concatenating.
-    pub fn merge(&mut self, other: &WindowedSnapshot) {
-        self.histogram.merge(&other.histogram);
-        self.span_micros = self.span_micros.max(other.span_micros);
-    }
 }
 
 impl WindowedHistogram {
@@ -100,12 +93,13 @@ impl WindowedHistogram {
     /// wall clock anchored now. `windows` is clamped to ≥ 1 and
     /// `width_micros` to ≥ 1.
     pub fn new(windows: usize, width_micros: u64) -> Self {
-        Self::with_clock(windows, width_micros)
+        WindowedHistogram::with_recording(windows, width_micros, true)
     }
 
-    /// Same as [`WindowedHistogram::new`] — spelled out in examples that
-    /// only ever drive the injectable-time API.
-    pub fn with_clock(windows: usize, width_micros: u64) -> Self {
+    /// Like [`WindowedHistogram::new`]; with `recording == false` the ring
+    /// is silent (records nothing), as a registry built without timings
+    /// hands out ([`crate::MetricsRegistry::with_timings`]).
+    pub(crate) fn with_recording(windows: usize, width_micros: u64, recording: bool) -> Self {
         WindowedHistogram {
             width_micros: width_micros.max(1),
             slots: (0..windows.max(1))
@@ -116,6 +110,7 @@ impl WindowedHistogram {
                 .collect(),
             rotate: Mutex::new(()),
             origin: Instant::now(),
+            recording,
         }
     }
 
@@ -124,25 +119,12 @@ impl WindowedHistogram {
         self.slots.len()
     }
 
-    /// Width of one window in microseconds.
-    pub fn width_micros(&self) -> u64 {
-        self.width_micros
-    }
-
-    /// Full ring span (`windows × width`) in microseconds.
-    pub fn span_micros(&self) -> u64 {
-        self.width_micros * self.slots.len() as u64
-    }
-
-    /// Microseconds elapsed since construction (the wall-clock methods'
-    /// notion of "now").
-    pub fn now_micros(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-
-    /// Records one observation at the current wall-clock time.
+    /// Records one observation at the current wall-clock time (a no-op on
+    /// a silent ring, which does not read the clock either).
     pub fn record(&self, value: u64) {
-        self.record_at(self.now_micros(), value);
+        if self.recording {
+            self.record_at(self.origin.elapsed().as_micros() as u64, value);
+        }
     }
 
     /// Records one observation as of `at_micros` (microseconds since the
@@ -150,6 +132,9 @@ impl WindowedHistogram {
     /// their own window; timestamps older than the ring land in the oldest
     /// live window (a bounded misattribution, never a panic).
     pub fn record_at(&self, at_micros: u64, value: u64) {
+        if !self.recording {
+            return;
+        }
         let tick = at_micros / self.width_micros;
         let slot = &self.slots[(tick % self.slots.len() as u64) as usize];
         if slot.tick.load(Ordering::Acquire) != tick {
@@ -169,7 +154,7 @@ impl WindowedHistogram {
 
     /// Merges the live windows as of the current wall-clock time.
     pub fn snapshot(&self) -> WindowedSnapshot {
-        self.snapshot_at(self.now_micros())
+        self.snapshot_at(self.origin.elapsed().as_micros() as u64)
     }
 
     /// Merges the windows still live as of `at_micros`: the in-progress
@@ -206,7 +191,7 @@ mod tests {
 
     #[test]
     fn empty_ring_reports_zero() {
-        let w = WindowedHistogram::with_clock(10, SEC);
+        let w = WindowedHistogram::new(10, SEC);
         let snap = w.snapshot_at(0);
         assert_eq!(snap.histogram.count(), 0);
         assert_eq!(snap.span_micros, 0);
@@ -227,7 +212,7 @@ mod tests {
 
     #[test]
     fn records_straddling_a_rotation_split_across_windows() {
-        let w = WindowedHistogram::with_clock(4, SEC);
+        let w = WindowedHistogram::new(4, SEC);
         // Two observations bracketing the 1s boundary.
         w.record_at(SEC - 1, 10);
         w.record_at(SEC, 20);
@@ -243,7 +228,7 @@ mod tests {
 
     #[test]
     fn old_windows_age_out_and_slots_are_reused() {
-        let w = WindowedHistogram::with_clock(3, SEC);
+        let w = WindowedHistogram::new(3, SEC);
         w.record_at(100, 1_000);
         assert_eq!(w.snapshot_at(200).histogram.count(), 1);
         // 2 windows later the record is still live (ring of 3)...
@@ -260,7 +245,7 @@ mod tests {
 
     #[test]
     fn qps_uses_the_covered_span() {
-        let w = WindowedHistogram::with_clock(10, SEC);
+        let w = WindowedHistogram::new(10, SEC);
         for i in 0..100 {
             w.record_at(i * 10_000, 5); // 100 records over 1s
         }
@@ -275,27 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_partially_filled_rings() {
-        let a = WindowedHistogram::with_clock(4, SEC);
-        let b = WindowedHistogram::with_clock(4, SEC);
-        a.record_at(100, 10);
-        a.record_at(SEC + 100, 20);
-        b.record_at(100, 30); // b has seen only the first window
-        let mut merged = a.snapshot_at(SEC + 200);
-        merged.merge(&b.snapshot_at(200));
-        assert_eq!(merged.histogram.count(), 3);
-        assert_eq!(merged.histogram.max(), 30);
-        // Overlapping spans take the max, not the sum.
-        assert_eq!(merged.span_micros, SEC + 200);
-        // Merging an empty ring is a no-op on the distribution.
-        let empty = WindowedHistogram::with_clock(4, SEC);
-        merged.merge(&empty.snapshot_at(0));
-        assert_eq!(merged.histogram.count(), 3);
-    }
-
-    #[test]
     fn stale_recorder_cannot_clobber_a_fresher_window() {
-        let w = WindowedHistogram::with_clock(2, SEC);
+        let w = WindowedHistogram::new(2, SEC);
         w.record_at(2 * SEC + 1, 50); // tick 2 occupies slot 0
         w.record_at(10, 60); // straggler from tick 0 (same slot, older tick)
         let snap = w.snapshot_at(2 * SEC + 2);
@@ -314,8 +280,6 @@ mod tests {
         assert_eq!(snap.histogram.count(), 2);
         assert_eq!(snap.histogram.max(), 456);
         assert_eq!(w.windows(), 10);
-        assert_eq!(w.width_micros(), SEC);
-        assert_eq!(w.span_micros(), 10 * SEC);
     }
 
     #[test]
@@ -323,7 +287,7 @@ mod tests {
         use std::sync::Arc;
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 5_000;
-        let w = Arc::new(WindowedHistogram::with_clock(8, 1_000));
+        let w = Arc::new(WindowedHistogram::new(8, 1_000));
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let w = Arc::clone(&w);

@@ -4,6 +4,8 @@
 #   1. boot a primary sac-serve with --wal-dir and --ship-addr, and a read
 #      replica with --replicate-from pointed at it; commit on the primary
 #      and assert the replica converges to the same epoch;
+#      then check that /metrics ({"cmd":"metrics"}) and stats report the
+#      same applied-record count and applied epoch;
 #   2. send a mutation to the replica: it must answer with a typed redirect
 #      carrying the primary's address, never apply locally;
 #   3. kill -9 the primary — the replica must keep answering queries at its
@@ -47,6 +49,22 @@ EPOCH1=$(field "$WORK/pout" epoch)
 [ "$EPOCH1" = "2" ] || { echo "expected epoch 2 after first commit, got $EPOCH1"; exit 1; }
 wait_stats 4 "$WORK/rout" "\"last_applied_epoch\":$EPOCH1[,}]"
 echo "replica: converged to epoch $EPOCH1"
+
+# --- One value behind each name: /metrics agrees with stats. ---------------
+printf '{"cmd":"metrics"}\n' >&4
+wait_grep "$WORK/rout" '"metrics":"'
+METRICS=$(grep '"metrics":"' "$WORK/rout" | tail -n 1)
+wait_stats 4 "$WORK/rout" '"records_applied":'
+STATS=$(tail -n 1 "$WORK/rout")
+for pair in sac_replication_records_applied_total=records_applied \
+            sac_replication_last_applied_epoch=last_applied_epoch; do
+  series=${pair%%=*} key=${pair#*=}
+  metric=$(grep -o "$series [0-9][0-9]*" <<<"$METRICS" | awk '{print $2}')
+  stat=$(grep -o "\"$key\":[0-9]*" <<<"$STATS" | head -n1 | cut -d: -f2)
+  [ -n "$metric" ] && [ "$metric" = "$stat" ] \
+    || { echo "$series is '$metric' but stats $key is '$stat'"; exit 1; }
+  echo "replica: $series = stats $key = $metric"
+done
 
 # --- Read-only contract: mutations on the replica redirect. ----------------
 printf '{"cmd":"add_edge","u":2,"v":3}\n' >&4
