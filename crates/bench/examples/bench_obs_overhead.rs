@@ -17,13 +17,28 @@
 //!   [`MAX_FLOOR_NANOS`], which a lock or an allocation on the record path
 //!   would blow instantly (the whole path is ~16 relaxed atomic RMWs).
 //!
+//! Each workload is timed as [`REPS`] interleaved pairs (one instrumented
+//! pass, then one bare pass), and each gate reads the **median over the
+//! pairs** of a per-pair figure, so one pass a neighbour on a shared machine
+//! slowed cannot fail it alone.
+//!
 //! Run with: `cargo run --release -p sac-bench --example bench_obs_overhead`
 //!
 //! Results land in `bench_obs.json` in the current directory (written
-//! *before* the gates are asserted, so a regression run keeps its numbers):
-//! one row per workload with wall times, ratio and per-query overhead, and
-//! one `record_cost` row with the raw cost of a single `Histogram::record`
-//! call — the unit price everything above is built from.
+//! *before* the gates are asserted, so a regression run keeps its numbers).
+//! One `dispatch` row per workload:
+//!
+//! * `queries`: requests in one pass; `pairs`: interleaved pass pairs timed;
+//! * `observed_micros` / `baseline_micros`: median pass time of the
+//!   instrumented / bare engine;
+//! * `overhead`: median of the per-pair ratios instrumented / bare (the
+//!   `balanced` gate);
+//! * `per_query_overhead_nanos`: median of the per-pair differences
+//!   instrumented − bare, divided by `queries` (the `theta` gate).
+//!
+//! One `record_cost` row gives `ns_per_record`, the best-of-[`REPS`] cost of
+//! a single `Histogram::record` call — the unit price everything above is
+//! built from.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +51,8 @@ use sac_obs::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Repetitions per measurement (best-of, to shed scheduler noise).
+/// Interleaved sample pairs per workload (the gates read their median), and
+/// repetitions of the best-of `record_cost` loop.
 const REPS: usize = 12;
 
 /// Target wall time per timing sample; the inner round count is calibrated
@@ -99,21 +115,33 @@ fn one_sample(engine: &SacEngine, requests: &[SacRequest], rounds: usize) -> f64
     start.elapsed().as_secs_f64() / rounds as f64
 }
 
-/// Best-of-REPS pass time for both engines, sampled **interleaved** — one
-/// `a` sample, then one `b` sample, REPS times — so clock-frequency and
-/// cache drift land on both sides instead of biasing whichever engine was
-/// measured second.
-fn time_pair(a: &SacEngine, b: &SacEngine, requests: &[SacRequest]) -> (f64, f64) {
+/// REPS pass-time pairs for both engines, sampled **interleaved** — one
+/// `a` sample, then one `b` sample — so clock-frequency and cache drift
+/// land on both sides instead of biasing whichever engine was measured
+/// second.
+fn time_pairs(a: &SacEngine, b: &SacEngine, requests: &[SacRequest]) -> Vec<(f64, f64)> {
     // Calibrate the per-sample round count off an untimed warm-up pass
     // (which also touches both engines' caches).
     let pass = one_sample(a, requests, 1).max(one_sample(b, requests, 1));
     let rounds = ((SAMPLE_SECS / pass).ceil() as usize).clamp(1, 1024);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        best_a = best_a.min(one_sample(a, requests, rounds));
-        best_b = best_b.min(one_sample(b, requests, rounds));
+    (0..REPS)
+        .map(|_| {
+            let a = one_sample(a, requests, rounds);
+            (a, one_sample(b, requests, rounds))
+        })
+        .collect()
+}
+
+/// Median of `values` (mean of the middle two for an even count).
+fn median(values: impl Iterator<Item = f64>) -> f64 {
+    let mut values: Vec<f64> = values.collect();
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
     }
-    (best_a, best_b)
 }
 
 fn main() {
@@ -162,16 +190,22 @@ fn main() {
     let mut dispatch_overhead = 0.0f64;
     let mut floor_nanos = 0.0f64;
     for (name, workload) in &workloads {
-        let (observed, baseline) = time_pair(&instrumented, &bare, workload);
-        let overhead = observed / baseline;
-        let per_query_nanos = (observed - baseline) * 1e9 / workload.len() as f64;
+        let pairs = time_pairs(&instrumented, &bare, workload);
+        let observed = median(pairs.iter().map(|&(o, _)| o));
+        let baseline = median(pairs.iter().map(|&(_, b)| b));
+        let overhead = median(pairs.iter().map(|&(o, b)| o / b));
+        let per_query_nanos = median(
+            pairs
+                .iter()
+                .map(|&(o, b)| (o - b) * 1e9 / workload.len() as f64),
+        );
         if *name == "balanced" {
             dispatch_overhead = overhead;
         } else {
             floor_nanos = per_query_nanos;
         }
         push_row(format!(
-            r#"{{"bench":"dispatch","workload":"{name}","queries":{},"observed_micros":{:.1},"baseline_micros":{:.1},"overhead":{:.4},"per_query_overhead_nanos":{:.0}}}"#,
+            r#"{{"bench":"dispatch","workload":"{name}","queries":{},"pairs":{REPS},"observed_micros":{:.1},"baseline_micros":{:.1},"overhead":{:.4},"per_query_overhead_nanos":{:.0}}}"#,
             workload.len(),
             observed * 1e6,
             baseline * 1e6,

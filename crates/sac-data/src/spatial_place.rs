@@ -18,49 +18,15 @@ use sac_graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
 /// Assigns spatial locations to the vertices of a graph following the paper's
-/// BFS-ordered neighbour-offset model.
-#[derive(Debug, Clone)]
-pub struct SpatialPlacer {
-    mu: f64,
-    sigma: f64,
-}
-
-impl Default for SpatialPlacer {
-    fn default() -> Self {
-        SpatialPlacer {
-            mu: DEFAULT_PLACEMENT_MU,
-            sigma: DEFAULT_PLACEMENT_SIGMA,
-        }
-    }
-}
+/// BFS-ordered neighbour-offset model, with the paper's offset distribution
+/// `N(DEFAULT_PLACEMENT_MU, DEFAULT_PLACEMENT_SIGMA²)` = `N(0.09, 0.16²)`.
+#[derive(Debug, Clone, Default)]
+pub struct SpatialPlacer;
 
 impl SpatialPlacer {
-    /// A placer with the paper's default offset distribution `N(0.09, 0.16²)`.
+    /// A placer with the paper's offset distribution.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A placer with a custom offset distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sigma` is negative or either parameter is not finite.
-    pub fn with_offsets(mu: f64, sigma: f64) -> Self {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "invalid placement parameters: mu={mu}, sigma={sigma}"
-        );
-        SpatialPlacer { mu, sigma }
-    }
-
-    /// The configured mean offset distance.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// The configured offset standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
+        SpatialPlacer
     }
 
     /// Assigns a location in the unit square to every vertex of `graph`.
@@ -77,7 +43,7 @@ impl SpatialPlacer {
             return positions;
         }
         let mut placed = vec![false; n];
-        let mut offset = NormalSampler::new(self.mu, self.sigma);
+        let mut offset = NormalSampler::new(DEFAULT_PLACEMENT_MU, DEFAULT_PLACEMENT_SIGMA);
 
         // Random visiting order for the component seeds.
         let mut seeds: Vec<VertexId> = (0..n as VertexId).collect();
@@ -141,8 +107,6 @@ mod tests {
         assert!(positions
             .iter()
             .all(|p| (0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)));
-        assert!((placer.mu() - 0.09).abs() < 1e-12);
-        assert!((placer.sigma() - 0.16).abs() < 1e-12);
     }
 
     #[test]
@@ -172,11 +136,11 @@ mod tests {
         b.add_edge(2, 3);
         b.ensure_vertex(5); // isolated vertices 4, 5
         let g = b.build();
-        let positions =
-            SpatialPlacer::with_offsets(0.05, 0.01).place(&g, &mut StdRng::seed_from_u64(3));
+        let positions = SpatialPlacer::new().place(&g, &mut StdRng::seed_from_u64(3));
         assert_eq!(positions.len(), 6);
-        // Edge endpoints are close, per the tight offset distribution.
-        assert!(positions[0].distance(positions[1]) < 0.2);
+        assert!(positions
+            .iter()
+            .all(|p| (0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)));
     }
 
     #[test]
@@ -185,11 +149,5 @@ mod tests {
         assert!(SpatialPlacer::new()
             .place(&g, &mut StdRng::seed_from_u64(1))
             .is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid placement parameters")]
-    fn invalid_parameters_panic() {
-        let _ = SpatialPlacer::with_offsets(0.1, -0.2);
     }
 }

@@ -73,9 +73,6 @@ pub use engine::{
 };
 pub use epoch::EpochCell;
 pub use planner::{LatencyTier, Plan, PlanContext, PlannedQuery, Planner, QueryBudget};
-/// The per-`k` component index the cache memoises, re-exported from
-/// `sac-graph` so existing `sac_engine::KCoreComponents` paths keep working.
-pub use sac_graph::KCoreComponents;
 // Observability primitives, re-exported so the serving layers above see one
 // coherent API (the engine owns the registry the whole stack records into).
 pub use sac_obs::{

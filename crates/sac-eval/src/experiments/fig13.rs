@@ -58,20 +58,22 @@ pub fn fig13(config: &ExperimentConfig) -> Vec<Table> {
         mask
     };
 
-    // Apply check-ins in batches to amortise the spatial-index rebuild.
+    // Moves are applied in batches, each a copy of the position array; a
+    // query user's check-in flushes the batch so its search sees every
+    // position up to that moment.
     let records = stream.records();
     let batch = (records.len() / 64).max(1);
     let mut pending: Vec<(VertexId, sac_geom::Point)> = Vec::new();
     for (idx, checkin) in records.iter().enumerate() {
         pending.push((checkin.user, checkin.position));
-        let flush = pending.len() >= batch || idx + 1 == records.len();
-        if flush {
+        let is_query = is_query[checkin.user as usize];
+        if is_query || pending.len() >= batch || idx + 1 == records.len() {
             graph = graph
                 .with_updated_positions(&pending)
                 .expect("check-in positions are valid");
             pending.clear();
         }
-        if is_query[checkin.user as usize] && flush {
+        if is_query {
             if let Ok(Some(c)) = exact_plus(&graph, checkin.user, k, config.exact_plus_eps_a) {
                 if let Some(entry) = communities.iter_mut().find(|(u, _)| *u == checkin.user) {
                     entry.1.push(TimedCommunity {
@@ -136,6 +138,10 @@ mod tests {
         config.eta_days = vec![0.25, 5.0];
         let tables = fig13(&config);
         assert_eq!(tables.len(), 1);
+        // Every check-in of a query user is searched, so the smallest η
+        // has pairs to average.
+        let pairs: usize = tables[0].rows[0][3].parse().unwrap();
+        assert!(pairs > 0, "no community pairs at η = 0.25");
         for row in &tables[0].rows {
             for col in [1, 2] {
                 if row[col] == "n/a" {

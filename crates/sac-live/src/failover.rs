@@ -14,14 +14,19 @@
 //!   in the last broadcast roster wins.  No votes are exchanged: the roster
 //!   all candidates hold is the one the dead primary broadcast, so they
 //!   agree on the winner without talking to each other.
-//! * **Promotion.** The winner stops its tailer, attaches a fresh WAL
-//!   directory to the write front it was already serving (a snapshot
-//!   checkpoint of its applied state is where the new log starts), adopts
-//!   `observed term + 1`, opens its own shipping endpoint on the advertised
-//!   address, and lifts the service's read-only guard — transports keep
-//!   their handle, writes start landing.  Losers re-point their believed
-//!   primary at the winner and force a snapshot re-bootstrap (the winner's
-//!   log coordinates are unrelated to the dead primary's).
+//! * **Promotion.** The winner first checks that its failover directory
+//!   holds no WAL state and binds its advertised address; either failure
+//!   leaves it a replica on a running tailer, and the next lease expiry
+//!   retries.  Then it stops its tailer, attaches a fresh WAL directory to
+//!   the write front it was already serving (a snapshot checkpoint of its
+//!   applied state is where the new log starts), adopts
+//!   `observed term + 1`, starts shipping on the bound address, and lifts
+//!   the service's read-only guard — transports keep their handle, writes
+//!   start landing.  A failure after the tailer stopped (seeding the WAL on
+//!   a failing disk) leaves a read-only node serving its applied epoch.
+//!   Losers re-point their believed primary at the winner and force a
+//!   snapshot re-bootstrap (the winner's log coordinates are unrelated to
+//!   the dead primary's).
 //! * **Fencing.** Terms are stamped into every WAL record and replication
 //!   frame.  A restarted zombie primary recovers at its old term; before
 //!   serving writes it probes its peers ([`find_superseding_primary`]) and,
@@ -94,8 +99,9 @@ impl FailoverHandle {
 
 /// Arms the failover watchdog on a replica-fronting service: a background
 /// thread polls the lease and, when it expires, either promotes this node
-/// (it holds the lowest id in the last roster) or re-points the service's
-/// replica link at the deterministic winner.
+/// (it holds the lowest id in the last roster, or no roster was ever
+/// broadcast) or re-points the service's replica link at the deterministic
+/// winner.
 ///
 /// Returns `None` when the service does not front a replica — a primary has
 /// no lease to watch.
@@ -128,62 +134,58 @@ fn watchdog(service: &Arc<SacService>, config: &FailoverConfig, stop: &AtomicBoo
         }
         // Act on this expiry exactly once; a fresh heartbeat re-arms it.
         status.disarm_lease();
-        let roster = status.roster();
-        let winner = roster.first().cloned();
-        match winner {
-            Some((id, _)) if id == config.replica_id => {
-                match promote(service, config, status.term()) {
-                    Ok(term) => {
-                        eprintln!(
-                            "failover: lease expired, promoted to primary at term {term} \
-                             (shipping on {})",
-                            config.advertise
-                        );
-                        return;
-                    }
-                    Err(e) => {
-                        // Promotion failed (bind error, WAL error): stay a
-                        // replica and keep watching — the next expiry retries.
-                        eprintln!("failover: promotion failed: {e}");
-                        service.set_role(Role::Replica);
-                    }
-                }
-            }
-            Some((id, addr)) => {
+        match status.roster().first() {
+            Some((id, addr)) if *id != config.replica_id => {
                 // A peer wins: follow it.  Its log is a different history
                 // (new term, fresh coordinates), so the next connection must
                 // bootstrap from its snapshot rather than resume our tail.
                 eprintln!("failover: lease expired, following new primary {addr} (id {id})");
-                status.repoint(addr);
+                status.repoint(addr.clone());
                 status.request_bootstrap();
             }
-            None => {
-                // No roster was ever broadcast: we are the only candidate we
-                // know of — promote.
-                match promote(service, config, status.term()) {
-                    Ok(term) => {
-                        eprintln!(
-                            "failover: lease expired with empty roster, promoted at term {term}"
-                        );
-                        return;
-                    }
-                    Err(e) => {
-                        eprintln!("failover: promotion failed: {e}");
-                        service.set_role(Role::Replica);
-                    }
+            // We hold the roster's lowest id, or no roster was ever
+            // broadcast and we are the only candidate we know of: promote.
+            _ => match promote(service, config, status.term()) {
+                Ok(term) => {
+                    eprintln!(
+                        "failover: lease expired, promoted to primary at term {term} \
+                         (shipping on {})",
+                        config.advertise
+                    );
+                    return;
                 }
-            }
+                Err(e) => {
+                    // A step that fails before the tailer stops leaves the
+                    // replica following its primary, and the next expiry
+                    // retries.  Seeding the WAL can still fail after it:
+                    // then the node serves its applied epoch, read-only.
+                    eprintln!("failover: promotion failed: {e}");
+                    service.set_role(Role::Replica);
+                }
+            },
         }
     }
 }
 
 /// Promotes the service's replica to a writable primary in place; returns
 /// the adopted term.
+///
+/// The steps that can fail without touching the front — the failover
+/// directory check and binding the advertised address — run while the
+/// tailer still runs, so their failure leaves a working replica.
 fn promote(
     service: &Arc<SacService>,
     config: &FailoverConfig,
     observed_term: u64,
 ) -> Result<u64, String> {
+    if sac_wal::has_state(&config.dir) {
+        return Err(format!(
+            "{} already holds WAL state; promotion starts a new log",
+            config.dir.display()
+        ));
+    }
+    let listener = TcpListener::bind(&config.advertise)
+        .map_err(|e| format!("cannot bind {}: {e}", config.advertise))?;
     service.set_role(Role::Candidate);
     let replica = service
         .take_replica()
@@ -201,17 +203,14 @@ fn promote(
         .map_err(|e| format!("cannot seed WAL under {}: {e}", config.dir.display()))?;
     live.adopt_term(term)
         .map_err(|e| format!("cannot adopt term {term}: {e}"))?;
-    let listener = TcpListener::bind(&config.advertise)
-        .map_err(|e| format!("cannot bind {}: {e}", config.advertise))?;
-    let handle = replication::spawn_shipper(
+    // The shipper outlives its handle; the endpoint serves until exit.
+    replication::spawn_shipper(
         listener,
         config.dir.clone(),
         Arc::clone(live.engine()),
         config.ship,
     )
     .map_err(|e| format!("cannot start shipper: {e}"))?;
-    // The shipper outlives its handle; the endpoint serves until exit.
-    let _ = handle;
     service.promoted();
     Ok(term)
 }

@@ -23,7 +23,13 @@
 //!   distinguishes in-flight appends from corruption and reports
 //!   checkpoint truncation as the clean [`WalError::SnapshotRequired`]
 //!   signal.  Heartbeats carry the primary's served epoch and WAL tail.
-//! * The **replica** ([`Replica::boot`]) re-verifies every record's CRC
+//! * The **replica** ([`Replica::boot`]) joins and rejoins its primary
+//!   through one path: its tailer thread runs the only retry loop, and each
+//!   attempt is one `link` — handshake, term fence, and, when the primary
+//!   sends a snapshot, the one install rule (restore the front on first
+//!   boot, re-bootstrap it afterwards).  Boot waits for the first link,
+//!   bounded by [`ReplicaConfig::boot_attempts`]; reconnects retry until
+//!   stopped.  The replica re-verifies every record's CRC
 //!   end to end, deduplicates by log position and insists on a gapless
 //!   epoch sequence.  It owns a [`LiveEngine`] without a WAL, the same write
 //!   front a primary mutates and crash recovery replays into: each record's
@@ -39,6 +45,8 @@
 //! * The link is **fault-injectable** on both sides ([`FaultPlan`]): drops,
 //!   delays, duplicates, payload corruption and mid-frame truncation all
 //!   resolve to a reconnect-and-resume, driven by [`RetryPolicy`] backoff.
+//!   A position truncated by a checkpoint ends the stream the same way,
+//!   and the next link asks for a snapshot.
 //! * Past [`ReplicaConfig::staleness`] without contact the replica
 //!   **degrades** rather than fails: it keeps answering queries at its
 //!   last applied epoch and flips `/healthz` to `degraded`, recovering
@@ -70,7 +78,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -748,39 +756,25 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Boots a replica: connects to the primary (retrying up to
-    /// [`ReplicaConfig::boot_attempts`] times), bootstraps from its newest
-    /// snapshot, and spawns the tailer thread that applies the record
-    /// stream.  Returns once the snapshot state is being served.
+    /// Boots a replica: spawns the tailer thread and waits for its first
+    /// link to the primary (up to [`ReplicaConfig::boot_attempts`]
+    /// attempts), which restores the write front from the primary's newest
+    /// snapshot.  Returns once the snapshot state is being served; the
+    /// tailer goes on applying the record stream.
     pub fn boot(config: ReplicaConfig) -> Result<Replica, ReplicaError> {
         let status = Arc::new(ReplicaStatus::new(config.primary.clone(), config.staleness));
-        let mut attempt = 0u32;
-        let (reader, pos, live) = loop {
-            match bootstrap(&config, &status) {
-                Ok(booted) => break booted,
-                Err(e) => {
-                    attempt += 1;
-                    if attempt >= config.boot_attempts.max(1) {
-                        return Err(e);
-                    }
-                    thread::sleep(config.retry.delay(attempt - 1, config.seed));
-                }
-            }
-        };
-        status.connected.store(true, Ordering::Relaxed);
-        let applied = live.engine().epoch();
-        status.applied_epoch.store(applied, Ordering::Relaxed);
-        status.primary_epoch.store(applied, Ordering::Relaxed);
-        status.touch();
         let stop = Arc::new(AtomicBool::new(false));
-        register_replication_metrics(live.engine().metrics(), &status);
         let ctx = TailerCtx {
-            live: Arc::clone(&live),
             status: Arc::clone(&status),
             config,
             stop: Arc::clone(&stop),
         };
-        thread::spawn(move || run_tailer(ctx, reader, pos));
+        let (booted, boot) = mpsc::channel();
+        thread::spawn(move || run_tailer(ctx, booted));
+        let live = boot
+            .recv()
+            .expect("the tailer thread reports its first link")?;
+        register_replication_metrics(live.engine().metrics(), &status);
         Ok(Replica { live, status, stop })
     }
 
@@ -841,13 +835,12 @@ pub fn probe(addr: &str, timeout: Duration) -> Result<ProbeReply, ReplicaError> 
 type LogPos = (u64, u64);
 
 struct TailerCtx {
-    live: Arc<LiveEngine>,
     status: Arc<ReplicaStatus>,
     config: ReplicaConfig,
     stop: Arc<AtomicBool>,
 }
 
-/// Why the frame stream ended.
+/// Why the frame stream ended, or a link attempt failed.
 enum StreamEnd {
     /// [`Replica::stop`] was called.
     Stop,
@@ -920,186 +913,205 @@ fn receive_snapshot(
     Ok(sac_wal::decode_snapshot(&bytes)?)
 }
 
-/// First boot: snapshot handshake, write front and engine construction.
-/// Returns the stream, the position the next record must extend, and the
-/// front.
-fn bootstrap(
-    config: &ReplicaConfig,
-    status: &ReplicaStatus,
-) -> Result<(BufReader<TcpStream>, LogPos, Arc<LiveEngine>), ReplicaError> {
+/// One link attempt, the only way a replica joins or rejoins its primary:
+/// handshake and term fence, then — when the primary answers with a
+/// snapshot — receive it, check it and [`install`] it.  A tail answer
+/// resumes the front as it stands.  A snapshot is asked for on first boot,
+/// when `want_snapshot` is set (the stream reported the position
+/// truncated), and after a failover re-point.  Returns the stream,
+/// positioned at the first frame, the front it feeds, and the position the
+/// next record must extend.
+fn link(
+    ctx: &TailerCtx,
+    live: Option<&Arc<LiveEngine>>,
+    pos: LogPos,
+    want_snapshot: bool,
+) -> Result<(BufReader<TcpStream>, Arc<LiveEngine>, LogPos), ReplicaError> {
+    let status = &ctx.status;
+    let snapshot =
+        live.is_none() || want_snapshot || status.bootstrap_requested.load(Ordering::Relaxed);
     let request = ReplicateRequest {
         term: status.term(),
-        replica_id: config.replica_id,
-        advertise: config.advertise.clone(),
-        ..ReplicateRequest::new(0, 0, true)
-    };
-    let (mut reader, hello) = handshake(&status.primary(), config, &request)?;
-    let ReplicateHello::Snapshot {
-        epoch,
-        len,
-        segment,
-        offset,
-        term,
-    } = hello
-    else {
-        return Err(ReplicaError::Protocol(format!(
-            "expected a snapshot hello, got {hello:?}"
-        )));
-    };
-    if term < status.term() {
-        return Err(ReplicaError::Protocol(format!(
-            "stale primary: hello term {term} below observed term {}",
-            status.term()
-        )));
-    }
-    status.observe_term(term);
-    let image = receive_snapshot(&mut reader, len)?;
-    if image.epoch != epoch {
-        return Err(ReplicaError::Protocol(format!(
-            "snapshot epoch {} does not match hello epoch {epoch}",
-            image.epoch
-        )));
-    }
-    let live = LiveEngine::restore(image, config.engine)?;
-    live.engine().set_term(status.term());
-    Ok((reader, (segment, offset), Arc::new(live)))
-}
-
-/// The tailer thread: stream frames, apply records, reconnect on damage,
-/// re-bootstrap on truncation — forever, until stopped.
-fn run_tailer(ctx: TailerCtx, mut reader: BufReader<TcpStream>, mut pos: LogPos) {
-    let mut conn: u64 = 1;
-    'serve: loop {
-        let end = stream_frames(&ctx, &mut reader, &mut pos, conn);
-        let mut want_snapshot = match end {
-            StreamEnd::Stop => return,
-            StreamEnd::SnapshotRequired => true,
-            StreamEnd::Reconnect => false,
-        };
-        ctx.status.connected.store(false, Ordering::Relaxed);
-        let mut attempt = 0u32;
-        loop {
-            if ctx.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            thread::sleep(
-                ctx.config
-                    .retry
-                    .delay(attempt, ctx.config.seed ^ conn.rotate_left(32)),
-            );
-            attempt += 1;
-            conn += 1;
-            ctx.status.reconnects.fetch_add(1, Ordering::Relaxed);
-            match reconnect(&ctx, &mut pos, want_snapshot) {
-                Ok(new_reader) => {
-                    reader = new_reader;
-                    ctx.status.connected.store(true, Ordering::Relaxed);
-                    ctx.status.touch();
-                    continue 'serve;
-                }
-                Err(ReconnectFail::NeedSnapshot) => want_snapshot = true,
-                Err(ReconnectFail::TryAgain) => {}
-            }
-        }
-    }
-}
-
-/// Reconnect outcomes that keep the retry loop going.
-enum ReconnectFail {
-    /// The attempt failed outright; back off and retry.
-    TryAgain,
-    /// The primary reported our position truncated; retry with
-    /// `snapshot: true`.
-    NeedSnapshot,
-}
-
-/// One reconnect attempt: tail resume from `pos`, or a snapshot
-/// re-bootstrap when the position was truncated.
-fn reconnect(
-    ctx: &TailerCtx,
-    pos: &mut LogPos,
-    want_snapshot: bool,
-) -> Result<BufReader<TcpStream>, ReconnectFail> {
-    let want_snapshot = want_snapshot || ctx.status.bootstrap_requested.load(Ordering::Relaxed);
-    let request = ReplicateRequest {
-        term: ctx.status.term(),
         replica_id: ctx.config.replica_id,
         advertise: ctx.config.advertise.clone(),
-        ..ReplicateRequest::new(pos.0, pos.1, want_snapshot)
+        ..ReplicateRequest::new(pos.0, pos.1, snapshot)
     };
-    // The believed primary is re-read from the status every attempt: the
-    // failover watchdog may have re-pointed it at an elected peer.
-    let primary = ctx.status.primary();
-    let (mut reader, hello) =
-        handshake(&primary, &ctx.config, &request).map_err(|_| ReconnectFail::TryAgain)?;
-    match hello {
-        ReplicateHello::Tail {
-            segment,
-            offset,
-            term,
-        } => {
-            if term < ctx.status.term() {
-                // A fenced zombie still answering on the old address.
-                return Err(ReconnectFail::TryAgain);
-            }
-            ctx.status.observe_term(term);
-            ctx.live.engine().set_term(ctx.status.term());
-            *pos = (segment, offset);
-            Ok(reader)
+    // The believed primary is re-read every attempt: the failover watchdog
+    // may have re-pointed it at an elected peer.
+    let (mut reader, hello) = handshake(&status.primary(), &ctx.config, &request)?;
+    let fence = |term: u64| {
+        if term < status.term() {
+            // A fenced zombie still answering on the old address.
+            return Err(ReplicaError::Protocol(format!(
+                "stale primary: hello term {term} below observed term {}",
+                status.term()
+            )));
         }
-        ReplicateHello::SnapshotRequired { .. } => Err(ReconnectFail::NeedSnapshot),
-        ReplicateHello::Snapshot {
-            epoch,
-            len,
-            segment,
-            offset,
-            term,
-        } => {
-            if term < ctx.status.term() {
-                return Err(ReconnectFail::TryAgain);
-            }
-            ctx.status.observe_term(term);
-            ctx.live.engine().set_term(ctx.status.term());
-            let image = receive_snapshot(&mut reader, len).map_err(|_| ReconnectFail::TryAgain)?;
+        status.observe_term(term);
+        Ok(())
+    };
+    let (live, segment, offset) = match (hello, live) {
+        (
+            ReplicateHello::Tail {
+                segment,
+                offset,
+                term,
+            },
+            Some(live),
+        ) => {
+            fence(term)?;
+            (Arc::clone(live), segment, offset)
+        }
+        (
+            ReplicateHello::Snapshot {
+                epoch,
+                len,
+                segment,
+                offset,
+                term,
+            },
+            live,
+        ) => {
+            fence(term)?;
+            let image = receive_snapshot(&mut reader, len)?;
             if image.epoch != epoch {
-                return Err(ReconnectFail::TryAgain);
+                return Err(ReplicaError::Protocol(format!(
+                    "snapshot epoch {} does not match hello epoch {epoch}",
+                    image.epoch
+                )));
             }
-            // A post-failover bootstrap is authoritative even at or below
-            // our applied epoch: the new primary's history is the fleet's
-            // history, and anything we applied beyond it (shipped by the
-            // dead primary but never reaching the winner) is discarded so
-            // the fleet converges bit-identically.
-            let forced = ctx.status.bootstrap_requested.load(Ordering::Relaxed);
-            let applied = ctx.live.engine().epoch();
-            if epoch > applied || (forced && epoch != applied) {
-                // The records between our applied epoch and the snapshot
-                // were truncated by a primary checkpoint (or the snapshot
-                // supersedes our fork): jump to it.  `Ok(false)` means
-                // promotion stopped the tailer meanwhile.
-                if !matches!(ctx.live.rebootstrap(image, &ctx.stop), Ok(true)) {
-                    return Err(ReconnectFail::TryAgain);
-                }
-                ctx.status.applied_epoch.store(epoch, Ordering::Relaxed);
-                ctx.status
-                    .snapshot_bootstraps
-                    .fetch_add(1, Ordering::Relaxed);
-                ctx.live.engine().events().publish(
-                    "replication",
-                    format!("snapshot_bootstrap epoch={epoch} segment={segment}"),
-                );
-            }
-            // A snapshot at or below our applied epoch carries nothing new:
-            // keep the richer local state and just resume the stream —
-            // records at or below `applied` are skipped on arrival.  Either
-            // way the position realigns to this primary's log coordinates,
-            // which satisfies any pending post-failover bootstrap request.
-            *pos = (segment, offset);
-            ctx.status
-                .bootstrap_requested
-                .store(false, Ordering::Relaxed);
-            Ok(reader)
+            let live = install(ctx, live, image, segment)?;
+            // Either way the position realigns to this primary's log
+            // coordinates, which satisfies any pending post-failover
+            // bootstrap request.
+            status.bootstrap_requested.store(false, Ordering::Relaxed);
+            (live, segment, offset)
         }
-        ReplicateHello::Error { .. } => Err(ReconnectFail::TryAgain),
+        (ReplicateHello::SnapshotRequired { oldest }, Some(_)) => {
+            return Err(WalError::SnapshotRequired {
+                segment: pos.0,
+                oldest,
+            }
+            .into())
+        }
+        (hello, _) => {
+            return Err(ReplicaError::Protocol(format!(
+                "expected a snapshot hello, got {hello:?}"
+            )))
+        }
+    };
+    live.engine().set_term(status.term());
+    Ok((reader, live, (segment, offset)))
+}
+
+/// Installs a shipped snapshot: restores the front from it when there is
+/// none yet (first boot), and otherwise re-bootstraps the front when the
+/// install rule says so.  This is the replica's one install rule.
+fn install(
+    ctx: &TailerCtx,
+    live: Option<&Arc<LiveEngine>>,
+    image: sac_wal::SnapshotImage,
+    segment: u64,
+) -> Result<Arc<LiveEngine>, ReplicaError> {
+    let status = &ctx.status;
+    let epoch = image.epoch;
+    let Some(live) = live else {
+        let live = LiveEngine::restore(image, ctx.config.engine)?;
+        status.applied_epoch.store(epoch, Ordering::Relaxed);
+        status.primary_epoch.store(epoch, Ordering::Relaxed);
+        return Ok(Arc::new(live));
+    };
+    // A post-failover bootstrap is authoritative even at or below our
+    // applied epoch: the new primary's history is the fleet's history, and
+    // anything we applied beyond it (shipped by the dead primary but never
+    // reaching the winner) is discarded so the fleet converges
+    // bit-identically.
+    let forced = status.bootstrap_requested.load(Ordering::Relaxed);
+    let applied = live.engine().epoch();
+    if epoch > applied || (forced && epoch != applied) {
+        // The records between our applied epoch and the snapshot were
+        // truncated by a primary checkpoint (or the snapshot supersedes our
+        // fork): jump to it.  `Ok(false)` means promotion stopped the tailer
+        // meanwhile.
+        if !live.rebootstrap(image, &ctx.stop)? {
+            return Err(ReplicaError::Protocol(
+                "stopped during a snapshot re-bootstrap".to_string(),
+            ));
+        }
+        status.applied_epoch.store(epoch, Ordering::Relaxed);
+        status.snapshot_bootstraps.fetch_add(1, Ordering::Relaxed);
+        live.engine().events().publish(
+            "replication",
+            format!("snapshot_bootstrap epoch={epoch} segment={segment}"),
+        );
+    }
+    // A snapshot at or below our applied epoch carries nothing new: keep the
+    // richer local state and just resume the stream — records at or below
+    // the applied epoch are skipped on arrival.
+    Ok(Arc::clone(live))
+}
+
+/// The tailer thread and the replica's one retry loop: link, stream frames
+/// until the stream ends, back off, link again — until stopped.  The first
+/// successful link restores the front and sends it to [`Replica::boot`];
+/// before that, each failed attempt counts against
+/// [`ReplicaConfig::boot_attempts`], and the last error is sent once they
+/// run out.  First boot counts as neither a reconnect nor a snapshot
+/// bootstrap.
+fn run_tailer(ctx: TailerCtx, booted: mpsc::Sender<Result<Arc<LiveEngine>, ReplicaError>>) {
+    let mut live: Option<Arc<LiveEngine>> = None;
+    let mut pos: LogPos = (0, 0);
+    let mut want_snapshot = false;
+    // Backoff steps since the last successful link.
+    let mut backoff = 0u32;
+    let mut conn = 0u64;
+    loop {
+        conn += 1;
+        if live.is_some() {
+            ctx.status.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        let end = match link(&ctx, live.as_ref(), pos, want_snapshot) {
+            Ok((mut reader, front, at)) => {
+                pos = at;
+                want_snapshot = false;
+                backoff = 0;
+                ctx.status.connected.store(true, Ordering::Relaxed);
+                ctx.status.touch();
+                if live.is_none() {
+                    let _ = booted.send(Ok(Arc::clone(&front)));
+                }
+                let front = live.insert(front);
+                let end = stream_frames(&ctx, front, &mut reader, &mut pos, conn);
+                ctx.status.connected.store(false, Ordering::Relaxed);
+                end
+            }
+            // Until the first link every attempt is a boot attempt.
+            Err(e) if live.is_none() => {
+                if conn >= u64::from(ctx.config.boot_attempts.max(1)) {
+                    let _ = booted.send(Err(e));
+                    return;
+                }
+                StreamEnd::Reconnect
+            }
+            Err(ReplicaError::Wal(WalError::SnapshotRequired { .. })) => {
+                StreamEnd::SnapshotRequired
+            }
+            Err(_) => StreamEnd::Reconnect,
+        };
+        match end {
+            StreamEnd::Stop => return,
+            StreamEnd::SnapshotRequired => want_snapshot = true,
+            StreamEnd::Reconnect => {}
+        }
+        if ctx.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        thread::sleep(
+            ctx.config
+                .retry
+                .delay(backoff, ctx.config.seed ^ conn.rotate_left(32)),
+        );
+        backoff += 1;
     }
 }
 
@@ -1109,6 +1121,7 @@ fn reconnect(
 /// records.
 fn stream_frames(
     ctx: &TailerCtx,
+    live: &LiveEngine,
     reader: &mut BufReader<TcpStream>,
     pos: &mut LogPos,
     conn: u64,
@@ -1143,9 +1156,10 @@ fn stream_frames(
                 FaultAction::Duplicate => {
                     // Feed the frame through twice; the second pass is
                     // deduplicated by position like any wire duplicate.
-                    match process_frame(ctx, pos, frame.clone(), &mut stalled_heartbeats) {
-                        FrameVerdict::Continue => {}
-                        FrameVerdict::End(end) => return end,
+                    if let Err(end) =
+                        process_frame(ctx, live, pos, frame.clone(), &mut stalled_heartbeats)
+                    {
+                        return end;
                     }
                 }
                 FaultAction::CorruptByte(i) => {
@@ -1159,24 +1173,19 @@ fn stream_frames(
                 FaultAction::Truncate(_) => return StreamEnd::Reconnect,
             }
         }
-        match process_frame(ctx, pos, frame, &mut stalled_heartbeats) {
-            FrameVerdict::Continue => {}
-            FrameVerdict::End(end) => return end,
+        if let Err(end) = process_frame(ctx, live, pos, frame, &mut stalled_heartbeats) {
+            return end;
         }
     }
 }
 
-enum FrameVerdict {
-    Continue,
-    End(StreamEnd),
-}
-
 fn process_frame(
     ctx: &TailerCtx,
+    live: &LiveEngine,
     pos: &mut LogPos,
     frame: ReplFrame,
     stalled_heartbeats: &mut u32,
-) -> FrameVerdict {
+) -> Result<(), StreamEnd> {
     match frame {
         ReplFrame::Record {
             segment,
@@ -1186,51 +1195,51 @@ fn process_frame(
         } => {
             ctx.status.touch();
             if (segment, end_offset) <= *pos {
-                return FrameVerdict::Continue; // duplicate delivery
+                return Ok(()); // duplicate delivery
             }
             if crc32(&payload) != crc {
                 // Damage anywhere between the primary's disk and here:
                 // never apply, re-request the record.
-                return FrameVerdict::End(StreamEnd::Reconnect);
+                return Err(StreamEnd::Reconnect);
             }
             let Ok(record) = DeltaRecord::decode_payload(&payload, segment, end_offset) else {
-                return FrameVerdict::End(StreamEnd::Reconnect);
+                return Err(StreamEnd::Reconnect);
             };
             *stalled_heartbeats = 0;
-            let applied = ctx.live.engine().epoch();
+            let applied = live.engine().epoch();
             if record.epoch <= applied {
                 // Already covered by our snapshot/applied state; the
                 // position still advances past it.
                 *pos = (segment, end_offset);
-                return FrameVerdict::Continue;
+                return Ok(());
             }
             if record.term < ctx.status.term() {
                 // A fenced zombie's write: never apply it.  Reconnecting
                 // re-runs the handshake, where the stale primary is refused
                 // outright.
-                return FrameVerdict::End(StreamEnd::Reconnect);
+                return Err(StreamEnd::Reconnect);
             }
             ctx.status.observe_term(record.term);
             if record.epoch != applied + 1 {
                 // A gap means an earlier record was lost (e.g. dropped by
                 // the fault injector): resume from the last good position.
-                return FrameVerdict::End(StreamEnd::Reconnect);
+                return Err(StreamEnd::Reconnect);
             }
-            match ctx.live.replay(&record, &ctx.stop) {
+            match live.replay(&record, &ctx.stop) {
                 // Promotion stopped the tailer: the record stays unapplied.
-                Ok(None) => FrameVerdict::End(StreamEnd::Stop),
+                Ok(None) => Err(StreamEnd::Stop),
                 Ok(Some(report)) if report.epoch == record.epoch => {
                     *pos = (segment, end_offset);
                     ctx.status
                         .applied_epoch
                         .store(record.epoch, Ordering::Relaxed);
                     ctx.status.records_applied.fetch_add(1, Ordering::Relaxed);
-                    FrameVerdict::Continue
+                    Ok(())
                 }
                 // The shipped ops do not fit our front (or changed nothing):
                 // the states have diverged and only a fresh snapshot can
                 // realign them.
-                _ => FrameVerdict::End(StreamEnd::SnapshotRequired),
+                _ => Err(StreamEnd::SnapshotRequired),
             }
         }
         ReplFrame::Heartbeat {
@@ -1244,10 +1253,10 @@ fn process_frame(
             ctx.status.touch();
             if term < ctx.status.term() {
                 // Stale beacon from a fenced zombie: drop the stream.
-                return FrameVerdict::End(StreamEnd::Reconnect);
+                return Err(StreamEnd::Reconnect);
             }
             ctx.status.observe_term(term);
-            ctx.live.engine().set_term(ctx.status.term());
+            live.engine().set_term(ctx.status.term());
             if lease_ms > 0 {
                 ctx.status.grant_lease(lease_ms);
                 ctx.status.set_roster(roster);
@@ -1260,14 +1269,14 @@ fn process_frame(
                 *stalled_heartbeats += 1;
                 if *stalled_heartbeats >= STALLED_HEARTBEAT_LIMIT {
                     *stalled_heartbeats = 0;
-                    return FrameVerdict::End(StreamEnd::Reconnect);
+                    return Err(StreamEnd::Reconnect);
                 }
             } else {
                 *stalled_heartbeats = 0;
             }
-            FrameVerdict::Continue
+            Ok(())
         }
-        ReplFrame::SnapshotRequired => FrameVerdict::End(StreamEnd::SnapshotRequired),
+        ReplFrame::SnapshotRequired => Err(StreamEnd::SnapshotRequired),
     }
 }
 

@@ -315,6 +315,106 @@ fn restarted_zombie_primary_is_fenced_and_rejoins() {
     }
 }
 
+/// Lets `ship`'s lease run out with the shipper stopped, checks that the
+/// candidate behind `svc` did not promote, then brings a shipper back on
+/// the primary's address and checks that the candidate applies the next
+/// commit.  Returns the restarted shipper.
+fn outage_without_promotion(
+    svc: &SacService,
+    ship: ShipHandle,
+    dir: &Path,
+    engine: &Arc<SacEngine>,
+    live: &LiveEngine,
+    lease_ms: u64,
+) -> ShipHandle {
+    let addr = ship.addr();
+    let status = svc.replica_status().expect("the candidate is a replica");
+    assert!(wait_until(Duration::from_secs(20), || {
+        status.lease_ms() == lease_ms && status.roster().len() == 1
+    }));
+    ship.stop();
+    // The watchdog disarms the lease when it acts on the expiry; give the
+    // failed promotion time to settle.
+    assert!(wait_until(Duration::from_secs(10), || status.lease_ms() == 0));
+    std::thread::sleep(Duration::from_millis(3 * lease_ms));
+    assert_eq!(
+        svc.role(),
+        Role::Replica,
+        "the promotion should have failed"
+    );
+    assert!(!status.connected(), "the primary's shipper is gone");
+
+    // The primary comes back on its address: the same tailer follows it.
+    let mut listener = None;
+    assert!(wait_until(Duration::from_secs(10), || {
+        listener = TcpListener::bind(addr).ok();
+        listener.is_some()
+    }));
+    let ship = spawn_shipper(
+        listener.unwrap(),
+        dir.to_path_buf(),
+        Arc::clone(engine),
+        ShipConfig {
+            lease_ms,
+            ..ShipConfig::default()
+        },
+    )
+    .unwrap();
+    live.add_edge(status.applied_epoch() as u32 % N, 13)
+        .unwrap();
+    let epoch = live.commit().unwrap().epoch;
+    assert!(
+        wait_until(Duration::from_secs(20), || status.applied_epoch() == epoch),
+        "the replica stalled at {} of {epoch} after a failed promotion",
+        status.applied_epoch()
+    );
+    assert_eq!(fingerprint(&svc.engine()), fingerprint(engine));
+    ship
+}
+
+/// A promotion whose failover directory already holds WAL state, or whose
+/// advertised address is taken, fails before the tailer stops: the
+/// candidate stays a replica on the same link and applies the primary's
+/// next commits once its shipper returns.  The next expiry with both
+/// obstacles gone promotes.
+#[test]
+fn failed_promotion_leaves_a_working_replica() {
+    const LEASE_MS: u64 = 300;
+    let dir = temp_dir("stranded");
+    let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 7) % N)).collect();
+    let (engine, live, ship) = primary_with_lease(&dir, &initial, LEASE_MS);
+    let advert = free_addr();
+    let fdir = temp_dir("stranded-f");
+    // Leftover WAL state in the failover directory.
+    drop(sac_wal::WalWriter::open(&fdir, sac_wal::SyncPolicy::Never).unwrap());
+    assert!(sac_wal::has_state(&fdir));
+    let (svc, _watch) = candidate(&ship, 1, &advert, &fdir, LEASE_MS, None);
+
+    let ship = outage_without_promotion(&svc, ship, &dir, &engine, &live, LEASE_MS);
+    std::fs::remove_dir_all(&fdir).unwrap();
+    let squatter = TcpListener::bind(&advert).unwrap();
+    let ship = outage_without_promotion(&svc, ship, &dir, &engine, &live, LEASE_MS);
+    assert!(!fdir.exists(), "a failed bind must not seed the directory");
+    drop(squatter);
+
+    let status = svc.replica_status().unwrap();
+    assert!(wait_until(Duration::from_secs(20), || {
+        status.lease_ms() == LEASE_MS && status.roster().len() == 1
+    }));
+    ship.stop();
+    assert!(
+        wait_until(Duration::from_secs(10), || svc.role() == Role::Primary),
+        "the next expiry with the obstacles gone must promote"
+    );
+    write_through(&svc, 5, 21).expect("the promoted primary takes writes");
+
+    svc.live().shutdown_flush().unwrap();
+    for d in [&dir, &fdir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    drop(live);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

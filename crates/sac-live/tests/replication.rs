@@ -322,6 +322,29 @@ fn checkpoint_truncation_forces_snapshot_rebootstrap() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A tailer that exits on a stop reports the link down: `connected` (what
+/// `/healthz` and `sac_replication_connected` read) does not outlive it.
+#[test]
+fn a_stopped_replica_reports_its_link_down() {
+    let dir = temp_dir("stopped");
+    let initial: Vec<(u32, u32)> = (0..N).map(|v| (v, (v + 2) % N)).collect();
+    let (_engine, _live, ship) = primary(&dir, &initial, None);
+    let replica = Replica::boot(replica_config(&ship, 43)).unwrap();
+    assert!(replica.status().connected());
+    replica.stop();
+    assert!(
+        wait_until(Duration::from_secs(5), || !replica.status().connected()),
+        "a stopped replica still reports its link up"
+    );
+    assert_eq!(
+        replica.status().reconnects(),
+        0,
+        "a stop is not a reconnect"
+    );
+    ship.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The read-only contract: on a replica-backed service, every mutation gets
 /// a typed redirect carrying the primary's address, queries are served
 /// normally, and `stats` exposes the replication state.

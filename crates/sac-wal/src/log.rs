@@ -7,8 +7,7 @@
 //! live set is always a contiguous id range whose records postdate (or are
 //! superseded by) the newest snapshot.
 
-use crate::crc::crc32;
-use crate::record::{DeltaRecord, FRAME_HEADER_BYTES, MAX_RECORD_PAYLOAD};
+use crate::record::{DeltaRecord, FrameAnomaly};
 use crate::WalError;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -310,57 +309,32 @@ pub fn read_log(dir: &Path, tolerate_torn_tail: bool) -> Result<ReplayLog, WalEr
         let mut buf = Vec::new();
         File::open(&path)?.read_to_end(&mut buf)?;
         let mut pos = 0usize;
-        loop {
-            let remaining = buf.len() - pos;
-            if remaining == 0 {
-                break;
-            }
-            let torn = |detail: &str| -> Result<usize, WalError> {
-                if last && tolerate_torn_tail {
-                    Ok(pos)
-                } else {
-                    Err(WalError::Corrupt {
+        while pos < buf.len() {
+            let frame = match DeltaRecord::scan_frame(&buf[pos..]) {
+                Ok(frame) => frame,
+                // Too few bytes for the header or the payload it promises:
+                // an append cut short.
+                Err(FrameAnomaly::ShortHeader | FrameAnomaly::ShortPayload)
+                    if last && tolerate_torn_tail =>
+                {
+                    truncate_segment(&path, pos as u64)?;
+                    out.truncated_bytes += (buf.len() - pos) as u64;
+                    break;
+                }
+                // Anything else is corruption: a torn frame before a
+                // tolerated tail, an implausible length, or a complete frame
+                // with a bad checksum (bit rot or an out-of-order write).
+                Err(anomaly) => {
+                    return Err(WalError::Corrupt {
                         segment: seg,
                         offset: pos as u64,
-                        detail: detail.to_string(),
+                        detail: anomaly.to_string(),
                     })
                 }
             };
-            if remaining < FRAME_HEADER_BYTES {
-                let cut = torn("incomplete frame header at tail")?;
-                truncate_segment(&path, cut as u64)?;
-                out.truncated_bytes += (buf.len() - cut) as u64;
-                break;
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            if len > MAX_RECORD_PAYLOAD {
-                return Err(WalError::Corrupt {
-                    segment: seg,
-                    offset: pos as u64,
-                    detail: format!("implausible record length {len}"),
-                });
-            }
-            let len = len as usize;
-            if remaining < FRAME_HEADER_BYTES + len {
-                let cut = torn("incomplete record payload at tail")?;
-                truncate_segment(&path, cut as u64)?;
-                out.truncated_bytes += (buf.len() - cut) as u64;
-                break;
-            }
-            let payload = &buf[pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len];
-            if crc32(payload) != crc {
-                // A complete frame with a bad checksum is bit rot or an
-                // out-of-order write, never a simple torn tail.
-                return Err(WalError::Corrupt {
-                    segment: seg,
-                    offset: pos as u64,
-                    detail: "record checksum mismatch".to_string(),
-                });
-            }
-            let record = DeltaRecord::decode_payload(payload, seg, pos as u64)?;
-            pos += FRAME_HEADER_BYTES + len;
-            out.bytes += (FRAME_HEADER_BYTES + len) as u64;
+            let record = DeltaRecord::decode_payload(frame.payload, seg, pos as u64)?;
+            pos += frame.bytes;
+            out.bytes += frame.bytes as u64;
             out.boundaries.push((seg, pos as u64));
             out.records.push(record);
         }
@@ -477,56 +451,32 @@ pub fn read_tail(
         }
         let mut p = pos as usize;
         let mut in_flight_tail = false;
-        while chunk.frames.len() < max_frames {
-            let remaining = buf.len() - p;
-            if remaining == 0 {
-                break;
-            }
-            // Anomalies at the live tail are in-flight appends; anywhere
-            // else they are corruption.
-            let tail_or_corrupt = |detail: &str| -> Result<(), WalError> {
-                if seg == newest {
-                    Ok(())
-                } else {
-                    Err(WalError::Corrupt {
+        while chunk.frames.len() < max_frames && p < buf.len() {
+            match DeltaRecord::scan_frame(&buf[p..]) {
+                Ok(frame) => {
+                    p += frame.bytes;
+                    chunk.frames.push(TailFrame {
+                        segment: seg,
+                        end_offset: p as u64,
+                        crc: frame.crc,
+                        payload: frame.payload.to_vec(),
+                    });
+                }
+                // Any anomaly at the live tail is an append in flight (even
+                // an implausible length can be a partially visible header);
+                // anywhere else it is corruption.
+                Err(_) if seg == newest => {
+                    in_flight_tail = true;
+                    break;
+                }
+                Err(anomaly) => {
+                    return Err(WalError::Corrupt {
                         segment: seg,
                         offset: p as u64,
-                        detail: detail.to_string(),
+                        detail: anomaly.to_string(),
                     })
                 }
-            };
-            if remaining < FRAME_HEADER_BYTES {
-                tail_or_corrupt("incomplete frame header at tail")?;
-                in_flight_tail = true;
-                break;
             }
-            let len = u32::from_le_bytes(buf[p..p + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(buf[p + 4..p + 8].try_into().unwrap());
-            if len > MAX_RECORD_PAYLOAD {
-                // At the live tail this can be a partially visible header.
-                tail_or_corrupt(&format!("implausible record length {len}"))?;
-                in_flight_tail = true;
-                break;
-            }
-            let len = len as usize;
-            if remaining < FRAME_HEADER_BYTES + len {
-                tail_or_corrupt("incomplete record payload at tail")?;
-                in_flight_tail = true;
-                break;
-            }
-            let payload = &buf[p + FRAME_HEADER_BYTES..p + FRAME_HEADER_BYTES + len];
-            if crc32(payload) != crc {
-                tail_or_corrupt("record checksum mismatch")?;
-                in_flight_tail = true;
-                break;
-            }
-            p += FRAME_HEADER_BYTES + len;
-            chunk.frames.push(TailFrame {
-                segment: seg,
-                end_offset: p as u64,
-                crc,
-                payload: payload.to_vec(),
-            });
         }
         chunk.segment = seg;
         chunk.offset = p as u64;
@@ -553,7 +503,7 @@ fn truncate_segment(path: &Path, len: u64) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::WalOp;
+    use crate::record::{WalOp, FRAME_HEADER_BYTES};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {

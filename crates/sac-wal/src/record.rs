@@ -78,6 +78,41 @@ pub(crate) struct Cursor<'a> {
     pos: usize,
 }
 
+/// A complete frame whose payload matches its checksum.
+#[derive(Debug)]
+pub(crate) struct Frame<'a> {
+    /// CRC-32 of the payload, as stored.
+    pub crc: u32,
+    /// The record payload, undecoded.
+    pub payload: &'a [u8],
+    /// Frame bytes, header included.
+    pub bytes: usize,
+}
+
+/// Why no complete frame starts at a position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameAnomaly {
+    /// Fewer bytes remain than a frame header takes.
+    ShortHeader,
+    /// The length prefix exceeds [`MAX_RECORD_PAYLOAD`].
+    ImplausibleLength(u32),
+    /// The header promises more payload bytes than remain.
+    ShortPayload,
+    /// A complete frame whose payload fails its checksum.
+    ChecksumMismatch,
+}
+
+impl std::fmt::Display for FrameAnomaly {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameAnomaly::ShortHeader => write!(f, "incomplete frame header at tail"),
+            FrameAnomaly::ImplausibleLength(len) => write!(f, "implausible record length {len}"),
+            FrameAnomaly::ShortPayload => write!(f, "incomplete record payload at tail"),
+            FrameAnomaly::ChecksumMismatch => write!(f, "record checksum mismatch"),
+        }
+    }
+}
+
 impl<'a> Cursor<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
@@ -159,6 +194,30 @@ impl DeltaRecord {
         put_u32(&mut out, crc32(&payload));
         out.extend_from_slice(&payload);
         out
+    }
+
+    /// Reads the frame [`DeltaRecord::encode`] wrote at the start of `buf`:
+    /// the one parser of the `len | crc` header.  Reports a complete frame
+    /// whose payload matches its checksum, or what stood in the way; what
+    /// an anomaly means (a torn tail, an in-flight append, corruption) is
+    /// the caller's policy.
+    pub(crate) fn scan_frame(buf: &[u8]) -> Result<Frame<'_>, FrameAnomaly> {
+        let mut c = Cursor::new(buf);
+        let (Some(len), Some(crc)) = (c.u32(), c.u32()) else {
+            return Err(FrameAnomaly::ShortHeader);
+        };
+        if len > MAX_RECORD_PAYLOAD {
+            return Err(FrameAnomaly::ImplausibleLength(len));
+        }
+        let payload = c.take(len as usize).ok_or(FrameAnomaly::ShortPayload)?;
+        if crc32(payload) != crc {
+            return Err(FrameAnomaly::ChecksumMismatch);
+        }
+        Ok(Frame {
+            crc,
+            payload,
+            bytes: FRAME_HEADER_BYTES + payload.len(),
+        })
     }
 
     /// Decodes a CRC-verified payload.  `segment` and `offset` name the
@@ -276,6 +335,30 @@ mod tests {
             WalOp::MoveVertex(_, _, y) => assert_eq!(y.to_bits(), (-0.0f64).to_bits()),
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn scan_frame_reports_what_it_found() {
+        let frame = sample().encode();
+        let found = DeltaRecord::scan_frame(&frame).unwrap();
+        assert_eq!(found.bytes, frame.len());
+        assert_eq!(found.payload, &frame[FRAME_HEADER_BYTES..]);
+        assert_eq!(crc32(found.payload), found.crc);
+        let scan = |buf: &[u8]| DeltaRecord::scan_frame(buf).map(|f| f.bytes);
+        assert_eq!(scan(&frame[..5]), Err(FrameAnomaly::ShortHeader));
+        assert_eq!(
+            scan(&frame[..frame.len() - 1]),
+            Err(FrameAnomaly::ShortPayload)
+        );
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER_BYTES] ^= 0x40;
+        assert_eq!(scan(&flipped), Err(FrameAnomaly::ChecksumMismatch));
+        let mut huge = frame;
+        huge[..4].copy_from_slice(&(MAX_RECORD_PAYLOAD + 1).to_le_bytes());
+        assert_eq!(
+            scan(&huge),
+            Err(FrameAnomaly::ImplausibleLength(MAX_RECORD_PAYLOAD + 1))
+        );
     }
 
     #[test]
