@@ -1278,7 +1278,7 @@ mod tests {
         let change = dynamic.remove_edge(figure3::H, figure3::I).unwrap();
         assert_eq!(change.dirty_up_to, 1);
         let new_graph =
-            sac_graph::SpatialGraph::new(dynamic.to_graph(), old_snapshot.positions().to_vec())
+            sac_graph::SpatialGraph::new(dynamic.publish(), old_snapshot.positions().to_vec())
                 .unwrap();
         let report = engine.publish(Arc::new(new_graph), dynamic.decomposition(), 1);
         assert_eq!(report.epoch, 2);
@@ -1320,7 +1320,7 @@ mod tests {
         let added = dynamic.add_vertex();
         let mut positions = old_snapshot.positions().to_vec();
         positions.push(sac_geom::Point::new(2.0, 2.0));
-        let grown = sac_graph::SpatialGraph::new(dynamic.to_graph(), positions).unwrap();
+        let grown = sac_graph::SpatialGraph::new(dynamic.publish(), positions).unwrap();
         let report = engine.publish(Arc::new(grown.clone()), dynamic.decomposition(), 0);
         assert_eq!(report.components_carried, 1);
         assert!(engine.core_components(2).covered_vertices() < grown.num_vertices());

@@ -83,6 +83,9 @@ impl GraphBuilder {
             let hi = offsets[v + 1] as usize;
             neighbors[lo..hi].sort_unstable();
         }
+        // The edge list goes before the rows are copied into shared arrays.
+        drop(self.edges);
+        drop(cursor);
         Graph::from_csr(offsets, neighbors)
     }
 

@@ -2,7 +2,8 @@
 //!
 //! [`core_decomposition`] is the one full peel.  It runs once per static
 //! graph or restored snapshot; afterwards [`crate::DynamicGraph`] keeps the
-//! core numbers exact edge by edge, without peeling again.
+//! core numbers exact edge by edge, without peeling again.  The peel's
+//! removal order doubles as the k-order that maintenance starts from.
 
 use crate::{Graph, VertexId};
 
@@ -74,13 +75,31 @@ impl CoreDecomposition {
 /// order of (current) degree; when a vertex is removed its remaining neighbours'
 /// effective degrees drop by one and they move down one bucket.
 pub fn core_decomposition(graph: &Graph) -> CoreDecomposition {
-    let n = graph.num_vertices();
+    let (core, _) = peel(graph.num_vertices(), |v| graph.neighbors(v));
+    CoreDecomposition::from_core_numbers(core)
+}
+
+/// The Batagelj–Zaversnik peel over `n` vertices whose adjacency `neighbors`
+/// returns: every vertex's core number, and the order the peel removed the
+/// vertices in.
+///
+/// The removal order is a *k-order*: core numbers never decrease along it,
+/// and each vertex has at most `core(v)` neighbours after it (its degree
+/// when removed is its core number and bounds the neighbours still
+/// unpeeled).  [`crate::DynamicGraph`] seeds its order-based maintenance
+/// from it.
+pub(crate) fn peel<'g>(
+    n: usize,
+    neighbors: impl Fn(VertexId) -> &'g [VertexId],
+) -> (Vec<u32>, Vec<VertexId>) {
     if n == 0 {
-        return CoreDecomposition::from_core_numbers(Vec::new());
+        return (Vec::new(), Vec::new());
     }
 
     // degree[v] starts at deg_G(v) and decreases as neighbours are peeled.
-    let mut degree: Vec<u32> = (0..n).map(|v| graph.degree(v as VertexId) as u32).collect();
+    let mut degree: Vec<u32> = (0..n)
+        .map(|v| neighbors(v as VertexId).len() as u32)
+        .collect();
     let max_degree = *degree.iter().max().unwrap() as usize;
 
     // bin[d] = index in `order` of the first vertex with current degree d.
@@ -109,7 +128,7 @@ pub fn core_decomposition(graph: &Graph) -> CoreDecomposition {
         let v = order[i];
         let dv = degree[v as usize];
         core[v as usize] = dv;
-        for &u in graph.neighbors(v) {
+        for &u in neighbors(v) {
             let du = degree[u as usize];
             if du > dv {
                 // Move u to the front of its bucket and shift the bucket boundary,
@@ -129,7 +148,7 @@ pub fn core_decomposition(graph: &Graph) -> CoreDecomposition {
         }
     }
 
-    CoreDecomposition::from_core_numbers(core)
+    (core, order)
 }
 
 #[cfg(test)]

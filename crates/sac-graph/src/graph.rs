@@ -1,6 +1,7 @@
 //! CSR-based undirected graph representation.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a graph vertex.
 ///
@@ -11,13 +12,18 @@ pub type VertexId = u32;
 /// An undirected graph stored in compressed-sparse-row (CSR) form.
 ///
 /// The adjacency of vertex `v` is the slice `neighbors[offsets[v]..offsets[v+1]]`.
-/// Both directions of every edge are stored, so `neighbors.len() == 2 * m`.  The
+/// Both directions of every edge are stored, so the rows hold `2 * m` entries.  The
 /// structure is immutable after construction; use [`crate::GraphBuilder`] to build
 /// one incrementally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Both arrays are shared, so a clone is `O(1)`: the live write front keeps
+/// the published epoch's CSR as its base this way instead of copying it.
+/// The neighbour array may be longer than the `offsets[n]` entries the rows
+/// use: the write front sizes it to a coarse size class.
+#[derive(Debug, Clone)]
 pub struct Graph {
-    offsets: Vec<u64>,
-    neighbors: Vec<VertexId>,
+    offsets: Arc<[u64]>,
+    neighbors: Arc<[VertexId]>,
 }
 
 impl Graph {
@@ -31,7 +37,30 @@ impl Graph {
         debug_assert_eq!(*offsets.first().unwrap(), 0);
         debug_assert_eq!(*offsets.last().unwrap() as usize, neighbors.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        Graph {
+            offsets: offsets.into(),
+            neighbors: neighbors.into(),
+        }
+    }
+
+    /// A graph over shared arrays: the conditions of [`Graph::from_csr`],
+    /// except that `neighbors` may run past `offsets[n]`.
+    pub(crate) fn from_arrays(offsets: Arc<[u64]>, neighbors: Arc<[VertexId]>) -> Self {
+        debug_assert!(!offsets.is_empty() && offsets[0] == 0);
+        debug_assert!(*offsets.last().unwrap() as usize <= neighbors.len());
+        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         Graph { offsets, neighbors }
+    }
+
+    /// The offsets and the rows' prefix of the neighbour array.
+    pub(crate) fn csr(&self) -> (&[u64], &[VertexId]) {
+        (&self.offsets, &self.neighbors[..self.entries()])
+    }
+
+    /// Entries the rows hold: `2 * m`.
+    #[inline]
+    fn entries(&self) -> usize {
+        self.offsets[self.offsets.len() - 1] as usize
     }
 
     /// Creates a graph from externally produced CSR arrays, validating every
@@ -76,15 +105,12 @@ impl Graph {
                 }
             }
         }
-        Ok(Graph { offsets, neighbors })
+        Ok(Graph::from_csr(offsets, neighbors))
     }
 
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        Graph {
-            offsets: vec![0; n + 1],
-            neighbors: Vec::new(),
-        }
+        Graph::from_csr(vec![0; n + 1], Vec::new())
     }
 
     /// Number of vertices `n`.
@@ -96,7 +122,7 @@ impl Graph {
     /// Number of undirected edges `m`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
+        self.entries() / 2
     }
 
     /// Degree of vertex `v` in the full graph (the paper's `deg_G(v)`).
@@ -150,7 +176,7 @@ impl Graph {
         if self.num_vertices() == 0 {
             return 0.0;
         }
-        self.neighbors.len() as f64 / self.num_vertices() as f64
+        self.entries() as f64 / self.num_vertices() as f64
     }
 
     /// Maximum degree over all vertices.
@@ -158,6 +184,14 @@ impl Graph {
         self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
     }
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.csr() == other.csr()
+    }
+}
+
+impl Eq for Graph {}
 
 impl fmt::Display for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

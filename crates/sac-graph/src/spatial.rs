@@ -2,6 +2,7 @@
 
 use crate::{Graph, GraphError, VertexId};
 use sac_geom::{Circle, Point};
+use std::sync::Arc;
 
 /// A geo-social graph: an undirected [`Graph`] in which every vertex has a
 /// two-dimensional location.
@@ -10,13 +11,17 @@ use sac_geom::{Circle, Point};
 /// search algorithms take a `&SpatialGraph`.  There is no spatial index: the
 /// search runs inside the k-ĉore `X` containing the query vertex, so its
 /// circle queries filter `X`'s member list by position instead.
+///
+/// Graph and positions are both shared, so a clone copies neither, and the
+/// live write front hands an unchanged position array to the next epoch
+/// as it is.
 #[derive(Debug, Clone)]
 pub struct SpatialGraph {
     // NOTE: keep this type free of interior mutability.  `sac-engine` serves
     // immutable `Arc<SpatialGraph>` snapshots across threads; the static
     // assertion at the bottom of this file enforces `Send + Sync`.
     graph: Graph,
-    positions: Vec<Point>,
+    positions: Arc<[Point]>,
 }
 
 impl SpatialGraph {
@@ -25,6 +30,15 @@ impl SpatialGraph {
     /// Returns an error when the number of positions differs from the number of
     /// vertices, when a position is not finite, or when the graph is empty.
     pub fn new(graph: Graph, positions: Vec<Point>) -> Result<Self, GraphError> {
+        SpatialGraph::with_shared_positions(graph, positions.into())
+    }
+
+    /// Pairs a graph with a shared position array, under the checks of
+    /// [`SpatialGraph::new`].
+    pub fn with_shared_positions(
+        graph: Graph,
+        positions: Arc<[Point]>,
+    ) -> Result<Self, GraphError> {
         if positions.len() != graph.num_vertices() {
             return Err(GraphError::PositionCountMismatch {
                 vertices: graph.num_vertices(),
@@ -62,6 +76,12 @@ impl SpatialGraph {
     #[inline]
     pub fn position(&self, v: VertexId) -> Point {
         self.positions[v as usize]
+    }
+
+    /// The shared position array (cloning it copies no position).
+    #[inline]
+    pub fn shared_positions(&self) -> &Arc<[Point]> {
+        &self.positions
     }
 
     /// All vertex positions, indexed by vertex id.

@@ -11,15 +11,18 @@
 //! * **Write front** — [`LiveEngine`] accepts edge insertions/removals,
 //!   vertex additions and moves, applying each to a
 //!   [`sac_graph::DynamicGraph`] whose core numbers are maintained
-//!   **incrementally**: a mutation walks only the affected subcore, and the
+//!   **incrementally** by order-based core maintenance: a mutation visits
+//!   only the vertices whose core or k-order position can change, and the
 //!   result is bit-identical to a full recomputation (asserted by the
-//!   property suite on random update streams).  The front is the only code
-//!   that applies a mutation: crash recovery and replica replay feed
-//!   logged ops through the same apply path.
+//!   property suite on random update streams).  The front copies no graph:
+//!   it reads the served epoch's shared CSR plus the rows changed since.
+//!   It is the only code that applies a mutation: crash recovery and
+//!   replica replay feed logged ops through the same apply path.
 //! * **Commits** — applied mutations buffer as the next WAL record's
-//!   [`sac_wal::WalOp`]s; [`LiveEngine::commit`] rebuilds the immutable
-//!   CSR adjacency and copies the positions once per epoch, then publishes
-//!   through the engine's atomic epoch pointer.
+//!   [`sac_wal::WalOp`]s; [`LiveEngine::commit`] merges the changed rows
+//!   into the next immutable CSR once per epoch, shares the positions
+//!   unless one changed, publishes through the engine's atomic epoch
+//!   pointer, and rebases the front on the published CSR.
 //! * **Epoch snapshots** — in-flight queries finish on the snapshot they
 //!   loaded; new queries see the new epoch.  The engine's k-core index cache
 //!   is *selectively* invalidated: only the `k` entries whose cores the delta

@@ -5,7 +5,7 @@ use crate::durability::{
 };
 use sac_engine::{EngineConfig, SacEngine};
 use sac_geom::Point;
-use sac_graph::{core_decomposition, DynamicGraph, EdgeChange, GraphError, SpatialGraph, VertexId};
+use sac_graph::{DynamicGraph, EdgeChange, GraphError, SpatialGraph, VertexId};
 use sac_obs::{Counter, Histogram, Span};
 use sac_wal::{DeltaRecord, SnapshotImage, WalError, WalOp, WalWriter};
 use std::path::PathBuf;
@@ -26,6 +26,9 @@ struct LiveObs {
     /// and positions copy time (the engine itself records the downstream
     /// `epoch_build`/`epoch_swap` publish stages).
     snapshot_build: Arc<Histogram>,
+    /// `sac_live_core_repair_visited_total` — vertices the core repairs of
+    /// applied edge mutations examined ([`EdgeChange::visited`]).
+    repair_visited: Arc<Counter>,
 }
 
 impl LiveObs {
@@ -42,6 +45,11 @@ impl LiveObs {
                 "sac_commit_stage_micros",
                 "Commit pipeline stage latency, microseconds",
                 &[("stage", "snapshot_build")],
+            ),
+            repair_visited: registry.counter(
+                "sac_live_core_repair_visited_total",
+                "Vertices examined by the core repairs of edge mutations",
+                &[],
             ),
         }
     }
@@ -75,7 +83,8 @@ pub struct CommitReport {
     /// Wall-clock cost of the commit (snapshot build + publish), in
     /// microseconds.
     pub micros: u64,
-    /// Snapshot build (CSR rebuild + positions copy) share of `micros`.
+    /// Snapshot build (CSR rebuild; positions shared unless changed) share
+    /// of `micros`.
     pub snapshot_build_micros: u64,
     /// Next-epoch build share of the engine-side publish (component
     /// carry-over + cache seeding).
@@ -86,21 +95,29 @@ pub struct CommitReport {
 
 /// Mutable state between two epochs: the maintained dynamic graph, the vertex
 /// positions and the ops applied since the last commit, which are the next
-/// WAL record.
+/// WAL record.  The graph's adjacency is the published epoch's CSR (shared,
+/// not copied) plus the rows changed since; each commit rebases it on the
+/// graph it publishes.
 #[derive(Debug)]
 struct WriteFront {
     dynamic: DynamicGraph,
-    positions: Vec<Point>,
+    /// The positions of the vertices the served epoch has, shared with it
+    /// until a move copies them (once per epoch).
+    positions: Arc<[Point]>,
+    /// The positions of the vertices added since, which the next snapshot
+    /// appends.
+    added: Vec<Point>,
     ops: Vec<WalOp>,
     dirty_up_to: u32,
     cores_changed: u64,
 }
 
 impl WriteFront {
-    fn new(dynamic: DynamicGraph, positions: Vec<Point>) -> WriteFront {
+    fn new(dynamic: DynamicGraph, positions: Arc<[Point]>) -> WriteFront {
         WriteFront {
             dynamic,
             positions,
+            added: Vec::new(),
             ops: Vec::new(),
             dirty_up_to: 0,
             cores_changed: 0,
@@ -108,20 +125,22 @@ impl WriteFront {
     }
 
     /// A front over the engine's current snapshot; the engine's memoised
-    /// decomposition seeds the maintained core numbers, so no peel is paid.
+    /// decomposition seeds the maintained core numbers, so no peel is paid
+    /// until the first edge mutation needs the k-order.
     fn seeded(engine: &SacEngine) -> WriteFront {
         let snapshot = engine.snapshot();
         let dynamic = DynamicGraph::from_parts(snapshot.graph(), &engine.decomposition());
-        WriteFront::new(dynamic, snapshot.positions().to_vec())
+        WriteFront::new(dynamic, Arc::clone(snapshot.shared_positions()))
     }
 
     /// A front over a snapshot image (crash recovery and replica
-    /// bootstraps).  The image's graph is peeled once, and a snapshot whose
-    /// stored core numbers disagree with that peel is refused: every later
-    /// incremental repair builds on these numbers.
+    /// bootstraps).  The image's graph is peeled once, which also seeds the
+    /// k-order, and a snapshot whose stored core numbers disagree with that
+    /// peel is refused: every later incremental repair builds on these
+    /// numbers.
     fn restore(image: SnapshotImage) -> Result<WriteFront, WalError> {
-        let decomposition = core_decomposition(&image.graph);
-        if decomposition.core_numbers() != image.core_numbers.as_slice() {
+        let dynamic = DynamicGraph::from_graph(&image.graph);
+        if dynamic.core_numbers() != image.core_numbers.as_slice() {
             return Err(WalError::SnapshotCorrupt {
                 path: PathBuf::new(),
                 detail: format!(
@@ -130,8 +149,7 @@ impl WriteFront {
                 ),
             });
         }
-        let dynamic = DynamicGraph::from_parts(&image.graph, &decomposition);
-        Ok(WriteFront::new(dynamic, image.positions))
+        Ok(WriteFront::new(dynamic, image.positions.into()))
     }
 
     /// Applies one mutation, repairing the core numbers incrementally, and
@@ -149,7 +167,7 @@ impl WriteFront {
                     return Err(GraphError::InvalidPosition(next));
                 }
                 self.dynamic.add_vertex();
-                self.positions.push(position);
+                self.added.push(position);
                 EdgeChange {
                     applied: true,
                     ..EdgeChange::default()
@@ -157,17 +175,27 @@ impl WriteFront {
             }
             WalOp::MoveVertex(v, x, y) => {
                 let position = Point::new(x, y);
-                let slot = self
-                    .positions
-                    .get_mut(v as usize)
-                    .ok_or(GraphError::VertexOutOfRange(v))?;
+                // Vertices added since the served epoch keep their
+                // positions in `added`.
+                let served = self.positions.len();
+                let added = (v as usize).checked_sub(served);
+                let current = match added {
+                    None => self.positions[v as usize],
+                    Some(i) => *self.added.get(i).ok_or(GraphError::VertexOutOfRange(v))?,
+                };
                 if !position.is_finite() {
                     return Err(GraphError::InvalidPosition(v));
                 }
                 // Position-only: core numbers are untouched (`dirty_up_to`
-                // stays 0), and a move to the current position is a no-op.
-                let applied = *slot != position;
-                *slot = position;
+                // stays 0), and a move to the current position is a no-op
+                // that leaves the array shared.
+                let applied = current != position;
+                if applied {
+                    match added {
+                        None => Arc::make_mut(&mut self.positions)[v as usize] = position,
+                        Some(i) => self.added[i] = position,
+                    }
+                }
                 EdgeChange {
                     applied,
                     ..EdgeChange::default()
@@ -182,22 +210,31 @@ impl WriteFront {
         Ok(change)
     }
 
-    /// The immutable snapshot of the front: CSR adjacency plus a copy of the
-    /// positions.
-    fn snapshot(&self) -> Result<SpatialGraph, GraphError> {
-        SpatialGraph::new(self.dynamic.to_graph(), self.positions.clone())
+    /// The immutable snapshot of the front: CSR adjacency plus the
+    /// positions, shared with the front (its next move copies them).  The
+    /// front is rebased on the snapshot: the rows changed so far are
+    /// dropped rather than merged again next time, and the added positions
+    /// are appended to the shared array in one copy.
+    fn snapshot(&mut self) -> Result<SpatialGraph, GraphError> {
+        if !self.added.is_empty() {
+            let added = std::mem::take(&mut self.added);
+            self.positions = self.positions.iter().copied().chain(added).collect();
+        }
+        SpatialGraph::with_shared_positions(self.dynamic.publish(), Arc::clone(&self.positions))
     }
 }
 
 /// A concurrent-safe live-update handle over a shared [`SacEngine`].
 ///
-/// The handle owns the *write front*: a [`DynamicGraph`] (adjacency +
-/// incrementally maintained core numbers) plus the vertex positions.  Edge
+/// The handle owns the *write front*: a [`DynamicGraph`] (incrementally
+/// maintained core numbers over the served epoch's shared CSR plus the
+/// adjacency rows changed since) and the vertex positions.  Edge
 /// insertions/removals, vertex additions and moves are applied to the front
-/// immediately — each one repairs the core numbers by walking only the
-/// affected subcore — and are buffered as the next WAL record's [`WalOp`]s
-/// until [`LiveEngine::commit`] rebuilds the immutable snapshot (CSR +
-/// positions) once and publishes it as the engine's next epoch.  Queries running
+/// immediately — each one repairs the core numbers by visiting only the
+/// vertices whose core or k-order position can change — and are buffered
+/// as the next WAL record's [`WalOp`]s until [`LiveEngine::commit`] merges
+/// the changed rows into the next immutable snapshot (CSR + positions) and
+/// publishes it as the engine's next epoch.  Queries running
 /// against the engine never see the front: they finish on the epoch they
 /// loaded, and the k-core index cache carries over every `k` entry the
 /// commit did not touch.
@@ -253,7 +290,7 @@ impl LiveEngine {
     /// A live engine serving `front` as epoch `epoch` of a fresh engine: the
     /// front's ops are already in that epoch, so nothing stays pending.
     fn from_front(
-        front: WriteFront,
+        mut front: WriteFront,
         config: EngineConfig,
         epoch: u64,
     ) -> Result<LiveEngine, WalError> {
@@ -281,7 +318,7 @@ impl LiveEngine {
         stop: &AtomicBool,
     ) -> Result<bool, WalError> {
         let epoch = image.epoch;
-        let restored = WriteFront::restore(image)?;
+        let mut restored = WriteFront::restore(image)?;
         let snapshot = restored.snapshot().map_err(WalError::Graph)?;
         let mut front = self.lock_front();
         if stop.load(Ordering::SeqCst) {
@@ -320,7 +357,7 @@ impl LiveEngine {
         let result = record
             .ops
             .iter()
-            .try_for_each(|&op| front.apply(op).map(drop))
+            .try_for_each(|&op| self.apply(&mut front, op).map(drop))
             .map_err(CommitError::Graph)
             .and_then(|()| self.commit_front(&mut front));
         if result.is_err() {
@@ -331,6 +368,13 @@ impl LiveEngine {
 
     fn lock_front(&self) -> MutexGuard<'_, WriteFront> {
         self.front.lock().expect("write front poisoned")
+    }
+
+    /// Applies `op` to `front` and counts the vertices its repair visited.
+    fn apply(&self, front: &mut WriteFront, op: WalOp) -> Result<EdgeChange, GraphError> {
+        let change = front.apply(op)?;
+        self.obs.repair_visited.add(change.visited);
+        Ok(change)
     }
 
     /// A write front with durability: every commit is logged to the WAL under
@@ -581,12 +625,12 @@ impl LiveEngine {
     /// Returns the incremental core repair (`applied == false` for self-loops
     /// and already-present edges); errors when an endpoint does not exist.
     pub fn add_edge(&self, u: VertexId, v: VertexId) -> Result<EdgeChange, GraphError> {
-        self.lock_front().apply(WalOp::InsertEdge(u, v))
+        self.apply(&mut self.lock_front(), WalOp::InsertEdge(u, v))
     }
 
     /// Removes the undirected edge `{u, v}` from the write front.
     pub fn remove_edge(&self, u: VertexId, v: VertexId) -> Result<EdgeChange, GraphError> {
-        self.lock_front().apply(WalOp::RemoveEdge(u, v))
+        self.apply(&mut self.lock_front(), WalOp::RemoveEdge(u, v))
     }
 
     /// Adds a new vertex at `position` (core number 0 until edges attach it)
@@ -612,8 +656,12 @@ impl LiveEngine {
     /// Rebuilds the immutable snapshot from the write front and publishes it
     /// as the engine's next epoch.
     ///
-    /// The CSR adjacency is rebuilt and the positions copied once per commit
-    /// (`O(n + m)`), but the core decomposition is **not** recomputed —
+    /// The CSR adjacency is rebuilt once per commit (`O(n + m)`: the
+    /// served CSR's unchanged rows copied in runs, the changed rows merged
+    /// in), the served position array is shared unless a move copied it
+    /// (once per epoch) or added vertices are appended to it (one copy),
+    /// and the front is rebased on the new snapshot.  The core
+    /// decomposition is **not** recomputed —
     /// the incrementally maintained numbers are published as-is, and the
     /// engine carries over every cached per-`k` component index the delta did
     /// not touch.  An empty delta publishes nothing and reports the current
@@ -818,6 +866,36 @@ mod tests {
         assert!(live
             .move_vertex(figure3::Q, Point::new(f64::NAN, 0.0))
             .is_err());
+    }
+
+    #[test]
+    fn added_vertices_leave_the_served_positions_shared() {
+        let live = live();
+        let served = live.engine().snapshot();
+        let n = served.num_vertices();
+        // One commit holding many adds: none of them copies the served
+        // array, and neither does moving an added vertex.
+        let added: Vec<Point> = (0..2_000).map(|i| Point::new(i as f64, 0.5)).collect();
+        for &p in &added {
+            live.add_vertex(p).unwrap();
+        }
+        let moved = Point::new(-1.0, -1.0);
+        assert!(live.move_vertex((n + 7) as VertexId, moved).unwrap());
+        assert!(live.move_vertex((n + 2_000) as VertexId, moved).is_err());
+        assert!(Arc::ptr_eq(
+            &live.lock_front().positions,
+            served.shared_positions()
+        ));
+        live.commit().unwrap();
+        let snapshot = live.engine().snapshot();
+        let mut expected = served.positions().to_vec();
+        expected.extend(&added);
+        expected[n + 7] = moved;
+        assert_eq!(snapshot.positions(), &expected[..]);
+        // The front is rebased on the published array.
+        let front = live.lock_front();
+        assert!(front.added.is_empty());
+        assert!(Arc::ptr_eq(&front.positions, snapshot.shared_positions()));
     }
 
     #[test]

@@ -27,11 +27,18 @@ static TABLE: [u32; 256] = build_table();
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`): matches
 /// zlib's `crc32()` and therefore any external tool inspecting the files.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_update(0, data)
+}
+
+/// Continues the CRC-32 `crc` of some bytes over `data`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, so data written in pieces
+/// can be checksummed without buffering it whole.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let mut c = !crc;
     for &b in data {
         c = (c >> 8) ^ TABLE[((c ^ b as u32) & 0xFF) as usize];
     }
-    c ^ 0xFFFF_FFFF
+    !c
 }
 
 #[cfg(test)]
@@ -44,6 +51,15 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn updates_chain_like_one_pass() {
+        let data = b"snapshot rows written in pieces";
+        for cut in [0, 1, 7, data.len()] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), crc32(data), "cut at {cut}");
+        }
     }
 
     #[test]

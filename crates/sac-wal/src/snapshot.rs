@@ -20,14 +20,18 @@
 //! files written by earlier versions; the reader rejects any value it does
 //! not understand.  Snapshots are written to a temp file, fsynced, then
 //! renamed — a crash mid-checkpoint leaves the previous snapshot intact.
+//! The writer streams the file through a `BufWriter`, keeping running
+//! CRCs, so no section is ever held in memory whole: the frame's CRC comes
+//! from a first pass over the rows, its length from the counts
+//! (`4 + 8n + 8m`).
 
-use crate::crc::crc32;
-use crate::record::{put_f64, put_u32, put_u64, Cursor};
+use crate::crc::{crc32, crc32_update};
+use crate::record::Cursor;
 use crate::WalError;
 use sac_geom::Point;
-use sac_graph::{Graph, VertexId};
+use sac_graph::Graph;
 use std::fs::{self, File};
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"SACSNAP1";
@@ -47,27 +51,35 @@ pub struct SnapshotImage {
     pub graph: Graph,
 }
 
-/// Encodes the adjacency frame payload: one row per vertex, in vertex order.
-fn encode_adjacency(graph: &Graph) -> Vec<u8> {
-    let vertices = 0..graph.num_vertices() as VertexId;
-    // Size the payload exactly, so the rows are written once into their
-    // final buffer with no regrowth.
-    let size = 4 + vertices
-        .clone()
-        .map(|v| 8 + 4 * graph.degree(v))
-        .sum::<usize>();
-    let mut payload = Vec::with_capacity(size);
-    put_u32(&mut payload, graph.num_vertices() as u32);
-    for v in vertices {
+/// Feeds the adjacency frame payload to `sink` in pieces: the row count,
+/// then one row (`vertex | degree | neighbors`) per vertex, in vertex order.
+fn adjacency_payload(
+    graph: &Graph,
+    mut sink: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    sink(&(graph.num_vertices() as u32).to_le_bytes())?;
+    for v in graph.vertices() {
         let neighbors = graph.neighbors(v);
-        put_u32(&mut payload, v);
-        put_u32(&mut payload, neighbors.len() as u32);
+        sink(&v.to_le_bytes())?;
+        sink(&(neighbors.len() as u32).to_le_bytes())?;
         for &w in neighbors {
-            put_u32(&mut payload, w);
+            sink(&w.to_le_bytes())?;
         }
     }
-    debug_assert_eq!(payload.len(), size);
-    payload
+    Ok(())
+}
+
+/// A buffered file writer that checksums what passes through it.
+struct CrcWriter {
+    out: BufWriter<File>,
+    crc: u32,
+}
+
+impl CrcWriter {
+    fn put(&mut self, data: &[u8]) -> io::Result<()> {
+        self.crc = crc32_update(self.crc, data);
+        self.out.write_all(data)
+    }
 }
 
 fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -121,34 +133,40 @@ pub fn write_snapshot(
 ) -> Result<u64, WalError> {
     assert_eq!(positions.len(), core_numbers.len());
     assert_eq!(positions.len(), graph.num_vertices());
-    let n = positions.len() as u32;
-    let mut header = Vec::with_capacity(32 + positions.len() * 20);
-    header.extend_from_slice(MAGIC);
-    put_u64(&mut header, epoch);
-    put_u32(&mut header, n);
-    header.push(0); // flags
-    for p in positions {
-        put_f64(&mut header, p.x);
-        put_f64(&mut header, p.y);
-    }
-    for &c in core_numbers {
-        put_u32(&mut header, c);
-    }
-    put_u32(&mut header, 1); // frame count
-    let header_crc = crc32(&header);
-    let payload = encode_adjacency(graph);
-    let mut frame_header = Vec::with_capacity(12);
-    put_u32(&mut frame_header, 0); // frame id
-    put_u32(&mut frame_header, payload.len() as u32);
-    put_u32(&mut frame_header, crc32(&payload));
+    let mut frame_crc = 0;
+    adjacency_payload(graph, |piece| {
+        frame_crc = crc32_update(frame_crc, piece);
+        Ok(())
+    })?;
+    let frame_len = 4 + 8 * graph.num_vertices() as u64 + 8 * graph.num_edges() as u64;
+    let frame_len = u32::try_from(frame_len).expect("adjacency frame exceeds 4 GiB");
 
     let tmp = dir.join(format!("{SNAP_PREFIX}{epoch:020}.tmp"));
-    let mut f = File::create(&tmp)?;
-    f.write_all(&header)?;
-    f.write_all(&header_crc.to_le_bytes())?;
-    f.write_all(&frame_header)?;
-    f.write_all(&payload)?;
-    let bytes = (header.len() + 4 + frame_header.len() + payload.len()) as u64;
+    let mut w = CrcWriter {
+        out: BufWriter::new(File::create(&tmp)?),
+        crc: 0,
+    };
+    w.put(MAGIC)?;
+    w.put(&epoch.to_le_bytes())?;
+    w.put(&(positions.len() as u32).to_le_bytes())?;
+    w.put(&[0])?; // flags
+    for p in positions {
+        w.put(&p.x.to_bits().to_le_bytes())?;
+        w.put(&p.y.to_bits().to_le_bytes())?;
+    }
+    for &c in core_numbers {
+        w.put(&c.to_le_bytes())?;
+    }
+    w.put(&1u32.to_le_bytes())?; // frame count
+    let CrcWriter { mut out, crc } = w;
+    // header crc | frame id | frame length | frame crc
+    for field in [crc, 0, frame_len, frame_crc] {
+        out.write_all(&field.to_le_bytes())?;
+    }
+    adjacency_payload(graph, |piece| out.write_all(piece))?;
+    let f = out.into_inner().map_err(|e| e.into_error())?;
+    let header_len = 8 + 8 + 4 + 1 + 20 * positions.len() as u64 + 4;
+    let bytes = header_len + 16 + u64::from(frame_len);
     f.sync_all()?;
     drop(f);
     let path = snapshot_path(dir, epoch);
@@ -282,6 +300,7 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<SnapshotImage, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{put_f64, put_u32, put_u64};
     use sac_graph::GraphBuilder;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -340,13 +359,21 @@ mod tests {
         let (graph, positions, cores) = sample();
         // (frame (id, len, crc), whole-file (len, crc))
         let (frame_print, file_print) = ((0, 100, 1762280136), (261, 0xfccd8868));
-        let payload = encode_adjacency(&graph);
-        assert_eq!((0, payload.len(), crc32(&payload)), frame_print);
         let dir = temp_dir("pinned");
-        write_snapshot(&dir, 11, &graph, &positions, &cores).unwrap();
+        let bytes = write_snapshot(&dir, 11, &graph, &positions, &cores).unwrap();
         let file = fs::read(latest_snapshot(&dir).unwrap().unwrap().1).unwrap();
-        assert_eq!((file.len(), crc32(&file)), file_print);
         fs::remove_dir_all(&dir).ok();
+        assert_eq!(bytes, file.len() as u64);
+        assert_eq!((file.len(), crc32(&file)), file_print);
+        // The frame header follows the header and its CRC.
+        let frame_at = 8 + 8 + 4 + 1 + positions.len() * 20 + 4 + 4;
+        let field = |i: usize| {
+            let at = frame_at + 4 * i;
+            u32::from_le_bytes(file[at..at + 4].try_into().unwrap())
+        };
+        let payload = &file[frame_at + 12..];
+        assert_eq!((field(0), field(1), field(2)), frame_print);
+        assert_eq!((payload.len(), crc32(payload)), (100, 1762280136));
     }
 
     /// Nonzero `flags` (bit 0 once marked a serialized shard map) are

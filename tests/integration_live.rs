@@ -197,3 +197,35 @@ fn cache_carry_over_is_observable_in_stats() {
     assert_eq!(stats.components_carried, 3);
     assert_eq!(stats.epoch, 2);
 }
+
+/// Locality pin: an edge insert repairs the core numbers by visiting the
+/// few vertices whose k-order position can change, not the whole core
+/// level of the flat Brightkite surrogate (~1,000 vertices at this scale).
+/// The summed `visited` of a seeded stream of 2,000 inserts is pinned, and
+/// `/metrics` exports the same sum.
+#[test]
+fn edge_inserts_visit_a_local_neighbourhood() {
+    const PINNED_VISITED: u64 = 27_096;
+    let graph = DatasetSpec::scaled(DatasetKind::Brightkite, 0.02).generate();
+    let n = graph.num_vertices() as u32;
+    let engine = Arc::new(SacEngine::new(graph));
+    let live = LiveEngine::new(Arc::clone(&engine));
+    let mut rng = StdRng::seed_from_u64(0x10CA1);
+    let (mut inserts, mut visited) = (0, 0u64);
+    while inserts < 2_000 {
+        let change = live
+            .add_edge(rng.gen_range(0..n), rng.gen_range(0..n))
+            .unwrap();
+        if change.applied {
+            inserts += 1;
+            visited += change.visited;
+        }
+    }
+    assert_eq!(visited, PINNED_VISITED);
+    let needle = format!("sac_live_core_repair_visited_total {visited}\n");
+    assert!(engine.metrics_text().contains(&needle), "missing {needle}");
+
+    live.commit().unwrap();
+    let fresh = core_decomposition(engine.snapshot().graph());
+    assert_eq!(engine.decomposition().core_numbers(), fresh.core_numbers());
+}
